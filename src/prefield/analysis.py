@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import NoCoincidencesError
 from .random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 from .serialize import read_json, write_json
 
@@ -106,23 +107,19 @@ class CorrelationTable:
     def from_trial_batches(cls, a_settings, b_settings, batches) -> "CorrelationTable":
         """Build from detection trial batches keyed by setting indices (x, y).
 
-        Frequencies are over accepted single-click coincidences, matching
-        the detection module's correlation estimator.
+        Frequencies are over the trials each batch's policy accepts (single-click
+        coincidences by default), read from the batch's click-code histogram.
         """
         freq = np.zeros((2, 2, 2, 2))
         counts = np.zeros((2, 2), dtype=np.int64)
         for (x, y), batch in batches.items():
             if not batch.bipartite:
                 raise ValueError("correlation tables need bipartite trial batches")
-            acc = batch.accepted
-            n_acc = int(acc.sum())
+            cells = batch.coincidences()
+            n_acc = int(cells.sum())
             if n_acc == 0:
-                raise ValueError(f"no accepted coincidences for settings {(x, y)}")
-            o1 = np.where(batch.clicks1[acc, 0], 0, 1)  # index 0 <-> outcome +1
-            o2 = np.where(batch.clicks2[acc, 0], 0, 1)
-            for i in range(2):
-                for j in range(2):
-                    freq[x, y, i, j] = float(((o1 == i) & (o2 == j)).sum() / n_acc)
+                raise NoCoincidencesError(f"no accepted coincidences for settings {(x, y)}")
+            freq[x, y] = cells / n_acc
             counts[x, y] = n_acc
         return cls.from_frequencies(a_settings, b_settings, freq, counts)
 

@@ -18,6 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .detection import NoCoincidencesError
 from .experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -148,8 +149,12 @@ def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
     }
     write_json(out_dir / "results.json", payload)
     write_json(out_dir / "manifest.json", manifest_payload(config))
-    for name, (header, rows) in result.tables.items():
-        write_csv(out_dir / f"{name}.csv", header, rows)
+    for name, table in result.tables.items():
+        path = out_dir / f"{name}.csv"
+        if isinstance(table, tuple):
+            write_csv(path, *table)
+        else:
+            table.to_csv(path)
 
 
 def main(argv=None) -> int:
@@ -165,7 +170,14 @@ def main(argv=None) -> int:
         for p in problems:
             print(f"configuration error: {p}", file=sys.stderr)
         return 2
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except NoCoincidencesError as exc:
+        print(
+            f"configuration error: {exc}; too few trials or too high a threshold",
+            file=sys.stderr,
+        )
+        return 2
     write_artifacts(config, result, Path(config.out))
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"

@@ -40,6 +40,11 @@ fire (a double click) or neither.  The default post-selection policy
 keeps trials where each party produced exactly one click, mirroring the
 time-window discard of coincidence experiments; raw counts are always
 retained so the selection is auditable.
+
+A trial is stored as one byte, the click code of its four channels, and a
+batch of trials as its codes plus their 16-bin histogram.  Every rate,
+coincidence count and correlation is a function of the histogram, so
+batches from different workers combine by concatenating their codes.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import numpy as np
 from .hilbert import FieldVector, HermitianOperator
 from .observables import MCEstimate, QuadraticForm
 from .random_field import (
+    SAMPLE_BLOCK,
     STREAM_CALIBRATION,
     STREAM_PAIRS,
     STREAM_TRIALS,
@@ -60,7 +66,7 @@ from .random_field import (
     sample_with_factor,
     sampling_factor,
 )
-from .serialize import read_csv, write_csv
+from .serialize import read_csv, write_csv_indexed
 
 PROJECTOR_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
@@ -69,7 +75,6 @@ CLASS_NONE = 0
 CLASS_SINGLE = 1
 CLASS_DOUBLE = 2
 _CLASS_NAMES = {CLASS_NONE: "none", CLASS_SINGLE: "single", CLASS_DOUBLE: "double"}
-_CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
 POLICY_KEEP_SINGLES = "keep-singles"
 POLICY_KEEP_ALL = "keep-all"
@@ -88,15 +93,25 @@ class BackgroundTooSmallError(ValueError):
         )
 
 
+def _splitter_basis(theta: float) -> np.ndarray:
+    """Real 2x2 matrix whose columns are the + and - channel directions at theta.
+
+    Column 0 is e(theta) = (cos theta, sin theta), column 1 the orthogonal
+    direction (-sin theta, cos theta).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def pbs_projectors(theta: float) -> tuple[HermitianOperator, HermitianOperator]:
     """Two-channel polarization splitter at angle theta.
 
     P+ projects onto e(theta) = (cos theta, sin theta), P- onto the
-    orthogonal direction; they sum to the identity.
+    orthogonal direction (-sin theta, cos theta); they sum to the identity.
     """
-    e = np.array([math.cos(theta), math.sin(theta)])
-    ep = np.array([-math.sin(theta), math.cos(theta)])
-    return HermitianOperator(np.outer(e, e)), HermitianOperator(np.outer(ep, ep))
+    basis = _splitter_basis(theta)
+    plus, minus = basis[:, 0], basis[:, 1]
+    return HermitianOperator(np.outer(plus, plus)), HermitianOperator(np.outer(minus, minus))
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,11 @@ class BipartiteEnsemble:
         return self._block
 
     @property
+    def sampler_factor(self) -> np.ndarray:
+        """Matrix S with S S^+ = K that colors white noise into (phi1, conj(phi2))."""
+        return self._factor
+
+    @property
     def cross_block(self) -> np.ndarray:
         """Pseudo cross-covariance E[phi1 phi2^T] = Psihat."""
         return self._psihat
@@ -290,124 +310,142 @@ def quadratic_correlation_mc(
     return MCEstimate(mean, se, n_samples)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one detection window."""
+class NoCoincidencesError(ValueError):
+    """No trial passed the post-selection, so no correlation can be estimated."""
 
-    settings: tuple[float, ...]
-    clicks1: tuple[bool, ...]
-    clicks2: tuple[bool, ...] | None
-    classification1: str
-    classification2: str | None
-    accepted: bool
+
+# One uint8 click code per trial: bit 0 party 1 "+", bit 1 party 1 "-",
+# bit 2 party 2 "+", bit 3 party 2 "-".  Single-party codes use bits 0-1.
+_N_CODES = 16
+_CODE_CLICKS = ((np.arange(_N_CODES)[:, None] >> np.arange(4)) & 1).astype(bool)
+_CODE_CLASSES = _CODE_CLICKS.reshape(_N_CODES, 2, 2).sum(axis=2)  # clicks per party
+_SINGLE_SINGLE = (_CODE_CLASSES == CLASS_SINGLE).all(axis=1)
+# outcome of a party: "+" (index 0) when its + channel fired, "-" (index 1) otherwise
+_OUTCOME_CELL = np.where(_CODE_CLICKS[:, 0], 0, 2) + np.where(_CODE_CLICKS[:, 2], 0, 1)
+_OUTCOME_PRODUCT = np.where(_CODE_CLICKS[:, 0] == _CODE_CLICKS[:, 2], 1.0, -1.0)
+
+# Trials per kernel chunk, aligned to Philox blocks.  Single-block chunks are
+# as fast on an idle machine, but each chunk's small colouring product wakes
+# the BLAS threads, and with another process busy on a core that made the run
+# two to three times slower; eight blocks amortise the wake-up at a few MB of
+# working memory.
+TRIAL_CHUNK = 8 * SAMPLE_BLOCK
+
+
+def _encode_clicks(clicks1, clicks2) -> np.ndarray:
+    """Pack (n_trials, 2) boolean click tables into one code per trial."""
+    tables = [np.asarray(c, dtype=bool) for c in (clicks1, clicks2) if c is not None]
+    for table in tables:
+        if table.ndim != 2 or table.shape[1] != 2:
+            raise ValueError("click tables must be (n_trials, 2): one column per splitter channel")
+    if len(tables) == 2 and tables[0].shape != tables[1].shape:
+        raise ValueError("clicks1 and clicks2 must have equal shapes")
+    return np.packbits(np.concatenate(tables, axis=1), axis=1, bitorder="little")[:, 0]
+
+
+def _outcome_counts(histogram: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """2x2 counts of accepted trials by (party 1, party 2) outcome, "+" first."""
+    cells = np.zeros(4, dtype=np.int64)
+    np.add.at(cells, _OUTCOME_CELL[accepted], histogram[accepted])
+    return cells.reshape(2, 2)
 
 
 class TrialBatch:
-    """Column-oriented store of detection trials for one setting pair."""
+    """Detection trials for one setting pair, one click code per trial.
 
-    __slots__ = ("theta1", "theta2", "clicks1", "clicks2", "policy")
+    Built from boolean click tables (one (n_trials, 2) array per party) or
+    directly from `codes`.  The 16-bin code histogram is computed once and
+    every statistic of the batch reads it; the per-trial click tables,
+    classifications and acceptance flags are derived from the codes.
+    """
 
-    def __init__(self, theta1, theta2, clicks1, clicks2, policy=POLICY_KEEP_SINGLES):
+    __slots__ = ("theta1", "theta2", "codes", "histogram", "policy")
+
+    def __init__(
+        self, theta1, theta2, clicks1=None, clicks2=None, policy=POLICY_KEEP_SINGLES, *, codes=None
+    ):
         if policy not in _POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
         self.theta1 = float(theta1)
         self.theta2 = None if theta2 is None else float(theta2)
-        self.clicks1 = np.asarray(clicks1, dtype=bool)
-        self.clicks2 = None if clicks2 is None else np.asarray(clicks2, dtype=bool)
         self.policy = policy
-        if self.clicks1.ndim != 2:
-            raise ValueError("clicks1 must be (n_trials, n_channels)")
-        if (self.clicks2 is None) != (self.theta2 is None):
-            raise ValueError("theta2 and clicks2 must be provided together")
-        if self.clicks2 is not None and self.clicks2.shape != self.clicks1.shape:
-            raise ValueError("clicks1 and clicks2 must have equal shapes")
+        if codes is None:
+            if (clicks2 is None) != (self.theta2 is None):
+                raise ValueError("theta2 and clicks2 must be provided together")
+            codes = _encode_clicks(clicks1, clicks2)
+        elif clicks1 is not None or clicks2 is not None:
+            raise ValueError("give click tables or codes, not both")
+        codes = np.asarray(codes, dtype=np.uint8)
+        if codes.ndim != 1:
+            raise ValueError("codes must be one-dimensional")
+        limit = _N_CODES if self.bipartite else 4
+        if codes.size and int(codes.max()) >= limit:
+            raise ValueError(f"click codes must lie below {limit}")
+        self.codes = codes
+        # bincount widens its input to intp (8 bytes per trial), so count by chunks
+        self.histogram = np.zeros(_N_CODES, dtype=np.int64)
+        for lo in range(0, codes.size, TRIAL_CHUNK):
+            self.histogram += np.bincount(codes[lo : lo + TRIAL_CHUNK], minlength=_N_CODES)
 
     @property
     def n_trials(self) -> int:
-        return self.clicks1.shape[0]
+        return self.codes.size
 
     @property
     def bipartite(self) -> bool:
-        return self.clicks2 is not None
+        return self.theta2 is not None
+
+    @property
+    def clicks1(self) -> np.ndarray:
+        """(n_trials, 2) click table of party 1: channels + and -."""
+        return _CODE_CLICKS[self.codes, :2]
+
+    @property
+    def clicks2(self) -> np.ndarray | None:
+        return _CODE_CLICKS[self.codes, 2:] if self.bipartite else None
 
     def classification(self, party: int) -> np.ndarray:
-        """Per-trial code: 0 none, 1 single, 2+ double."""
-        clicks = self.clicks1 if party == 1 else self.clicks2
-        if clicks is None:
+        """Per-trial code: 0 none, 1 single, 2 double."""
+        if party != 1 and not self.bipartite:
             raise ValueError("batch has no second party")
-        counts = clicks.sum(axis=1)
-        return np.minimum(counts, 2).astype(np.int8)
+        return _CODE_CLASSES[self.codes, 0 if party == 1 else 1].astype(np.int8)
+
+    @property
+    def accepted_codes(self) -> np.ndarray:
+        """(16,) mask of the click codes the post-selection policy keeps."""
+        if self.policy == POLICY_KEEP_ALL:
+            return np.ones(_N_CODES, dtype=bool)
+        return _SINGLE_SINGLE.copy() if self.bipartite else _CODE_CLASSES[:, 0] == CLASS_SINGLE
 
     @property
     def accepted(self) -> np.ndarray:
-        if self.policy == POLICY_KEEP_ALL:
-            return np.ones(self.n_trials, dtype=bool)
-        acc = self.classification(1) == CLASS_SINGLE
-        if self.bipartite:
-            acc = acc & (self.classification(2) == CLASS_SINGLE)
-        return acc
+        return self.accepted_codes[self.codes]
 
-    def records(self):
-        """Iterate TrialRecord views (row-by-row convenience, not the fast path)."""
-        cls1 = self.classification(1)
-        cls2 = self.classification(2) if self.bipartite else None
-        acc = self.accepted
-        for i in range(self.n_trials):
-            yield TrialRecord(
-                settings=(self.theta1,) if not self.bipartite else (self.theta1, self.theta2),
-                clicks1=tuple(bool(v) for v in self.clicks1[i]),
-                clicks2=None if not self.bipartite else tuple(bool(v) for v in self.clicks2[i]),
-                classification1=_CLASS_NAMES[int(cls1[i])],
-                classification2=None if cls2 is None else _CLASS_NAMES[int(cls2[i])],
-                accepted=bool(acc[i]),
-            )
+    def coincidences(self) -> np.ndarray:
+        """2x2 accepted-trial counts by (party 1, party 2) outcome, "+" first."""
+        if not self.bipartite:
+            raise ValueError("batch has no second party")
+        return _outcome_counts(self.histogram, self.accepted_codes)
 
     def to_csv(self, path) -> None:
-        """One row per trial: settings, click flags, classifications, accepted."""
+        """One row per trial: settings, click flags, classifications, accepted.
+
+        A batch has at most 16 distinct rows, one per click code; each is
+        formatted once and the file is written by indexing them with the codes.
+        """
+        accepted = self.accepted_codes
+        names = [[_CLASS_NAMES[int(k)] for k in classes] for classes in _CODE_CLASSES]
         if self.bipartite:
-            header = [
-                "theta1",
-                "theta2",
-                "click1_plus",
-                "click1_minus",
-                "click2_plus",
-                "click2_minus",
-                "class1",
-                "class2",
-                "accepted",
-            ]
-            cls1 = self.classification(1)
-            cls2 = self.classification(2)
-            acc = self.accepted
+            header = ["theta1", "theta2", "click1_plus", "click1_minus", "click2_plus"]
+            header += ["click2_minus", "class1", "class2", "accepted"]
             rows = [
-                [
-                    self.theta1,
-                    self.theta2,
-                    int(self.clicks1[i, 0]),
-                    int(self.clicks1[i, 1]),
-                    int(self.clicks2[i, 0]),
-                    int(self.clicks2[i, 1]),
-                    _CLASS_NAMES[int(cls1[i])],
-                    _CLASS_NAMES[int(cls2[i])],
-                    int(acc[i]),
-                ]
-                for i in range(self.n_trials)
+                [self.theta1, self.theta2, *_CODE_CLICKS[c], *names[c], accepted[c]]
+                for c in range(_N_CODES)
             ]
         else:
             header = ["theta", "click_plus", "click_minus", "classification", "accepted"]
-            cls1 = self.classification(1)
-            acc = self.accepted
-            rows = [
-                [
-                    self.theta1,
-                    int(self.clicks1[i, 0]),
-                    int(self.clicks1[i, 1]),
-                    _CLASS_NAMES[int(cls1[i])],
-                    int(acc[i]),
-                ]
-                for i in range(self.n_trials)
-            ]
-        write_csv(path, header, rows)
+            rows = [[self.theta1, *_CODE_CLICKS[c, :2], names[c][0], accepted[c]] for c in range(4)]
+        write_csv_indexed(path, header, rows, self.codes)
 
     @classmethod
     def from_csv(cls, path, policy=POLICY_KEEP_SINGLES) -> "TrialBatch":
@@ -435,9 +473,15 @@ def run_trials(
 ) -> TrialBatch:
     """Coincidence run: one sampled field pair per time window.
 
-    Party i thresholds the channel powers of its field behind a splitter at
-    angle theta_i; the detector supplies the threshold and the channel
-    layout in its own frame (its projectors are rotated to each setting).
+    Party i sits behind a polarization splitter at angle theta_i, and a
+    channel clicks when its power exceeds the detector's threshold (only the
+    threshold of `detector` is used).  Trials are processed in chunks of
+    TRIAL_CHUNK aligned to Philox blocks: draw the chunk, project both
+    parties onto their splitter bases with one block-diagonal matrix,
+    threshold, and pack each trial into a click code.  Memory is
+    O(TRIAL_CHUNK) plus one byte per trial.  Party 2's field is the
+    conjugate of the sampled coordinates, which leaves |R^T z|^2 unchanged
+    for the real splitter basis R, so the conjugate is never formed.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -445,10 +489,20 @@ def run_trials(
         raise ValueError("detector dimension must match the per-party dimension")
     if detector.dim != 2:
         raise ValueError("coincidence trials are defined for two-channel polarization fields")
-    phi1, phi2 = ensemble.sample_pairs(n_trials, seed, start_index)
-    det1 = ThresholdDetector(detector.threshold, pbs_projectors(theta1))
-    det2 = ThresholdDetector(detector.threshold, pbs_projectors(theta2))
-    return TrialBatch(theta1, theta2, det1.clicks(phi1), det2.clicks(phi2), policy)
+    # complex, because numpy runs complex @ real products outside BLAS, about 7x slower
+    basis = np.zeros((4, 4), dtype=np.complex128)
+    basis[:2, :2] = _splitter_basis(theta1)
+    basis[2:, 2:] = _splitter_basis(theta2)
+    codes = np.empty(n_trials, dtype=np.uint8)
+    lo, stop = start_index, start_index + n_trials
+    while lo < stop:
+        hi = min(stop, (lo // TRIAL_CHUNK + 1) * TRIAL_CHUNK)
+        amplitudes = sample_with_factor(ensemble.sampler_factor, hi - lo, seed, lo, STREAM_PAIRS) @ basis
+        powers = amplitudes.real**2 + amplitudes.imag**2
+        clicks = powers > detector.threshold
+        codes[lo - start_index : hi - start_index] = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
+        lo = hi
+    return TrialBatch(theta1, theta2, policy=policy, codes=codes)
 
 
 def run_single_party_trials(
@@ -459,14 +513,13 @@ def run_single_party_trials(
     start_index: int = 0,
     policy: str = POLICY_KEEP_SINGLES,
 ) -> TrialBatch:
-    """Threshold trials on a single field ensemble with a fixed detector."""
+    """Threshold trials on a single field ensemble with a fixed two-channel detector."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if detector.dim != ensemble.dim:
         raise ValueError(f"dimension mismatch: {detector.dim} vs {ensemble.dim}")
     samples = sample_with_factor(ensemble.sampler_factor, n_trials, seed, start_index, STREAM_TRIALS)
-    theta = 0.0
-    return TrialBatch(theta, None, detector.clicks(samples), None, policy)
+    return TrialBatch(0.0, None, detector.clicks(samples), None, policy)
 
 
 @dataclass(frozen=True)
@@ -490,75 +543,55 @@ class ClickStatistics:
     degenerate: bool
 
 
-def _party_stats(clicks: np.ndarray):
-    n = clicks.shape[0]
-    counts = clicks.sum(axis=1)
-    raw = tuple(float(v) for v in clicks.mean(axis=0))
-    single_mask = counts == 1
-    singles = tuple(float((clicks[:, c] & single_mask).sum() / n) for c in range(clicks.shape[1]))
-    return raw, singles, float((counts >= 2).mean()), float((counts == 0).mean()), single_mask
+def _party_stats(histogram: np.ndarray, party: int, accepted: np.ndarray, n_acc: int):
+    """Raw, single-click, double, none and accepted-conditional rates of one party."""
+    n = int(histogram.sum())
+    clicks = _CODE_CLICKS[:, 2 * party - 2 : 2 * party]
+    count = _CODE_CLASSES[:, party - 1]
+    raw = tuple(float(histogram[clicks[:, c]].sum() / n) for c in range(2))
+    singles = tuple(float(histogram[clicks[:, c] & (count == 1)].sum() / n) for c in range(2))
+    double = float(histogram[count == CLASS_DOUBLE].sum() / n)
+    none = float(histogram[count == CLASS_NONE].sum() / n)
+    conditional = None
+    if n_acc:
+        conditional = tuple(float(histogram[accepted & clicks[:, c]].sum() / n_acc) for c in range(2))
+    return raw, singles, double, none, conditional
 
 
 def click_statistics(batch: TrialBatch) -> ClickStatistics:
     """Frequencies conditioned on the acceptance policy; raw counts retained."""
     if batch.n_trials < 1:
         raise ValueError("empty batch")
-    raw1, singles1, dbl1, none1, mask1 = _party_stats(batch.clicks1)
-    acc = batch.accepted
-    n_acc = int(acc.sum())
-    degenerate = n_acc == 0
+    accepted = batch.accepted_codes
+    n_acc = int(batch.histogram[accepted].sum())
+    raw1, singles1, dbl1, none1, cond1 = _party_stats(batch.histogram, 1, accepted, n_acc)
+    raw2 = singles2 = dbl2 = none2 = cond2 = coinc = None
     if batch.bipartite:
-        raw2, singles2, dbl2, none2, _ = _party_stats(batch.clicks2)
-        if degenerate:
-            cond1 = cond2 = None
-            coinc = None
-        else:
-            cond1 = tuple(float(batch.clicks1[acc, c].mean()) for c in range(2))
-            cond2 = tuple(float(batch.clicks2[acc, c].mean()) for c in range(2))
-            o1 = np.where(batch.clicks1[acc, 0], 1, -1)
-            o2 = np.where(batch.clicks2[acc, 0], 1, -1)
+        raw2, singles2, dbl2, none2, cond2 = _party_stats(batch.histogram, 2, accepted, n_acc)
+        if n_acc:
+            cells = batch.coincidences()
             coinc = {
-                (1, 1): int(((o1 == 1) & (o2 == 1)).sum()),
-                (1, -1): int(((o1 == 1) & (o2 == -1)).sum()),
-                (-1, 1): int(((o1 == -1) & (o2 == 1)).sum()),
-                (-1, -1): int(((o1 == -1) & (o2 == -1)).sum()),
+                (1, 1): int(cells[0, 0]),
+                (1, -1): int(cells[0, 1]),
+                (-1, 1): int(cells[1, 0]),
+                (-1, -1): int(cells[1, 1]),
             }
-        return ClickStatistics(
-            n_trials=batch.n_trials,
-            n_accepted=n_acc,
-            raw_click_rates_1=raw1,
-            raw_click_rates_2=raw2,
-            single_rates_1=singles1,
-            single_rates_2=singles2,
-            double_rate_1=dbl1,
-            double_rate_2=dbl2,
-            none_rate_1=none1,
-            none_rate_2=none2,
-            accepted_fraction=n_acc / batch.n_trials,
-            conditional_1=cond1,
-            conditional_2=cond2,
-            coincidences=coinc,
-            degenerate=degenerate,
-        )
-    cond1 = None
-    if not degenerate:
-        cond1 = tuple(float(batch.clicks1[acc, c].mean()) for c in range(batch.clicks1.shape[1]))
     return ClickStatistics(
         n_trials=batch.n_trials,
         n_accepted=n_acc,
         raw_click_rates_1=raw1,
-        raw_click_rates_2=None,
+        raw_click_rates_2=raw2,
         single_rates_1=singles1,
-        single_rates_2=None,
+        single_rates_2=singles2,
         double_rate_1=dbl1,
-        double_rate_2=None,
+        double_rate_2=dbl2,
         none_rate_1=none1,
-        none_rate_2=None,
+        none_rate_2=none2,
         accepted_fraction=n_acc / batch.n_trials,
         conditional_1=cond1,
-        conditional_2=None,
-        coincidences=None,
-        degenerate=degenerate,
+        conditional_2=cond2,
+        coincidences=coinc,
+        degenerate=n_acc == 0,
     )
 
 
@@ -566,16 +599,17 @@ def correlation_from_clicks(batch: TrialBatch) -> tuple[float, float]:
     """E = (N++ + N-- - N+- - N-+) / N_accepted over single-click coincidences."""
     if not batch.bipartite:
         raise ValueError("correlation needs a bipartite batch")
-    acc = (batch.classification(1) == CLASS_SINGLE) & (batch.classification(2) == CLASS_SINGLE)
-    n_acc = int(acc.sum())
+    cells = _outcome_counts(batch.histogram, _SINGLE_SINGLE)
+    n_acc = int(cells.sum())
     if n_acc == 0:
-        raise ValueError("no accepted coincidences")
-    o1 = np.where(batch.clicks1[acc, 0], 1.0, -1.0)
-    o2 = np.where(batch.clicks2[acc, 0], 1.0, -1.0)
-    prod = o1 * o2
-    e = float(prod.mean())
-    se = float(prod.std(ddof=1) / np.sqrt(n_acc)) if n_acc > 1 else 1.0
-    return e, se
+        raise NoCoincidencesError("no accepted coincidences")
+    e = float((cells[0, 0] + cells[1, 1] - cells[0, 1] - cells[1, 0]) / n_acc)
+    if n_acc == 1:
+        return e, 1.0
+    # the sample deviation is summed in trial order, as numpy does, so that
+    # the standard error keeps its last bits
+    products = _OUTCOME_PRODUCT[batch.codes[_SINGLE_SINGLE[batch.codes]]]
+    return e, float(products.std(ddof=1) / np.sqrt(n_acc))
 
 
 @dataclass(frozen=True)

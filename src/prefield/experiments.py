@@ -77,6 +77,7 @@ from .observables import (
     renormalize,
 )
 from .random_field import (
+    SAMPLE_BLOCK,
     STREAM_EXPERIMENT,
     BackgroundField,
     RandomSeed,
@@ -162,6 +163,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("trials must be >= 1")
     if config.samples < 1:
         problems.append("samples must be >= 1")
+    elif config.kind == "epr" and config.samples < 2:
+        problems.append("epr needs samples >= 2 for its Monte Carlo covariance")
     if config.workers < 1:
         problems.append("workers must be >= 1")
     if config.dt <= 0.0:
@@ -200,6 +203,12 @@ class Check:
 
 @dataclass
 class ExperimentResult:
+    """Values, checks and CSV tables of one run.
+
+    A table is a (header, rows) pair, or a TrialBatch, which writes its own
+    trial CSV.
+    """
+
     kind: str
     values: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -255,16 +264,21 @@ def _random_hermitian(rng, dim: int, spectral_radius: float | None = None) -> He
 
 
 def _partition(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, count) chunks covering range(total)."""
-    workers = max(1, min(workers, total))
-    base, extra = divmod(total, workers)
+    """Contiguous (start, count) chunks covering range(total), cut at block edges.
+
+    Cutting at multiples of SAMPLE_BLOCK keeps two workers from drawing the
+    same Philox block.
+    """
+    blocks = -(-total // SAMPLE_BLOCK)
+    workers = max(1, min(workers, blocks))
+    base, extra = divmod(blocks, workers)
     chunks = []
     start = 0
     for w in range(workers):
-        count = base + (1 if w < extra else 0)
-        if count:
-            chunks.append((start, count))
-        start += count
+        stop = min(total, start + (base + (1 if w < extra else 0)) * SAMPLE_BLOCK)
+        if stop > start:
+            chunks.append((start, stop - start))
+        start = stop
     return chunks
 
 
@@ -285,11 +299,10 @@ def _sample_parallel(ensemble, n: int, seed: RandomSeed, workers: int) -> np.nda
 
 def _run_trials_parallel(ensemble, theta1, theta2, detector, n, seed, workers, policy) -> TrialBatch:
     parts = _parallel_concat(
-        lambda s, c: run_trials(ensemble, theta1, theta2, detector, c, seed, s, policy), n, workers
+        lambda s, c: run_trials(ensemble, theta1, theta2, detector, c, seed, s, policy).codes, n, workers
     )
-    clicks1 = np.concatenate([b.clicks1 for b in parts], axis=0)
-    clicks2 = np.concatenate([b.clicks2 for b in parts], axis=0)
-    return TrialBatch(theta1, theta2, clicks1, clicks2, policy)
+    codes = parts[0] if len(parts) == 1 else np.concatenate(parts)  # no copy at one worker
+    return TrialBatch(theta1, theta2, policy=policy, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +561,8 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
         ensemble, 0.0, 3 * math.pi / 8, detector, config.trials,
         RandomSeed((config.seed + 1) % 2**64), config.workers, config.policy,
     )
-    r1 = np.asarray(b1.clicks1.mean(axis=0))
-    r2 = np.asarray(b2.clicks1.mean(axis=0))
+    r1 = np.asarray(click_statistics(b1).raw_click_rates_1)
+    r2 = np.asarray(click_statistics(b2).raw_click_rates_1)
     se = math.sqrt(2.0 * 0.25 / config.trials)
     gap = float(np.abs(r1 - r2).max())
     result.add_mc("no_signalling_gap", gap, se, 2 * config.trials)
@@ -624,7 +637,7 @@ def run_chsh(config: ExperimentConfig) -> ExperimentResult:
         result.tables["chsh_table"] = _table_rows(table)
         if config.trials <= TRIAL_CSV_LIMIT:
             for (x, y), batch in batches.items():
-                result.tables[f"trials_x{x}_y{y}"] = _batch_rows(batch)
+                result.tables[f"trials_x{x}_y{y}"] = batch
     return result
 
 
@@ -644,27 +657,6 @@ def _table_rows(table: CorrelationTable):
                     0 if table.counts is None else int(table.counts[x, y]),
                 ]
             )
-    return header, rows
-
-
-def _batch_rows(batch: TrialBatch):
-    cls1 = batch.classification(1)
-    cls2 = batch.classification(2)
-    acc = batch.accepted
-    names = {0: "none", 1: "single", 2: "double"}
-    header = [
-        "theta1", "theta2", "click1_plus", "click1_minus",
-        "click2_plus", "click2_minus", "class1", "class2", "accepted",
-    ]
-    rows = [
-        [
-            batch.theta1, batch.theta2,
-            int(batch.clicks1[i, 0]), int(batch.clicks1[i, 1]),
-            int(batch.clicks2[i, 0]), int(batch.clicks2[i, 1]),
-            names[int(cls1[i])], names[int(cls2[i])], int(acc[i]),
-        ]
-        for i in range(batch.n_trials)
-    ]
     return header, rows
 
 

@@ -8,6 +8,7 @@ keys, no timestamps) so identical runs produce bit-identical artifacts.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -62,6 +63,26 @@ def write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def write_csv_indexed(path, header, distinct_rows, index) -> None:
+    """Write the rows distinct_rows[i] for i in index, formatting each distinct row once.
+
+    The file is byte-identical to write_csv(path, header, [distinct_rows[i]
+    for i in index]); a table with few distinct rows is written at the cost
+    of a join instead of a csv.writer call per row.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    lines = []
+    for row in distinct_rows:
+        writer.writerow([_cell(v) for v in row])
+        lines.append(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join(np.array(lines, dtype=object)[np.asarray(index, dtype=np.intp)]))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

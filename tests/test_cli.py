@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from prefield.cli import main, parse_config_file
-from prefield.experiments import ExperimentConfig, validate
+from prefield.experiments import ExperimentConfig, _partition, validate
+from prefield.random_field import SAMPLE_BLOCK
 
 
 def read_artifacts(out_dir):
@@ -102,6 +103,21 @@ class TestExitCodes:
         assert main(["hessian", "--seed", "5", "--dim", "2", "--out", str(out)]) == 0
         assert (out / "hessian_step_scan.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh", "--model", "singlet-clicks", "--trials", "1"],
+            ["chsh", "--model", "singlet-clicks", "--threshold", "50"],
+            ["epr", "--trials", "1", "--samples", "1000"],
+            ["epr", "--samples", "1"],
+        ],
+        ids=["chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample"],
+    )
+    def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
+        code = main(argv + ["--seed", "7", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path):
@@ -127,6 +143,25 @@ class TestDeterminism:
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "3", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
+
+    def test_click_trial_csvs_worker_invariance(self, tmp_path):
+        out1, out3 = tmp_path / "c1", tmp_path / "c3"
+        args = ["chsh", "--model", "singlet-clicks", "--seed", "9", "--trials", "10000"]
+        assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--workers", "3", "--out", str(out3)]) == 0
+        assert read_artifacts(out1) == read_artifacts(out3)
+        assert "trials_x1_y1.csv" in read_artifacts(out1)
+
+    @pytest.mark.parametrize("total", [1, 4095, 4096, 4097, 50_000, 1_000_000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_partition_cuts_at_block_edges(self, total, workers):
+        chunks = _partition(total, workers)
+        assert chunks[0][0] == 0
+        assert sum(count for _, count in chunks) == total
+        for (start, count), (next_start, _) in zip(chunks, chunks[1:]):
+            assert next_start == start + count
+            assert next_start % SAMPLE_BLOCK == 0
+        assert len(chunks) == min(workers, -(-total // SAMPLE_BLOCK))
 
 
 class TestProvenance:
