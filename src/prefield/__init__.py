@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 
 from .hilbert import (
     DensityOperator,
-    EMFieldPair,
     FieldVector,
     HermitianOperator,
     kron_vector,
     projector_from_state,
-    riemann_silberstein,
     tensor_product,
     trace_product,
 )
@@ -34,7 +32,6 @@ from .random_field import (
 __all__ = [
     "BackgroundField",
     "DensityOperator",
-    "EMFieldPair",
     "FieldVector",
     "GaussianFieldEnsemble",
     "HermitianOperator",
@@ -44,7 +41,6 @@ __all__ = [
     "ensemble_from_pure_state",
     "kron_vector",
     "projector_from_state",
-    "riemann_silberstein",
     "tensor_product",
     "trace_product",
     "__version__",

@@ -38,6 +38,10 @@ class SignallingDataError(ValueError):
     """Marginals depend on the remote setting: outside the model class."""
 
 
+class TableFileError(ValueError):
+    """A correlation-table file is missing or malformed."""
+
+
 @dataclass(frozen=True)
 class CorrelationTable:
     """Correlations (and optionally full frequencies) for a 2x2x2 Bell scenario.
@@ -56,13 +60,16 @@ class CorrelationTable:
     counts: np.ndarray | None = None
 
     def __post_init__(self):
+        if len(self.a_settings) != 2 or len(self.b_settings) != 2:
+            raise ValueError("each party needs exactly two settings")
         corr = np.array(self.correlations, dtype=np.float64)
         errs = np.array(self.standard_errors, dtype=np.float64)
         if corr.shape != (2, 2) or errs.shape != (2, 2):
             raise ValueError("correlations and standard_errors must be 2x2")
-        if np.any(np.abs(corr) > 1.0 + NORMALIZATION_TOL):
+        # comparisons are written so that NaN fails them
+        if not np.all(np.abs(corr) <= 1.0 + NORMALIZATION_TOL):
             raise ValueError("correlations must lie in [-1, 1]")
-        if np.any(errs < 0.0):
+        if not np.all(errs >= 0.0):
             raise ValueError("standard errors must be non-negative")
         corr.setflags(write=False)
         errs.setflags(write=False)
@@ -72,10 +79,10 @@ class CorrelationTable:
             freq = np.array(self.frequencies, dtype=np.float64)
             if freq.shape != (2, 2, 2, 2):
                 raise ValueError("frequencies must have shape (2, 2, 2, 2)")
-            if np.any(freq < -NORMALIZATION_TOL):
+            if not np.all(freq >= -NORMALIZATION_TOL):
                 raise ValueError("frequencies must be non-negative")
             sums = freq.sum(axis=(2, 3))
-            if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
+            if not np.all(np.abs(sums - 1.0) <= NORMALIZATION_TOL):
                 raise ValueError("each setting pair's frequencies must sum to 1")
             freq.setflags(write=False)
             object.__setattr__(self, "frequencies", freq)
@@ -388,13 +395,6 @@ def triangle_angle_test(
 DEFAULT_LHV_FLIP = 0.05
 
 
-def lhv_response(lam: float, setting: float, flip: float = 1.0, flip_probability: float = 0.0) -> int:
-    """Deterministic +-1 response: sign of cos 2(lam - setting), inverted
-    when the hidden flip coordinate falls below the flip probability."""
-    base = 1 if math.cos(2.0 * (lam - setting)) >= 0.0 else -1
-    return -base if flip < flip_probability else base
-
-
 def _lhv_exact_correlation(a: float, b: float, flip_probability: float) -> float:
     """E[A B] for the sign-response model with a uniform shared angle.
 
@@ -484,12 +484,16 @@ def table_to_json(table: CorrelationTable, path) -> None:
 
 
 def table_from_json(path) -> CorrelationTable:
-    payload = read_json(path)
-    return CorrelationTable(
-        tuple(payload["a_settings"]),
-        tuple(payload["b_settings"]),
-        np.asarray(payload["correlations"], dtype=np.float64),
-        np.asarray(payload["standard_errors"], dtype=np.float64),
-        None if payload.get("frequencies") is None else np.asarray(payload["frequencies"]),
-        None if payload.get("counts") is None else np.asarray(payload["counts"]),
-    )
+    """Table written by `table_to_json`; a missing or malformed file raises TableFileError."""
+    try:
+        payload = read_json(path)
+        return CorrelationTable(
+            tuple(payload["a_settings"]),
+            tuple(payload["b_settings"]),
+            np.asarray(payload["correlations"], dtype=np.float64),
+            np.asarray(payload["standard_errors"], dtype=np.float64),
+            None if payload.get("frequencies") is None else np.asarray(payload["frequencies"]),
+            None if payload.get("counts") is None else np.asarray(payload["counts"]),
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise TableFileError(f"cannot read correlation table {path}: {exc}") from exc

@@ -18,6 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .analysis import SignallingDataError, TableFileError
 from .detection import NoCoincidencesError
 from .experiments import (
     EXPERIMENT_KINDS,
@@ -177,6 +178,9 @@ def main(argv=None) -> int:
             f"configuration error: {exc}; too few trials or too high a threshold",
             file=sys.stderr,
         )
+        return 2
+    except (TableFileError, SignallingDataError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     write_artifacts(config, result, Path(config.out))
     for check in result.checks:

@@ -66,7 +66,7 @@ from .random_field import (
     sample_with_factor,
     sampling_factor,
 )
-from .serialize import read_csv, write_csv_indexed
+from .serialize import write_csv_indexed
 
 PROJECTOR_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
@@ -78,7 +78,7 @@ _CLASS_NAMES = {CLASS_NONE: "none", CLASS_SINGLE: "single", CLASS_DOUBLE: "doubl
 
 POLICY_KEEP_SINGLES = "keep-singles"
 POLICY_KEEP_ALL = "keep-all"
-_POLICIES = (POLICY_KEEP_SINGLES, POLICY_KEEP_ALL)
+POLICIES = (POLICY_KEEP_SINGLES, POLICY_KEEP_ALL)
 
 
 class BackgroundTooSmallError(ValueError):
@@ -143,25 +143,21 @@ class ThresholdDetector:
     def dim(self) -> int:
         return self.projectors[0].dim
 
-    @property
-    def n_channels(self) -> int:
-        return len(self.projectors)
-
     def channel_powers(self, samples: np.ndarray) -> np.ndarray:
-        """(N, n_channels) array of ||P_c phi||^2 = <P_c phi, phi>."""
+        """(N, len(projectors)) array of ||P_c phi||^2 = <P_c phi, phi>."""
         x = np.asarray(samples, dtype=np.complex128)
         stack = np.stack([p.matrix for p in self.projectors])
         return np.einsum("ni,cij,nj->nc", x.conj(), stack, x).real
 
     def clicks(self, samples: np.ndarray) -> np.ndarray:
-        """Boolean (N, n_channels) click table: channel power above threshold."""
+        """Boolean (N, len(projectors)) click table: channel power above threshold."""
         return self.channel_powers(samples) > self.threshold
 
 
 class BipartiteEnsemble:
     """Joint Gaussian field pair encoding a bipartite state (see module docs)."""
 
-    __slots__ = ("_psi", "_psihat", "_epsilon", "_epsilon_min", "_block", "_factor")
+    __slots__ = ("_psihat", "_epsilon", "_epsilon_min", "_block", "_factor")
 
     def __init__(self, psi: FieldVector, background: BackgroundField):
         n = math.isqrt(psi.dim)
@@ -184,7 +180,6 @@ class BipartiteEnsemble:
                 [psihat.conj().T, psihat.conj().T @ psihat + eps * eye],
             ]
         )
-        self._psi = psi
         self._psihat = psihat
         self._epsilon = eps
         self._epsilon_min = eps_min
@@ -197,22 +192,9 @@ class BipartiteEnsemble:
         return self._psihat.shape[0]
 
     @property
-    def state(self) -> FieldVector:
-        return self._psi
-
-    @property
-    def epsilon(self) -> float:
-        return self._epsilon
-
-    @property
     def epsilon_min(self) -> float:
         """Smallest background level keeping the joint covariance PSD."""
         return self._epsilon_min
-
-    @property
-    def block_covariance(self) -> HermitianOperator:
-        """Ordinary covariance of the stacked coordinates (phi1, conj(phi2))."""
-        return self._block
 
     @property
     def sampler_factor(self) -> np.ndarray:
@@ -249,21 +231,6 @@ class BipartiteEnsemble:
         )
 
 
-def quadratic_correlation(
-    ensemble: BipartiteEnsemble, a: HermitianOperator, b: HermitianOperator
-) -> float:
-    """Exact raw second moment E[f_A(phi1) f_B(phi2)].
-
-    Gaussian moment factorization gives
-    Tr(D1 A) Tr(D2 B) + Tr(A Q B^T Q^+) with Q the cross block.
-    """
-    if a.dim != ensemble.dim or b.dim != ensemble.dim:
-        raise ValueError("observable dimension must match the per-party dimension")
-    mean1 = float(np.trace(ensemble.marginal_covariance_1.matrix @ a.matrix).real)
-    mean2 = float(np.trace(ensemble.marginal_covariance_2.matrix @ b.matrix).real)
-    return mean1 * mean2 + quadratic_correlation_renormalized(ensemble, a, b)
-
-
 def quadratic_correlation_renormalized(
     ensemble: BipartiteEnsemble, a: HermitianOperator, b: HermitianOperator
 ) -> float:
@@ -288,24 +255,17 @@ def quadratic_correlation_mc(
     b: HermitianOperator,
     n_samples: int,
     seed: RandomSeed,
-    renormalized: bool = True,
     start_index: int = 0,
 ) -> MCEstimate:
-    """Monte Carlo counterpart of the exact correlation formulas."""
+    """Monte Carlo counterpart of `quadratic_correlation_renormalized`."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     phi1, phi2 = ensemble.sample_pairs(n_samples, seed, start_index)
     fa = QuadraticForm(a).evaluate_batch(phi1)
     fb = QuadraticForm(b).evaluate_batch(phi2)
-    if renormalized:
-        da = fa - fa.mean()
-        db = fb - fb.mean()
-        prod = da * db
-        # bias-corrected sample covariance; SE from the deviation products
-        mean = float(prod.sum() / (n_samples - 1))
-    else:
-        prod = fa * fb
-        mean = float(prod.mean())
+    prod = (fa - fa.mean()) * (fb - fb.mean())
+    # bias-corrected sample covariance; SE from the deviation products
+    mean = float(prod.sum() / (n_samples - 1))
     se = float(prod.std(ddof=1) / np.sqrt(n_samples))
     return MCEstimate(mean, se, n_samples)
 
@@ -364,8 +324,8 @@ class TrialBatch:
     def __init__(
         self, theta1, theta2, clicks1=None, clicks2=None, policy=POLICY_KEEP_SINGLES, *, codes=None
     ):
-        if policy not in _POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.theta1 = float(theta1)
         self.theta2 = None if theta2 is None else float(theta2)
         self.policy = policy
@@ -404,12 +364,6 @@ class TrialBatch:
     def clicks2(self) -> np.ndarray | None:
         return _CODE_CLICKS[self.codes, 2:] if self.bipartite else None
 
-    def classification(self, party: int) -> np.ndarray:
-        """Per-trial code: 0 none, 1 single, 2 double."""
-        if party != 1 and not self.bipartite:
-            raise ValueError("batch has no second party")
-        return _CODE_CLASSES[self.codes, 0 if party == 1 else 1].astype(np.int8)
-
     @property
     def accepted_codes(self) -> np.ndarray:
         """(16,) mask of the click codes the post-selection policy keeps."""
@@ -447,25 +401,12 @@ class TrialBatch:
             rows = [[self.theta1, *_CODE_CLICKS[c, :2], names[c][0], accepted[c]] for c in range(4)]
         write_csv_indexed(path, header, rows, self.codes)
 
-    @classmethod
-    def from_csv(cls, path, policy=POLICY_KEEP_SINGLES) -> "TrialBatch":
-        header, rows = read_csv(path)
-        if header[:2] == ["theta1", "theta2"]:
-            theta1 = float(rows[0][0])
-            theta2 = float(rows[0][1])
-            c1 = np.array([[int(r[2]), int(r[3])] for r in rows], dtype=bool)
-            c2 = np.array([[int(r[4]), int(r[5])] for r in rows], dtype=bool)
-            return cls(theta1, theta2, c1, c2, policy)
-        theta = float(rows[0][0])
-        c1 = np.array([[int(r[1]), int(r[2])] for r in rows], dtype=bool)
-        return cls(theta, None, c1, None, policy)
-
 
 def run_trials(
     ensemble: BipartiteEnsemble,
     theta1: float,
     theta2: float,
-    detector: ThresholdDetector,
+    threshold: float,
     n_trials: int,
     seed: RandomSeed,
     start_index: int = 0,
@@ -474,20 +415,19 @@ def run_trials(
     """Coincidence run: one sampled field pair per time window.
 
     Party i sits behind a polarization splitter at angle theta_i, and a
-    channel clicks when its power exceeds the detector's threshold (only the
-    threshold of `detector` is used).  Trials are processed in chunks of
-    TRIAL_CHUNK aligned to Philox blocks: draw the chunk, project both
-    parties onto their splitter bases with one block-diagonal matrix,
-    threshold, and pack each trial into a click code.  Memory is
+    channel clicks when its power exceeds `threshold`.  Trials are processed
+    in chunks of TRIAL_CHUNK aligned to Philox blocks: draw the chunk,
+    project both parties onto their splitter bases with one block-diagonal
+    matrix, threshold, and pack each trial into a click code.  Memory is
     O(TRIAL_CHUNK) plus one byte per trial.  Party 2's field is the
     conjugate of the sampled coordinates, which leaves |R^T z|^2 unchanged
     for the real splitter basis R, so the conjugate is never formed.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if detector.dim != ensemble.dim:
-        raise ValueError("detector dimension must match the per-party dimension")
-    if detector.dim != 2:
+    if not np.isfinite(threshold) or threshold < 0.0:
+        raise ValueError(f"threshold must be a finite non-negative real, got {threshold}")
+    if ensemble.dim != 2:
         raise ValueError("coincidence trials are defined for two-channel polarization fields")
     # complex, because numpy runs complex @ real products outside BLAS, about 7x slower
     basis = np.zeros((4, 4), dtype=np.complex128)
@@ -499,7 +439,7 @@ def run_trials(
         hi = min(stop, (lo // TRIAL_CHUNK + 1) * TRIAL_CHUNK)
         amplitudes = sample_with_factor(ensemble.sampler_factor, hi - lo, seed, lo, STREAM_PAIRS) @ basis
         powers = amplitudes.real**2 + amplitudes.imag**2
-        clicks = powers > detector.threshold
+        clicks = powers > threshold
         codes[lo - start_index : hi - start_index] = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
         lo = hi
     return TrialBatch(theta1, theta2, policy=policy, codes=codes)
@@ -523,39 +463,39 @@ def run_single_party_trials(
 
 
 @dataclass(frozen=True)
+class PartyRates:
+    """Click rates of one party's + and - channels."""
+
+    raw_click_rates: tuple[float, float]  # channel fired, over all trials
+    double_rate: float  # both channels fired, over all trials
+    conditional: tuple[float, float] | None  # channel fired, over accepted trials
+
+
+@dataclass(frozen=True)
 class ClickStatistics:
-    """Aggregate click frequencies for one batch."""
+    """Aggregate click frequencies for one batch: one `PartyRates` per party."""
 
     n_trials: int
     n_accepted: int
-    raw_click_rates_1: tuple[float, ...]
-    raw_click_rates_2: tuple[float, ...] | None
-    single_rates_1: tuple[float, ...]
-    single_rates_2: tuple[float, ...] | None
-    double_rate_1: float
-    double_rate_2: float | None
-    none_rate_1: float
-    none_rate_2: float | None
-    accepted_fraction: float
-    conditional_1: tuple[float, ...] | None
-    conditional_2: tuple[float, ...] | None
+    parties: tuple[PartyRates, ...]
     coincidences: dict | None
-    degenerate: bool
+
+    @property
+    def accepted_fraction(self) -> float:
+        return self.n_accepted / self.n_trials
 
 
-def _party_stats(histogram: np.ndarray, party: int, accepted: np.ndarray, n_acc: int):
-    """Raw, single-click, double, none and accepted-conditional rates of one party."""
+def _party_rates(histogram: np.ndarray, party: int, accepted: np.ndarray, n_acc: int) -> PartyRates:
     n = int(histogram.sum())
-    clicks = _CODE_CLICKS[:, 2 * party - 2 : 2 * party]
-    count = _CODE_CLASSES[:, party - 1]
-    raw = tuple(float(histogram[clicks[:, c]].sum() / n) for c in range(2))
-    singles = tuple(float(histogram[clicks[:, c] & (count == 1)].sum() / n) for c in range(2))
-    double = float(histogram[count == CLASS_DOUBLE].sum() / n)
-    none = float(histogram[count == CLASS_NONE].sum() / n)
+    clicks = _CODE_CLICKS[:, 2 * party : 2 * party + 2]
     conditional = None
     if n_acc:
         conditional = tuple(float(histogram[accepted & clicks[:, c]].sum() / n_acc) for c in range(2))
-    return raw, singles, double, none, conditional
+    return PartyRates(
+        raw_click_rates=tuple(float(histogram[clicks[:, c]].sum() / n) for c in range(2)),
+        double_rate=float(histogram[_CODE_CLASSES[:, party] == CLASS_DOUBLE].sum() / n),
+        conditional=conditional,
+    )
 
 
 def click_statistics(batch: TrialBatch) -> ClickStatistics:
@@ -564,34 +504,18 @@ def click_statistics(batch: TrialBatch) -> ClickStatistics:
         raise ValueError("empty batch")
     accepted = batch.accepted_codes
     n_acc = int(batch.histogram[accepted].sum())
-    raw1, singles1, dbl1, none1, cond1 = _party_stats(batch.histogram, 1, accepted, n_acc)
-    raw2 = singles2 = dbl2 = none2 = cond2 = coinc = None
-    if batch.bipartite:
-        raw2, singles2, dbl2, none2, cond2 = _party_stats(batch.histogram, 2, accepted, n_acc)
-        if n_acc:
-            cells = batch.coincidences()
-            coinc = {
-                (1, 1): int(cells[0, 0]),
-                (1, -1): int(cells[0, 1]),
-                (-1, 1): int(cells[1, 0]),
-                (-1, -1): int(cells[1, 1]),
-            }
+    parties = range(2 if batch.bipartite else 1)
+    coincidences = None
+    if batch.bipartite and n_acc:
+        cells = batch.coincidences()
+        coincidences = {
+            (a, b): int(cells[i, j]) for i, a in enumerate((1, -1)) for j, b in enumerate((1, -1))
+        }
     return ClickStatistics(
         n_trials=batch.n_trials,
         n_accepted=n_acc,
-        raw_click_rates_1=raw1,
-        raw_click_rates_2=raw2,
-        single_rates_1=singles1,
-        single_rates_2=singles2,
-        double_rate_1=dbl1,
-        double_rate_2=dbl2,
-        none_rate_1=none1,
-        none_rate_2=none2,
-        accepted_fraction=n_acc / batch.n_trials,
-        conditional_1=cond1,
-        conditional_2=cond2,
-        coincidences=coinc,
-        degenerate=n_acc == 0,
+        parties=tuple(_party_rates(batch.histogram, p, accepted, n_acc) for p in parties),
+        coincidences=coincidences,
     )
 
 
@@ -643,14 +567,13 @@ def calibrate_threshold(
     from .hilbert import DensityOperator
     from .random_field import ensemble_from_density
 
+    if dim != 2:
+        raise ValueError("calibration is defined for two-channel detectors")
     if d_grid is None:
         d_grid = np.geomspace(1e-3, 1.0, 61)
     ens = ensemble_from_density(DensityOperator.maximally_mixed(dim), BackgroundField(epsilon))
     samples = sample_with_factor(ens.sampler_factor, n_trials, seed, 0, STREAM_CALIBRATION)
-    det0 = ThresholdDetector(0.0, pbs_projectors(0.0)) if dim == 2 else None
-    if det0 is None:
-        raise ValueError("calibration is defined for two-channel detectors")
-    powers = det0.channel_powers(samples)
+    powers = ThresholdDetector(0.0, pbs_projectors(0.0)).channel_powers(samples)
     grid = []
     best = None
     for d in d_grid:

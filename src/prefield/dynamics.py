@@ -30,7 +30,6 @@ import numpy as np
 
 from .hilbert import FieldVector, HermitianOperator
 from .random_field import GaussianFieldEnsemble
-from .serialize import write_csv
 
 UNITARITY_TOL = 1e-10
 
@@ -56,31 +55,19 @@ class PhasePoint:
     def from_field(cls, phi: FieldVector) -> "PhasePoint":
         return cls(phi.components.real, phi.components.imag)
 
-    def to_field(self) -> FieldVector:
-        return FieldVector(self.q + 1j * self.p)
-
 
 class HamiltonianSystem:
     """Energy observable H_op together with its Hamilton function."""
 
-    __slots__ = ("_h", "_r", "_j")
+    __slots__ = ("_r", "_j")
 
     def __init__(self, h_op: HermitianOperator):
-        self._h = h_op
         r = h_op.matrix.real
         j = h_op.matrix.imag
         # Hermiticity makes Re symmetric and Im antisymmetric up to round-off;
         # enforce it exactly so the split flows stay Hamiltonian.
         self._r = (r + r.T) / 2.0
         self._j = (j - j.T) / 2.0
-
-    @property
-    def h_op(self) -> HermitianOperator:
-        return self._h
-
-    @property
-    def dim(self) -> int:
-        return self._h.dim
 
     @property
     def r_block(self) -> np.ndarray:
@@ -94,11 +81,6 @@ class HamiltonianSystem:
         """H(q, p) = <H_op phi, phi> / 2 = (q^T R q + p^T R p - 2 q^T J p) / 2."""
         q, p = point.q, point.p
         return 0.5 * float(q @ (self._r @ q) + p @ (self._r @ p) - 2.0 * q @ (self._j @ p))
-
-    def velocity(self, point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-        """Right-hand side (dq/dt, dp/dt) of the Hamilton equations."""
-        q, p = point.q, point.p
-        return self._r @ p + self._j @ q, -(self._r @ q) + self._j @ p
 
 
 def exact_propagator(h_op: HermitianOperator, t: float) -> np.ndarray:
@@ -126,11 +108,10 @@ class SymplecticIntegrator:
         -> half J rotation,
 
     every piece a linear symplectic map.  For real Hamiltonians (J = 0) this
-    is plain leapfrog.  `one_step_matrix` exposes the composed 2n x 2n map
-    used to push whole sample batches without a per-sample Python loop.
+    is plain leapfrog.
     """
 
-    __slots__ = ("system", "dt", "_half_j", "_matrix")
+    __slots__ = ("system", "dt", "_half_j")
 
     def __init__(self, system: HamiltonianSystem, dt: float):
         if dt <= 0.0:
@@ -138,7 +119,6 @@ class SymplecticIntegrator:
         self.system = system
         self.dt = float(dt)
         self._half_j = _expm_antisymmetric(system.j_block, self.dt / 2.0)
-        self._matrix = None
 
     def step(self, point: PhasePoint) -> PhasePoint:
         r = self.system.r_block
@@ -149,21 +129,6 @@ class SymplecticIntegrator:
         q = q + dt * (r @ p)
         p = p - (dt / 2.0) * (r @ q)
         return PhasePoint(self._half_j @ q, self._half_j @ p)
-
-    @property
-    def one_step_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            n = self.system.dim
-            r = self.system.r_block
-            dt = self.dt
-            eye = np.eye(n)
-            hj = np.block(
-                [[self._half_j, np.zeros((n, n))], [np.zeros((n, n)), self._half_j]]
-            )
-            kick = np.block([[eye, np.zeros((n, n))], [-(dt / 2.0) * r, eye]])
-            drift = np.block([[eye, dt * r], [np.zeros((n, n)), eye]])
-            self._matrix = hj @ kick @ drift @ kick @ hj
-        return self._matrix
 
 
 def _step_count(t: float, dt: float) -> tuple[int, float]:
@@ -176,11 +141,6 @@ def _step_count(t: float, dt: float) -> tuple[int, float]:
         return 0, dt
     steps = max(1, int(round(t / dt)))
     return steps, t / steps
-
-
-def symplectic_step(system: HamiltonianSystem, point: PhasePoint, dt: float) -> PhasePoint:
-    """Single splitting step of size dt."""
-    return SymplecticIntegrator(system, dt).step(point)
 
 
 def integrate(system: HamiltonianSystem, point: PhasePoint, t: float, dt: float) -> PhasePoint:
@@ -215,59 +175,8 @@ def evolve_ensemble(
     )
 
 
-def propagate_samples(samples: np.ndarray, h_op: HermitianOperator, t: float, dt: float) -> np.ndarray:
-    """Apply the symplectic integrator to every row of a sample batch.
-
-    The batch form iterates the composed one-step matrix, the same linear
-    map as per-sample stepping.
-    """
-    x = np.asarray(samples, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("samples must be a 2-D array, one sample per row")
-    if x.shape[0] == 0:
-        return x.copy()
-    if x.shape[1] != h_op.dim:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {h_op.dim}")
-    steps, dt_eff = _step_count(t, dt)
-    if steps == 0:
-        return x.copy()
-    system = HamiltonianSystem(h_op)
-    m = SymplecticIntegrator(system, dt_eff).one_step_matrix
-    z = np.vstack([x.real.T, x.imag.T])
-    for _ in range(steps):
-        z = m @ z
-    n = h_op.dim
-    return (z[:n] + 1j * z[n:]).T
-
-
 def covariance_derivative(ensemble: GaussianFieldEnsemble, h_op: HermitianOperator) -> np.ndarray:
     """Right-hand side -i [H_op, D] of the covariance evolution equation."""
     h = h_op.matrix
     d = ensemble.covariance.matrix
     return -1j * (h @ d - d @ h)
-
-
-def write_trajectory_csv(
-    path, h_op: HermitianOperator, phi0: FieldVector, t: float, dt: float, stride: int = 1
-) -> None:
-    """Dump t, field components, energy and power along a trajectory."""
-    system = HamiltonianSystem(h_op)
-    steps, dt_eff = _step_count(t, dt)
-    integrator = SymplecticIntegrator(system, dt_eff) if steps else None
-    point = PhasePoint.from_field(phi0)
-    header = ["t"]
-    for k in range(phi0.dim):
-        header += [f"re_{k}", f"im_{k}"]
-    header += ["energy", "power"]
-    rows = []
-    for k in range(steps + 1):
-        if k % stride == 0 or k == steps:
-            phi = point.q + 1j * point.p
-            row = [k * dt_eff]
-            for c in phi:
-                row += [c.real, c.imag]
-            row += [system.hamilton_function(point), float((phi @ phi.conj()).real)]
-            rows.append(row)
-        if k < steps:
-            point = integrator.step(point)
-    write_csv(path, header, rows)

@@ -18,7 +18,7 @@ from scans documented in the test suite and README:
   state (d ~ 0.020).  At this point the conditional single-click
   frequencies reproduce cos^2/sin^2 weights to well under a percent for
   amplitude angles in [pi/6, pi/3]; the agreement degrades toward extreme
-  ratios, which the results file reports rather than hides.
+  ratios.  No CLI experiment runs this point; the acceptance suite does.
 * Correlation curve: eps = eps*(singlet) + 0.03, d = 1.1 keeps the click
   correlation within ~0.03 of -cos 2(delta) across the whole angle sweep.
 * CHSH from clicks: eps = eps*(singlet), d = 0.2 maximizes the
@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CorrelationTable,
+    TableFileError,
     chsh,
     fine_chsh_values,
     kolmogorov_feasible,
@@ -47,9 +48,9 @@ from .analysis import (
     triangle_angle_test,
 )
 from .detection import (
+    POLICIES,
     POLICY_KEEP_SINGLES,
     BipartiteEnsemble,
-    ThresholdDetector,
     TrialBatch,
     click_statistics,
     correlation_from_clicks,
@@ -153,20 +154,35 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("seed is required (wall-clock seeding would break reproducibility)")
     elif not 0 <= int(config.seed) < 2**64:
         problems.append("seed must fit in 64 bits")
+    reals = {
+        "epsilon": config.epsilon,
+        "threshold": config.threshold,
+        "flat-sum": config.flat_sum,
+        "time": config.time_horizon,
+        "dt": config.dt,
+        "step": config.step,
+    }
+    for name, value in reals.items():
+        if value is not None and not math.isfinite(value):
+            problems.append(f"{name} must be finite")
+    if config.angles is not None and not all(map(math.isfinite, config.angles)):
+        problems.append("angles must be finite")
     if config.dim < 1:
         problems.append("dim must be >= 1")
-    if config.epsilon < 0.0 or not np.isfinite(config.epsilon):
+    if config.epsilon < 0.0:
         problems.append("epsilon must be non-negative")
-    if config.threshold is not None and (config.threshold < 0.0 or not np.isfinite(config.threshold)):
+    if config.threshold is not None and config.threshold < 0.0:
         problems.append("threshold must be non-negative")
     if config.trials < 1:
         problems.append("trials must be >= 1")
     if config.samples < 1:
         problems.append("samples must be >= 1")
-    elif config.kind == "epr" and config.samples < 2:
-        problems.append("epr needs samples >= 2 for its Monte Carlo covariance")
+    elif config.kind in ("born", "epr") and config.samples < 2:
+        problems.append(f"{config.kind} needs samples >= 2 for a Monte Carlo standard error")
     if config.workers < 1:
         problems.append("workers must be >= 1")
+    if config.policy not in POLICIES:
+        problems.append(f"unknown policy {config.policy!r}; expected one of {POLICIES}")
     if config.dt <= 0.0:
         problems.append("dt must be positive")
     if config.step <= 0.0:
@@ -178,6 +194,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             problems.append("triangle needs exactly three angles")
         elif config.flat_sum <= 0.0:
             problems.append("flat-sum must be positive")
+        elif not all(0.0 < a < config.flat_sum for a in config.angles):
+            problems.append(f"triangle angles must lie in (0, flat-sum) = (0, {config.flat_sum:.6g})")
     if config.kind == "chsh" and config.model not in CHSH_MODELS:
         problems.append(f"chsh model must be one of {CHSH_MODELS}")
     if config.kind == "kolmogorov":
@@ -297,9 +315,9 @@ def _sample_parallel(ensemble, n: int, seed: RandomSeed, workers: int) -> np.nda
     return np.concatenate(parts, axis=0)
 
 
-def _run_trials_parallel(ensemble, theta1, theta2, detector, n, seed, workers, policy) -> TrialBatch:
+def _run_trials_parallel(ensemble, theta1, theta2, threshold, n, seed, workers, policy) -> TrialBatch:
     parts = _parallel_concat(
-        lambda s, c: run_trials(ensemble, theta1, theta2, detector, c, seed, s, policy).codes, n, workers
+        lambda s, c: run_trials(ensemble, theta1, theta2, threshold, c, seed, s, policy).codes, n, workers
     )
     codes = parts[0] if len(parts) == 1 else np.concatenate(parts)  # no copy at one worker
     return TrialBatch(theta1, theta2, policy=policy, codes=codes)
@@ -320,12 +338,12 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     form = QuadraticForm(a_op)
 
     exact = classical_average_exact(ensemble, form)
-    renormalized = renormalize(exact, a_op, config.epsilon)
+    born = renormalize(exact, a_op, config.epsilon)
     oracle = state_average(a_op, psi)
     result.add_exact("classical_average", exact)
-    result.add_exact("renormalized_average", renormalized)
+    result.add_exact("renormalized_average", born)
     result.add_oracle("state_average", oracle)
-    result.check_abs("born_exact_identity", renormalized - oracle, 1e-10)
+    result.check_abs("born_exact_identity", born - oracle, 1e-10)
 
     seed = RandomSeed(config.seed)
     samples = _sample_parallel(ensemble, config.samples, seed, config.workers)
@@ -465,7 +483,6 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     eps = max(config.epsilon, CURVE_EPSILON)
     ensemble = BipartiteEnsemble(psi, BackgroundField(eps))
     threshold = config.threshold if config.threshold is not None else CURVE_THRESHOLD
-    detector = ThresholdDetector(threshold, pbs_projectors(0.0))
     result.add_info("epsilon", eps)
     result.add_info("epsilon_min", ensemble.epsilon_min)
     result.add_info("threshold", threshold)
@@ -497,11 +514,11 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
         exact = quadratic_correlation_renormalized(ensemble, a0, b_op)
         worst_exact = max(worst_exact, abs(exact - reference))
         mc = quadratic_correlation_mc(
-            ensemble, a0, b_op, config.samples, seed, renormalized=True, start_index=idx * config.samples
+            ensemble, a0, b_op, config.samples, seed, start_index=idx * config.samples
         )
         worst_mc = max(worst_mc, abs(mc.mean - exact) / max(mc.standard_error, 1e-30))
         batch = _run_trials_parallel(
-            ensemble, 0.0, float(delta), detector, config.trials, seed, config.workers, config.policy
+            ensemble, 0.0, float(delta), threshold, config.trials, seed, config.workers, config.policy
         )
         e_clicks, se_clicks = correlation_from_clicks(batch)
         stats = click_statistics(batch)
@@ -535,18 +552,17 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     monotone = True
     n_grid = max(2, config.trials // 2)
     for d in d_grid:
-        det = ThresholdDetector(float(d), pbs_projectors(0.0))
         batch = _run_trials_parallel(
-            ensemble, 0.0, math.pi / 8, det, n_grid, seed, config.workers, config.policy
+            ensemble, 0.0, math.pi / 8, float(d), n_grid, seed, config.workers, config.policy
         )
         stats = click_statistics(batch)
-        rate = stats.double_rate_1
+        rate = stats.parties[0].double_rate
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / batch.n_trials)
         if previous is not None and rate > previous + 5.0 * se * math.sqrt(2.0):
             monotone = False
         previous = rate
         rows.append(
-            [float(d), rate, stats.double_rate_2, stats.accepted_fraction]
+            [float(d), rate, stats.parties[1].double_rate, stats.accepted_fraction]
         )
     result.tables["double_click_rate"] = (header, rows)
     result.check_true("double_rate_monotone", monotone, 0.0 if monotone else 1.0)
@@ -555,14 +571,14 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     # the second run draws fresh fields (reusing the same samples for both
     # settings would make the comparison exactly zero and test nothing)
     b1 = _run_trials_parallel(
-        ensemble, 0.0, math.pi / 8, detector, config.trials, seed, config.workers, config.policy
+        ensemble, 0.0, math.pi / 8, threshold, config.trials, seed, config.workers, config.policy
     )
     b2 = _run_trials_parallel(
-        ensemble, 0.0, 3 * math.pi / 8, detector, config.trials,
+        ensemble, 0.0, 3 * math.pi / 8, threshold, config.trials,
         RandomSeed((config.seed + 1) % 2**64), config.workers, config.policy,
     )
-    r1 = np.asarray(click_statistics(b1).raw_click_rates_1)
-    r2 = np.asarray(click_statistics(b2).raw_click_rates_1)
+    r1 = np.asarray(click_statistics(b1).parties[0].raw_click_rates)
+    r2 = np.asarray(click_statistics(b2).parties[0].raw_click_rates)
     se = math.sqrt(2.0 * 0.25 / config.trials)
     gap = float(np.abs(r1 - r2).max())
     result.add_mc("no_signalling_gap", gap, se, 2 * config.trials)
@@ -576,7 +592,6 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
     eps = max(config.epsilon, CHSH_CLICK_EPSILON)
     ensemble = BipartiteEnsemble(psi, BackgroundField(eps))
     threshold = config.threshold if config.threshold is not None else CHSH_CLICK_THRESHOLD
-    detector = ThresholdDetector(threshold, pbs_projectors(0.0))
     angles = config.angles if config.angles else DEFAULT_CHSH_ANGLES
     a_settings, b_settings = (angles[0], angles[1]), (angles[2], angles[3])
     result.add_info("epsilon", eps)
@@ -588,7 +603,7 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
                 ensemble,
                 a_settings[x],
                 b_settings[y],
-                detector,
+                threshold,
                 config.trials,
                 RandomSeed((config.seed + x * 2 + y) % 2**64),
                 config.workers,
@@ -673,6 +688,8 @@ def run_kolmogorov(config: ExperimentConfig) -> ExperimentResult:
         expected = False
     else:
         table = table_from_json(config.table_path)
+        if table.frequencies is None:
+            raise TableFileError(f"{config.table_path} has no outcome frequencies")
         expected = None
     verdict = kolmogorov_feasible(table)
     s, se = chsh(table)

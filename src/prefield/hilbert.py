@@ -15,8 +15,6 @@ across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -54,16 +52,6 @@ class FieldVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._components))
-
-    def squared_norm(self) -> float:
-        """Total power ||phi||^2 = sum_k |phi_k|^2."""
-        return float(np.vdot(self._components, self._components).real)
-
-    def inner(self, other: "FieldVector") -> complex:
-        """<self, other>, conjugate-linear in `other`."""
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(other._components, self._components))
 
     def normalized(self) -> "FieldVector":
         n = self.norm()
@@ -119,10 +107,6 @@ class HermitianOperator:
         return cls((arr + arr.conj().T) / 2.0)
 
     @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim))
-
-    @classmethod
     def diagonal(cls, values) -> "HermitianOperator":
         vals = np.asarray(values, dtype=np.float64)
         return cls(np.diag(vals.astype(np.complex128)))
@@ -149,25 +133,6 @@ class HermitianOperator:
 
     def min_eigenvalue(self) -> float:
         return float(self.eig()[0][0])
-
-    def apply(self, phi: FieldVector) -> FieldVector:
-        if phi.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {phi.dim}")
-        return FieldVector(self._matrix @ phi.components)
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self._matrix + other._matrix)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self._matrix - other._matrix)
-
-    def __mul__(self, scalar) -> "HermitianOperator":
-        s = complex(scalar)
-        if abs(s.imag) > 0.0:
-            raise ValueError("only real scalars preserve Hermiticity")
-        return HermitianOperator(self._matrix * s.real)
-
-    __rmul__ = __mul__
 
     def to_payload(self) -> dict:
         from .serialize import operator_payload
@@ -203,10 +168,6 @@ class DensityOperator:
         self._op = op
 
     @classmethod
-    def from_state(cls, psi: FieldVector) -> "DensityOperator":
-        return cls(projector_from_state(psi))
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim) / dim)
 
@@ -224,28 +185,6 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class EMFieldPair:
-    """Real electric/magnetic amplitude pair of equal dimension."""
-
-    e: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        e = np.array(self.e, dtype=np.float64, copy=True)
-        b = np.array(self.b, dtype=np.float64, copy=True)
-        if e.ndim != 1 or b.ndim != 1:
-            raise ValueError("field components must be one-dimensional")
-        if e.shape != b.shape:
-            raise ValueError(f"E and B dimensions differ: {e.shape} vs {b.shape}")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(b))):
-            raise ValueError("field amplitudes must be finite")
-        e.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "b", b)
 
 
 def projector_from_state(psi: FieldVector) -> HermitianOperator:
@@ -308,13 +247,3 @@ def partial_trace(op: HermitianOperator, dims: tuple[int, int], keep: int) -> He
     else:
         raise ValueError("keep must be 1 or 2")
     return HermitianOperator.symmetrized(out)
-
-
-def riemann_silberstein(fields: EMFieldPair) -> FieldVector:
-    """Complex packaging E + iB; squared norm is the total field energy."""
-    return FieldVector(fields.e + 1j * fields.b)
-
-
-def em_from_field(phi: FieldVector) -> EMFieldPair:
-    """Inverse of `riemann_silberstein`: real and imaginary parts."""
-    return EMFieldPair(phi.components.real.copy(), phi.components.imag.copy())

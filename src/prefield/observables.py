@@ -3,9 +3,8 @@
 A quantum observable A enters as the quadratic form f_A(phi) = <A phi, phi>.
 Its exact average over an ensemble with covariance D is Tr(D A); subtracting
 the background contribution eps Tr A recovers the Born-rule value Tr(rho A).
-Linear functionals average to zero on every zero-mean ensemble.  A general
-smooth functional with f(0) = 0 maps to the operator given by half its
-Hessian at the zero field, which is extracted here by Richardson-refined
+A general smooth functional with f(0) = 0 maps to the operator given by half
+its Hessian at the zero field, which is extracted here by Richardson-refined
 central differences in the 2n real phase-space coordinates.
 """
 
@@ -30,19 +29,6 @@ class MCEstimate:
     mean: float
     standard_error: float
     n_samples: int
-
-    def as_dict(self, exact: float | None = None, seed: int | None = None) -> dict:
-        """Structured-text form: estimate, error, exact value when known."""
-        out = {
-            "estimate": self.mean,
-            "standard_error": self.standard_error,
-            "n_samples": self.n_samples,
-        }
-        if exact is not None:
-            out["exact"] = float(exact)
-        if seed is not None:
-            out["seed"] = int(seed)
-        return out
 
 
 class QuadraticForm:
@@ -109,10 +95,6 @@ class FieldFunctional:
         self.gradient = gradient
         self._batch = batch_evaluator
 
-    def evaluate(self, phi: np.ndarray | FieldVector) -> float:
-        x = phi.components if isinstance(phi, FieldVector) else np.asarray(phi, dtype=np.complex128)
-        return float(self.evaluator(x))
-
     def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
         x = np.asarray(samples, dtype=np.complex128)
         if self._batch is not None:
@@ -174,10 +156,6 @@ def quadratic_plus_quartic(operator: HermitianOperator, quartic_weight: float = 
     return FieldFunctional(evaluator, operator.dim, smoothness_order=4, gradient=gradient, batch_evaluator=batch)
 
 
-def evaluate_quadratic(form: QuadraticForm, phi: FieldVector) -> float:
-    return form.evaluate(phi)
-
-
 def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm) -> float:
     """E f_A(phi) = Tr(D A), exactly, no sampling."""
     return trace_product(ensemble.covariance, form.operator)
@@ -208,33 +186,6 @@ def renormalize(average: float, operator: HermitianOperator, epsilon: float) -> 
     of detector calibration.
     """
     return float(average) - float(epsilon) * operator.trace()
-
-
-def linear_functional_average(ensemble: GaussianFieldEnsemble, y: FieldVector) -> complex:
-    """E <phi, y> = 0 on every ensemble here: the mean is identically zero.
-
-    Linear field effects therefore leave no trace in the quadratic layer;
-    the function exists to make that statement checkable against Monte
-    Carlo (see `linear_functional_mc`).
-    """
-    if y.dim != ensemble.dim:
-        raise ValueError(f"dimension mismatch: {ensemble.dim} vs {y.dim}")
-    return 0j
-
-
-def linear_functional_mc(
-    ensemble: GaussianFieldEnsemble, y: FieldVector, n_samples: int, seed: RandomSeed
-) -> tuple[complex, float]:
-    """Monte Carlo estimate of E <phi, y> with a scalar standard error."""
-    if y.dim != ensemble.dim:
-        raise ValueError(f"dimension mismatch: {ensemble.dim} vs {y.dim}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    samples = ensemble.sample(n_samples, seed)
-    vals = samples @ y.components.conj()
-    mean = complex(vals.mean())
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
-    return mean, se
 
 
 @dataclass(frozen=True)
@@ -334,33 +285,4 @@ def hessian_extract(
         tolerance=tol,
         step=step,
         real_hessian=hess,
-    )
-
-
-@dataclass(frozen=True)
-class QuadraticApproximationReport:
-    """Gap between a functional's true average and its quadratic-part average."""
-
-    mc: MCEstimate
-    quadratic_average: float
-    gap: float
-    extraction: HessianExtraction
-
-
-def quadratic_approximation_error(
-    functional: FieldFunctional,
-    ensemble: GaussianFieldEnsemble,
-    n_samples: int,
-    seed: RandomSeed,
-    step: float = DEFAULT_FD_STEP,
-) -> QuadraticApproximationReport:
-    """How far the quadratic (Born) layer sits from the full classical average."""
-    extraction = hessian_extract(functional, step)
-    quadratic_average = trace_product(ensemble.covariance, extraction.operator)
-    mc = classical_average_mc(ensemble, functional, n_samples, seed)
-    return QuadraticApproximationReport(
-        mc=mc,
-        quadratic_average=quadratic_average,
-        gap=abs(mc.mean - quadratic_average),
-        extraction=extraction,
     )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DensityOperator, FieldVector, HermitianOperator, PSD_TOL
-from .serialize import write_csv
 
 SAMPLE_BLOCK = 4096
 
@@ -125,8 +124,8 @@ class GaussianFieldEnsemble:
     """Zero-mean circular complex Gaussian law with covariance D.
 
     `background_epsilon` records the white-noise level the ensemble was
-    built with (already included in D); it travels through serialization so
-    downstream renormalization knows what to subtract.
+    built with (already included in D); `evolve_ensemble` carries it along
+    so downstream renormalization knows what to subtract.
     """
 
     __slots__ = ("_cov", "_factor", "_epsilon")
@@ -153,26 +152,12 @@ class GaussianFieldEnsemble:
     def dim(self) -> int:
         return self._cov.dim
 
-    @property
-    def dispersion(self) -> float:
-        """E ||phi||^2 = Tr D for a zero-mean field."""
-        return self._cov.trace()
-
     def sample(self, n_samples: int, seed: RandomSeed, start_index: int = 0) -> np.ndarray:
         """(n_samples, dim) array of field samples, one per row."""
         return sample_with_factor(self._factor, n_samples, seed, start_index, STREAM_FIELD)
 
-    def to_payload(self) -> dict:
-        payload = self._cov.to_payload()
-        return {"kind": "ensemble", "covariance": payload, "epsilon": self._epsilon}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GaussianFieldEnsemble":
-        cov = HermitianOperator.from_payload(payload["covariance"])
-        return cls(cov, float(payload.get("epsilon", 0.0)))
-
     def __repr__(self) -> str:
-        return f"GaussianFieldEnsemble(dim={self.dim}, dispersion={self.dispersion:.6g})"
+        return f"GaussianFieldEnsemble(dim={self.dim})"
 
 
 def ensemble_from_pure_state(
@@ -212,44 +197,3 @@ def empirical_covariance(samples: np.ndarray) -> HermitianOperator:
     if n < 2:
         raise ValueError("need at least 2 samples")
     return HermitianOperator(x.T @ x.conj() / n)
-
-
-def empirical_pseudo_covariance(samples: np.ndarray) -> np.ndarray:
-    """(1/N) sum phi phi^T; vanishes for circular fields (symmetric matrix)."""
-    x = np.asarray(samples, dtype=np.complex128)
-    return x.T @ x / x.shape[0]
-
-
-def power(phi: FieldVector) -> float:
-    """Instantaneous signal power ||phi||^2, the quantity detectors threshold."""
-    return phi.squared_norm()
-
-
-def dispersion(ensemble: GaussianFieldEnsemble) -> float:
-    return ensemble.dispersion
-
-
-def time_series(ensemble: GaussianFieldEnsemble, length: int, seed: RandomSeed) -> np.ndarray:
-    """Stationary white-in-time signal: an i.i.d. draw per time step.
-
-    Step t of the series is sample t of the ensemble, so time averages of
-    quadratic forms along one signal converge to the ensemble averages;
-    that equivalence is how the single-signal and ensemble pictures are
-    exchanged.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return ensemble.sample(length, seed)
-
-
-def samples_to_csv(samples: np.ndarray, path) -> None:
-    """One row per sample, interleaved re/im columns."""
-    x = np.asarray(samples, dtype=np.complex128)
-    dim = x.shape[1]
-    header = []
-    for k in range(dim):
-        header += [f"re_{k}", f"im_{k}"]
-    data = np.empty((x.shape[0], 2 * dim))
-    data[:, 0::2] = x.real
-    data[:, 1::2] = x.imag
-    write_csv(path, header, data.tolist())

@@ -83,11 +83,3 @@ def write_csv_indexed(path, header, distinct_rows, index) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.write("".join(np.array(lines, dtype=object)[np.asarray(index, dtype=np.intp)]))
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    return header, rows

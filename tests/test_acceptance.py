@@ -232,8 +232,7 @@ class TestCriterion6ThresholdDetection:
         Calibration (documented): background 0.06; threshold from a scan on
         the maximally mixed ensemble targeting a 6.8 % singles fraction.
         Amplitude angles pi/6, pi/4, pi/3; agreement degrades toward extreme
-        amplitude ratios, which is reported by the epr experiment instead of
-        asserted here.
+        amplitude ratios, which is not asserted here.
         """
         cal = calibrate_threshold(BORN_CLICK_EPSILON, BORN_SINGLE_FRACTION_TARGET, SEED)
         assert cal.balanced
@@ -244,7 +243,7 @@ class TestCriterion6ThresholdDetection:
             ens = ensemble_from_pure_state(psi, BackgroundField(BORN_CLICK_EPSILON))
             batch = run_single_party_trials(ens, det, 1_000_000, SEED)
             stats = click_statistics(batch)
-            f_plus = stats.conditional_1[0]
+            f_plus = stats.parties[0].conditional[0]
             born = math.cos(alpha) ** 2
             rel = max(abs(f_plus - born) / born, abs((1 - f_plus) - (1 - born)) / (1 - born))
             worst = max(worst, rel)
@@ -276,10 +275,9 @@ class TestCriterion6ThresholdDetection:
     def test_no_signalling_of_marginals(self):
         """Party 1 click marginals independent of party 2's setting (5 se)."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(CHSH_CLICK_EPSILON))
-        det = ThresholdDetector(CHSH_CLICK_THRESHOLD, pbs_projectors(0.0))
         n = 1_000_000
-        b1 = run_trials(ens, 0.0, math.pi / 8, det, n, RandomSeed(61))
-        b2 = run_trials(ens, 0.0, 3 * math.pi / 8, det, n, RandomSeed(62))
+        b1 = run_trials(ens, 0.0, math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(61))
+        b2 = run_trials(ens, 0.0, 3 * math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(62))
         gap = float(np.abs(b1.clicks1.mean(axis=0) - b2.clicks1.mean(axis=0)).max())
         se = math.sqrt(2.0 * 0.25 / n)
         assert gap <= 5.0 * se
@@ -291,14 +289,14 @@ class TestCriterion6ThresholdDetection:
     def test_chsh_from_clicks_reported(self):
         """Report the post-selected CHSH value against the 2.6 target."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(CHSH_CLICK_EPSILON))
-        det = ThresholdDetector(CHSH_CLICK_THRESHOLD, pbs_projectors(0.0))
         a_settings = DEFAULT_CHSH_ANGLES[:2]
         b_settings = DEFAULT_CHSH_ANGLES[2:]
         batches = {}
         for x in range(2):
             for y in range(2):
                 batches[(x, y)] = run_trials(
-                    ens, a_settings[x], b_settings[y], det, 1_000_000, RandomSeed(70 + 2 * x + y)
+                    ens, a_settings[x], b_settings[y], CHSH_CLICK_THRESHOLD, 1_000_000,
+                    RandomSeed(70 + 2 * x + y),
                 )
         table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
         s, se = chsh(table)

@@ -267,24 +267,18 @@ class TestTableValidation:
 
 class TestDetectionBridge:
     def test_table_from_click_trials(self):
-        from prefield.detection import (
-            BipartiteEnsemble,
-            ThresholdDetector,
-            pbs_projectors,
-            run_trials,
-        )
+        from prefield.detection import BipartiteEnsemble, run_trials
         from prefield.hilbert import FieldVector
         from prefield.random_field import BackgroundField
 
         singlet = FieldVector(np.array([0, 1, -1, 0]) / np.sqrt(2))
         ens = BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5))
-        det = ThresholdDetector(0.2, pbs_projectors(0.0))
         a_settings, b_settings = CHSH_ANGLES[:2], CHSH_ANGLES[2:]
         batches = {}
         for x in range(2):
             for y in range(2):
                 batches[(x, y)] = run_trials(
-                    ens, a_settings[x], b_settings[y], det, 30_000, RandomSeed(100 + 2 * x + y)
+                    ens, a_settings[x], b_settings[y], 0.2, 30_000, RandomSeed(100 + 2 * x + y)
                 )
         table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
         s, se = chsh(table)

@@ -9,6 +9,19 @@ from prefield.experiments import ExperimentConfig, _partition, validate
 from prefield.random_field import SAMPLE_BLOCK
 
 
+def table_text(**changes):
+    """JSON of a valid correlation-table file with some entries replaced."""
+    payload = {
+        "a_settings": [0.0, 0.8],
+        "b_settings": [0.4, -0.4],
+        "correlations": [[0.0, 0.0], [0.0, 0.0]],
+        "standard_errors": [[0.0, 0.0], [0.0, 0.0]],
+        "frequencies": [[[[0.25, 0.25], [0.25, 0.25]]] * 2] * 2,
+        "counts": None,
+    }
+    return json.dumps({**payload, **changes})
+
+
 def read_artifacts(out_dir):
     out = Path(out_dir)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -110,10 +123,50 @@ class TestExitCodes:
             ["chsh", "--model", "singlet-clicks", "--threshold", "50"],
             ["epr", "--trials", "1", "--samples", "1000"],
             ["epr", "--samples", "1"],
+            ["chsh", "--model", "singlet-exact", "--angles", "nan,0,0,0"],
+            ["chsh", "--model", "lhv", "--angles", "inf,0,0,0"],
+            ["born", "--samples", "1"],
+            ["triangle", "--angles", "4,4,4"],
+            ["chsh", "--model", "singlet-clicks", "--trials", "1000", "--policy", "bogus"],
+            ["epr", "--trials", "1000", "--samples", "1000", "--policy", "bogus"],
+            ["dynamics", "--dt", "nan"],
+            ["dynamics", "--time", "inf"],
+            ["hessian", "--step", "nan"],
         ],
-        ids=["chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample"],
+        ids=[
+            "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
+            "chsh-nan-angle", "chsh-inf-angle", "born-one-sample", "triangle-wide-angles",
+            "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
+            "hessian-nan-step",
+        ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
+        code = main(argv + ["--seed", "7", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "{",
+            "[]",
+            '{"a_settings": [0, 1]}',
+            table_text(correlations=[[math.nan, 0.0], [0.0, 0.0]]),
+            table_text(a_settings=[0.0, 0.5, 1.0]),
+            table_text(frequencies=None),
+            table_text(frequencies=[[[[0.15, 0.15], [0.35, 0.35]], [[0.35, 0.35], [0.15, 0.15]]]] * 2),
+        ],
+        ids=[
+            "missing", "not-json", "not-an-object", "missing-keys", "nan-correlation",
+            "three-settings", "no-frequencies", "signalling",
+        ],
+    )
+    def test_bad_table_files_are_config_errors(self, text, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ["kolmogorov", "--model", "file", "--table", str(path)]
         code = main(argv + ["--seed", "7", "--out", str(tmp_path / "run")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err

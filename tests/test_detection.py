@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prefield import detection
 from prefield.detection import (
     BackgroundTooSmallError,
     BipartiteEnsemble,
@@ -12,7 +13,6 @@ from prefield.detection import (
     click_statistics,
     correlation_from_clicks,
     pbs_projectors,
-    quadratic_correlation,
     quadratic_correlation_mc,
     quadratic_correlation_renormalized,
     run_single_party_trials,
@@ -195,29 +195,10 @@ class TestQuadraticCorrelation:
                 oracle, abs=1e-10
             )
 
-    def test_raw_correlation_wick_vs_mc_100_cases(self):
-        # independent check of the moment factorization: Monte Carlo against
-        # Tr(D1 A)Tr(D2 B) + Tr(A Q B^T Q^+)
-        rng = np.random.default_rng(5)
-        n_mc = 20_000
-        for trial in range(100):
-            n = int(rng.integers(2, 4))
-            psi = rand_unit(rng, n * n)
-            eps = BipartiteEnsemble(psi, BackgroundField(1.0)).epsilon_min + float(
-                rng.uniform(0.05, 0.4)
-            )
-            ens = BipartiteEnsemble(psi, BackgroundField(eps))
-            a, b = rand_hermitian(rng, n), rand_hermitian(rng, n)
-            exact = quadratic_correlation(ens, a, b)
-            est = quadratic_correlation_mc(
-                ens, a, b, n_mc, RandomSeed(1000 + trial), renormalized=False
-            )
-            assert abs(est.mean - exact) <= 5.0 * est.standard_error
-
     def test_renormalized_mc_matches_exact(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         sz = HermitianOperator.diagonal([1.0, -1.0])
-        est = quadratic_correlation_mc(ens, sz, sz, 50_000, SEED, renormalized=True)
+        est = quadratic_correlation_mc(ens, sz, sz, 50_000, SEED)
         assert abs(est.mean - (-1.0)) <= 5.0 * est.standard_error
 
     def test_independent_fields_have_zero_covariance_term(self):
@@ -244,19 +225,17 @@ class TestQuadraticCorrelation:
 class TestTrials:
     def test_zero_threshold_everything_clicks(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
-        det = ThresholdDetector(0.0, pbs_projectors(0.0))
-        batch = run_trials(ens, 0.0, 0.3, det, 5_000, SEED)
+        batch = run_trials(ens, 0.0, 0.3, 0.0, 5_000, SEED)
         stats = click_statistics(batch)
-        assert stats.double_rate_1 >= 0.999
-        assert stats.double_rate_2 >= 0.999
+        assert stats.parties[0].double_rate >= 0.999
+        assert stats.parties[1].double_rate >= 0.999
 
     def test_huge_threshold_no_clicks(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
-        det = ThresholdDetector(1e6, pbs_projectors(0.0))
-        batch = run_trials(ens, 0.0, 0.3, det, 2_000, SEED)
+        batch = run_trials(ens, 0.0, 0.3, 1e6, 2_000, SEED)
         stats = click_statistics(batch)
-        assert stats.none_rate_1 == 1.0
-        assert stats.degenerate
+        assert stats.parties[0].raw_click_rates == (0.0, 0.0)
+        assert stats.n_accepted == 0
 
     def test_double_click_rate_monotone_in_threshold(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
@@ -295,17 +274,21 @@ class TestTrials:
         # at the minimal background the paired fields are exact conjugates
         # with swapped channels, so aligned settings anti-correlate exactly
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
-        det = ThresholdDetector(0.2, pbs_projectors(0.0))
-        batch = run_trials(ens, 0.4, 0.4, det, 20_000, SEED)
+        batch = run_trials(ens, 0.4, 0.4, 0.2, 20_000, SEED)
         e, _ = correlation_from_clicks(batch)
         assert e == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("threshold", [-0.1, math.nan, math.inf])
+    def test_rejects_invalid_threshold(self, threshold):
+        ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
+        with pytest.raises(ValueError, match="threshold"):
+            run_trials(ens, 0.0, 0.3, threshold, 100, SEED)
+
     def test_trial_partition_invariance(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
-        det = ThresholdDetector(0.1, pbs_projectors(0.0))
-        full = run_trials(ens, 0.0, 0.5, det, 8_000, SEED)
+        full = run_trials(ens, 0.0, 0.5, 0.1, 8_000, SEED)
         parts = [
-            run_trials(ens, 0.0, 0.5, det, 4_000, SEED, start_index=k * 4_000) for k in range(2)
+            run_trials(ens, 0.0, 0.5, 0.1, 4_000, SEED, start_index=k * 4_000) for k in range(2)
         ]
         np.testing.assert_array_equal(
             full.clicks1, np.concatenate([p.clicks1 for p in parts], axis=0)
@@ -319,8 +302,8 @@ class TestClickStatistics:
     def test_all_none_flagged_degenerate(self):
         batch = TrialBatch(0.0, 0.1, np.zeros((10, 2), bool), np.zeros((10, 2), bool))
         stats = click_statistics(batch)
-        assert stats.degenerate
         assert stats.n_accepted == 0
+        assert stats.coincidences is None
 
     def test_synthetic_counts(self):
         clicks1 = np.array([[1, 0], [1, 0], [0, 1], [1, 1]], bool)
@@ -328,8 +311,8 @@ class TestClickStatistics:
         batch = TrialBatch(0.0, 0.2, clicks1, clicks2)
         stats = click_statistics(batch)
         assert stats.n_accepted == 3
-        assert stats.double_rate_1 == pytest.approx(0.25)
-        assert stats.none_rate_2 == pytest.approx(0.25)
+        assert stats.parties[0].double_rate == pytest.approx(0.25)
+        assert stats.parties[1].raw_click_rates == pytest.approx((0.25, 0.5))
         assert stats.coincidences == {(1, 1): 1, (1, -1): 1, (-1, 1): 0, (-1, -1): 1}
 
     def test_correlation_from_synthetic_batches(self):
@@ -369,20 +352,10 @@ class TestSingleParty:
             ens = ensemble_from_pure_state(psi, BackgroundField(BORN_CLICK_EPSILON))
             batch = run_single_party_trials(ens, det, 400_000, SEED)
             stats = click_statistics(batch)
-            f_plus = stats.conditional_1[0]
+            f_plus = stats.parties[0].conditional[0]
             born = np.cos(alpha) ** 2
             assert abs(f_plus - born) / born <= 0.03
             assert abs((1 - f_plus) - (1 - born)) / (1 - born) <= 0.03
-
-    def test_single_party_csv_roundtrip(self, tmp_path):
-        ens = ensemble_from_pure_state(FieldVector([1.0, 1.0]), BackgroundField(0.05))
-        det = ThresholdDetector(0.02, pbs_projectors(0.0))
-        batch = run_single_party_trials(ens, det, 500, SEED)
-        path = tmp_path / "single.csv"
-        batch.to_csv(path)
-        back = TrialBatch.from_csv(path)
-        np.testing.assert_array_equal(back.clicks1, batch.clicks1)
-        assert not back.bipartite
 
 
 class TestCalibration:
@@ -392,19 +365,13 @@ class TestCalibration:
         assert abs(fractions[cal.threshold] - 0.068) <= 0.01
         assert cal.balanced
 
-    def test_csv_roundtrip_bipartite(self, tmp_path):
-        ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
-        det = ThresholdDetector(0.1, pbs_projectors(0.0))
-        batch = run_trials(ens, 0.0, np.pi / 8, det, 300, SEED)
-        path = tmp_path / "trials.csv"
-        batch.to_csv(path)
-        back = TrialBatch.from_csv(path)
-        np.testing.assert_array_equal(back.clicks1, batch.clicks1)
-        np.testing.assert_array_equal(back.clicks2, batch.clicks2)
-        assert back.theta2 == pytest.approx(np.pi / 8)
-        e0, _ = correlation_from_clicks(batch)
-        e1, _ = correlation_from_clicks(back)
-        assert e0 == e1
+    def test_rejects_other_dimensions_before_sampling(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("calibration drew samples before checking the dimension")
+
+        monkeypatch.setattr(detection, "sample_with_factor", no_draws)
+        with pytest.raises(ValueError, match="two-channel"):
+            calibrate_threshold(0.06, 0.068, SEED, dim=3)
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 3])
@@ -431,11 +398,8 @@ def test_click_probability_quadrature_oracle(alpha):
     ens = ensemble_from_pure_state(psi, BackgroundField(eps))
     det = ThresholdDetector(d, pbs_projectors(0.0))
     n = 400_000
-    batch = run_single_party_trials(ens, det, n, SEED)
-    stats = click_statistics(batch)
-    for observed, expected in (
-        (stats.single_rates_1[0], p_plus),
-        (stats.single_rates_1[1], p_minus),
-    ):
+    clicks = run_single_party_trials(ens, det, n, SEED).clicks1
+    singles = (clicks[:, 0] & ~clicks[:, 1]).mean(), (clicks[:, 1] & ~clicks[:, 0]).mean()
+    for observed, expected in zip(singles, (p_plus, p_minus)):
         se = math.sqrt(expected * (1 - expected) / n)
         assert abs(observed - expected) <= 5.0 * se

@@ -7,11 +7,7 @@ from prefield.observables import (
     QuadraticForm,
     classical_average_exact,
     classical_average_mc,
-    evaluate_quadratic,
     hessian_extract,
-    linear_functional_average,
-    linear_functional_mc,
-    quadratic_approximation_error,
     quadratic_functional,
     quadratic_plus_quartic,
     quartic_power_functional,
@@ -41,16 +37,16 @@ def rand_hermitian(rng, dim):
 class TestEvaluateQuadratic:
     def test_identity_equals_power(self):
         form = QuadraticForm(HermitianOperator(np.eye(2)))
-        assert evaluate_quadratic(form, FieldVector([1, 1j])) == pytest.approx(2.0, abs=1e-14)
+        assert form.evaluate(FieldVector([1, 1j])) == pytest.approx(2.0, abs=1e-14)
 
     def test_diagonal(self):
         form = QuadraticForm(HermitianOperator.diagonal([1, -1]))
-        assert evaluate_quadratic(form, FieldVector([1, 0])) == pytest.approx(1.0, abs=1e-15)
+        assert form.evaluate(FieldVector([1, 0])) == pytest.approx(1.0, abs=1e-15)
 
     def test_offdiagonal(self):
         form = QuadraticForm(HermitianOperator([[0, 1], [1, 0]]))
         phi = FieldVector(np.array([1, 1]) / np.sqrt(2))
-        assert evaluate_quadratic(form, phi) == pytest.approx(1.0, abs=1e-14)
+        assert form.evaluate(phi) == pytest.approx(1.0, abs=1e-14)
 
     def test_dimension_mismatch(self):
         form = QuadraticForm(HermitianOperator(np.eye(3)))
@@ -138,28 +134,6 @@ class TestMCAverages:
             assert abs(est.mean - exact) <= 5.0 * est.standard_error
 
 
-class TestLinearFunctionals:
-    def test_exact_zero(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(4))
-        y = FieldVector([1, 2, 3, 4])
-        assert linear_functional_average(ens, y) == 0j
-
-    def test_zero_probe(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
-        assert linear_functional_average(ens, FieldVector([0, 0])) == 0j
-
-    def test_mc_estimate_vanishes(self):
-        rng = np.random.default_rng(4)
-        rho_m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho_m = rho_m @ rho_m.conj().T
-        rho = DensityOperator(HermitianOperator.symmetrized(rho_m / np.trace(rho_m).real))
-        ens = ensemble_from_density(rho, BackgroundField(0.1))
-        y = rand_unit(rng, 4)
-        est, se = linear_functional_mc(ens, y, 100_000, SEED)
-        assert abs(est) <= 0.05
-        assert abs(est) <= 5.0 * se
-
-
 class TestFunctionalRegistration:
     def test_rejects_nonzero_at_origin(self):
         with pytest.raises(ValueError, match="zero field"):
@@ -225,42 +199,3 @@ class TestHessianExtraction:
         )
         with pytest.raises(ArithmeticError, match="non-finite"):
             hessian_extract(f)
-
-
-class TestQuadraticApproximationError:
-    def test_pure_quadratic_gap_statistical_only(self):
-        rng = np.random.default_rng(7)
-        a = rand_hermitian(rng, 2)
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2), BackgroundField(0.1))
-        report = quadratic_approximation_error(quadratic_functional(a), ens, 50_000, SEED)
-        assert report.gap <= 5.0 * report.mc.standard_error
-
-    def test_quartic_gap_equals_wick_moment(self):
-        # E ||phi||^4 = (Tr D)^2 + Tr D^2 for circular Gaussians
-        eps, dim = 0.3, 3
-        cov = HermitianOperator(eps * np.eye(dim))
-        ens = GaussianFieldEnsemble(cov)
-        report = quadratic_approximation_error(quartic_power_functional(dim), ens, 200_000, SEED)
-        wick = (eps * dim) ** 2 + eps**2 * dim
-        assert wick == pytest.approx(eps**2 * dim * (dim + 1), abs=1e-15)
-        assert report.quadratic_average == pytest.approx(0.0, abs=1e-8)
-        assert report.gap > 0.0
-        assert abs(report.mc.mean - wick) <= 5.0 * report.mc.standard_error
-
-    def test_gap_scales_quadratically_against_quadratic_term(self):
-        # scaling the field by s multiplies the quadratic average by s^2 and
-        # the quartic gap by s^4, so their ratio falls like s^2 (exact layer)
-        rng = np.random.default_rng(8)
-        a_m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a_m = a_m @ a_m.conj().T  # positive, nonzero trace pairing
-        a = HermitianOperator.symmetrized(a_m)
-        base = np.eye(2) * 0.5
-        ratios = []
-        for s in (1.0, 0.5, 0.25):
-            cov = HermitianOperator(base * s**2)
-            quad = float(np.trace(cov.matrix @ a.matrix).real)
-            tr = float(np.trace(cov.matrix).real)
-            quart = tr**2 + float(np.trace(cov.matrix @ cov.matrix).real)
-            ratios.append(quart / quad)
-        assert ratios[1] == pytest.approx(ratios[0] / 4.0, rel=1e-12)
-        assert ratios[2] == pytest.approx(ratios[1] / 4.0, rel=1e-12)

@@ -1,0 +1,56 @@
+"""The program surface that the benchmark's instrumentation patches.
+
+`perfbench/spans.py` wraps every function named in `SELF_TIME_METRICS` at
+its callers' lookup names, binds the `start_index` argument of
+`sample_with_factor`, and reads `n_trials` and `accepted` from what
+`run_trials` returns.  Removing or renaming any of these breaks the traced
+benchmark run, so this test fails first.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import math
+from pathlib import Path
+
+import pytest
+
+from prefield.detection import BipartiteEnsemble, run_trials
+from prefield.hilbert import FieldVector
+from prefield.random_field import BackgroundField, RandomSeed, sample_with_factor
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TARGETS = sorted({name for names in load_spans().SELF_TIME_METRICS.values() for name in names})
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_span_target_resolves(target):
+    layer, _, qualname = target.partition(".")
+    owner = importlib.import_module(f"prefield.{layer}")
+    owner_name, _, attr = qualname.rpartition(".")
+    if owner_name:
+        owner = getattr(owner, owner_name)
+        # spans.py patches methods through the class dictionary
+        assert attr in vars(owner), f"{target} is not defined on {owner_name}"
+    assert callable(inspect.unwrap(getattr(owner, attr)))
+
+
+def test_sample_with_factor_takes_start_index():
+    assert "start_index" in inspect.signature(sample_with_factor).parameters
+
+
+def test_run_trials_result_has_counted_fields():
+    singlet = FieldVector([0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0])
+    ensemble = BipartiteEnsemble(singlet, BackgroundField(0.3))
+    batch = run_trials(ensemble, 0.0, 0.3, 0.2, 100, RandomSeed(5))
+    assert batch.n_trials == 100
+    assert batch.accepted.shape == (100,)

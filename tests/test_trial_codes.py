@@ -18,6 +18,7 @@ from prefield.detection import (
     BipartiteEnsemble,
     ClickStatistics,
     NoCoincidencesError,
+    PartyRates,
     ThresholdDetector,
     TrialBatch,
     click_statistics,
@@ -45,29 +46,22 @@ def reference_statistics(clicks1, clicks2, policy):
     else:
         acc = np.logical_and.reduce([k == 1 for k in counts])
     n_acc = int(acc.sum())
-    fields = {"n_trials": n, "n_accepted": n_acc, "accepted_fraction": n_acc / n}
-    for i in (1, 2):
-        if i > len(parties):
-            for name in ("raw_click_rates", "single_rates", "double_rate", "none_rate", "conditional"):
-                fields[f"{name}_{i}"] = None
-            continue
-        c, k = parties[i - 1], counts[i - 1]
-        fields[f"raw_click_rates_{i}"] = tuple(float(v) for v in c.mean(axis=0))
-        fields[f"single_rates_{i}"] = tuple(float((c[:, j] & (k == 1)).sum() / n) for j in range(2))
-        fields[f"double_rate_{i}"] = float((k >= 2).mean())
-        fields[f"none_rate_{i}"] = float((k == 0).mean())
-        fields[f"conditional_{i}"] = (
-            None if n_acc == 0 else tuple(float(c[acc, j].mean()) for j in range(2))
+    rates = tuple(
+        PartyRates(
+            raw_click_rates=tuple(float(v) for v in c.mean(axis=0)),
+            double_rate=float((k >= 2).mean()),
+            conditional=None if n_acc == 0 else tuple(float(c[acc, j].mean()) for j in range(2)),
         )
-    fields["coincidences"] = None
+        for c, k in zip(parties, counts)
+    )
+    coincidences = None
     if clicks2 is not None and n_acc:
         o1 = np.where(clicks1[acc, 0], 1, -1)
         o2 = np.where(clicks2[acc, 0], 1, -1)
-        fields["coincidences"] = {
+        coincidences = {
             (a, b): int(((o1 == a) & (o2 == b)).sum()) for a in (1, -1) for b in (1, -1)
         }
-    fields["degenerate"] = n_acc == 0
-    return ClickStatistics(**fields)
+    return ClickStatistics(n, n_acc, rates, coincidences)
 
 
 def reference_correlation(clicks1, clicks2):
@@ -134,8 +128,7 @@ class TestKernel:
     )
     def test_codes_match_threshold_detector(self, theta1, theta2, threshold, eps, start, n):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
-        batch = run_trials(ens, theta1, theta2, ThresholdDetector(threshold, pbs_projectors(0.0)),
-                           n, SEED, start_index=start)
+        batch = run_trials(ens, theta1, theta2, threshold, n, SEED, start_index=start)
         phi1, phi2 = ens.sample_pairs(n, SEED, start)
         clicks1 = ThresholdDetector(threshold, pbs_projectors(theta1)).clicks(phi1)
         clicks2 = ThresholdDetector(threshold, pbs_projectors(theta2)).clicks(phi2)
@@ -147,10 +140,9 @@ class TestKernel:
 
     def test_memory_is_one_chunk_plus_one_byte_per_trial(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
-        det = ThresholdDetector(0.2, pbs_projectors(0.0))
         tracemalloc.start()
         try:
-            batch = run_trials(ens, 0.0, math.pi / 8, det, 1_000_000, SEED)
+            batch = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -164,7 +156,9 @@ class TestHistogramStatistics:
     def test_bipartite_statistics_match_boolean_reference(self, policy, p):
         clicks1, clicks2 = random_clicks(int(p * 100), 20_011, p)
         batch = TrialBatch(0.1, 0.2, clicks1, clicks2, policy)
-        assert click_statistics(batch) == reference_statistics(clicks1, clicks2, policy)
+        stats = click_statistics(batch)
+        assert stats == reference_statistics(clicks1, clicks2, policy)
+        assert stats.accepted_fraction == reference_accepted(clicks1, clicks2, policy).mean()
         assert correlation_from_clicks(batch) == reference_correlation(clicks1, clicks2)
         np.testing.assert_array_equal(batch.accepted, reference_accepted(clicks1, clicks2, policy))
 
@@ -178,7 +172,7 @@ class TestHistogramStatistics:
         batch = TrialBatch(0.0, 0.0, np.ones((5, 2), bool), np.zeros((5, 2), bool))
         with pytest.raises(NoCoincidencesError):
             correlation_from_clicks(batch)
-        assert click_statistics(batch).degenerate
+        assert click_statistics(batch).n_accepted == 0
 
     def test_codes_and_click_tables_build_the_same_batch(self):
         clicks1, clicks2 = random_clicks(9, 1_000, 0.5)
