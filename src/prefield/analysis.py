@@ -38,6 +38,13 @@ class SignallingDataError(ValueError):
     """Marginals depend on the remote setting: outside the model class."""
 
 
+class InconsistentTableError(ValueError):
+    """Averaged marginals and correlations fit no probability table.
+
+    Sampled tables with only a few trials per setting pair land here.
+    """
+
+
 class TableFileError(ValueError):
     """A correlation-table file is missing or malformed."""
 
@@ -316,7 +323,9 @@ def _canonical_frequencies(table: CorrelationTable) -> np.ndarray:
                         1.0 + a * mean_a[x] + b * mean_b[y] + a * b * corr[x, y]
                     ) / 4.0
     if np.any(canon < -1e-6):
-        raise ValueError("canonical frequencies have a significantly negative entry")
+        raise InconsistentTableError(
+            "canonical frequencies have a significantly negative entry; too few trials per setting pair?"
+        )
     return np.clip(canon, 0.0, None)
 
 

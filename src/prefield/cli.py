@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import SignallingDataError, TableFileError
+from .analysis import InconsistentTableError, SignallingDataError, TableFileError
 from .detection import NoCoincidencesError
 from .experiments import (
     EXPERIMENT_KINDS,
@@ -132,7 +132,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "kind": result.kind,
         "passed": result.passed,
@@ -171,6 +170,12 @@ def main(argv=None) -> int:
         for p in problems:
             print(f"configuration error: {p}", file=sys.stderr)
         return 2
+    out_dir = Path(config.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path that cannot be created
+        print(f"configuration error: cannot create output directory {config.out}: {exc}", file=sys.stderr)
+        return 2
     try:
         result = run_experiment(config)
     except NoCoincidencesError as exc:
@@ -179,10 +184,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (TableFileError, SignallingDataError) as exc:
+    except (TableFileError, SignallingDataError, InconsistentTableError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    write_artifacts(config, result, Path(config.out))
+    write_artifacts(config, result, out_dir)
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: observed {check.observed:.6g} vs tolerance {check.tolerance:.6g}")

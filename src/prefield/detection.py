@@ -63,6 +63,7 @@ from .random_field import (
     STREAM_TRIALS,
     BackgroundField,
     RandomSeed,
+    map_block_ranges,
     sample_with_factor,
     sampling_factor,
 )
@@ -284,11 +285,9 @@ _SINGLE_SINGLE = (_CODE_CLASSES == CLASS_SINGLE).all(axis=1)
 _OUTCOME_CELL = np.where(_CODE_CLICKS[:, 0], 0, 2) + np.where(_CODE_CLICKS[:, 2], 0, 1)
 _OUTCOME_PRODUCT = np.where(_CODE_CLICKS[:, 0] == _CODE_CLICKS[:, 2], 1.0, -1.0)
 
-# Trials per kernel chunk, aligned to Philox blocks.  Single-block chunks are
-# as fast on an idle machine, but each chunk's small colouring product wakes
-# the BLAS threads, and with another process busy on a core that made the run
-# two to three times slower; eight blocks amortise the wake-up at a few MB of
-# working memory.
+# Trials per kernel chunk, aligned to Philox blocks.  Eight blocks keep the
+# per-chunk interpreter work (one sampling call, the power and threshold
+# passes) small against the draws, at about 5 MB of working memory per worker.
 TRIAL_CHUNK = 8 * SAMPLE_BLOCK
 
 
@@ -411,17 +410,19 @@ def run_trials(
     seed: RandomSeed,
     start_index: int = 0,
     policy: str = POLICY_KEEP_SINGLES,
+    workers: int = 1,
 ) -> TrialBatch:
     """Coincidence run: one sampled field pair per time window.
 
     Party i sits behind a polarization splitter at angle theta_i, and a
     channel clicks when its power exceeds `threshold`.  Trials are processed
     in chunks of TRIAL_CHUNK aligned to Philox blocks: draw the chunk,
-    project both parties onto their splitter bases with one block-diagonal
-    matrix, threshold, and pack each trial into a click code.  Memory is
-    O(TRIAL_CHUNK) plus one byte per trial.  Party 2's field is the
-    conjugate of the sampled coordinates, which leaves |R^T z|^2 unchanged
-    for the real splitter basis R, so the conjugate is never formed.
+    colour it and project both parties onto their splitter bases with one
+    product, threshold, and pack each trial into a click code.  `workers`
+    threads fill block-aligned slices of one code array, so memory is
+    O(TRIAL_CHUNK) per worker plus one byte per trial.  Party 2's field is
+    the conjugate of the sampled coordinates, which leaves |R^T z|^2
+    unchanged for the real splitter basis R, so the conjugate is never formed.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -429,19 +430,22 @@ def run_trials(
         raise ValueError(f"threshold must be a finite non-negative real, got {threshold}")
     if ensemble.dim != 2:
         raise ValueError("coincidence trials are defined for two-channel polarization fields")
-    # complex, because numpy runs complex @ real products outside BLAS, about 7x slower
-    basis = np.zeros((4, 4), dtype=np.complex128)
+    basis = np.zeros((4, 4))
     basis[:2, :2] = _splitter_basis(theta1)
     basis[2:, 2:] = _splitter_basis(theta2)
+    # rows of the sampled pairs times basis: (xi S^T) basis = xi (basis^T S)^T
+    factor = basis.T @ ensemble.sampler_factor
     codes = np.empty(n_trials, dtype=np.uint8)
-    lo, stop = start_index, start_index + n_trials
-    while lo < stop:
-        hi = min(stop, (lo // TRIAL_CHUNK + 1) * TRIAL_CHUNK)
-        amplitudes = sample_with_factor(ensemble.sampler_factor, hi - lo, seed, lo, STREAM_PAIRS) @ basis
-        powers = amplitudes.real**2 + amplitudes.imag**2
-        clicks = powers > threshold
-        codes[lo - start_index : hi - start_index] = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
-        lo = hi
+
+    def fill(lo: int, stop: int) -> None:
+        while lo < stop:
+            hi = min(stop, (lo // TRIAL_CHUNK + 1) * TRIAL_CHUNK)
+            amplitudes = sample_with_factor(factor, hi - lo, seed, lo, STREAM_PAIRS)
+            clicks = amplitudes.real**2 + amplitudes.imag**2 > threshold
+            codes[lo - start_index : hi - start_index] = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
+            lo = hi
+
+    map_block_ranges(fill, start_index, start_index + n_trials, workers)
     return TrialBatch(theta1, theta2, policy=policy, codes=codes)
 
 

@@ -29,7 +29,6 @@ from scans documented in the test suite and README:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,7 +50,6 @@ from .detection import (
     POLICIES,
     POLICY_KEEP_SINGLES,
     BipartiteEnsemble,
-    TrialBatch,
     click_statistics,
     correlation_from_clicks,
     pbs_projectors,
@@ -78,11 +76,11 @@ from .observables import (
     renormalize,
 )
 from .random_field import (
-    SAMPLE_BLOCK,
     STREAM_EXPERIMENT,
     BackgroundField,
     RandomSeed,
     ensemble_from_pure_state,
+    map_block_ranges,
 )
 
 EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", "chsh", "kolmogorov", "triangle")
@@ -103,6 +101,7 @@ CHSH_TARGET = 2.6
 DEFAULT_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
 
 TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
+DYNAMICS_MAX_STEPS = 1_000_000  # drift-table steps; about 25 s of stepping on one core
 
 
 @dataclass
@@ -185,6 +184,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append(f"unknown policy {config.policy!r}; expected one of {POLICIES}")
     if config.dt <= 0.0:
         problems.append("dt must be positive")
+    elif config.kind == "dynamics" and max(10.0, config.time_horizon) / config.dt > DYNAMICS_MAX_STEPS:
+        problems.append(
+            f"dt too small for the horizon: dynamics integrates max(10, time) / dt steps, "
+            f"at most {DYNAMICS_MAX_STEPS}"
+        )
     if config.step <= 0.0:
         problems.append("step must be positive")
     if config.time_horizon < 0.0:
@@ -203,6 +207,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             problems.append(f"kolmogorov source must be one of {KOLMOGOROV_SOURCES}")
         if config.model == "file" and not config.table_path:
             problems.append("kolmogorov source 'file' needs --table")
+    if config.kind in ("chsh", "kolmogorov") and config.model == "lhv" and config.trials < 2:
+        problems.append("lhv tables need trials >= 2 per setting pair")
     if config.kind in ("chsh", "kolmogorov") and config.angles is not None and len(config.angles) != 4:
         problems.append(f"{config.kind} needs exactly four angles (a1, a2, b1, b2)")
     return problems
@@ -281,46 +287,9 @@ def _random_hermitian(rng, dim: int, spectral_radius: float | None = None) -> He
     return HermitianOperator(h)
 
 
-def _partition(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, count) chunks covering range(total), cut at block edges.
-
-    Cutting at multiples of SAMPLE_BLOCK keeps two workers from drawing the
-    same Philox block.
-    """
-    blocks = -(-total // SAMPLE_BLOCK)
-    workers = max(1, min(workers, blocks))
-    base, extra = divmod(blocks, workers)
-    chunks = []
-    start = 0
-    for w in range(workers):
-        stop = min(total, start + (base + (1 if w < extra else 0)) * SAMPLE_BLOCK)
-        if stop > start:
-            chunks.append((start, stop - start))
-        start = stop
-    return chunks
-
-
-def _parallel_concat(fn, total: int, workers: int) -> list:
-    """Run fn(start, count) over a partition and return results in order."""
-    chunks = _partition(total, workers)
-    if len(chunks) == 1:
-        return [fn(*chunks[0])]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(fn, start, count) for start, count in chunks]
-        return [f.result() for f in futures]
-
-
 def _sample_parallel(ensemble, n: int, seed: RandomSeed, workers: int) -> np.ndarray:
-    parts = _parallel_concat(lambda s, c: ensemble.sample(c, seed, s), n, workers)
+    parts = map_block_ranges(lambda lo, hi: ensemble.sample(hi - lo, seed, lo), 0, n, workers)
     return np.concatenate(parts, axis=0)
-
-
-def _run_trials_parallel(ensemble, theta1, theta2, threshold, n, seed, workers, policy) -> TrialBatch:
-    parts = _parallel_concat(
-        lambda s, c: run_trials(ensemble, theta1, theta2, threshold, c, seed, s, policy).codes, n, workers
-    )
-    codes = parts[0] if len(parts) == 1 else np.concatenate(parts)  # no copy at one worker
-    return TrialBatch(theta1, theta2, policy=policy, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +486,9 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
             ensemble, a0, b_op, config.samples, seed, start_index=idx * config.samples
         )
         worst_mc = max(worst_mc, abs(mc.mean - exact) / max(mc.standard_error, 1e-30))
-        batch = _run_trials_parallel(
-            ensemble, 0.0, float(delta), threshold, config.trials, seed, config.workers, config.policy
+        batch = run_trials(
+            ensemble, 0.0, float(delta), threshold, config.trials, seed,
+            policy=config.policy, workers=config.workers,
         )
         e_clicks, se_clicks = correlation_from_clicks(batch)
         stats = click_statistics(batch)
@@ -552,8 +522,9 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     monotone = True
     n_grid = max(2, config.trials // 2)
     for d in d_grid:
-        batch = _run_trials_parallel(
-            ensemble, 0.0, math.pi / 8, float(d), n_grid, seed, config.workers, config.policy
+        batch = run_trials(
+            ensemble, 0.0, math.pi / 8, float(d), n_grid, seed,
+            policy=config.policy, workers=config.workers,
         )
         stats = click_statistics(batch)
         rate = stats.parties[0].double_rate
@@ -570,12 +541,13 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     # no-signalling: party 1's marginals cannot see party 2's setting;
     # the second run draws fresh fields (reusing the same samples for both
     # settings would make the comparison exactly zero and test nothing)
-    b1 = _run_trials_parallel(
-        ensemble, 0.0, math.pi / 8, threshold, config.trials, seed, config.workers, config.policy
+    b1 = run_trials(
+        ensemble, 0.0, math.pi / 8, threshold, config.trials, seed,
+        policy=config.policy, workers=config.workers,
     )
-    b2 = _run_trials_parallel(
+    b2 = run_trials(
         ensemble, 0.0, 3 * math.pi / 8, threshold, config.trials,
-        RandomSeed((config.seed + 1) % 2**64), config.workers, config.policy,
+        RandomSeed((config.seed + 1) % 2**64), policy=config.policy, workers=config.workers,
     )
     r1 = np.asarray(click_statistics(b1).parties[0].raw_click_rates)
     r2 = np.asarray(click_statistics(b2).parties[0].raw_click_rates)
@@ -599,15 +571,15 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
     batches = {}
     for x in range(2):
         for y in range(2):
-            batches[(x, y)] = _run_trials_parallel(
+            batches[(x, y)] = run_trials(
                 ensemble,
                 a_settings[x],
                 b_settings[y],
                 threshold,
                 config.trials,
                 RandomSeed((config.seed + x * 2 + y) % 2**64),
-                config.workers,
-                config.policy,
+                policy=config.policy,
+                workers=config.workers,
             )
     table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
     return table, batches

@@ -18,6 +18,7 @@ reproduces bit-identical fields.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ import numpy as np
 from .hilbert import DensityOperator, FieldVector, HermitianOperator, PSD_TOL
 
 SAMPLE_BLOCK = 4096
+
+# Rows per colouring product.  OpenBLAS hands a complex (m x dim) @ (dim x dim)
+# product to its thread pool from m ~ 4096 rows up, and the pool's spinning
+# threads then compete with the caller's other workers for the cores; at half
+# a block the product stays on the calling thread.  A row's bits do not
+# depend on m (m >= 2), so the slicing leaves every sample unchanged.
+_COLOUR_ROWS = SAMPLE_BLOCK // 2
 
 # Stream labels keep independent uses of one master seed decorrelated.
 STREAM_FIELD = 1
@@ -106,18 +114,59 @@ def sample_with_factor(
     if start_index < 0:
         raise ValueError("start_index must be >= 0")
     dim = factor.shape[0]
+    colour = factor.T
+    out = np.empty((n_samples, dim), dtype=np.complex128)
     lo, hi = start_index, start_index + n_samples
-    first_block, last_block = lo // SAMPLE_BLOCK, (hi - 1) // SAMPLE_BLOCK
-    parts = []
-    for block in range(first_block, last_block + 1):
-        rng = seed.stream(stream_label, block)
-        xi = _standard_circular(rng, SAMPLE_BLOCK, dim)
+    for block in range(lo // SAMPLE_BLOCK, (hi - 1) // SAMPLE_BLOCK + 1):
+        xi = _standard_circular(seed.stream(stream_label, block), SAMPLE_BLOCK, dim)
         block_lo = block * SAMPLE_BLOCK
         a = max(lo, block_lo) - block_lo
         b = min(hi, block_lo + SAMPLE_BLOCK) - block_lo
-        parts.append(xi[a:b])
-    xi = np.concatenate(parts, axis=0)
-    return xi @ factor.T
+        if b - a == 1 and n_samples > 1:
+            # numpy colours a lone row with gemv, whose rounding differs from
+            # the rows of a longer product: colour it inside a two-row product
+            # so that its bits do not depend on where the request starts or ends
+            pair = max(a - 1, 0)
+            out[block_lo + a - lo] = (xi[pair : pair + 2] @ colour)[a - pair]
+            continue
+        # equal slices, so that none is a lone row
+        pieces = -(-(b - a) // _COLOUR_ROWS)
+        cuts = [a + (b - a) * k // pieces for k in range(pieces + 1)]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            np.matmul(xi[r0:r1], colour, out=out[block_lo + r0 - lo : block_lo + r1 - lo])
+    return out
+
+
+def block_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
+    """At most `workers` contiguous (lo, hi) ranges covering [start, stop).
+
+    Cuts fall on multiples of SAMPLE_BLOCK, so no two workers draw the same
+    Philox block and every block is coloured in the same slices whatever
+    the worker count.
+    """
+    first_block = start // SAMPLE_BLOCK
+    blocks = -(-stop // SAMPLE_BLOCK) - first_block
+    workers = max(1, min(workers, blocks))
+    base, extra = divmod(blocks, workers)
+    cuts, block = [start], first_block
+    for w in range(workers):
+        block += base + (1 if w < extra else 0)
+        cuts.append(min(stop, block * SAMPLE_BLOCK))
+    return list(zip(cuts, cuts[1:]))
+
+
+def map_block_ranges(fn, start: int, stop: int, workers: int) -> list:
+    """fn(lo, hi) on each of block_ranges(start, stop, workers), results in order.
+
+    Several ranges run on threads: the draws and products inside release
+    the interpreter lock.
+    """
+    ranges = block_ranges(start, stop, workers)
+    if len(ranges) == 1:
+        return [fn(*ranges[0])]
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
+        return [f.result() for f in futures]
 
 
 class GaussianFieldEnsemble:

@@ -1,12 +1,13 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
 from prefield.cli import main, parse_config_file
-from prefield.experiments import ExperimentConfig, _partition, validate
-from prefield.random_field import SAMPLE_BLOCK
+from prefield.experiments import ExperimentConfig, validate
+from prefield.random_field import SAMPLE_BLOCK, block_ranges
 
 
 def table_text(**changes):
@@ -132,16 +133,35 @@ class TestExitCodes:
             ["dynamics", "--dt", "nan"],
             ["dynamics", "--time", "inf"],
             ["hessian", "--step", "nan"],
+            ["chsh", "--model", "lhv", "--trials", "1"],
+            ["kolmogorov", "--model", "lhv", "--trials", "1"],
+            ["kolmogorov", "--model", "lhv", "--trials", "2"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
             "chsh-nan-angle", "chsh-inf-angle", "born-one-sample", "triangle-wide-angles",
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
-            "hessian-nan-step",
+            "hessian-nan-step", "chsh-lhv-one-trial", "kolmogorov-lhv-one-trial",
+            "kolmogorov-lhv-two-trials",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
         code = main(argv + ["--seed", "7", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("keep me")
+        code = main(["triangle", "--seed", "1", "--angles", "1,1,1", "--out", str(path)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert path.read_text() == "keep me"
+
+    def test_tiny_dt_is_rejected_at_once(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code = main(["dynamics", "--seed", "1", "--dt", "1e-9", "--out", str(tmp_path / "run")])
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
@@ -208,13 +228,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("total", [1, 4095, 4096, 4097, 50_000, 1_000_000])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_partition_cuts_at_block_edges(self, total, workers):
-        chunks = _partition(total, workers)
-        assert chunks[0][0] == 0
-        assert sum(count for _, count in chunks) == total
-        for (start, count), (next_start, _) in zip(chunks, chunks[1:]):
-            assert next_start == start + count
-            assert next_start % SAMPLE_BLOCK == 0
-        assert len(chunks) == min(workers, -(-total // SAMPLE_BLOCK))
+        for start in (0, 5, SAMPLE_BLOCK - 1, 3 * SAMPLE_BLOCK):
+            ranges = block_ranges(start, start + total, workers)
+            assert ranges[0][0] == start and ranges[-1][1] == start + total
+            assert all(lo < hi for lo, hi in ranges)
+            for (_, hi), (next_lo, _) in zip(ranges, ranges[1:]):
+                assert next_lo == hi
+                assert hi % SAMPLE_BLOCK == 0
+            blocks = -(-(start + total) // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
+            assert len(ranges) == min(workers, blocks)
 
 
 class TestProvenance:

@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from prefield.detection import BipartiteEnsemble
 from prefield.hilbert import DensityOperator, FieldVector, HermitianOperator
 from prefield.random_field import (
+    SAMPLE_BLOCK,
+    STREAM_FIELD,
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
+    _standard_circular,
     empirical_covariance,
     ensemble_from_density,
     ensemble_from_pure_state,
+    sample_with_factor,
 )
 
 SEED = RandomSeed(20250809)
@@ -128,6 +135,36 @@ class TestDeterminism:
         a = ens.sample(6_000, SEED)
         b = ens.sample(2_000, SEED, start_index=4_000)
         np.testing.assert_array_equal(a[4_000:], b)
+
+    @pytest.mark.parametrize(
+        "start, n",
+        [
+            (0, 1),
+            (2047, 2),
+            (2047, 2049),
+            (SAMPLE_BLOCK - 1, 2),
+            (SAMPLE_BLOCK - 5, 6),
+            (4000, 10000),
+            (123, 3 * SAMPLE_BLOCK + 7),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["singlet-pair", "dim3"])
+    def test_sliced_colouring_matches_one_product(self, kind, start, n):
+        """Block-by-block colouring equals one product over the whole blocks."""
+        if kind == "singlet-pair":
+            singlet = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
+            factor = BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5)).sampler_factor
+        else:
+            rho = rand_density(np.random.default_rng(5), 3)
+            factor = ensemble_from_density(rho, BackgroundField(0.1)).sampler_factor
+        first, last = start // SAMPLE_BLOCK, (start + n - 1) // SAMPLE_BLOCK
+        blocks = [
+            _standard_circular(SEED.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[0])
+            for b in range(first, last + 1)
+        ]
+        offset = start - first * SAMPLE_BLOCK
+        expected = np.concatenate(blocks)[offset : offset + n] @ factor.T
+        np.testing.assert_array_equal(sample_with_factor(factor, n, SEED, start), expected)
 
     def test_different_seeds_differ(self):
         ens = ensemble_from_density(DensityOperator.maximally_mixed(2))

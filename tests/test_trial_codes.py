@@ -27,7 +27,13 @@ from prefield.detection import (
     run_trials,
 )
 from prefield.hilbert import FieldVector
-from prefield.random_field import SAMPLE_BLOCK, BackgroundField, RandomSeed
+from prefield.random_field import (
+    SAMPLE_BLOCK,
+    STREAM_PAIRS,
+    BackgroundField,
+    RandomSeed,
+    sample_with_factor,
+)
 from prefield.serialize import _cell
 
 SEED = RandomSeed(4242)
@@ -105,16 +111,21 @@ def random_clicks(seed, n, p):
     return rng.random((n, 2)) < p, rng.random((n, 2)) < p
 
 
+KERNEL_CONFIGS = [
+    (0.0, math.pi / 8, 0.2, SINGLET_EPS_MIN),
+    (math.pi / 4, -math.pi / 8, 0.2, SINGLET_EPS_MIN),
+    (0.3, 1.9, 1.1, SINGLET_EPS_MIN + 0.03),
+    (-0.7, 0.4, 0.05, 0.4),
+]
+
+
+def splitter(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 class TestKernel:
-    @pytest.mark.parametrize(
-        "theta1, theta2, threshold, eps",
-        [
-            (0.0, math.pi / 8, 0.2, SINGLET_EPS_MIN),
-            (math.pi / 4, -math.pi / 8, 0.2, SINGLET_EPS_MIN),
-            (0.3, 1.9, 1.1, SINGLET_EPS_MIN + 0.03),
-            (-0.7, 0.4, 0.05, 0.4),
-        ],
-    )
+    @pytest.mark.parametrize("theta1, theta2, threshold, eps", KERNEL_CONFIGS)
     @pytest.mark.parametrize(
         "start, n",
         [
@@ -138,6 +149,19 @@ class TestKernel:
         np.testing.assert_array_equal(batch.clicks2, clicks2)
         np.testing.assert_array_equal(batch.histogram, np.bincount(bits @ [1, 2, 4, 8], minlength=16))
 
+    @pytest.mark.parametrize("theta1, theta2, threshold, eps", KERNEL_CONFIGS)
+    def test_folded_basis_matches_projecting_the_samples(self, theta1, theta2, threshold, eps):
+        """Colouring and projecting in one product thresholds like z @ basis."""
+        ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
+        start, n = 123, 2 * TRIAL_CHUNK + 5_000
+        basis = np.zeros((4, 4), dtype=complex)
+        basis[:2, :2], basis[2:, 2:] = splitter(theta1), splitter(theta2)
+        amplitudes = sample_with_factor(ens.sampler_factor, n, SEED, start, STREAM_PAIRS) @ basis
+        clicks = amplitudes.real**2 + amplitudes.imag**2 > threshold
+        expected = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
+        batch = run_trials(ens, theta1, theta2, threshold, n, SEED, start_index=start)
+        np.testing.assert_array_equal(batch.codes, expected)
+
     def test_memory_is_one_chunk_plus_one_byte_per_trial(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
         tracemalloc.start()
@@ -148,6 +172,19 @@ class TestKernel:
             tracemalloc.stop()
         assert batch.n_trials == 1_000_000
         assert peak < 16 * 2**20
+
+    def test_two_workers_fill_one_code_array(self):
+        ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
+        tracemalloc.start()
+        try:
+            batch = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.n_trials == 1_000_000
+        assert peak < 16 * 2**20
+        single = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED)
+        np.testing.assert_array_equal(batch.codes, single.codes)
 
 
 class TestHistogramStatistics:
