@@ -34,6 +34,12 @@ SAMPLE_BLOCK = 4096
 # depend on m (m >= 2), so the slicing leaves every sample unchanged.
 _COLOUR_ROWS = SAMPLE_BLOCK // 2
 
+# Fewest Philox blocks worth a thread of their own (about 50 ms of draws and
+# colouring).  A split costs a thread start, a join and hand-offs of the
+# interpreter lock, each of which waits until the OS runs the other thread;
+# on short ranges those waits are a large and erratic share of the call.
+_WORKER_BLOCKS = 32
+
 # Stream labels keep independent uses of one master seed decorrelated.
 STREAM_FIELD = 1
 STREAM_PAIRS = 3
@@ -156,12 +162,14 @@ def block_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
 
 
 def map_block_ranges(fn, start: int, stop: int, workers: int) -> list:
-    """fn(lo, hi) on each of block_ranges(start, stop, workers), results in order.
+    """fn(lo, hi) on contiguous block-aligned ranges covering [start, stop), results in order.
 
     Several ranges run on threads: the draws and products inside release
-    the interpreter lock.
+    the interpreter lock.  Each thread gets at least _WORKER_BLOCKS blocks,
+    so shorter runs use fewer threads, down to the calling one.
     """
-    ranges = block_ranges(start, stop, workers)
+    blocks = -(-stop // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
+    ranges = block_ranges(start, stop, min(workers, blocks // _WORKER_BLOCKS))
     if len(ranges) == 1:
         return [fn(*ranges[0])]
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:

@@ -380,6 +380,7 @@ class TestCriterion7Kolmogorovness:
         )
 
 
+@pytest.mark.usefixtures("split_every_block")
 def test_criterion_8_determinism(tmp_path):
     """Identical config + seed gives bit-identical artifacts at any worker count."""
     outs = [tmp_path / name for name in ("r1", "r2", "w3")]

@@ -200,6 +200,7 @@ class TestDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
 
+    @pytest.mark.usefixtures("split_every_block")
     def test_worker_count_invisible_in_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w4"
         args = ["born", "--seed", "42", "--samples", "20000"]
@@ -207,6 +208,7 @@ class TestDeterminism:
         assert main(args + ["--workers", "4", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
 
+    @pytest.mark.usefixtures("split_every_block")
     def test_trials_worker_invariance(self, tmp_path):
         out1, out2 = tmp_path / "e1", tmp_path / "e3"
         args = [
@@ -217,6 +219,7 @@ class TestDeterminism:
         assert main(args + ["--workers", "3", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
 
+    @pytest.mark.usefixtures("split_every_block")
     def test_click_trial_csvs_worker_invariance(self, tmp_path):
         out1, out3 = tmp_path / "c1", tmp_path / "c3"
         args = ["chsh", "--model", "singlet-clicks", "--seed", "9", "--trials", "10000"]

@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from prefield import random_field
 from prefield.detection import BipartiteEnsemble
 from prefield.hilbert import DensityOperator, FieldVector, HermitianOperator
 from prefield.random_field import (
@@ -15,6 +17,7 @@ from prefield.random_field import (
     empirical_covariance,
     ensemble_from_density,
     ensemble_from_pure_state,
+    map_block_ranges,
     sample_with_factor,
 )
 
@@ -165,6 +168,19 @@ class TestDeterminism:
         offset = start - first * SAMPLE_BLOCK
         expected = np.concatenate(blocks)[offset : offset + n] @ factor.T
         np.testing.assert_array_equal(sample_with_factor(factor, n, SEED, start), expected)
+
+    def test_short_ranges_stay_on_the_calling_thread(self):
+        """A range splits only when every thread gets _WORKER_BLOCKS blocks."""
+        per_worker = random_field._WORKER_BLOCKS * SAMPLE_BLOCK
+
+        def where(lo, hi):
+            return lo, hi, threading.get_ident()
+
+        short = map_block_ranges(where, SAMPLE_BLOCK + 5, 2 * per_worker - 1, 2)
+        assert short == [(SAMPLE_BLOCK + 5, 2 * per_worker - 1, threading.get_ident())]
+        split = map_block_ranges(where, 0, 2 * per_worker, 4)
+        assert [(lo, hi) for lo, hi, _ in split] == [(0, per_worker), (per_worker, 2 * per_worker)]
+        assert threading.get_ident() not in {thread for _, _, thread in split}
 
     def test_different_seeds_differ(self):
         ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
