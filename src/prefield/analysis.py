@@ -110,9 +110,10 @@ class CorrelationTable:
                 p = freq[x, y]
                 corr[x, y] = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
                 if counts is not None and counts[x][y] > 0:
-                    errs[x, y] = math.sqrt(
-                        max(0.0, 1.0 - corr[x, y] ** 2) / counts[x][y]
-                    )
+                    # a cell whose n trials all agree has sample variance 0;
+                    # floor it at 1/n so that its standard error is not 0
+                    n = counts[x][y]
+                    errs[x, y] = math.sqrt(max(1.0 / n, 1.0 - corr[x, y] ** 2) / n)
                 else:
                     errs[x, y] = 0.0
         return cls(tuple(a_settings), tuple(b_settings), corr, errs, freq, counts)

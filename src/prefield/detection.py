@@ -34,12 +34,13 @@ background level (eps* = sqrt(1/2) - 1/2 ~ 0.207 for the singlet).
 
 Clicks
 ------
-A threshold detector fires channel c when the channel power ||P_c phi||^2
-exceeds the threshold d.  One trial is one time window; both channels may
-fire (a double click) or neither.  The default post-selection policy
-keeps trials where each party produced exactly one click, mirroring the
-time-window discard of coincidence experiments; raw counts are always
-retained so the selection is auditable.
+A threshold detector is a polarization splitter at angle theta followed by
+a power threshold d: channel c fires when |<phi, e_c>|^2 exceeds d, where
+e_+ = (cos theta, sin theta) and e_- is orthogonal to it.  One trial is
+one time window; both channels may fire (a double click) or neither.  The
+default post-selection policy keeps trials where each party produced
+exactly one click, mirroring the time-window discard of coincidence
+experiments; raw counts are always retained so the selection is auditable.
 
 A trial is stored as one byte, the click code of its four channels, and a
 batch of trials as its codes plus their 16-bin histogram.  Every rate,
@@ -57,19 +58,18 @@ import numpy as np
 from .hilbert import FieldVector, HermitianOperator
 from .observables import MCEstimate, QuadraticForm
 from .random_field import (
-    SAMPLE_BLOCK,
+    CHUNK,
     STREAM_CALIBRATION,
     STREAM_PAIRS,
     STREAM_TRIALS,
     BackgroundField,
     RandomSeed,
-    map_block_ranges,
+    for_each_chunk,
     sample_with_factor,
     sampling_factor,
 )
 from .serialize import write_csv_indexed
 
-PROJECTOR_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
 
 CLASS_NONE = 0
@@ -117,41 +117,22 @@ def pbs_projectors(theta: float) -> tuple[HermitianOperator, HermitianOperator]:
 
 @dataclass(frozen=True)
 class ThresholdDetector:
-    """Power threshold plus a complete set of orthogonal channel projectors."""
+    """Polarization splitter at angle theta followed by a power threshold."""
 
     threshold: float
-    projectors: tuple[HermitianOperator, ...]
+    theta: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.threshold) or self.threshold < 0.0:
             raise ValueError(f"threshold must be a finite non-negative real, got {self.threshold}")
-        if len(self.projectors) < 1:
-            raise ValueError("need at least one channel projector")
-        dim = self.projectors[0].dim
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for proj in self.projectors:
-            if proj.dim != dim:
-                raise ValueError("channel projectors must share one dimension")
-            total = total + proj.matrix
-        if np.abs(total - np.eye(dim)).max() > PROJECTOR_TOL:
-            raise ValueError("channel projectors must sum to the identity")
-        for i, pi in enumerate(self.projectors):
-            for pj in self.projectors[i + 1 :]:
-                if np.abs(pi.matrix @ pj.matrix).max() > PROJECTOR_TOL:
-                    raise ValueError("channel projectors must be mutually orthogonal")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].dim
 
     def channel_powers(self, samples: np.ndarray) -> np.ndarray:
-        """(N, len(projectors)) array of ||P_c phi||^2 = <P_c phi, phi>."""
-        x = np.asarray(samples, dtype=np.complex128)
-        stack = np.stack([p.matrix for p in self.projectors])
-        return np.einsum("ni,cij,nj->nc", x.conj(), stack, x).real
+        """(N, 2) array of the + and - channel powers |<phi, e_c>|^2."""
+        amplitudes = np.asarray(samples, dtype=np.complex128) @ _splitter_basis(self.theta)
+        return amplitudes.real**2 + amplitudes.imag**2
 
     def clicks(self, samples: np.ndarray) -> np.ndarray:
-        """Boolean (N, len(projectors)) click table: channel power above threshold."""
+        """Boolean (N, 2) click table: channel power above threshold."""
         return self.channel_powers(samples) > self.threshold
 
 
@@ -286,11 +267,6 @@ _OUTCOME_CELL = np.where(_CODE_CLICKS[:, 0], 0, 2) + np.where(_CODE_CLICKS[:, 2]
 _OUTCOME_PRODUCT = np.where(_CODE_CLICKS[:, 0] == _CODE_CLICKS[:, 2], 1.0, -1.0)
 _CODE_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
 
-# Trials per kernel chunk, aligned to Philox blocks.  Eight blocks keep the
-# per-chunk interpreter work (one sampling call, the power and threshold
-# passes) small against the draws, at about 5 MB of working memory per worker.
-TRIAL_CHUNK = 8 * SAMPLE_BLOCK
-
 
 def _pack_codes(clicks: np.ndarray) -> np.ndarray:
     """Code of each row of an (n, k <= 4) boolean click table: column c sets bit c."""
@@ -300,15 +276,28 @@ def _pack_codes(clicks: np.ndarray) -> np.ndarray:
     return clicks.view(np.uint8) @ _CODE_BITS[: clicks.shape[1]]
 
 
-def _encode_clicks(clicks1, clicks2) -> np.ndarray:
-    """Pack (n_trials, 2) boolean click tables into one code per trial."""
-    tables = [np.asarray(c, dtype=bool) for c in (clicks1, clicks2) if c is not None]
-    for table in tables:
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ValueError("click tables must be (n_trials, 2): one column per splitter channel")
-    if len(tables) == 2 and tables[0].shape != tables[1].shape:
-        raise ValueError("clicks1 and clicks2 must have equal shapes")
-    return _pack_codes(np.concatenate(tables, axis=1))
+def _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers=1) -> np.ndarray:
+    """Click codes of trials [start_index, start_index + n_trials).
+
+    `factor` colours white noise straight into channel amplitudes (the
+    splitter basis already folded in), so each chunk is drawn, coloured,
+    thresholded and packed, and `workers` threads fill one code array.
+    """
+    codes = np.empty(n_trials, dtype=np.uint8)
+
+    def fill(lo: int, hi: int) -> None:
+        # Channel powers re^2 + im^2, squared and summed in place, so that a
+        # chunk allocates one chunk-sized array.  Separate temporaries (about
+        # 5 MB per chunk, freed together) let malloc trim the heap after each
+        # chunk and fault the pages in again: 30 page faults per 1 000
+        # trials, 15 % of the kernel's time.
+        parts = sample_with_factor(factor, hi - lo, seed, lo, stream).view(np.float64)
+        np.square(parts, out=parts)
+        powers = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2])
+        codes[lo - start_index : hi - start_index] = _pack_codes(powers > threshold)
+
+    for_each_chunk(fill, start_index, start_index + n_trials, workers)
+    return codes
 
 
 def _outcome_counts(histogram: np.ndarray, accepted: np.ndarray) -> np.ndarray:
@@ -321,28 +310,20 @@ def _outcome_counts(histogram: np.ndarray, accepted: np.ndarray) -> np.ndarray:
 class TrialBatch:
     """Detection trials for one setting pair, one click code per trial.
 
-    Built from boolean click tables (one (n_trials, 2) array per party) or
-    directly from `codes`.  The 16-bin code histogram is computed once and
-    every statistic of the batch reads it; the per-trial click tables,
-    classifications and acceptance flags are derived from the codes.
+    A single-party batch has theta2 None and codes below 4.  The 16-bin
+    code histogram is computed once and every statistic of the batch reads
+    it; the per-trial click tables, classifications and acceptance flags
+    are derived from the codes.
     """
 
     __slots__ = ("theta1", "theta2", "codes", "histogram", "policy")
 
-    def __init__(
-        self, theta1, theta2, clicks1=None, clicks2=None, policy=POLICY_KEEP_SINGLES, *, codes=None
-    ):
+    def __init__(self, theta1, theta2, codes, policy=POLICY_KEEP_SINGLES):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.theta1 = float(theta1)
         self.theta2 = None if theta2 is None else float(theta2)
         self.policy = policy
-        if codes is None:
-            if (clicks2 is None) != (self.theta2 is None):
-                raise ValueError("theta2 and clicks2 must be provided together")
-            codes = _encode_clicks(clicks1, clicks2)
-        elif clicks1 is not None or clicks2 is not None:
-            raise ValueError("give click tables or codes, not both")
         codes = np.asarray(codes, dtype=np.uint8)
         if codes.ndim != 1:
             raise ValueError("codes must be one-dimensional")
@@ -352,8 +333,8 @@ class TrialBatch:
         self.codes = codes
         # bincount widens its input to intp (8 bytes per trial), so count by chunks
         self.histogram = np.zeros(_N_CODES, dtype=np.int64)
-        for lo in range(0, codes.size, TRIAL_CHUNK):
-            self.histogram += np.bincount(codes[lo : lo + TRIAL_CHUNK], minlength=_N_CODES)
+        for lo in range(0, codes.size, CHUNK):
+            self.histogram += np.bincount(codes[lo : lo + CHUNK], minlength=_N_CODES)
 
     @property
     def n_trials(self) -> int:
@@ -424,14 +405,12 @@ def run_trials(
     """Coincidence run: one sampled field pair per time window.
 
     Party i sits behind a polarization splitter at angle theta_i, and a
-    channel clicks when its power exceeds `threshold`.  Trials are processed
-    in chunks of TRIAL_CHUNK aligned to Philox blocks: draw the chunk,
-    colour it and project both parties onto their splitter bases with one
-    product, threshold, and pack each trial into a click code.  `workers`
-    threads fill block-aligned slices of one code array, so memory is
-    O(TRIAL_CHUNK) per worker plus one byte per trial.  Party 2's field is
-    the conjugate of the sampled coordinates, which leaves |R^T z|^2
-    unchanged for the real splitter basis R, so the conjugate is never formed.
+    channel clicks when its power exceeds `threshold`.  Both splitter bases
+    are folded into the sampling factor, so one product per chunk gives all
+    four channel amplitudes (`_click_codes`); memory is one chunk per worker
+    plus one byte per trial.  Party 2's field is the conjugate of the
+    sampled coordinates, which leaves |R^T z|^2 unchanged for the real
+    splitter basis R, so the conjugate is never formed.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -444,18 +423,8 @@ def run_trials(
     basis[2:, 2:] = _splitter_basis(theta2)
     # rows of the sampled pairs times basis: (xi S^T) basis = xi (basis^T S)^T
     factor = basis.T @ ensemble.sampler_factor
-    codes = np.empty(n_trials, dtype=np.uint8)
-
-    def fill(lo: int, stop: int) -> None:
-        while lo < stop:
-            hi = min(stop, (lo // TRIAL_CHUNK + 1) * TRIAL_CHUNK)
-            amplitudes = sample_with_factor(factor, hi - lo, seed, lo, STREAM_PAIRS)
-            clicks = amplitudes.real**2 + amplitudes.imag**2 > threshold
-            codes[lo - start_index : hi - start_index] = _pack_codes(clicks)
-            lo = hi
-
-    map_block_ranges(fill, start_index, start_index + n_trials, workers)
-    return TrialBatch(theta1, theta2, policy=policy, codes=codes)
+    codes = _click_codes(factor, threshold, n_trials, seed, start_index, STREAM_PAIRS, workers)
+    return TrialBatch(theta1, theta2, codes, policy)
 
 
 def run_single_party_trials(
@@ -466,13 +435,14 @@ def run_single_party_trials(
     start_index: int = 0,
     policy: str = POLICY_KEEP_SINGLES,
 ) -> TrialBatch:
-    """Threshold trials on a single field ensemble with a fixed two-channel detector."""
+    """Threshold trials on a single two-channel field ensemble."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if detector.dim != ensemble.dim:
-        raise ValueError(f"dimension mismatch: {detector.dim} vs {ensemble.dim}")
-    samples = sample_with_factor(ensemble.sampler_factor, n_trials, seed, start_index, STREAM_TRIALS)
-    return TrialBatch(0.0, None, detector.clicks(samples), None, policy)
+    if ensemble.dim != 2:
+        raise ValueError(f"the detector has two channels, the ensemble dimension is {ensemble.dim}")
+    factor = _splitter_basis(detector.theta).T @ ensemble.sampler_factor
+    codes = _click_codes(factor, detector.threshold, n_trials, seed, start_index, STREAM_TRIALS)
+    return TrialBatch(detector.theta, None, codes, policy)
 
 
 @dataclass(frozen=True)
@@ -586,7 +556,7 @@ def calibrate_threshold(
         d_grid = np.geomspace(1e-3, 1.0, 61)
     ens = ensemble_from_density(DensityOperator.maximally_mixed(dim), BackgroundField(epsilon))
     samples = sample_with_factor(ens.sampler_factor, n_trials, seed, 0, STREAM_CALIBRATION)
-    powers = ThresholdDetector(0.0, pbs_projectors(0.0)).channel_powers(samples)
+    powers = ThresholdDetector(0.0).channel_powers(samples)
     grid = []
     best = None
     for d in d_grid:

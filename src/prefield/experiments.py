@@ -80,7 +80,7 @@ from .random_field import (
     BackgroundField,
     RandomSeed,
     ensemble_from_pure_state,
-    map_block_ranges,
+    for_each_chunk,
 )
 
 EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", "chsh", "kolmogorov", "triangle")
@@ -287,11 +287,6 @@ def _random_hermitian(rng, dim: int, spectral_radius: float | None = None) -> He
     return HermitianOperator(h)
 
 
-def _sample_parallel(ensemble, n: int, seed: RandomSeed, workers: int) -> np.ndarray:
-    parts = map_block_ranges(lambda lo, hi: ensemble.sample(hi - lo, seed, lo), 0, n, workers)
-    return np.concatenate(parts, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 
@@ -315,8 +310,12 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     result.check_abs("born_exact_identity", born - oracle, 1e-10)
 
     seed = RandomSeed(config.seed)
-    samples = _sample_parallel(ensemble, config.samples, seed, config.workers)
-    vals = form.evaluate_batch(samples)
+    vals = np.empty(config.samples)
+
+    def fill(lo: int, hi: int) -> None:
+        vals[lo:hi] = form.evaluate_batch(ensemble.sample(hi - lo, seed, lo))
+
+    for_each_chunk(fill, 0, config.samples, config.workers)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(config.samples))
     result.add_mc("mc_average", mean, se, config.samples)

@@ -59,17 +59,6 @@ class FieldVector:
             raise ValueError("cannot normalize the zero vector")
         return FieldVector(self._components / n)
 
-    def to_payload(self) -> dict:
-        from .serialize import vector_payload
-
-        return vector_payload(self._components)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FieldVector":
-        from .serialize import pairs_to_complex
-
-        return cls(pairs_to_complex(payload["data"]))
-
     def __repr__(self) -> str:
         return f"FieldVector(dim={self.dim})"
 
@@ -138,12 +127,6 @@ class HermitianOperator:
         from .serialize import operator_payload
 
         return operator_payload(self._matrix)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "HermitianOperator":
-        from .serialize import pairs_to_complex
-
-        return cls(pairs_to_complex(payload["data"]))
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"

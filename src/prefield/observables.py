@@ -68,22 +68,13 @@ class QuadraticForm:
 class FieldFunctional:
     """Smooth real functional of the field with f(0) = 0.
 
-    The evaluator takes a complex coordinate array.  An optional analytic
-    gradient (in the stacked real coordinates (q, p)) enables independent
-    finite-difference cross-checks; an optional batch evaluator speeds up
-    Monte Carlo.  Evaluators must be side-effect free.
+    The evaluator takes a complex coordinate array and must be side-effect
+    free; `smoothness_order` is how often it is differentiable at zero.
     """
 
-    __slots__ = ("evaluator", "dim", "smoothness_order", "gradient", "_batch")
+    __slots__ = ("evaluator", "dim", "smoothness_order")
 
-    def __init__(
-        self,
-        evaluator: Callable[[np.ndarray], float],
-        dim: int,
-        smoothness_order: int = 2,
-        gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-        batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, evaluator: Callable[[np.ndarray], float], dim: int, smoothness_order: int = 2):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         at_zero = evaluator(np.zeros(dim, dtype=np.complex128))
@@ -92,36 +83,15 @@ class FieldFunctional:
         self.evaluator = evaluator
         self.dim = dim
         self.smoothness_order = smoothness_order
-        self.gradient = gradient
-        self._batch = batch_evaluator
-
-    def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(samples, dtype=np.complex128)
-        if self._batch is not None:
-            return np.asarray(self._batch(x), dtype=np.float64)
-        return np.array([self.evaluator(row) for row in x], dtype=np.float64)
 
 
 def quadratic_functional(operator: HermitianOperator) -> FieldFunctional:
-    """FieldFunctional wrapper of <A phi, phi> with analytic phase-space gradient."""
-    form = QuadraticForm(operator)
-    n = operator.dim
-    r = operator.matrix.real.copy()
-    j = operator.matrix.imag.copy()
+    """FieldFunctional of <A phi, phi>."""
 
     def evaluator(phi):
         return float(np.vdot(phi, operator.matrix @ phi).real)
 
-    def gradient(x):
-        q, p = x[:n], x[n:]
-        # f(q, p) = q^T R q + p^T R p - 2 q^T J p  for A = R + iJ
-        gq = 2.0 * (r @ q) - 2.0 * (j @ p)
-        gp = 2.0 * (r @ p) + 2.0 * (j @ q)
-        return np.concatenate([gq, gp])
-
-    return FieldFunctional(
-        evaluator, n, smoothness_order=2, gradient=gradient, batch_evaluator=form.evaluate_batch
-    )
+    return FieldFunctional(evaluator, operator.dim)
 
 
 def quartic_power_functional(dim: int, weight: float = 1.0) -> FieldFunctional:
@@ -130,13 +100,7 @@ def quartic_power_functional(dim: int, weight: float = 1.0) -> FieldFunctional:
     def evaluator(phi):
         return float(weight) * float(np.vdot(phi, phi).real) ** 2
 
-    def gradient(x):
-        return 4.0 * float(weight) * float(x @ x) * x
-
-    def batch(xs):
-        return float(weight) * np.einsum("ni,ni->n", xs.conj(), xs).real ** 2
-
-    return FieldFunctional(evaluator, dim, smoothness_order=4, gradient=gradient, batch_evaluator=batch)
+    return FieldFunctional(evaluator, dim, smoothness_order=4)
 
 
 def quadratic_plus_quartic(operator: HermitianOperator, quartic_weight: float = 1.0) -> FieldFunctional:
@@ -147,13 +111,7 @@ def quadratic_plus_quartic(operator: HermitianOperator, quartic_weight: float = 
     def evaluator(phi):
         return quad.evaluator(phi) + quart.evaluator(phi)
 
-    def gradient(x):
-        return quad.gradient(x) + quart.gradient(x)
-
-    def batch(xs):
-        return quad.evaluate_batch(xs) + quart.evaluate_batch(xs)
-
-    return FieldFunctional(evaluator, operator.dim, smoothness_order=4, gradient=gradient, batch_evaluator=batch)
+    return FieldFunctional(evaluator, operator.dim, smoothness_order=4)
 
 
 def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm) -> float:
@@ -163,16 +121,15 @@ def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm
 
 def classical_average_mc(
     ensemble: GaussianFieldEnsemble,
-    functional: FieldFunctional | QuadraticForm,
+    form: QuadraticForm,
     n_samples: int,
     seed: RandomSeed,
     start_index: int = 0,
 ) -> MCEstimate:
-    """Monte Carlo average of a field functional over the ensemble."""
+    """Monte Carlo average of a quadratic form over the ensemble."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    samples = ensemble.sample(n_samples, seed, start_index)
-    vals = functional.evaluate_batch(samples)
+    vals = form.evaluate_batch(ensemble.sample(n_samples, seed, start_index))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return MCEstimate(mean, se, n_samples)

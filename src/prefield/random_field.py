@@ -13,7 +13,9 @@ pure-state covariances, unlike Cholesky) and xi a standard circular
 complex Gaussian.  Streams are counter-based Philox generators keyed by
 (master seed, stream label, block index): sample i of a run lives in block
 i // SAMPLE_BLOCK, so any partition of the index range across workers
-reproduces bit-identical fields.
+reproduces bit-identical fields.  `for_each_chunk` is the one streaming
+loop: every sampling consumer walks its index range in block-aligned
+chunks, on the calling thread or on workers, and fills a preallocated array.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ SAMPLE_BLOCK = 4096
 # a block the product stays on the calling thread.  A row's bits do not
 # depend on m (m >= 2), so the slicing leaves every sample unchanged.
 _COLOUR_ROWS = SAMPLE_BLOCK // 2
+
+# Samples per chunk, aligned to Philox blocks.  Eight blocks keep the
+# per-chunk interpreter work (one sampling call and the consumer's passes
+# over it) small against the draws, at about 5 MB of working memory per worker.
+CHUNK = 8 * SAMPLE_BLOCK
 
 # Fewest Philox blocks worth a thread of their own (about 50 ms of draws and
 # colouring).  A split costs a thread start, a join and hand-offs of the
@@ -128,7 +135,7 @@ def sample_with_factor(
         block_lo = block * SAMPLE_BLOCK
         a = max(lo, block_lo) - block_lo
         b = min(hi, block_lo + SAMPLE_BLOCK) - block_lo
-        if b - a == 1 and n_samples > 1:
+        if b - a == 1:
             # numpy colours a lone row with gemv, whose rounding differs from
             # the rows of a longer product: colour it inside a two-row product
             # so that its bits do not depend on where the request starts or ends
@@ -161,20 +168,30 @@ def block_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def map_block_ranges(fn, start: int, stop: int, workers: int) -> list:
-    """fn(lo, hi) on contiguous block-aligned ranges covering [start, stop), results in order.
+def for_each_chunk(fn, start: int, stop: int, workers: int) -> None:
+    """fn(lo, hi) on chunks of [start, stop) that end on multiples of CHUNK.
 
-    Several ranges run on threads: the draws and products inside release
-    the interpreter lock.  Each thread gets at least _WORKER_BLOCKS blocks,
-    so shorter runs use fewer threads, down to the calling one.
+    The chunks tile the range; callers fill arrays they allocated up front.
+    Contiguous block-aligned ranges of chunks run on threads (the draws and
+    products inside release the interpreter lock).  Each thread gets at
+    least _WORKER_BLOCKS blocks, so shorter runs use fewer threads, down to
+    the calling one.
     """
+
+    def walk(lo: int, hi: int) -> None:
+        while lo < hi:
+            end = min(hi, (lo // CHUNK + 1) * CHUNK)
+            fn(lo, end)
+            lo = end
+
     blocks = -(-stop // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
     ranges = block_ranges(start, stop, min(workers, blocks // _WORKER_BLOCKS))
     if len(ranges) == 1:
-        return [fn(*ranges[0])]
+        walk(*ranges[0])
+        return
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+        for future in [pool.submit(walk, lo, hi) for lo, hi in ranges]:
+            future.result()
 
 
 class GaussianFieldEnsemble:

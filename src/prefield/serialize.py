@@ -22,17 +22,6 @@ def complex_to_pairs(arr: np.ndarray):
     return stacked.tolist()
 
 
-def pairs_to_complex(payload) -> np.ndarray:
-    a = np.asarray(payload, dtype=np.float64)
-    if a.shape[-1] != 2:
-        raise ValueError("expected trailing [re, im] pairs")
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def vector_payload(components: np.ndarray) -> dict:
-    return {"kind": "vector", "dim": int(components.size), "data": complex_to_pairs(components)}
-
-
 def operator_payload(matrix: np.ndarray) -> dict:
     return {"kind": "operator", "dim": int(matrix.shape[0]), "data": complex_to_pairs(matrix)}
 

@@ -236,7 +236,7 @@ class TestCriterion6ThresholdDetection:
         """
         cal = calibrate_threshold(BORN_CLICK_EPSILON, BORN_SINGLE_FRACTION_TARGET, SEED)
         assert cal.balanced
-        det = ThresholdDetector(cal.threshold, pbs_projectors(0.0))
+        det = ThresholdDetector(cal.threshold)
         worst = 0.0
         for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
             psi = FieldVector([math.cos(alpha), math.sin(alpha)])
@@ -259,7 +259,7 @@ class TestCriterion6ThresholdDetection:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(CHSH_CLICK_EPSILON))
         n = 100_000
         phi1, _ = ens.sample_pairs(n, SEED)
-        powers = ThresholdDetector(0.0, pbs_projectors(0.0)).channel_powers(phi1)
+        powers = ThresholdDetector(0.0).channel_powers(phi1)
         previous = None
         for d in np.geomspace(0.01, 2.0, 12):
             rate = float(((powers > d).sum(axis=1) == 2).mean())

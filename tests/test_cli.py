@@ -1,12 +1,13 @@
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from prefield.cli import main, parse_config_file
-from prefield.experiments import ExperimentConfig, validate
+from prefield.experiments import ExperimentConfig, run_born, validate
 from prefield.random_field import SAMPLE_BLOCK, block_ranges
 
 
@@ -103,6 +104,14 @@ class TestExitCodes:
         assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert abs(results["values"]["S_exact"]["value"]) <= 2.0
+
+    def test_chsh_lhv_two_trials_passes_at_every_seed(self, tmp_path):
+        # two trials per setting pair can agree in every cell (|S| = 4); the
+        # standard error must still leave room for the 5 se tolerance
+        for seed in range(20):
+            out = tmp_path / f"s{seed}"
+            argv = ["chsh", "--seed", str(seed), "--model", "lhv", "--trials", "2", "--out", str(out)]
+            assert main(argv) == 0, f"seed {seed}"
 
     def test_kolmogorov_singlet_infeasible(self, tmp_path):
         out = tmp_path / "kol"
@@ -240,6 +249,19 @@ class TestDeterminism:
                 assert hi % SAMPLE_BLOCK == 0
             blocks = -(-(start + total) // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
             assert len(ranges) == min(workers, blocks)
+
+
+class TestMemory:
+    def test_born_streams_its_samples(self):
+        """run_born holds one chunk of samples at a time, not all of them."""
+        tracemalloc.start()
+        try:
+            result = run_born(ExperimentConfig(kind="born", seed=7, samples=1_000_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.values["mc_average"]["n"] == 1_000_000
+        assert peak < 32 * 2**20
 
 
 class TestProvenance:

@@ -79,28 +79,31 @@ class TestPBSProjectors:
             assert np.abs(plus.matrix @ minus.matrix).max() <= 1e-14
 
 
+def codes_of(*tables):
+    """Click codes of boolean (n, 2) click tables, party 1 first."""
+    bits = np.concatenate(tables, axis=1).astype(np.uint8)
+    return bits @ (1 << np.arange(bits.shape[1], dtype=np.uint8))
+
+
 class TestThresholdDetector:
-    def test_rejects_incomplete_channels(self):
-        p, _ = pbs_projectors(0.0)
-        with pytest.raises(ValueError, match="identity"):
-            ThresholdDetector(0.1, (p,))
-
-    def test_rejects_overlapping_channels(self):
-        p, _ = pbs_projectors(0.0)
-        q, _ = pbs_projectors(0.3)
-        with pytest.raises(ValueError):
-            ThresholdDetector(0.1, (p, q))
-
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
-            ThresholdDetector(-0.1, pbs_projectors(0.0))
+            ThresholdDetector(-0.1)
 
     def test_channel_powers_sum_to_total(self):
         rng = np.random.default_rng(0)
-        det = ThresholdDetector(0.1, pbs_projectors(0.7))
+        det = ThresholdDetector(0.1, 0.7)
         x = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
         powers = det.channel_powers(x)
         np.testing.assert_allclose(powers.sum(axis=1), (np.abs(x) ** 2).sum(axis=1), atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -2.1])
+    def test_channel_powers_are_projector_expectations(self, theta):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+        expected = [[np.vdot(row, p.matrix @ row).real for p in pbs_projectors(theta)] for row in x]
+        np.testing.assert_allclose(ThresholdDetector(0.1, theta).channel_powers(x), expected, atol=1e-12)
+        np.testing.assert_array_equal(ThresholdDetector(0.1, theta).clicks(x), np.array(expected) > 0.1)
 
 
 class TestBipartiteConstruction:
@@ -241,7 +244,7 @@ class TestTrials:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
         n = 100_000
         phi1, _ = ens.sample_pairs(n, SEED)
-        det0 = ThresholdDetector(0.0, pbs_projectors(0.0))
+        det0 = ThresholdDetector(0.0)
         powers = det0.channel_powers(phi1)
         previous = None
         for d in np.geomspace(0.01, 2.0, 12):
@@ -259,7 +262,7 @@ class TestTrials:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
         n = 100_000
         phi1, phi2 = ens.sample_pairs(n, SEED)
-        det0 = ThresholdDetector(0.0, pbs_projectors(0.0))
+        det0 = ThresholdDetector(0.0)
         p1, p2 = det0.channel_powers(phi1), det0.channel_powers(phi2)
         previous = None
         for d in np.geomspace(0.5, 4.0, 10):
@@ -300,7 +303,7 @@ class TestTrials:
 
 class TestClickStatistics:
     def test_all_none_flagged_degenerate(self):
-        batch = TrialBatch(0.0, 0.1, np.zeros((10, 2), bool), np.zeros((10, 2), bool))
+        batch = TrialBatch(0.0, 0.1, codes_of(np.zeros((10, 2), bool), np.zeros((10, 2), bool)))
         stats = click_statistics(batch)
         assert stats.n_accepted == 0
         assert stats.coincidences is None
@@ -308,7 +311,7 @@ class TestClickStatistics:
     def test_synthetic_counts(self):
         clicks1 = np.array([[1, 0], [1, 0], [0, 1], [1, 1]], bool)
         clicks2 = np.array([[0, 1], [1, 0], [0, 1], [0, 0]], bool)
-        batch = TrialBatch(0.0, 0.2, clicks1, clicks2)
+        batch = TrialBatch(0.0, 0.2, codes_of(clicks1, clicks2))
         stats = click_statistics(batch)
         assert stats.n_accepted == 3
         assert stats.parties[0].double_rate == pytest.approx(0.25)
@@ -316,24 +319,22 @@ class TestClickStatistics:
         assert stats.coincidences == {(1, 1): 1, (1, -1): 1, (-1, 1): 0, (-1, -1): 1}
 
     def test_correlation_from_synthetic_batches(self):
-        all_pp = TrialBatch(0.0, 0.0, np.tile([True, False], (8, 1)), np.tile([True, False], (8, 1)))
+        plus = np.tile([True, False], (8, 1))
+        all_pp = TrialBatch(0.0, 0.0, codes_of(plus, plus))
         assert correlation_from_clicks(all_pp)[0] == pytest.approx(1.0)
         balanced = TrialBatch(
-            0.0,
-            0.0,
-            np.tile([True, False], (8, 1)),
-            np.array([[True, False], [False, True]] * 4, bool),
+            0.0, 0.0, codes_of(plus, np.array([[True, False], [False, True]] * 4, bool))
         )
         assert correlation_from_clicks(balanced)[0] == pytest.approx(0.0)
 
     def test_no_accepted_coincidences_raises(self):
-        batch = TrialBatch(0.0, 0.0, np.ones((5, 2), bool), np.ones((5, 2), bool))
+        batch = TrialBatch(0.0, 0.0, codes_of(np.ones((5, 2), bool), np.ones((5, 2), bool)))
         with pytest.raises(ValueError, match="accepted"):
             correlation_from_clicks(batch)
 
     def test_keep_all_policy_accepts_everything(self):
         batch = TrialBatch(
-            0.0, 0.0, np.ones((5, 2), bool), np.ones((5, 2), bool), policy="keep-all"
+            0.0, 0.0, codes_of(np.ones((5, 2), bool), np.ones((5, 2), bool)), policy="keep-all"
         )
         assert batch.accepted.all()
 
@@ -346,7 +347,7 @@ class TestSingleParty:
 
         cal = calibrate_threshold(BORN_CLICK_EPSILON, BORN_SINGLE_FRACTION_TARGET, SEED)
         assert cal.balanced
-        det = ThresholdDetector(cal.threshold, pbs_projectors(0.0))
+        det = ThresholdDetector(cal.threshold)
         for alpha in (np.pi / 6, np.pi / 3):
             psi = FieldVector([np.cos(alpha), np.sin(alpha)])
             ens = ensemble_from_pure_state(psi, BackgroundField(BORN_CLICK_EPSILON))
@@ -396,7 +397,7 @@ def test_click_probability_quadrature_oracle(alpha):
 
     psi = FieldVector([np.cos(alpha), np.sin(alpha)])
     ens = ensemble_from_pure_state(psi, BackgroundField(eps))
-    det = ThresholdDetector(d, pbs_projectors(0.0))
+    det = ThresholdDetector(d)
     n = 400_000
     clicks = run_single_party_trials(ens, det, n, SEED).clicks1
     singles = (clicks[:, 0] & ~clicks[:, 1]).mean(), (clicks[:, 1] & ~clicks[:, 0]).mean()

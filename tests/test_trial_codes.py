@@ -1,9 +1,9 @@
 """The per-block click-code kernel against boolean-array reference paths.
 
 The references below are the straightforward implementations: clicks from
-`ThresholdDetector.clicks` on materialised sample pairs, statistics from
-boolean masks, and trial CSVs written row by row with `csv.writer`.  The
-code path must reproduce them exactly.
+the channel powers <phi, P_c phi> of the splitter projectors on materialised
+samples, statistics from boolean masks, and trial CSVs written row by row
+with `csv.writer`.  The code path must reproduce them exactly.
 """
 
 import csv
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from prefield.detection import (
-    TRIAL_CHUNK,
     BipartiteEnsemble,
     ClickStatistics,
     NoCoincidencesError,
@@ -24,14 +23,18 @@ from prefield.detection import (
     click_statistics,
     correlation_from_clicks,
     pbs_projectors,
+    run_single_party_trials,
     run_trials,
 )
 from prefield.hilbert import FieldVector
 from prefield.random_field import (
+    CHUNK,
     SAMPLE_BLOCK,
     STREAM_PAIRS,
+    STREAM_TRIALS,
     BackgroundField,
     RandomSeed,
+    ensemble_from_pure_state,
     sample_with_factor,
 )
 from prefield.serialize import _cell
@@ -40,6 +43,18 @@ SEED = RandomSeed(4242)
 SINGLET = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
 SINGLET_EPS_MIN = math.sqrt(0.5) - 0.5
 NAMES = {0: "none", 1: "single", 2: "double"}
+
+
+def projector_clicks(phi, theta, threshold):
+    """Click table from <phi, P_c phi> over pbs_projectors(theta), without the kernel."""
+    stack = np.stack([p.matrix for p in pbs_projectors(theta)])
+    return np.einsum("ni,cij,nj->nc", phi.conj(), stack, phi).real > threshold
+
+
+def codes_of(*tables):
+    """Click codes of boolean (n, 2) click tables, party 1 first."""
+    bits = np.concatenate(tables, axis=1).astype(np.uint8)
+    return bits @ (1 << np.arange(bits.shape[1], dtype=np.uint8))
 
 
 def reference_statistics(clicks1, clicks2, policy):
@@ -133,16 +148,16 @@ class TestKernel:
             (1_000, 5_000),
             (2 * SAMPLE_BLOCK + 17, 100),
             (SAMPLE_BLOCK - 300, 600),
-            (TRIAL_CHUNK - 300, 600),
-            (123, 2 * TRIAL_CHUNK + 5_000),
+            (CHUNK - 300, 600),
+            (123, 2 * CHUNK + 5_000),
         ],
     )
-    def test_codes_match_threshold_detector(self, theta1, theta2, threshold, eps, start, n):
+    def test_codes_match_projector_powers(self, theta1, theta2, threshold, eps, start, n):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
         batch = run_trials(ens, theta1, theta2, threshold, n, SEED, start_index=start)
         phi1, phi2 = ens.sample_pairs(n, SEED, start)
-        clicks1 = ThresholdDetector(threshold, pbs_projectors(theta1)).clicks(phi1)
-        clicks2 = ThresholdDetector(threshold, pbs_projectors(theta2)).clicks(phi2)
+        clicks1 = projector_clicks(phi1, theta1, threshold)
+        clicks2 = projector_clicks(phi2, theta2, threshold)
         bits = np.concatenate([clicks1, clicks2], axis=1).astype(int)
         np.testing.assert_array_equal(batch.codes, bits @ [1, 2, 4, 8])
         np.testing.assert_array_equal(batch.clicks1, clicks1)
@@ -153,7 +168,7 @@ class TestKernel:
     def test_folded_basis_matches_projecting_the_samples(self, theta1, theta2, threshold, eps):
         """Colouring and projecting in one product thresholds like z @ basis."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
-        start, n = 123, 2 * TRIAL_CHUNK + 5_000
+        start, n = 123, 2 * CHUNK + 5_000
         basis = np.zeros((4, 4), dtype=complex)
         basis[:2, :2], basis[2:, 2:] = splitter(theta1), splitter(theta2)
         amplitudes = sample_with_factor(ens.sampler_factor, n, SEED, start, STREAM_PAIRS) @ basis
@@ -161,6 +176,18 @@ class TestKernel:
         expected = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
         batch = run_trials(ens, theta1, theta2, threshold, n, SEED, start_index=start)
         np.testing.assert_array_equal(batch.codes, expected)
+
+    @pytest.mark.parametrize("theta, threshold", [(0.0, 0.0202), (0.6, 0.3), (-1.2, 0.05)])
+    @pytest.mark.parametrize("start, n", [(0, 5_000), (SAMPLE_BLOCK - 7, CHUNK + 9), (123, 2 * CHUNK + 5_000)])
+    def test_single_party_codes_match_projector_powers(self, theta, threshold, start, n):
+        psi = FieldVector([math.cos(0.4), math.sin(0.4) * 1j])
+        ens = ensemble_from_pure_state(psi, BackgroundField(0.06))
+        batch = run_single_party_trials(ens, ThresholdDetector(threshold, theta), n, SEED, start)
+        phi = sample_with_factor(ens.sampler_factor, n, SEED, start, STREAM_TRIALS)
+        clicks = projector_clicks(phi, theta, threshold)
+        np.testing.assert_array_equal(batch.codes, codes_of(clicks))
+        np.testing.assert_array_equal(batch.clicks1, clicks)
+        assert batch.theta1 == theta and not batch.bipartite
 
     def test_memory_is_one_chunk_plus_one_byte_per_trial(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
@@ -192,7 +219,7 @@ class TestHistogramStatistics:
     @pytest.mark.parametrize("p", [0.02, 0.3, 0.8])
     def test_bipartite_statistics_match_boolean_reference(self, policy, p):
         clicks1, clicks2 = random_clicks(int(p * 100), 20_011, p)
-        batch = TrialBatch(0.1, 0.2, clicks1, clicks2, policy)
+        batch = TrialBatch(0.1, 0.2, codes_of(clicks1, clicks2), policy)
         stats = click_statistics(batch)
         assert stats == reference_statistics(clicks1, clicks2, policy)
         assert stats.accepted_fraction == reference_accepted(clicks1, clicks2, policy).mean()
@@ -202,28 +229,18 @@ class TestHistogramStatistics:
     @pytest.mark.parametrize("policy", ["keep-singles", "keep-all"])
     def test_single_party_statistics_match_boolean_reference(self, policy):
         clicks1, _ = random_clicks(5, 9_999, 0.4)
-        batch = TrialBatch(0.0, None, clicks1, None, policy)
+        batch = TrialBatch(0.0, None, codes_of(clicks1), policy)
         assert click_statistics(batch) == reference_statistics(clicks1, None, policy)
 
     def test_zero_accepted_is_a_dedicated_error(self):
-        batch = TrialBatch(0.0, 0.0, np.ones((5, 2), bool), np.zeros((5, 2), bool))
+        batch = TrialBatch(0.0, 0.0, codes_of(np.ones((5, 2), bool), np.zeros((5, 2), bool)))
         with pytest.raises(NoCoincidencesError):
             correlation_from_clicks(batch)
         assert click_statistics(batch).n_accepted == 0
 
-    def test_codes_and_click_tables_build_the_same_batch(self):
-        clicks1, clicks2 = random_clicks(9, 1_000, 0.5)
-        a = TrialBatch(0.0, 0.5, clicks1, clicks2)
-        b = TrialBatch(0.0, 0.5, codes=a.codes)
-        np.testing.assert_array_equal(a.histogram, b.histogram)
-        np.testing.assert_array_equal(b.clicks1, clicks1)
-        np.testing.assert_array_equal(b.clicks2, clicks2)
-
     def test_rejects_codes_outside_the_party_layout(self):
         with pytest.raises(ValueError, match="below 4"):
-            TrialBatch(0.0, None, codes=np.array([0, 5], dtype=np.uint8))
-        with pytest.raises(ValueError, match="channel"):
-            TrialBatch(0.0, None, np.zeros((3, 3), bool), None)
+            TrialBatch(0.0, None, np.array([0, 5], dtype=np.uint8))
 
 
 class TestTrialCsv:
@@ -234,9 +251,10 @@ class TestTrialCsv:
     def test_bytes_match_row_by_row_writer(self, tmp_path, bipartite, policy):
         clicks1, clicks2 = random_clicks(3, 3_000, 0.45)
         theta1, theta2 = -math.pi / 8, 3 * math.pi / 8
+        codes = codes_of(clicks1, clicks2)
         if not bipartite:
-            clicks2, theta2 = None, None
-        batch = TrialBatch(theta1, theta2, clicks1, clicks2, policy)
+            clicks2, theta2, codes = None, None, codes_of(clicks1)
+        batch = TrialBatch(theta1, theta2, codes, policy)
         batch.to_csv(tmp_path / "codes.csv")
         reference_csv(tmp_path / "rows.csv", theta1, theta2, clicks1, clicks2, policy)
         assert (tmp_path / "codes.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
