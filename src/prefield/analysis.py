@@ -447,21 +447,19 @@ def lhv_sampled_table(
     if n_per_pair < 2:
         raise ValueError("n_per_pair must be >= 2")
     freq = np.zeros((2, 2, 2, 2))
-    counts = np.zeros((2, 2), dtype=np.int64)
     for x in range(2):
         for y in range(2):
             rng = seed.stream(STREAM_HIDDEN_VARIABLE, x * 2 + y)
             lam = rng.uniform(0.0, math.pi, size=n_per_pair)
             flips_a = rng.uniform(0.0, 1.0, size=n_per_pair) < flip_probability
             flips_b = rng.uniform(0.0, 1.0, size=n_per_pair) < flip_probability
-            out_a = np.where(np.cos(2.0 * (lam - a_settings[x])) >= 0.0, 1, -1)
-            out_b = np.where(np.cos(2.0 * (lam - b_settings[y])) >= 0.0, 1, -1)
-            out_a = np.where(flips_a, -out_a, out_a)
-            out_b = np.where(flips_b, -out_b, out_b)
-            for i, a in enumerate(_OUTCOMES):
-                for j, b in enumerate(_OUTCOMES):
-                    freq[x, y, i, j] = float(((out_a == a) & (out_b == b)).mean())
-            counts[x, y] = n_per_pair
+            # bit set = the party answers -1, the second of _OUTCOMES
+            minus_a = (np.cos(2.0 * (lam - a_settings[x])) < 0.0) ^ flips_a
+            minus_b = (np.cos(2.0 * (lam - b_settings[y])) < 0.0) ^ flips_b
+            code = (minus_a.view(np.uint8) << 1) | minus_b.view(np.uint8)
+            # a count over n is bit-identical to the mean of the boolean mask
+            freq[x, y] = (np.bincount(code, minlength=4) / n_per_pair).reshape(2, 2)
+    counts = np.full((2, 2), n_per_pair, dtype=np.int64)
     return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq, counts)
 
 

@@ -59,7 +59,6 @@ from .detection import (
 )
 from .dynamics import (
     HamiltonianSystem,
-    PhasePoint,
     SymplecticIntegrator,
     covariance_derivative,
     evolve_ensemble,
@@ -101,7 +100,8 @@ CHSH_TARGET = 2.6
 DEFAULT_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
 
 TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
-DYNAMICS_MAX_STEPS = 1_000_000  # drift-table steps; about 25 s of stepping on one core
+DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
+DYNAMICS_MAX_STEPS = 1_000_000  # integrate plus drift-table steps; about 2 s of stepping on one core
 
 
 @dataclass
@@ -144,6 +144,15 @@ class ExperimentConfig:
         return out
 
 
+def _dynamics_steps(t: float, dt: float) -> float:
+    """Steps run_dynamics takes: `integrate` to t, then the drift table to DRIFT_HORIZON.
+
+    Rounded in floats, so a huge or non-finite ratio compares instead of raising.
+    """
+    integrate_steps = max(1.0, np.rint(t / dt)) if t > 0.0 else 0.0
+    return float(integrate_steps + np.rint(DRIFT_HORIZON / dt))
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Schema and range diagnostics only; no computation."""
     problems = []
@@ -184,10 +193,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append(f"unknown policy {config.policy!r}; expected one of {POLICIES}")
     if config.dt <= 0.0:
         problems.append("dt must be positive")
-    elif config.kind == "dynamics" and max(10.0, config.time_horizon) / config.dt > DYNAMICS_MAX_STEPS:
+    elif config.kind == "dynamics" and _dynamics_steps(config.time_horizon, config.dt) > DYNAMICS_MAX_STEPS:
         problems.append(
-            f"dt too small for the horizon: dynamics integrates max(10, time) / dt steps, "
-            f"at most {DYNAMICS_MAX_STEPS}"
+            f"dt too small for the horizon: dynamics takes round(time / dt) + "
+            f"round({DRIFT_HORIZON:g} / dt) steps, at most {DYNAMICS_MAX_STEPS}"
         )
     if config.step <= 0.0:
         problems.append("step must be positive")
@@ -343,17 +352,18 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
 
     u = exact_propagator(h_op, t)
     target = u @ phi0.components
-    final = integrate(system, PhasePoint.from_field(phi0), t, dt)
-    state_error = float(np.linalg.norm((final.q + 1j * final.p) - target))
+    x0 = np.concatenate((phi0.components.real, phi0.components.imag))
+    final = integrate(system, x0, t, dt)
+    state_error = float(np.linalg.norm((final[:dim] + 1j * final[dim:]) - target))
     result.add_exact("state_error_vs_exact", state_error)
     result.check_abs("integrator_matches_propagator", state_error, 1e-4)
 
-    # long-horizon drift: energy and norm along t in [0, 10]
+    # long-horizon drift: energy and norm along t in [0, DRIFT_HORIZON]
     integrator = SymplecticIntegrator(system, dt)
-    point = PhasePoint.from_field(phi0)
-    e0 = system.hamilton_function(point)
-    n0 = float(point.q @ point.q + point.p @ point.p)
-    steps = int(round(10.0 / dt))
+    x = x0
+    e0 = system.hamilton_function(x)
+    n0 = float(x @ x)
+    steps = int(round(DRIFT_HORIZON / dt))
     energy_drift = 0.0
     norm_drift = 0.0
     stride = max(1, steps // 1000)
@@ -361,18 +371,13 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for k in range(steps + 1):
         if k % stride == 0 or k == steps:
-            e = system.hamilton_function(point)
-            n = float(point.q @ point.q + point.p @ point.p)
+            e = system.hamilton_function(x)
+            n = float(x @ x)
             energy_drift = max(energy_drift, abs(e - e0))
             norm_drift = max(norm_drift, abs(n - n0))
-            rows.append(
-                [k * dt]
-                + [v for v in point.q]
-                + [v for v in point.p]
-                + [e, n]
-            )
+            rows.append([k * dt] + x.tolist() + [e, n])
         if k < steps:
-            point = integrator.step(point)
+            x = integrator.step(x)
     result.tables["trajectory"] = (header, rows)
     result.add_exact("energy_drift", energy_drift)
     result.add_exact("norm_drift", norm_drift)

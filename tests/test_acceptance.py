@@ -34,7 +34,6 @@ from prefield.detection import (
 )
 from prefield.dynamics import (
     HamiltonianSystem,
-    PhasePoint,
     SymplecticIntegrator,
     covariance_derivative,
     evolve_ensemble,
@@ -146,20 +145,21 @@ def test_criterion_3_dynamics_equivalence():
     phi0 = rand_unit(rng, 4)
     system = HamiltonianSystem(h)
 
-    final = integrate(system, PhasePoint.from_field(phi0), 1.0, 1e-3)
+    x0 = np.concatenate((phi0.components.real, phi0.components.imag))
+    final = integrate(system, x0, 1.0, 1e-3)
     target = exact_propagator(h, 1.0) @ phi0.components
-    state_error = float(np.linalg.norm((final.q + 1j * final.p) - target))
+    state_error = float(np.linalg.norm((final[:4] + 1j * final[4:]) - target))
     assert state_error <= 1e-4
 
     integrator = SymplecticIntegrator(system, 1e-3)
-    point = PhasePoint.from_field(phi0)
-    e0 = system.hamilton_function(point)
-    n0 = float(point.q @ point.q + point.p @ point.p)
+    x = x0
+    e0 = system.hamilton_function(x)
+    n0 = float(x @ x)
     energy_drift = norm_drift = 0.0
     for _ in range(10_000):  # t in [0, 10]
-        point = integrator.step(point)
-        energy_drift = max(energy_drift, abs(system.hamilton_function(point) - e0))
-        norm_drift = max(norm_drift, abs(float(point.q @ point.q + point.p @ point.p) - n0))
+        x = integrator.step(x)
+        energy_drift = max(energy_drift, abs(system.hamilton_function(x) - e0))
+        norm_drift = max(norm_drift, abs(float(x @ x) - n0))
     assert energy_drift <= 1e-6
     assert norm_drift <= 1e-6
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefield.analysis import (
+    DEFAULT_LHV_FLIP,
     CorrelationTable,
     FeasibilityVerdict,
     SignallingDataError,
@@ -21,10 +22,31 @@ from prefield.analysis import (
     table_to_json,
     triangle_angle_test,
 )
-from prefield.random_field import RandomSeed
+from prefield.random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 
 CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
 SPEC_GRID_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+
+
+def lhv_sampled_table_by_masks(a_settings, b_settings, n_per_pair, seed):
+    """The flip-model table tabulated by 16 boolean-mask means, as a reference."""
+    freq = np.zeros((2, 2, 2, 2))
+    counts = np.zeros((2, 2), dtype=np.int64)
+    for x in range(2):
+        for y in range(2):
+            rng = seed.stream(STREAM_HIDDEN_VARIABLE, x * 2 + y)
+            lam = rng.uniform(0.0, math.pi, size=n_per_pair)
+            flips_a = rng.uniform(0.0, 1.0, size=n_per_pair) < DEFAULT_LHV_FLIP
+            flips_b = rng.uniform(0.0, 1.0, size=n_per_pair) < DEFAULT_LHV_FLIP
+            out_a = np.where(np.cos(2.0 * (lam - a_settings[x])) >= 0.0, 1, -1)
+            out_b = np.where(np.cos(2.0 * (lam - b_settings[y])) >= 0.0, 1, -1)
+            out_a = np.where(flips_a, -out_a, out_a)
+            out_b = np.where(flips_b, -out_b, out_b)
+            for i, a in enumerate((1, -1)):
+                for j, b in enumerate((1, -1)):
+                    freq[x, y, i, j] = float(((out_a == a) & (out_b == b)).mean())
+            counts[x, y] = n_per_pair
+    return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq, counts)
 
 
 def table_from_correlations(corr, ses=None):
@@ -199,6 +221,19 @@ class TestFeasibility:
         assert not verdict.feasible
         worst = max(abs(v) for _, v in verdict.violated_inequalities)
         assert worst == pytest.approx(4.0, abs=1e-12)
+
+
+class TestLhvSampledTable:
+    @pytest.mark.parametrize("n_per_pair", [2, 3, 100_000])
+    @pytest.mark.parametrize("seed", [41, 9173])
+    @pytest.mark.parametrize("angles", [CHSH_ANGLES, (0.1, 0.9, 0.4, 1.3)])
+    def test_bit_identical_to_mask_means(self, angles, seed, n_per_pair):
+        table = lhv_sampled_table(angles[:2], angles[2:], n_per_pair, RandomSeed(seed))
+        reference = lhv_sampled_table_by_masks(angles[:2], angles[2:], n_per_pair, RandomSeed(seed))
+        assert np.array_equal(table.frequencies, reference.frequencies)
+        assert np.array_equal(table.correlations, reference.correlations)
+        assert np.array_equal(table.standard_errors, reference.standard_errors)
+        assert np.array_equal(table.counts, reference.counts)
 
 
 class TestSimplexEdgeCases:

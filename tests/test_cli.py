@@ -1,13 +1,16 @@
 import json
 import math
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefield.cli import main, parse_config_file
-from prefield.experiments import ExperimentConfig, run_born, validate
+from prefield.experiments import DYNAMICS_MAX_STEPS, ExperimentConfig, run_born, validate
 from prefield.random_field import SAMPLE_BLOCK, block_ranges
 
 
@@ -54,6 +57,16 @@ class TestValidate:
     def test_aggregated_diagnostics(self):
         cfg = ExperimentConfig(kind="born", epsilon=-1.0, trials=0, workers=0)
         assert len(validate(cfg)) >= 3
+
+    def test_dynamics_cap_counts_both_loops(self):
+        # run_dynamics takes round(time / dt) integrate steps plus
+        # round(10 / dt) drift-table steps; the cap bounds their sum
+        dt = 10.0 / DYNAMICS_MAX_STEPS
+        assert validate(ExperimentConfig(kind="dynamics", seed=7, dt=dt, time_horizon=0.0)) == []
+        problems = validate(ExperimentConfig(kind="dynamics", seed=7, dt=dt, time_horizon=dt))
+        assert any("dt too small" in p for p in problems)
+        problems = validate(ExperimentConfig(kind="dynamics", seed=7, dt=1.5e-5, time_horizon=10.0))
+        assert any("dt too small" in p for p in problems)
 
 
 class TestConfigFile:
@@ -249,6 +262,45 @@ class TestDeterminism:
                 assert hi % SAMPLE_BLOCK == 0
             blocks = -(-(start + total) // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
             assert len(ranges) == min(workers, blocks)
+
+
+BAD_REALS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+
+
+def assert_exit_contract(argv):
+    """One CLI run ends in 0, 1 or 2, and a passing run carries no non-finite check."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        code = main(argv + ["--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            results = json.loads((out / "results.json").read_text())
+            assert all(math.isfinite(c["observed"]) for c in results["checks"])
+
+
+class TestExitContractFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dt=st.floats(1e-3, 2.0) | BAD_REALS,
+        horizon=st.floats(0.0, 10.0) | BAD_REALS,
+        dim=st.integers(1, 6),
+        epsilon=st.floats(0.0, 1.0) | BAD_REALS,
+        seed=st.integers(0, 2**32),
+    )
+    def test_dynamics(self, dt, horizon, dim, epsilon, seed):
+        assert_exit_contract(
+            ["dynamics", "--seed", str(seed), f"--dt={dt!r}", f"--time={horizon!r}",
+             "--dim", str(dim), f"--epsilon={epsilon!r}"]
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["chsh", "kolmogorov"]),
+        trials=st.integers(1, 5000),
+        seed=st.integers(0, 2**32),
+    )
+    def test_lhv_tables(self, kind, trials, seed):
+        assert_exit_contract([kind, "--model", "lhv", "--trials", str(trials), "--seed", str(seed)])
 
 
 class TestMemory:

@@ -3,8 +3,8 @@ import pytest
 
 from prefield.dynamics import (
     HamiltonianSystem,
-    PhasePoint,
     SymplecticIntegrator,
+    _expm_antisymmetric,
     covariance_derivative,
     evolve_ensemble,
     exact_propagator,
@@ -28,6 +28,27 @@ def rand_hermitian(rng, dim, radius=1.0):
 def rand_unit(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return FieldVector(v / np.linalg.norm(v))
+
+
+def phase(phi):
+    """Stacked phase vector x = (q, p) of phi = q + ip."""
+    return np.concatenate((phi.components.real, phi.components.imag))
+
+
+def field(x):
+    n = len(x) // 2
+    return x[:n] + 1j * x[n:]
+
+
+def strang_step(system, dt, q, p):
+    """The five-piece step written out on q and p: rotation, kick, drift, kick, rotation."""
+    r = system.r_block
+    half_j = _expm_antisymmetric(system.j_block, dt / 2.0)
+    q, p = half_j @ q, half_j @ p
+    p = p - (dt / 2.0) * (r @ q)
+    q = q + dt * (r @ p)
+    p = p - (dt / 2.0) * (r @ q)
+    return half_j @ q, half_j @ p
 
 
 class TestExactPropagator:
@@ -60,7 +81,7 @@ class TestHamiltonStructure:
         phi = rand_unit(rng, 3)
         system = HamiltonianSystem(h)
         direct = 0.5 * float(np.vdot(phi.components, h.matrix @ phi.components).real)
-        assert system.hamilton_function(PhasePoint.from_field(phi)) == pytest.approx(
+        assert system.hamilton_function(phase(phi)) == pytest.approx(
             direct, abs=1e-13
         )
 
@@ -68,10 +89,31 @@ class TestHamiltonStructure:
 class TestSymplecticIntegrator:
     def test_zero_hamiltonian_is_identity(self):
         system = HamiltonianSystem(HermitianOperator(np.zeros((2, 2))))
-        point = PhasePoint(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        out = SymplecticIntegrator(system, 0.1).step(point)
-        np.testing.assert_array_equal(out.q, point.q)
-        np.testing.assert_array_equal(out.p, point.p)
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        out = SymplecticIntegrator(system, 0.1).step(x)
+        np.testing.assert_array_equal(out[:2], x[:2])
+        np.testing.assert_array_equal(out[2:], x[2:])
+
+    @pytest.mark.parametrize("dim", [1, 4, 6])
+    def test_matrix_is_the_five_piece_step(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        system = HamiltonianSystem(rand_hermitian(rng, dim))
+        for dt in (1e-3, 0.1, 0.7):
+            matrix = SymplecticIntegrator(system, dt).matrix
+            assert matrix.shape == (2 * dim, 2 * dim)
+            # column k is the old step applied to the k-th basis vector
+            columns = [np.concatenate(strang_step(system, dt, e[:dim], e[dim:])) for e in np.eye(2 * dim)]
+            assert np.abs(matrix - np.column_stack(columns)).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 4, 6])
+    def test_matrix_is_symplectic(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        system = HamiltonianSystem(rand_hermitian(rng, dim))
+        eye, zero = np.eye(dim), np.zeros((dim, dim))
+        omega = np.block([[zero, eye], [-eye, zero]])
+        for dt in (1e-3, 0.1, 0.7):
+            m = SymplecticIntegrator(system, dt).matrix
+            assert np.abs(m.T @ omega @ m - omega).max() <= 1e-13
 
     def test_harmonic_circle_bounded_and_driftless(self):
         # dim 1, frequency 1: the orbit is a circle; leapfrog keeps the
@@ -80,12 +122,12 @@ class TestSymplecticIntegrator:
         system = HamiltonianSystem(HermitianOperator([[1.0]]))
         dt, steps = 1e-3, 10_000
         integrator = SymplecticIntegrator(system, dt)
-        point = PhasePoint(np.array([1.0]), np.array([0.0]))
+        x = np.array([1.0, 0.0])
         radii = np.empty(steps + 1)
         radii[0] = 1.0
         for k in range(steps):
-            point = integrator.step(point)
-            radii[k + 1] = np.hypot(point.q[0], point.p[0])
+            x = integrator.step(x)
+            radii[k + 1] = np.hypot(x[0], x[1])
         assert np.abs(radii - 1.0).max() <= (dt**2) / 4.0  # oscillation bound
         # secular drift: compare period-averaged radius at both ends
         period = int(round(2 * np.pi / dt))  # 6283 steps
@@ -96,31 +138,31 @@ class TestSymplecticIntegrator:
         rng = np.random.default_rng(4)
         h = rand_hermitian(rng, 4)
         phi0 = rand_unit(rng, 4)
-        final = integrate(HamiltonianSystem(h), PhasePoint.from_field(phi0), 1.0, 1e-3)
+        final = integrate(HamiltonianSystem(h), phase(phi0), 1.0, 1e-3)
         target = exact_propagator(h, 1.0) @ phi0.components
-        assert np.linalg.norm((final.q + 1j * final.p) - target) <= 1e-4
+        assert np.linalg.norm(field(final) - target) <= 1e-4
 
     def test_flow_equivalence_dims_2_to_8(self):
         rng = np.random.default_rng(5)
         for dim in (2, 3, 5, 8):
             h = rand_hermitian(rng, dim)
             phi0 = rand_unit(rng, dim)
-            final = integrate(HamiltonianSystem(h), PhasePoint.from_field(phi0), 0.5, 1e-3)
+            final = integrate(HamiltonianSystem(h), phase(phi0), 0.5, 1e-3)
             target = exact_propagator(h, 0.5) @ phi0.components
-            assert np.linalg.norm((final.q + 1j * final.p) - target) <= 1e-4
+            assert np.linalg.norm(field(final) - target) <= 1e-4
 
     def test_energy_and_norm_bounded_over_long_run(self):
         rng = np.random.default_rng(6)
         h = rand_hermitian(rng, 4)
         system = HamiltonianSystem(h)
         integrator = SymplecticIntegrator(system, 1e-3)
-        point = PhasePoint.from_field(rand_unit(rng, 4))
-        e0 = system.hamilton_function(point)
-        n0 = float(point.q @ point.q + point.p @ point.p)
+        x = phase(rand_unit(rng, 4))
+        e0 = system.hamilton_function(x)
+        n0 = float(x @ x)
         for _ in range(10_000):  # t in [0, 10]
-            point = integrator.step(point)
-            assert abs(system.hamilton_function(point) - e0) <= 1e-6
-            n = float(point.q @ point.q + point.p @ point.p)
+            x = integrator.step(x)
+            assert abs(system.hamilton_function(x) - e0) <= 1e-6
+            n = float(x @ x)
             assert abs(n - n0) <= 1e-6
 
 

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from prefield.cli import main
 from prefield.detection import BipartiteEnsemble, run_trials
+from prefield.dynamics import SymplecticIntegrator
 from prefield.hilbert import FieldVector
 from prefield.random_field import BackgroundField, RandomSeed, sample_with_factor
 
@@ -54,3 +56,19 @@ def test_run_trials_result_has_counted_fields():
     batch = run_trials(ensemble, 0.0, 0.3, 0.2, 100, RandomSeed(5))
     assert batch.n_trials == 100
     assert batch.accepted.shape == (100,)
+
+
+def test_dynamics_run_steps_once_per_step(monkeypatch, tmp_path):
+    # dynamics.steps counts calls of SymplecticIntegrator.step; exact_desk's
+    # dynamics run must make one per step: integrate to t = 1, then t = 10
+    calls = []
+    step = SymplecticIntegrator.step
+
+    def counted(self, x):
+        calls.append(None)
+        return step(self, x)
+
+    monkeypatch.setattr(SymplecticIntegrator, "step", counted)
+    dt = 2e-4
+    assert main(["dynamics", "--dt", str(dt), "--seed", "41", "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == round(1.0 / dt) + round(10.0 / dt) == 55_000
