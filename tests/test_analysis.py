@@ -10,6 +10,7 @@ from prefield.analysis import (
     CorrelationTable,
     FeasibilityVerdict,
     SignallingDataError,
+    _answers_minus,
     _assignment_matrix,
     _phase1_simplex,
     chsh,
@@ -25,6 +26,7 @@ from prefield.analysis import (
 from prefield.random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 
 CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
+HUGE_ANGLES = (1e9, 0.785, -1e6, 3.0)
 SPEC_GRID_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 
 
@@ -226,7 +228,7 @@ class TestFeasibility:
 class TestLhvSampledTable:
     @pytest.mark.parametrize("n_per_pair", [2, 3, 100_000])
     @pytest.mark.parametrize("seed", [41, 9173])
-    @pytest.mark.parametrize("angles", [CHSH_ANGLES, (0.1, 0.9, 0.4, 1.3)])
+    @pytest.mark.parametrize("angles", [CHSH_ANGLES, (0.1, 0.9, 0.4, 1.3), HUGE_ANGLES])
     def test_bit_identical_to_mask_means(self, angles, seed, n_per_pair):
         table = lhv_sampled_table(angles[:2], angles[2:], n_per_pair, RandomSeed(seed))
         reference = lhv_sampled_table_by_masks(angles[:2], angles[2:], n_per_pair, RandomSeed(seed))
@@ -234,6 +236,35 @@ class TestLhvSampledTable:
         assert np.array_equal(table.correlations, reference.correlations)
         assert np.array_equal(table.standard_errors, reference.standard_errors)
         assert np.array_equal(table.counts, reference.counts)
+
+
+def planted_near_arc_ends(s, ulps=50):
+    """lam in [0, pi) within `ulps` ulps of both ends of the minus arc of setting s.
+
+    Ulps of lam itself and, for large |s|, ulps of s, which is the
+    resolution of lam - s.
+    """
+    steps = np.arange(-ulps, ulps + 1)
+    points = []
+    for offset in (math.pi / 4, 3 * math.pi / 4):
+        end = (s + offset) % math.pi
+        for e in (end, end - math.pi, end + math.pi):
+            for ulp in (np.spacing(e), np.spacing(max(abs(e), abs(s)))):
+                points.append(e + steps * ulp)
+    lam = np.concatenate(points)
+    return lam[(lam >= 0.0) & (lam < math.pi)]
+
+
+class TestArcTest:
+    SETTINGS = [0.0, math.pi / 8, -math.pi / 8, math.pi / 4, -math.pi / 4, math.pi / 2, math.pi,
+                1e5, -1e6, 1e9]
+
+    @pytest.mark.parametrize("s", SETTINGS + list(np.random.default_rng(7).uniform(-10.0, 10.0, 20)))
+    def test_matches_cosine_sign(self, s):
+        rng = np.random.default_rng(11)
+        lam = np.concatenate([planted_near_arc_ends(s), rng.uniform(0.0, math.pi, 20_000)])
+        assert lam.size > 20_000
+        assert np.array_equal(_answers_minus(lam, s), np.cos(2.0 * (lam - s)) < 0.0)
 
 
 class TestSimplexEdgeCases:

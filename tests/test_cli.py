@@ -1,14 +1,17 @@
 import json
 import math
+import platform
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefield import detection
 from prefield.cli import main, parse_config_file
 from prefield.experiments import DYNAMICS_MAX_STEPS, ExperimentConfig, run_born, validate
 from prefield.random_field import SAMPLE_BLOCK, block_ranges
@@ -138,6 +141,37 @@ class TestExitCodes:
         out = tmp_path / "hess"
         assert main(["hessian", "--seed", "5", "--dim", "2", "--out", str(out)]) == 0
         assert (out / "hessian_step_scan.csv").exists()
+
+    def test_dynamics_dim_one(self, tmp_path):
+        out = tmp_path / "dyn1"
+        assert main(["dynamics", "--seed", "5", "--dim", "1", "--out", str(out)]) == 0
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header == "t,re_0,im_0,energy,power"
+        assert json.loads((out / "manifest.json").read_text())["config"]["dim"] == 1
+
+    def test_hessian_dim_one(self, tmp_path):
+        out = tmp_path / "hess1"
+        assert main(["hessian", "--seed", "5", "--dim", "1", "--out", str(out)]) == 0
+        values = json.loads((out / "results.json").read_text())["values"]
+        recovered = values["recovered_operator"]["value"]
+        assert recovered["dim"] == 1
+        assert np.array(recovered["data"]).shape == (1, 1, 2)
+        assert values["recovery_error"]["value"] <= 1e-5
+
+    def test_epr_double_rate_check_fails_on_shifted_threshold(self, tmp_path, monkeypatch):
+        """A kernel whose threshold is 5 % high misses exp(-2 d / (1/2 + eps)) by 7 sigma at seed 41."""
+        args = ["epr", "--seed", "41", "--trials", "100000", "--samples", "2000", "--angles", "0.3"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        kernel = detection._click_codes
+
+        def shifted(factor, threshold, *rest, **kwargs):
+            return kernel(factor, 1.05 * threshold, *rest, **kwargs)
+
+        monkeypatch.setattr(detection, "_click_codes", shifted)
+        assert main(args + ["--out", str(tmp_path / "mutant")]) == 1
+        checks = json.loads((tmp_path / "mutant" / "results.json").read_text())["checks"]
+        failed = {c["name"]: c["observed"] for c in checks if not c["passed"]}
+        assert failed.get("double_rate_vs_exact_5se", 0.0) > 5.0
 
     @pytest.mark.parametrize(
         "argv",
@@ -298,9 +332,17 @@ class TestExitContractFuzz:
         kind=st.sampled_from(["chsh", "kolmogorov"]),
         trials=st.integers(1, 5000),
         seed=st.integers(0, 2**32),
+        angles=st.none()
+        | st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4)
+        | st.lists(st.floats(-1e12, 1e12), min_size=0, max_size=6)
+        | st.lists(st.floats(-1e12, 1e12) | st.sampled_from([math.nan, math.inf, -math.inf]),
+                   min_size=4, max_size=4),
     )
-    def test_lhv_tables(self, kind, trials, seed):
-        assert_exit_contract([kind, "--model", "lhv", "--trials", str(trials), "--seed", str(seed)])
+    def test_lhv_tables(self, kind, trials, seed, angles):
+        argv = [kind, "--model", "lhv", "--trials", str(trials), "--seed", str(seed)]
+        if angles is not None:
+            argv.append("--angles=" + ",".join(map(repr, angles)))
+        assert_exit_contract(argv)
 
 
 class TestMemory:
@@ -333,3 +375,7 @@ class TestProvenance:
         assert manifest["version"]
         assert manifest["config"]["kind"] == "triangle"
         assert "workers" not in manifest["config"]
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"] and env["blas"] != "? ?"
