@@ -436,26 +436,6 @@ def lhv_exact_table(
     return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq)
 
 
-def _in_arc(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """lam in the open arc from lo to hi of the circle [0, pi), both ends in [0, pi]."""
-    if lo <= hi:
-        return (lam > lo) & (lam < hi)
-    return (lam > lo) | (lam < hi)
-
-
-def _answers_minus(lam: np.ndarray, s: float) -> np.ndarray:
-    """cos(2 (lam - s)) < 0 for lam in [0, pi), bit for bit, by an arc test on lam."""
-    margin = 1e-9 * (1.0 + abs(s))
-    if not margin <= math.pi / 16.0:
-        return np.cos(2.0 * (lam - s)) < 0.0
-    lo = s + math.pi / 4.0
-    sure = _in_arc(lam, (lo + margin) % math.pi, (lo + math.pi / 2.0 - margin) % math.pi)
-    maybe = _in_arc(lam, (lo - margin) % math.pi, (lo + math.pi / 2.0 + margin) % math.pi)
-    edge = np.flatnonzero(sure ^ maybe)
-    sure[edge] = np.cos(2.0 * (lam[edge] - s)) < 0.0
-    return sure
-
-
 def lhv_sampled_table(
     a_settings,
     b_settings,
@@ -465,37 +445,20 @@ def lhv_sampled_table(
 ) -> CorrelationTable:
     """Finite-sample table from the flip model (fresh hidden variable per trial).
 
-    A party at setting s answers -1 when cos(2 (lam - s)) < 0.  With lam in
-    [0, pi) that holds exactly when lam lies in the open arc
-    (s + pi/4, s + 3 pi/4) taken mod pi, so each party costs a few
-    comparisons instead of a cosine pass.  The arc ends are computed twice
-    with margin = 1e-9 (1 + |s|): a sure arc shrunk by it and a maybe arc
-    widened by it.  Outside the band where the two differ |cos| is at
-    least about 2e-9 (1 + |s|), over 1e5 times the rounding of lam - s, the
-    error of the arc ends (reducing s by the float value of pi included)
-    and the error of np.cos, so the arc decides the sign exactly as the
-    cosine would; inside the band, about 4 margin / pi of the trials, the
-    cosine itself decides.  When the margin would exceed pi/16 (|s| above
-    about 2e8) the whole party falls back to the cosine.  The table is
-    bit-identical to the cosine form.
+    The four outcome counts of n independent trials are multinomial with
+    the cell probabilities of `lhv_exact_table`, so they are drawn as such,
+    one draw per setting pair from stream (STREAM_HIDDEN_VARIABLE, x, y),
+    without forming the trials.
     """
     if n_per_pair < 2:
         raise ValueError("n_per_pair must be >= 2")
-    freq = np.zeros((2, 2, 2, 2))
+    cells = lhv_exact_table(a_settings, b_settings, flip_probability).frequencies
+    freq = np.empty((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
-            rng = seed.stream(STREAM_HIDDEN_VARIABLE, x * 2 + y)
-            # random() * pi is uniform(0, pi) bit for bit, without its offset pass
-            lam = rng.random(n_per_pair)
-            lam *= math.pi
-            flips_a = rng.random(n_per_pair) < flip_probability
-            flips_b = rng.random(n_per_pair) < flip_probability
-            # bit set = the party answers -1, the second of _OUTCOMES
-            minus_a = _answers_minus(lam, a_settings[x]) ^ flips_a
-            minus_b = _answers_minus(lam, b_settings[y]) ^ flips_b
-            code = (minus_a.view(np.uint8) << 1) | minus_b.view(np.uint8)
-            # a count over n is bit-identical to the mean of the boolean mask
-            freq[x, y] = (np.bincount(code, minlength=4) / n_per_pair).reshape(2, 2)
+            rng = seed.stream((STREAM_HIDDEN_VARIABLE, x, y), 0)
+            drawn = rng.multinomial(n_per_pair, cells[x, y].ravel())
+            freq[x, y] = (drawn / n_per_pair).reshape(2, 2)
     counts = np.full((2, 2), n_per_pair, dtype=np.int64)
     return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq, counts)
 

@@ -180,7 +180,7 @@ class BipartiteEnsemble:
 
     @property
     def sampler_factor(self) -> np.ndarray:
-        """Matrix S with S S^+ = K that colors white noise into (phi1, conj(phi2))."""
+        """2n x rank(K) matrix S with S S^+ = K that colours white noise into (phi1, conj(phi2))."""
         return self._factor
 
     @property
@@ -199,10 +199,10 @@ class BipartiteEnsemble:
         return HermitianOperator.symmetrized(self._block.matrix[n:, n:].T)
 
     def sample_pairs(
-        self, n_samples: int, seed: RandomSeed, start_index: int = 0
+        self, n_samples: int, seed: RandomSeed, start_index: int = 0, stream=STREAM_PAIRS
     ) -> tuple[np.ndarray, np.ndarray]:
         """Paired samples (phi1, phi2), each (n_samples, n)."""
-        z = sample_with_factor(self._factor, n_samples, seed, start_index, STREAM_PAIRS)
+        z = sample_with_factor(self._factor, n_samples, seed, start_index, stream)
         n = self.dim
         return z[:, :n], z[:, n:].conj()
 
@@ -238,11 +238,12 @@ def quadratic_correlation_mc(
     n_samples: int,
     seed: RandomSeed,
     start_index: int = 0,
+    stream=STREAM_PAIRS,
 ) -> MCEstimate:
     """Monte Carlo counterpart of `quadratic_correlation_renormalized`."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    phi1, phi2 = ensemble.sample_pairs(n_samples, seed, start_index)
+    phi1, phi2 = ensemble.sample_pairs(n_samples, seed, start_index, stream)
     fa = QuadraticForm(a).evaluate_batch(phi1)
     fb = QuadraticForm(b).evaluate_batch(phi2)
     prod = (fa - fa.mean()) * (fb - fb.mean())
@@ -401,8 +402,9 @@ def run_trials(
     start_index: int = 0,
     policy: str = POLICY_KEEP_SINGLES,
     workers: int = 1,
+    stream=STREAM_PAIRS,
 ) -> TrialBatch:
-    """Coincidence run: one sampled field pair per time window.
+    """Coincidence run: one sampled field pair per time window, drawn from `stream`.
 
     Party i sits behind a polarization splitter at angle theta_i, and a
     channel clicks when its power exceeds `threshold`.  Both splitter bases
@@ -423,7 +425,7 @@ def run_trials(
     basis[2:, 2:] = _splitter_basis(theta2)
     # rows of the sampled pairs times basis: (xi S^T) basis = xi (basis^T S)^T
     factor = basis.T @ ensemble.sampler_factor
-    codes = _click_codes(factor, threshold, n_trials, seed, start_index, STREAM_PAIRS, workers)
+    codes = _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers)
     return TrialBatch(theta1, theta2, codes, policy)
 
 

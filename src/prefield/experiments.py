@@ -76,7 +76,9 @@ from .observables import (
     renormalize,
 )
 from .random_field import (
+    RNG_CONTRACT,
     STREAM_EXPERIMENT,
+    STREAM_PAIRS,
     BackgroundField,
     RandomSeed,
     ensemble_from_pure_state,
@@ -99,6 +101,15 @@ CHSH_CLICK_THRESHOLD = 0.2
 CHSH_TARGET = 2.6
 
 DEFAULT_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
+
+# Sub-keys of STREAM_PAIRS.  chsh draws setting pair (x, y) from
+# (STREAM_PAIRS, x, y) with x, y in {0, 1}; epr's estimates draw from
+# (STREAM_PAIRS, purpose, index) with the purposes below, so no two
+# estimates of one run, nor an epr and a chsh run of one seed, share a field.
+EPR_FIELD_MC = 2
+EPR_CURVE = 3
+EPR_GRID = 4
+EPR_NO_SIGNALLING = 5
 
 TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
 DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
@@ -488,12 +499,12 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
         exact = quadratic_correlation_renormalized(ensemble, a0, b_op)
         worst_exact = max(worst_exact, abs(exact - reference))
         mc = quadratic_correlation_mc(
-            ensemble, a0, b_op, config.samples, seed, start_index=idx * config.samples
+            ensemble, a0, b_op, config.samples, seed, stream=(STREAM_PAIRS, EPR_FIELD_MC, idx)
         )
         worst_mc = max(worst_mc, abs(mc.mean - exact) / max(mc.standard_error, 1e-30))
         batch = run_trials(
             ensemble, 0.0, float(delta), threshold, config.trials, seed,
-            policy=config.policy, workers=config.workers,
+            policy=config.policy, workers=config.workers, stream=(STREAM_PAIRS, EPR_CURVE, idx),
         )
         e_clicks, se_clicks = correlation_from_clicks(batch)
         stats = click_statistics(batch)
@@ -526,10 +537,10 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     n_grid = max(2, config.trials // 2)
     worst_pull = 0.0
-    for d in np.geomspace(0.05, 2.0, 10):
+    for k, d in enumerate(np.geomspace(0.05, 2.0, 10)):
         batch = run_trials(
             ensemble, 0.0, math.pi / 8, float(d), n_grid, seed,
-            policy=config.policy, workers=config.workers,
+            policy=config.policy, workers=config.workers, stream=(STREAM_PAIRS, EPR_GRID, k),
         )
         stats = click_statistics(batch)
         exact = math.exp(-2.0 * d / (0.5 + eps))
@@ -543,16 +554,15 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     result.tables["double_click_rate"] = (header, rows)
     result.check_abs("double_rate_vs_exact_5se", worst_pull, 5.0)
 
-    # no-signalling: party 1's marginals cannot see party 2's setting;
-    # the second run draws fresh fields (reusing the same samples for both
-    # settings would make the comparison exactly zero and test nothing)
-    b1 = run_trials(
-        ensemble, 0.0, math.pi / 8, threshold, config.trials, seed,
-        policy=config.policy, workers=config.workers,
-    )
-    b2 = run_trials(
-        ensemble, 0.0, 3 * math.pi / 8, threshold, config.trials,
-        RandomSeed((config.seed + 1) % 2**64), policy=config.policy, workers=config.workers,
+    # no-signalling: party 1's marginals cannot see party 2's setting; each
+    # run draws its own fields (reusing the same samples for both settings
+    # would make the comparison exactly zero and test nothing)
+    b1, b2 = (
+        run_trials(
+            ensemble, 0.0, theta2, threshold, config.trials, seed, policy=config.policy,
+            workers=config.workers, stream=(STREAM_PAIRS, EPR_NO_SIGNALLING, k),
+        )
+        for k, theta2 in enumerate((math.pi / 8, 3 * math.pi / 8))
     )
     r1 = np.asarray(click_statistics(b1).parties[0].raw_click_rates)
     r2 = np.asarray(click_statistics(b2).parties[0].raw_click_rates)
@@ -582,10 +592,26 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
                 b_settings[y],
                 threshold,
                 config.trials,
-                RandomSeed((config.seed + x * 2 + y) % 2**64),
+                seed,
                 policy=config.policy,
                 workers=config.workers,
+                stream=(STREAM_PAIRS, x, y),
             )
+    # each party's field is circular with covariance (1/2 + eps) I, so its two
+    # channel powers are independent exponentials with mean 1/2 + eps: each
+    # channel fires with probability q, independently of the other
+    q = math.exp(-threshold / (0.5 + eps))
+    exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
+    se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
+    worst_pull = 0.0
+    for batch in batches.values():
+        for party in click_statistics(batch).parties:
+            (plus, minus), both = party.raw_click_rates, party.double_rate
+            # none, + only, - only, both
+            freq = np.array([1.0 - plus - minus + both, plus - both, minus - both, both])
+            worst_pull = max(worst_pull, float((np.abs(freq - exact) / se).max()))
+    result.add_exact("channel_click_probability", q)
+    result.check_abs("party_rates_vs_exact_5se", worst_pull, 5.0)
     table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
     return table, batches
 
@@ -683,9 +709,14 @@ def run_kolmogorov(config: ExperimentConfig) -> ExperimentResult:
         )
         result.add_info("farkas", list(map(float, verdict.farkas)))
     if expected is not None:
+        passed = verdict.feasible == expected
+        if expected and not passed:
+            # a local model's finite-sample table leaves the polytope by noise
+            # alone when every violated CHSH value is within 5 se of 2
+            passed = all(abs(v) <= 2.0 + 5.0 * se for _, v in verdict.violated_inequalities)
         result.check_true(
             f"verdict_matches_{'feasible' if expected else 'infeasible'}",
-            verdict.feasible == expected,
+            passed,
             float(verdict.residual),
         )
     result.tables["table"] = _table_rows(table)
@@ -735,4 +766,9 @@ def _environment() -> dict:
 
 
 def manifest_payload(config: ExperimentConfig) -> dict:
-    return {"config": config.as_manifest_dict(), "version": __version__, "environment": _environment()}
+    return {
+        "config": config.as_manifest_dict(),
+        "version": __version__,
+        "rng_contract": RNG_CONTRACT,
+        "environment": _environment(),
+    }

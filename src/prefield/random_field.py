@@ -10,16 +10,31 @@ D = psi psi^+ / ||psi||^2 + eps I; a density matrix rho yields rho + eps I.
 Sampling draws phi = S xi with S = V sqrt(Lambda) from the
 eigendecomposition D = V Lambda V^+ (robust to the rank deficiency of
 pure-state covariances, unlike Cholesky) and xi a standard circular
-complex Gaussian.  Streams are counter-based Philox generators keyed by
-(master seed, stream label, block index): sample i of a run lives in block
-i // SAMPLE_BLOCK, so any partition of the index range across workers
-reproduces bit-identical fields.  `for_each_chunk` is the one streaming
-loop: every sampling consumer walks its index range in block-aligned
-chunks, on the calling thread or on workers, and fills a preallocated array.
+complex Gaussian.  `for_each_chunk` is the one streaming loop: every
+sampling consumer walks its index range in block-aligned chunks, on the
+calling thread or on workers, and fills a preallocated array.
+
+RNG contract (version RNG_CONTRACT = 2).  Every random bit is a function
+of (master seed, stream label, block index):
+
+* a label is an int or a tuple of ints (sub-keys, such as a setting pair);
+  its Philox key is derived once per (seed, label) from
+  SeedSequence(entropy=seed, spawn_key=label) and cached;
+* block b of that label is Philox(key, counter=[0, 0, 0, b]): the block
+  index sits in the counter's high word, so blocks never overlap;
+* sample i of a run lives in block i // SAMPLE_BLOCK, which is drawn
+  whole, so any partition of the index range across workers reproduces
+  bit-identical fields;
+* a block holds SAMPLE_BLOCK draws of r standard circular normals, r the
+  rank of D (eigenvalues above PSD_TOL): one standard_normal draw of shape
+  (SAMPLE_BLOCK, 2 r) whose column pairs are the real and imaginary parts,
+  scaled by sqrt(1/2), then coloured by the dim x r factor.  Rank 0 draws
+  nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,7 +62,11 @@ CHUNK = 8 * SAMPLE_BLOCK
 # on short ranges those waits are a large and erratic share of the call.
 _WORKER_BLOCKS = 32
 
-# Stream labels keep independent uses of one master seed decorrelated.
+# Version of the stream layout in the module docstring; manifest.json records it.
+RNG_CONTRACT = 2
+
+# Stream labels keep independent uses of one master seed decorrelated; a
+# tuple label such as (STREAM_PAIRS, x, y) sub-keys one use.
 STREAM_FIELD = 1
 STREAM_PAIRS = 3
 STREAM_TRIALS = 4
@@ -68,10 +87,18 @@ class RandomSeed:
         if not 0 <= int(self.master) < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
-    def stream(self, label: int, block: int) -> np.random.Generator:
+    def stream(self, label: int | tuple[int, ...], block: int) -> np.random.Generator:
         """Fresh generator for (label, block); identical on every worker."""
-        seq = np.random.SeedSequence(entropy=int(self.master), spawn_key=(int(label), int(block)))
-        return np.random.Generator(np.random.Philox(seq))
+        spawn_key = tuple(map(int, label)) if isinstance(label, tuple) else (int(label),)
+        key = _philox_key(int(self.master), spawn_key)
+        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, int(block)]))
+
+
+@functools.lru_cache(maxsize=1024)
+def _philox_key(master: int, label: tuple[int, ...]) -> int:
+    """128-bit Philox key of (master, label): derived once, then cached."""
+    low, high = np.random.SeedSequence(entropy=master, spawn_key=label).generate_state(2, np.uint64)
+    return int(low) | int(high) << 64
 
 
 @dataclass(frozen=True)
@@ -88,25 +115,29 @@ class BackgroundField:
 
 
 def _standard_circular(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """(n, dim) complex normals with E[xi xi^+] = I and E[xi xi^T] = 0."""
-    re = rng.standard_normal((n, dim))
-    im = rng.standard_normal((n, dim))
-    return (re + 1j * im) * np.sqrt(0.5)
+    """(n, dim) complex normals with E[xi xi^+] = I and E[xi xi^T] = 0.
+
+    One draw of 2 n dim normals, read as interleaved real and imaginary parts.
+    """
+    z = rng.standard_normal((n, 2 * dim))
+    z *= np.sqrt(0.5)
+    return z.view(np.complex128)
 
 
 def sampling_factor(covariance: HermitianOperator) -> np.ndarray:
-    """Matrix S with S S^+ = D via eigendecomposition, clipping tiny negatives.
+    """dim x r matrix S with S S^+ = D, r the number of eigenvalues above PSD_TOL.
 
     Eigenvalues below -PSD_TOL are a hard error; anything in
-    [-PSD_TOL, PSD_TOL] is numerical noise around an exact zero and is
-    zeroed, which keeps rank-deficient laws (pure states) exactly on their
-    support instead of leaking sqrt(round-off) into orthogonal directions.
+    [-PSD_TOL, PSD_TOL] is numerical noise around an exact zero and its
+    eigenvector is dropped, which keeps rank-deficient laws (pure states)
+    exactly on their support instead of leaking sqrt(round-off) into
+    orthogonal directions, and draws no normals for it.
     """
     w, v = covariance.eig()
     if w[0] < -PSD_TOL:
         raise ValueError(f"covariance not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.where(w <= PSD_TOL, 0.0, w)
-    return v * np.sqrt(w)
+    keep = w > PSD_TOL
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def sample_with_factor(
@@ -114,24 +145,27 @@ def sample_with_factor(
     n_samples: int,
     seed: RandomSeed,
     start_index: int = 0,
-    stream_label: int = STREAM_FIELD,
+    stream_label: int | tuple[int, ...] = STREAM_FIELD,
 ) -> np.ndarray:
     """Samples with absolute indices [start_index, start_index + n_samples).
 
-    Blocks of SAMPLE_BLOCK samples are generated whole from their own
-    stream and sliced, so the result depends only on the absolute indices,
-    never on how a Monte Carlo run was partitioned.
+    `factor` is dim x r; blocks of SAMPLE_BLOCK draws of r circular normals
+    are generated whole from their own stream and sliced, so the result
+    depends only on the absolute indices, never on how a Monte Carlo run
+    was partitioned.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if start_index < 0:
         raise ValueError("start_index must be >= 0")
-    dim = factor.shape[0]
+    dim, rank = factor.shape
+    if rank == 0:
+        return np.zeros((n_samples, dim), dtype=np.complex128)
     colour = factor.T
     out = np.empty((n_samples, dim), dtype=np.complex128)
     lo, hi = start_index, start_index + n_samples
     for block in range(lo // SAMPLE_BLOCK, (hi - 1) // SAMPLE_BLOCK + 1):
-        xi = _standard_circular(seed.stream(stream_label, block), SAMPLE_BLOCK, dim)
+        xi = _standard_circular(seed.stream(stream_label, block), SAMPLE_BLOCK, rank)
         block_lo = block * SAMPLE_BLOCK
         a = max(lo, block_lo) - block_lo
         b = min(hi, block_lo + SAMPLE_BLOCK) - block_lo
@@ -215,7 +249,7 @@ class GaussianFieldEnsemble:
 
     @property
     def sampler_factor(self) -> np.ndarray:
-        """Matrix S with S S^+ = D used to color white noise into samples."""
+        """dim x rank(D) matrix S with S S^+ = D that colours white noise into samples."""
         return self._factor
 
     @property

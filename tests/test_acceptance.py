@@ -63,7 +63,7 @@ from prefield.observables import (
     quartic_power_functional,
     renormalize,
 )
-from prefield.random_field import BackgroundField, RandomSeed, ensemble_from_pure_state
+from prefield.random_field import STREAM_PAIRS, BackgroundField, RandomSeed, ensemble_from_pure_state
 
 SEED = RandomSeed(1234567)
 
@@ -254,22 +254,26 @@ class TestCriterion6ThresholdDetection:
             f"(eps = {BORN_CLICK_EPSILON}, d = {cal.threshold:.4f})",
         )
 
-    def test_double_click_rate_monotone(self):
-        """Double-click rate decreases in the threshold (5 sigma per step)."""
+    def test_double_click_rate_matches_exact(self):
+        """Double-click rates match exp(-2 d / (1/2 + eps)) within 5 se on a 12-point grid.
+
+        Each party's channel powers are independent exponentials with mean
+        1/2 + eps; each threshold draws its own fields.
+        """
         ens = BipartiteEnsemble(SINGLET, BackgroundField(CHSH_CLICK_EPSILON))
         n = 100_000
-        phi1, _ = ens.sample_pairs(n, SEED)
-        powers = ThresholdDetector(0.0).channel_powers(phi1)
-        previous = None
-        for d in np.geomspace(0.01, 2.0, 12):
-            rate = float(((powers > d).sum(axis=1) == 2).mean())
-            se = math.sqrt(max(rate * (1 - rate), 1e-12) / n)
-            if previous is not None:
-                assert rate <= previous + 5.0 * se
-            previous = rate
+        worst = 0.0
+        for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
+            batch = run_trials(ens, 0.0, math.pi / 8, float(d), n, SEED, stream=(STREAM_PAIRS, k))
+            exact = math.exp(-2.0 * d / (0.5 + CHSH_CLICK_EPSILON))
+            se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
+            for party in click_statistics(batch).parties:
+                worst = max(worst, abs(party.double_rate - exact) / se)
+        assert worst <= 5.0
         report(
             "criterion 6b (double clicks)",
-            "double-click rate non-increasing across a 12-point threshold grid (5 sigma)",
+            f"max |pull| {worst:.2f} <= 5 of both parties' double-click rates against "
+            "exp(-2 d / (1/2 + eps)) on a 12-point threshold grid at 1e5 trials",
         )
 
     def test_no_signalling_of_marginals(self):

@@ -10,8 +10,8 @@ from prefield.analysis import (
     CorrelationTable,
     FeasibilityVerdict,
     SignallingDataError,
-    _answers_minus,
     _assignment_matrix,
+    _lhv_exact_correlation,
     _phase1_simplex,
     chsh,
     fine_chsh_values,
@@ -31,19 +31,23 @@ SPEC_GRID_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 
 
 def lhv_sampled_table_by_masks(a_settings, b_settings, n_per_pair, seed):
-    """The flip-model table tabulated by 16 boolean-mask means, as a reference."""
+    """The flip-model table tabulated per trial by 16 boolean-mask means, as a reference.
+
+    The four counts of each setting pair are drawn as the RNG contract
+    states (one multinomial draw with the closed-form cell probabilities
+    (1 + a b E) / 4 from stream (STREAM_HIDDEN_VARIABLE, x, y), block 0) and
+    expanded into one (A, B) outcome per trial.
+    """
     freq = np.zeros((2, 2, 2, 2))
     counts = np.zeros((2, 2), dtype=np.int64)
     for x in range(2):
         for y in range(2):
-            rng = seed.stream(STREAM_HIDDEN_VARIABLE, x * 2 + y)
-            lam = rng.uniform(0.0, math.pi, size=n_per_pair)
-            flips_a = rng.uniform(0.0, 1.0, size=n_per_pair) < DEFAULT_LHV_FLIP
-            flips_b = rng.uniform(0.0, 1.0, size=n_per_pair) < DEFAULT_LHV_FLIP
-            out_a = np.where(np.cos(2.0 * (lam - a_settings[x])) >= 0.0, 1, -1)
-            out_b = np.where(np.cos(2.0 * (lam - b_settings[y])) >= 0.0, 1, -1)
-            out_a = np.where(flips_a, -out_a, out_a)
-            out_b = np.where(flips_b, -out_b, out_b)
+            e = _lhv_exact_correlation(a_settings[x], b_settings[y], DEFAULT_LHV_FLIP)
+            cells = [(1.0 + a * b * e) / 4.0 for a in (1, -1) for b in (1, -1)]
+            rng = seed.stream((STREAM_HIDDEN_VARIABLE, x, y), 0)
+            cell = np.repeat(np.arange(4), rng.multinomial(n_per_pair, cells))
+            out_a = np.where(cell < 2, 1, -1)
+            out_b = np.where(cell % 2 == 0, 1, -1)
             for i, a in enumerate((1, -1)):
                 for j, b in enumerate((1, -1)):
                     freq[x, y, i, j] = float(((out_a == a) & (out_b == b)).mean())
@@ -238,33 +242,31 @@ class TestLhvSampledTable:
         assert np.array_equal(table.counts, reference.counts)
 
 
-def planted_near_arc_ends(s, ulps=50):
-    """lam in [0, pi) within `ulps` ulps of both ends of the minus arc of setting s.
-
-    Ulps of lam itself and, for large |s|, ulps of s, which is the
-    resolution of lam - s.
-    """
-    steps = np.arange(-ulps, ulps + 1)
-    points = []
-    for offset in (math.pi / 4, 3 * math.pi / 4):
-        end = (s + offset) % math.pi
-        for e in (end, end - math.pi, end + math.pi):
-            for ulp in (np.spacing(e), np.spacing(max(abs(e), abs(s)))):
-                points.append(e + steps * ulp)
-    lam = np.concatenate(points)
-    return lam[(lam >= 0.0) & (lam < math.pi)]
-
-
 class TestArcTest:
+    """The flip model's law is an arc overlap; it must match the cosine sign rule.
+
+    A party at setting s answers -1 when cos(2 (lam - s)) < 0, lam uniform
+    on [0, pi).  The sampled table draws its counts from the closed-form
+    correlation `_lhv_exact_correlation`, so that closed form must equal the
+    mean sign product of the rule, here on a midpoint grid of lam.
+    """
+
     SETTINGS = [0.0, math.pi / 8, -math.pi / 8, math.pi / 4, -math.pi / 4, math.pi / 2, math.pi,
                 1e5, -1e6, 1e9]
+    OFFSETS = (0.0, 0.1, math.pi / 8, math.pi / 4, 1.0, math.pi / 2, 2.5, math.pi, -0.7, 7.0)
 
     @pytest.mark.parametrize("s", SETTINGS + list(np.random.default_rng(7).uniform(-10.0, 10.0, 20)))
     def test_matches_cosine_sign(self, s):
-        rng = np.random.default_rng(11)
-        lam = np.concatenate([planted_near_arc_ends(s), rng.uniform(0.0, math.pi, 20_000)])
-        assert lam.size > 20_000
-        assert np.array_equal(_answers_minus(lam, s), np.cos(2.0 * (lam - s)) < 0.0)
+        m = 200_000
+        lam = (np.arange(m) + 0.5) * (math.pi / m)
+        sign_a = np.where(np.cos(2.0 * (lam - s)) < 0.0, -1.0, 1.0)
+        # each of the at most four sign changes costs at most one grid cell;
+        # for huge |s| the rule itself resolves lam - s only to ulps of s
+        tol = 8.0 / m + 1e-15 * abs(s)
+        for offset in self.OFFSETS:
+            b = s + offset
+            sign_b = np.where(np.cos(2.0 * (lam - b)) < 0.0, -1.0, 1.0)
+            assert abs(float((sign_a * sign_b).mean()) - _lhv_exact_correlation(s, b, 0.0)) <= tol
 
 
 class TestSimplexEdgeCases:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefield import detection
+from prefield import detection, experiments
+from prefield.analysis import CorrelationTable, singlet_exact_table
 from prefield.cli import main, parse_config_file
 from prefield.experiments import DYNAMICS_MAX_STEPS, ExperimentConfig, run_born, validate
 from prefield.random_field import SAMPLE_BLOCK, block_ranges
@@ -129,6 +130,73 @@ class TestExitCodes:
             argv = ["chsh", "--seed", str(seed), "--model", "lhv", "--trials", "2", "--out", str(out)]
             assert main(argv) == 0, f"seed {seed}"
 
+    def test_kolmogorov_lhv_two_trials_never_fails_a_check(self, tmp_path):
+        # two trials per setting pair leave a local model's table inconsistent
+        # (exit 2) or, at seed 226, infeasible by sampling noise alone; neither
+        # is a failed check
+        for seed in [*range(8), 226]:
+            argv = ["kolmogorov", "--seed", str(seed), "--model", "lhv", "--trials", "2"]
+            assert main(argv + ["--out", str(tmp_path / f"s{seed}")]) in (0, 2), f"seed {seed}"
+
+    def test_kolmogorov_lhv_check_fails_a_singlet_table(self, tmp_path, monkeypatch):
+        """The 5 se allowance for a local table does not pass a singlet table (|S| = 2.83)."""
+
+        def singlet_table(a_settings, b_settings, n_per_pair, seed):
+            exact = singlet_exact_table(a_settings, b_settings)
+            counts = np.full((2, 2), n_per_pair)
+            return CorrelationTable.from_frequencies(a_settings, b_settings, exact.frequencies, counts)
+
+        monkeypatch.setattr(experiments, "lhv_sampled_table", singlet_table)
+        argv = ["kolmogorov", "--seed", "1", "--model", "lhv", "--trials", "100000"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+
+    def test_chsh_seeds_share_no_batch(self, tmp_path):
+        """Neighbouring seeds draw no setting pair's fields twice.
+
+        With all four settings equal, two setting pairs drawing the same
+        fields write byte-equal trial files.
+        """
+        files = []
+        for seed in (7, 8):
+            out = tmp_path / f"s{seed}"
+            argv = ["chsh", "--model", "singlet-clicks", "--seed", str(seed), "--trials", "2000"]
+            assert main(argv + ["--angles", "0,0,0,0", "--out", str(out)]) == 0
+            files += [(out / f"trials_x{x}_y{y}.csv").read_bytes() for x in (0, 1) for y in (0, 1)]
+        assert len(set(files)) == 8
+
+    def test_epr_batches_draw_their_own_fields(self, tmp_path, monkeypatch):
+        """The first no-signalling batch is not the curve's delta = pi/8 batch again."""
+        calls = []
+        run_trials = experiments.run_trials
+
+        def recorded(ensemble, theta1, theta2, threshold, *args, **kwargs):
+            batch = run_trials(ensemble, theta1, theta2, threshold, *args, **kwargs)
+            calls.append(((theta2, threshold), batch.codes.tobytes()))
+            return batch
+
+        monkeypatch.setattr(experiments, "run_trials", recorded)
+        argv = ["epr", "--seed", "41", "--trials", "4000", "--samples", "2000", "--angles", f"0,{math.pi / 8!r}"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        curve, no_signalling = calls[1], calls[-2]
+        assert curve[0] == no_signalling[0] == (math.pi / 8, experiments.CURVE_THRESHOLD)
+        assert curve[1] != no_signalling[1]
+        assert len({codes for _, codes in calls}) == len(calls)
+
+    def test_chsh_party_rate_check_fails_on_shifted_threshold(self, tmp_path, monkeypatch):
+        """A kernel whose threshold is 2 % high misses the exact click classes by over 5 se."""
+        args = ["chsh", "--model", "singlet-clicks", "--seed", "41", "--trials", "250000"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        kernel = detection._click_codes
+
+        def shifted(factor, threshold, *rest, **kwargs):
+            return kernel(factor, 1.02 * threshold, *rest, **kwargs)
+
+        monkeypatch.setattr(detection, "_click_codes", shifted)
+        assert main(args + ["--out", str(tmp_path / "mutant")]) == 1
+        checks = json.loads((tmp_path / "mutant" / "results.json").read_text())["checks"]
+        failed = {c["name"]: c["observed"] for c in checks if not c["passed"]}
+        assert failed.get("party_rates_vs_exact_5se", 0.0) > 5.0
+
     def test_kolmogorov_singlet_infeasible(self, tmp_path):
         out = tmp_path / "kol"
         code = main(["kolmogorov", "--seed", "3", "--model", "singlet", "--out", str(out)])
@@ -191,14 +259,12 @@ class TestExitCodes:
             ["hessian", "--step", "nan"],
             ["chsh", "--model", "lhv", "--trials", "1"],
             ["kolmogorov", "--model", "lhv", "--trials", "1"],
-            ["kolmogorov", "--model", "lhv", "--trials", "2"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
             "chsh-nan-angle", "chsh-inf-angle", "born-one-sample", "triangle-wide-angles",
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
             "hessian-nan-step", "chsh-lhv-one-trial", "kolmogorov-lhv-one-trial",
-            "kolmogorov-lhv-two-trials",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
@@ -374,6 +440,7 @@ class TestProvenance:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"]
         assert manifest["config"]["kind"] == "triangle"
+        assert manifest["rng_contract"] == 2
         assert "workers" not in manifest["config"]
         env = manifest["environment"]
         assert env["python"] == platform.python_version()

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from prefield import random_field
+from prefield.analysis import lhv_sampled_table
 from prefield.detection import BipartiteEnsemble
 from prefield.hilbert import DensityOperator, FieldVector, HermitianOperator
 from prefield.random_field import (
     CHUNK,
     SAMPLE_BLOCK,
     STREAM_FIELD,
+    STREAM_PAIRS,
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
@@ -185,7 +187,7 @@ class TestDeterminism:
             factor = ensemble_from_density(rho, BackgroundField(0.1)).sampler_factor
         first, last = start // SAMPLE_BLOCK, (start + n - 1) // SAMPLE_BLOCK
         blocks = [
-            _standard_circular(SEED.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[0])
+            _standard_circular(SEED.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[1])
             for b in range(first, last + 1)
         ]
         offset = start - first * SAMPLE_BLOCK
@@ -264,6 +266,61 @@ class TestDeterminism:
             RandomSeed(-1)
         with pytest.raises(ValueError):
             RandomSeed(2**64)
+
+
+SINGLET = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
+
+
+class TestContract:
+    """RNG contract 2 (module docstring).  A changed bit here is a contract change."""
+
+    @pytest.mark.parametrize("label", [STREAM_FIELD, (STREAM_PAIRS, 1, 0)])
+    def test_stream_is_philox_keyed_by_seed_and_label(self, label):
+        spawn_key = label if isinstance(label, tuple) else (label,)
+        key = np.random.SeedSequence(entropy=SEED.master, spawn_key=spawn_key).generate_state(2, np.uint64)
+        reference = np.random.Philox(key=key, counter=[0, 0, 0, 9])
+        assert np.array_equal(SEED.stream(label, 9).bit_generator.random_raw(8), reference.random_raw(8))
+
+    def test_labels_and_blocks_are_distinct_streams(self):
+        def raw(label, block):
+            return SEED.stream(label, block).bit_generator.random_raw(4).tobytes()
+
+        labels = [STREAM_PAIRS, (STREAM_PAIRS, 0, 1), (STREAM_PAIRS, 1, 0), (STREAM_PAIRS, 0, 1, 0)]
+        assert len({raw(label, block) for label in labels for block in (0, 1)}) == 8
+        assert raw(STREAM_PAIRS, 3) == raw((STREAM_PAIRS,), 3)
+
+    def test_factor_keeps_only_the_rank(self):
+        eps_min = math.sqrt(0.5) - 0.5
+        assert BipartiteEnsemble(SINGLET, BackgroundField(eps_min)).sampler_factor.shape == (4, 2)
+        assert BipartiteEnsemble(SINGLET, BackgroundField(eps_min + 0.03)).sampler_factor.shape == (4, 4)
+        assert ensemble_from_pure_state(FieldVector([0.6, 0.8])).sampler_factor.shape == (2, 1)
+        assert GaussianFieldEnsemble(HermitianOperator(np.zeros((2, 2)))).sampler_factor.shape == (2, 0)
+
+    def test_pinned_samples(self):
+        # factors with one power-of-two entry per row colour exactly, so the
+        # pins hold whatever BLAS does the product
+        full = sample_with_factor(np.diag([1.0, 0.5, 2.0]), 2, SEED, 5 * SAMPLE_BLOCK + 7)
+        assert full.view(np.float64).tolist() == [
+            [-0.6834391262912873, -0.18716979569567604, 0.4158333580432938,
+             -0.4088546837219304, 1.255218119823972, 0.5852473391805117],
+            [-0.785787244452378, -0.7545663098307216, -0.3988806232552021,
+             -0.3383725019899111, 0.20734537302872882, 1.6683321782397587],
+        ]
+        pair_factor = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.5], [2.0, 0.0]])
+        pair = sample_with_factor(pair_factor, 2, SEED, 3 * SAMPLE_BLOCK + 11, STREAM_PAIRS)
+        assert pair.view(np.float64).tolist() == [
+            [0.7962944746283271, -0.5747724972578788, 0.10851502529932085, 0.7641578487012438,
+             0.054257512649660423, 0.3820789243506219, 1.5925889492566543, -1.1495449945157576],
+            [0.7793006253601086, 0.17099951002970237, 0.12822811020657496, 0.2871157067886039,
+             0.06411405510328748, 0.14355785339430194, 1.5586012507202172, 0.34199902005940475],
+        ]
+
+    def test_pinned_lhv_counts(self):
+        table = lhv_sampled_table((0.0, math.pi / 4), (math.pi / 8, -math.pi / 8), 1000, SEED)
+        counts = np.rint(table.frequencies * 1000).astype(int).reshape(4, 4)
+        assert counts.tolist() == [
+            [356, 155, 135, 354], [354, 168, 158, 320], [360, 139, 152, 349], [167, 352, 344, 137]
+        ]
 
 
 class TestFunctionals:
