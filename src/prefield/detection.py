@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FieldVector, HermitianOperator
-from .observables import MCEstimate, QuadraticForm
+from .observables import MCEstimate
 from .random_field import (
     CHUNK,
     STREAM_CALIBRATION,
@@ -65,6 +65,7 @@ from .random_field import (
     BackgroundField,
     RandomSeed,
     for_each_chunk,
+    sample_powers,
     sample_with_factor,
     sampling_factor,
 )
@@ -139,7 +140,7 @@ class ThresholdDetector:
 class BipartiteEnsemble:
     """Joint Gaussian field pair encoding a bipartite state (see module docs)."""
 
-    __slots__ = ("_psihat", "_epsilon", "_epsilon_min", "_block", "_factor")
+    __slots__ = ("_psihat", "_epsilon", "_epsilon_min", "_factor")
 
     def __init__(self, psi: FieldVector, background: BackgroundField):
         n = math.isqrt(psi.dim)
@@ -165,8 +166,7 @@ class BipartiteEnsemble:
         self._psihat = psihat
         self._epsilon = eps
         self._epsilon_min = eps_min
-        self._block = HermitianOperator.symmetrized(block)
-        self._factor = sampling_factor(self._block)
+        self._factor = sampling_factor(HermitianOperator.symmetrized(block))
 
     @property
     def dim(self) -> int:
@@ -187,16 +187,6 @@ class BipartiteEnsemble:
     def cross_block(self) -> np.ndarray:
         """Pseudo cross-covariance E[phi1 phi2^T] = Psihat."""
         return self._psihat
-
-    @property
-    def marginal_covariance_1(self) -> HermitianOperator:
-        n = self.dim
-        return HermitianOperator.symmetrized(self._block.matrix[:n, :n])
-
-    @property
-    def marginal_covariance_2(self) -> HermitianOperator:
-        n = self.dim
-        return HermitianOperator.symmetrized(self._block.matrix[n:, n:].T)
 
     def sample_pairs(
         self, n_samples: int, seed: RandomSeed, start_index: int = 0, stream=STREAM_PAIRS
@@ -239,17 +229,35 @@ def quadratic_correlation_mc(
     seed: RandomSeed,
     start_index: int = 0,
     stream=STREAM_PAIRS,
+    workers: int = 1,
 ) -> MCEstimate:
-    """Monte Carlo counterpart of `quadratic_correlation_renormalized`."""
+    """Monte Carlo counterpart of `quadratic_correlation_renormalized`.
+
+    With A = V diag(a) V^+ and B = W diag(b) W^+, f_A(phi1) is
+    sum_k a_k |(V^+ phi1)_k|^2 and, party 2 being sampled as z2 = conj(phi2),
+    f_B(phi2) is sum_k b_k |(W^T z2)_k|^2.  Both bases are folded into the
+    sampling factor, so each chunk's channel powers (`sample_powers`) give
+    the two forms; memory is one chunk per worker plus two floats per sample.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    phi1, phi2 = ensemble.sample_pairs(n_samples, seed, start_index, stream)
-    fa = QuadraticForm(a).evaluate_batch(phi1)
-    fb = QuadraticForm(b).evaluate_batch(phi2)
-    prod = (fa - fa.mean()) * (fb - fb.mean())
-    # bias-corrected sample covariance; SE from the deviation products
-    mean = float(prod.sum() / (n_samples - 1))
-    se = float(prod.std(ddof=1) / np.sqrt(n_samples))
+    n, s = ensemble.dim, ensemble.sampler_factor
+    (wa, va), (wb, vb) = a.eig(), b.eig()
+    factor = np.vstack((va.conj().T @ s[:n], vb.T @ s[n:]))
+    fa, fb = np.empty(n_samples), np.empty(n_samples)
+
+    def fill(lo: int, hi: int) -> None:
+        powers = sample_powers(factor, hi - lo, seed, lo, stream)
+        fa[lo - start_index : hi - start_index] = powers[:, :n] @ wa
+        fb[lo - start_index : hi - start_index] = powers[:, n:] @ wb
+
+    for_each_chunk(fill, start_index, start_index + n_samples, workers)
+    # deviation products, in place; bias-corrected covariance and its SE
+    fa -= fa.mean()
+    fb -= fb.mean()
+    fa *= fb
+    mean = float(fa.sum() / (n_samples - 1))
+    se = float(fa.std(ddof=1) / np.sqrt(n_samples))
     return MCEstimate(mean, se, n_samples)
 
 
@@ -278,23 +286,15 @@ def _pack_codes(clicks: np.ndarray) -> np.ndarray:
 
 
 def _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers=1) -> np.ndarray:
-    """Click codes of trials [start_index, start_index + n_trials).
+    """Click codes of trials [start_index, start_index + n_trials), chunk by chunk.
 
-    `factor` colours white noise straight into channel amplitudes (the
-    splitter basis already folded in), so each chunk is drawn, coloured,
-    thresholded and packed, and `workers` threads fill one code array.
+    `factor` has the splitter bases folded in, so its channel powers
+    (`sample_powers`) are thresholded and packed straight into the codes.
     """
     codes = np.empty(n_trials, dtype=np.uint8)
 
     def fill(lo: int, hi: int) -> None:
-        # Channel powers re^2 + im^2, squared and summed in place, so that a
-        # chunk allocates one chunk-sized array.  Separate temporaries (about
-        # 5 MB per chunk, freed together) let malloc trim the heap after each
-        # chunk and fault the pages in again: 30 page faults per 1 000
-        # trials, 15 % of the kernel's time.
-        parts = sample_with_factor(factor, hi - lo, seed, lo, stream).view(np.float64)
-        np.square(parts, out=parts)
-        powers = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2])
+        powers = sample_powers(factor, hi - lo, seed, lo, stream)
         codes[lo - start_index : hi - start_index] = _pack_codes(powers > threshold)
 
     for_each_chunk(fill, start_index, start_index + n_trials, workers)
@@ -557,14 +557,12 @@ def calibrate_threshold(
     if d_grid is None:
         d_grid = np.geomspace(1e-3, 1.0, 61)
     ens = ensemble_from_density(DensityOperator.maximally_mixed(dim), BackgroundField(epsilon))
-    samples = sample_with_factor(ens.sampler_factor, n_trials, seed, 0, STREAM_CALIBRATION)
-    powers = ThresholdDetector(0.0).channel_powers(samples)
+    powers = sample_powers(ens.sampler_factor, n_trials, seed, 0, STREAM_CALIBRATION)
     grid = []
     best = None
     for d in d_grid:
         clicks = powers > d
-        counts = clicks.sum(axis=1)
-        singles_mask = counts == 1
+        singles_mask = clicks.sum(axis=1) == 1
         frac = float(singles_mask.mean())
         grid.append((float(d), frac))
         gap = abs(frac - target_single_fraction)
@@ -572,9 +570,7 @@ def calibrate_threshold(
             best = (gap, float(d), singles_mask, clicks)
     _, d_star, singles_mask, clicks = best
     n_singles = max(1, int(singles_mask.sum()))
-    channel_rates = tuple(
-        float((clicks[:, c] & singles_mask).sum() / n_singles) for c in range(2)
-    )
+    channel_rates = tuple(float((clicks[:, c] & singles_mask).sum() / n_singles) for c in range(2))
     # per-channel singles on the mixed state are equal by symmetry; flag if not
     se = math.sqrt(0.25 / n_singles)
     balanced = abs(channel_rates[0] - channel_rates[1]) <= 5.0 * 2.0 * se

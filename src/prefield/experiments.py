@@ -71,6 +71,7 @@ from .observables import (
     QuadraticForm,
     classical_average_exact,
     hessian_extract,
+    quadratic_form_values,
     quadratic_plus_quartic,
     quartic_power_functional,
     renormalize,
@@ -82,7 +83,6 @@ from .random_field import (
     BackgroundField,
     RandomSeed,
     ensemble_from_pure_state,
-    for_each_chunk,
 )
 
 EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", "chsh", "kolmogorov", "triangle")
@@ -331,12 +331,7 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     result.check_abs("born_exact_identity", born - oracle, 1e-10)
 
     seed = RandomSeed(config.seed)
-    vals = np.empty(config.samples)
-
-    def fill(lo: int, hi: int) -> None:
-        vals[lo:hi] = form.evaluate_batch(ensemble.sample(hi - lo, seed, lo))
-
-    for_each_chunk(fill, 0, config.samples, config.workers)
+    vals = quadratic_form_values(ensemble, form, config.samples, seed, workers=config.workers)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(config.samples))
     result.add_mc("mc_average", mean, se, config.samples)
@@ -499,7 +494,8 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
         exact = quadratic_correlation_renormalized(ensemble, a0, b_op)
         worst_exact = max(worst_exact, abs(exact - reference))
         mc = quadratic_correlation_mc(
-            ensemble, a0, b_op, config.samples, seed, stream=(STREAM_PAIRS, EPR_FIELD_MC, idx)
+            ensemble, a0, b_op, config.samples, seed,
+            stream=(STREAM_PAIRS, EPR_FIELD_MC, idx), workers=config.workers,
         )
         worst_mc = max(worst_mc, abs(mc.mean - exact) / max(mc.standard_error, 1e-30))
         batch = run_trials(

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import FieldVector, HermitianOperator, trace_product
-from .random_field import GaussianFieldEnsemble, RandomSeed
+from .random_field import STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
 
 EVAL_IMAG_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-3
@@ -119,20 +119,26 @@ def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm
     return trace_product(ensemble.covariance, form.operator)
 
 
-def classical_average_mc(
-    ensemble: GaussianFieldEnsemble,
-    form: QuadraticForm,
-    n_samples: int,
-    seed: RandomSeed,
-    start_index: int = 0,
-) -> MCEstimate:
-    """Monte Carlo average of a quadratic form over the ensemble."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    vals = form.evaluate_batch(ensemble.sample(n_samples, seed, start_index))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return MCEstimate(mean, se, n_samples)
+def quadratic_form_values(
+    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed,
+    start_index: int = 0, workers: int = 1,
+) -> np.ndarray:
+    """f_A on the samples [start_index, start_index + n_samples) of `ensemble.sample`.
+
+    With A = V diag(a) V^+, f_A(phi) = sum_k a_k |(V^+ phi)_k|^2: V^+ is folded
+    into the sampling factor and each chunk's channel powers (`sample_powers`)
+    give the values, so memory is one chunk per worker plus the values.
+    """
+    weights, basis = form.operator.eig()
+    factor = basis.conj().T @ ensemble.sampler_factor
+    vals = np.empty(n_samples)
+
+    def fill(lo: int, hi: int) -> None:
+        powers = sample_powers(factor, hi - lo, seed, lo, STREAM_FIELD)
+        vals[lo - start_index : hi - start_index] = powers @ weights
+
+    for_each_chunk(fill, start_index, start_index + n_samples, workers)
+    return vals
 
 
 def renormalize(average: float, operator: HermitianOperator, epsilon: float) -> float:

@@ -12,7 +12,8 @@ eigendecomposition D = V Lambda V^+ (robust to the rank deficiency of
 pure-state covariances, unlike Cholesky) and xi a standard circular
 complex Gaussian.  `for_each_chunk` is the one streaming loop: every
 sampling consumer walks its index range in block-aligned chunks, on the
-calling thread or on workers, and fills a preallocated array.
+calling thread or on workers, and fills a preallocated array from the
+chunk's channel powers (`sample_powers`).
 
 RNG contract (version RNG_CONTRACT = 2).  Every random bit is a function
 of (master seed, stream label, block index):
@@ -182,6 +183,20 @@ def sample_with_factor(
         for r0, r1 in zip(cuts, cuts[1:]):
             np.matmul(xi[r0:r1], colour, out=out[block_lo + r0 - lo : block_lo + r1 - lo])
     return out
+
+
+def sample_powers(factor, n_samples, seed, start_index, stream_label) -> np.ndarray:
+    """(n_samples, dim) powers |z_c|^2 of the samples z of `sample_with_factor`.
+
+    With a basis U^+ folded into the factor, the columns are channel powers
+    in that basis, which thresholds and quadratic forms read.  They are
+    formed in place, so a call allocates one array: separate temporaries
+    (about 5 MB per chunk, freed together) let malloc trim the heap after
+    each chunk and fault the pages in again, 15 % of the click kernel's time.
+    """
+    parts = sample_with_factor(factor, n_samples, seed, start_index, stream_label).view(np.float64)
+    np.square(parts, out=parts)
+    return np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2])
 
 
 def block_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:

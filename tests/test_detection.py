@@ -1,9 +1,14 @@
 import math
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prefield import detection
+from prefield import detection, random_field
+from prefield.cli import main
 from prefield.detection import (
     BackgroundTooSmallError,
     BipartiteEnsemble,
@@ -19,6 +24,7 @@ from prefield.detection import (
     run_trials,
 )
 from prefield.hilbert import (
+    DensityOperator,
     FieldVector,
     HermitianOperator,
     kron_vector,
@@ -27,12 +33,16 @@ from prefield.hilbert import (
     state_average,
     tensor_product,
 )
-from prefield.observables import QuadraticForm
+from prefield.observables import QuadraticForm, quadratic_form_values
 from prefield.random_field import (
+    SAMPLE_BLOCK,
     BackgroundField,
     RandomSeed,
+    block_ranges,
     empirical_covariance,
+    ensemble_from_density,
     ensemble_from_pure_state,
+    sample_powers,
 )
 
 SEED = RandomSeed(777)
@@ -49,6 +59,13 @@ def rand_unit(rng, dim):
 def rand_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator((m + m.conj().T) / 2)
+
+
+def marginal_covariances(ens):
+    """E[phi1 phi1^+] and E[phi2 phi2^+], read from the factor of (phi1, conj(phi2))."""
+    n, s = ens.dim, ens.sampler_factor
+    k = s @ s.conj().T
+    return k[:n, :n], k[n:, n:].T
 
 
 def polarization(theta):
@@ -135,24 +152,24 @@ class TestBipartiteConstruction:
         eps = 0.25
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
         expected = np.eye(2) / 2 + eps * np.eye(2)
-        np.testing.assert_allclose(ens.marginal_covariance_1.matrix, expected, atol=1e-12)
-        np.testing.assert_allclose(ens.marginal_covariance_2.matrix, expected, atol=1e-12)
+        for marginal in marginal_covariances(ens):
+            np.testing.assert_allclose(marginal, expected, atol=1e-12)
 
     def test_marginals_match_partial_trace(self):
         rng = np.random.default_rng(2)
         psi = rand_unit(rng, 9)
         ens = BipartiteEnsemble(psi, BackgroundField(1.0))
         proj = projector_from_state(psi)
-        for keep, marginal in ((1, ens.marginal_covariance_1), (2, ens.marginal_covariance_2)):
+        for keep, marginal in zip((1, 2), marginal_covariances(ens)):
             rho = partial_trace(proj, (3, 3), keep).matrix
-            np.testing.assert_allclose(marginal.matrix, rho + np.eye(3), atol=1e-12)
+            np.testing.assert_allclose(marginal, rho + np.eye(3), atol=1e-12)
 
     def test_sampled_marginals_match(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
         phi1, phi2 = ens.sample_pairs(60_000, SEED)
-        for phi, marginal in ((phi1, ens.marginal_covariance_1), (phi2, ens.marginal_covariance_2)):
+        for phi, marginal in zip((phi1, phi2), marginal_covariances(ens)):
             emp = empirical_covariance(phi).matrix
-            assert np.abs(emp - marginal.matrix).max() <= 5.0 * 0.75 / np.sqrt(60_000)
+            assert np.abs(emp - marginal).max() <= 5.0 * 0.75 / np.sqrt(60_000)
 
     def test_pair_sampling_partition_invariant(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
@@ -225,6 +242,106 @@ class TestQuadraticCorrelation:
             quadratic_correlation_renormalized(ens, rand_hermitian(np.random.default_rng(7), 3), polarization(0.0))
 
 
+def reference_correlation(ens, a, b, n, seed, start):
+    """Covariance of f_A(phi1) and f_B(phi2) and its SE from materialised field pairs."""
+    phi1, phi2 = ens.sample_pairs(n, seed, start)
+    fa, fb = QuadraticForm(a).evaluate_batch(phi1), QuadraticForm(b).evaluate_batch(phi2)
+    prod = (fa - fa.mean()) * (fb - fb.mean())
+    return prod.sum() / (n - 1), prod.std(ddof=1) / np.sqrt(n)
+
+
+# (start, stop) ranges: from a block edge, one row before and one row after
+# it, each ending one row into a block, the longest across a chunk edge
+KERNEL_RANGES = [(0, 3 * SAMPLE_BLOCK + 1), (4095, 2 * SAMPLE_BLOCK + 1), (4097, 9 * SAMPLE_BLOCK + 1)]
+
+
+class TestPowerKernel:
+    """The channel-power kernel against the field samples it replaces."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("start,stop", KERNEL_RANGES)
+    def test_correlation_matches_materialised_pairs(self, dim, start, stop):
+        # non-real A and B: party 2's transpose W^T differs from W^+
+        rng = np.random.default_rng(10 * dim + start % 7)
+        psi = rand_unit(rng, dim * dim)
+        eps = BipartiteEnsemble(psi, BackgroundField(1.0)).epsilon_min + 0.1
+        ens = BipartiteEnsemble(psi, BackgroundField(eps))
+        a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+        assert np.abs(b.matrix.imag).max() > 0.1
+        est = quadratic_correlation_mc(ens, a, b, stop - start, SEED, start)
+        mean, se = reference_correlation(ens, a, b, stop - start, SEED, start)
+        assert abs(est.mean - mean) <= 1e-12 * max(1.0, abs(mean))
+        assert abs(est.standard_error - se) <= 1e-12 * max(1.0, se)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("start,stop", KERNEL_RANGES)
+    def test_born_values_match_evaluate_batch(self, dim, start, stop):
+        rng = np.random.default_rng(20 * dim + start % 7)
+        ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
+        form = QuadraticForm(rand_hermitian(rng, dim))
+        values = quadratic_form_values(ens, form, stop - start, SEED, start)
+        reference = form.evaluate_batch(ens.sample(stop - start, SEED, start))
+        assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
+
+    @pytest.mark.usefixtures("split_every_block")
+    def test_worker_threads_fill_disjoint_slices(self):
+        # more threads than cores and a short switch interval: a chunk written
+        # to the wrong slice or lost would change the bits
+        rng = np.random.default_rng(31)
+        psi = rand_unit(rng, 9)
+        ens = BipartiteEnsemble(psi, BackgroundField(1.0))
+        a, b = rand_hermitian(rng, 3), rand_hermitian(rng, 3)
+        single = ensemble_from_pure_state(rand_unit(rng, 3), BackgroundField(0.05))
+        form = QuadraticForm(a)
+        n, start = 6 * SAMPLE_BLOCK + 1, SAMPLE_BLOCK - 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [
+                (quadratic_correlation_mc(ens, a, b, n, SEED, start, workers=w),
+                 quadratic_form_values(single, form, n, SEED, start, workers=w))
+                for w in (1, 5)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    def test_epr_field_monte_carlo_worker_invariance(self, tmp_path, monkeypatch):
+        samples = 300_000
+        blocks = -(-samples // SAMPLE_BLOCK)
+        assert len(block_ranges(0, samples, min(2, blocks // random_field._WORKER_BLOCKS))) == 2
+        threads = set()
+
+        def recorded(factor, n_samples, *args):
+            if factor.shape[0] == 4 and n_samples > 2000:  # field Monte Carlo chunks only
+                threads.add(threading.get_ident())
+            return sample_powers(factor, n_samples, *args)
+
+        monkeypatch.setattr(detection, "sample_powers", recorded)
+        args = ["epr", "--seed", "5", "--trials", "2000", "--samples", str(samples), "--angles", "0.0,0.4"]
+        outputs = []
+        for workers in ("1", "2"):
+            threads.clear()
+            out = tmp_path / workers
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            assert len(threads) == int(workers)
+            outputs.append({p.name: p.read_bytes() for p in sorted(Path(out).iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_correlation_streams_its_samples(self):
+        """Memory is one chunk per worker plus two floats per sample, not the field pairs."""
+        ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
+        tracemalloc.start()
+        try:
+            est = quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), 1_000_000, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.n_samples == 1_000_000
+        assert peak < 40 * 2**20
+
+
 class TestTrials:
     def test_zero_threshold_everything_clicks(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
@@ -240,19 +357,20 @@ class TestTrials:
         assert stats.parties[0].raw_click_rates == (0.0, 0.0)
         assert stats.n_accepted == 0
 
-    def test_double_click_rate_monotone_in_threshold(self):
-        ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
-        n = 100_000
-        phi1, _ = ens.sample_pairs(n, SEED)
-        det0 = ThresholdDetector(0.0)
-        powers = det0.channel_powers(phi1)
-        previous = None
-        for d in np.geomspace(0.01, 2.0, 12):
-            rate = float(((powers > d).sum(axis=1) == 2).mean())
-            se = math.sqrt(max(rate * (1 - rate), 1e-12) / n)
-            if previous is not None:
-                assert rate <= previous + 5.0 * se
-            previous = rate
+    def test_double_click_rate_matches_closed_form(self):
+        # on the maximally mixed ensemble each channel power is an independent
+        # exponential with mean 1/2 + eps, so both channels fire with
+        # probability exp(-2d / (1/2 + eps)); every threshold reads fields of
+        # its own index range.  A kernel whose threshold is scaled by 1.05
+        # reaches a pull of about 12.
+        eps, n = SINGLET_EPS_MIN, 100_000
+        ens = ensemble_from_density(DensityOperator.maximally_mixed(2), BackgroundField(eps))
+        for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
+            batch = run_single_party_trials(ens, ThresholdDetector(float(d)), n, SEED, start_index=k * n)
+            rate = click_statistics(batch).parties[0].double_rate
+            exact = math.exp(-2.0 * d / (0.5 + eps))
+            se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
+            assert abs(rate - exact) <= 5.0 * se, (d, rate, exact)
 
     def test_acceptance_fraction_monotone_past_peak(self):
         # the accepted-coincidence fraction vanishes at both threshold
@@ -370,7 +488,7 @@ class TestCalibration:
         def no_draws(*args, **kwargs):
             raise AssertionError("calibration drew samples before checking the dimension")
 
-        monkeypatch.setattr(detection, "sample_with_factor", no_draws)
+        monkeypatch.setattr(detection, "sample_powers", no_draws)
         with pytest.raises(ValueError, match="two-channel"):
             calibrate_threshold(0.06, 0.068, SEED, dim=3)
 
