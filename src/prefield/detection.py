@@ -229,7 +229,6 @@ def quadratic_correlation_mc(
     seed: RandomSeed,
     start_index: int = 0,
     stream=STREAM_PAIRS,
-    workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo counterpart of `quadratic_correlation_renormalized`.
 
@@ -237,7 +236,8 @@ def quadratic_correlation_mc(
     sum_k a_k |(V^+ phi1)_k|^2 and, party 2 being sampled as z2 = conj(phi2),
     f_B(phi2) is sum_k b_k |(W^T z2)_k|^2.  Both bases are folded into the
     sampling factor, so each chunk's channel powers (`sample_powers`) give
-    the two forms; memory is one chunk per worker plus two floats per sample.
+    the two forms; memory is one chunk plus two floats per sample.  It runs
+    on the calling thread: `epr` runs its estimates side by side instead.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -251,7 +251,7 @@ def quadratic_correlation_mc(
         fa[lo - start_index : hi - start_index] = powers[:, :n] @ wa
         fb[lo - start_index : hi - start_index] = powers[:, n:] @ wb
 
-    for_each_chunk(fill, start_index, start_index + n_samples, workers)
+    for_each_chunk(fill, start_index, start_index + n_samples, 1)
     # deviation products, in place; bias-corrected covariance and its SE
     fa -= fa.mean()
     fb -= fb.mean()

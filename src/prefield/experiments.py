@@ -6,7 +6,7 @@ sample count and standard error, or "reference-oracle"), a list of
 tolerance checks (the process exit status is derived from them), and CSV
 plot tables.  All randomness flows through the counter-based streams of
 `random_field`, so a worker count change rearranges only who computes
-which block, never the numbers.
+which estimate or block, never the numbers.
 
 Detection operating points
 --------------------------
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import platform
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -83,6 +84,7 @@ from .random_field import (
     BackgroundField,
     RandomSeed,
     ensemble_from_pure_state,
+    map_jobs,
 )
 
 EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", "chsh", "kolmogorov", "triangle")
@@ -189,8 +191,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("angles must be finite")
     if config.dim < 1:
         problems.append("dim must be >= 1")
-    if config.epsilon < 0.0:
-        problems.append("epsilon must be non-negative")
+    if config.epsilon < 0.0 or config.epsilon >= 2.0**53:  # from 2**53 on, 1 + eps == eps
+        problems.append("epsilon must lie in [0, 2**53): a larger background swallows the state")
     if config.threshold is not None and config.threshold < 0.0:
         problems.append("threshold must be non-negative")
     if config.trials < 1:
@@ -456,7 +458,13 @@ def _polarization_observable(theta: float) -> HermitianOperator:
 
 
 def run_epr(config: ExperimentConfig) -> ExperimentResult:
-    """Singlet correlations three ways: exact, Monte Carlo fields, clicks."""
+    """Singlet correlations three ways: exact, Monte Carlo fields, clicks.
+
+    Each estimate draws its own stream label, so the field Monte Carlo and
+    click run of every angle, the threshold grid and the no-signalling pair
+    are independent jobs, run in that order on up to `workers` threads
+    (`map_jobs`).  A job reduces its samples to the statistics its rows need.
+    """
     result = ExperimentResult("epr")
     seed = RandomSeed(config.seed)
     psi = _singlet()
@@ -467,57 +475,49 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     result.add_info("epsilon_min", ensemble.epsilon_min)
     result.add_info("threshold", threshold)
 
-    deltas = (
-        np.asarray(config.angles, dtype=np.float64)
-        if config.angles
-        else np.linspace(0.0, np.pi, 16, endpoint=False)
-    )
-    header = [
-        "delta",
-        "reference",
-        "exact_renormalized",
-        "mc_renormalized",
-        "mc_se",
-        "clicks_E",
-        "clicks_se",
-        "accepted_fraction",
-    ]
-    rows = []
-    worst_exact = 0.0
-    worst_mc = 0.0
-    worst_clicks = 0.0
-    max_click_se = 0.0
+    deltas = np.asarray(config.angles or np.linspace(0.0, np.pi, 16, endpoint=False), dtype=np.float64)
     a0 = _polarization_observable(0.0)
-    for idx, delta in enumerate(deltas):
-        b_op = _polarization_observable(float(delta))
+    b_ops = [_polarization_observable(float(delta)) for delta in deltas]
+    grid = np.geomspace(0.05, 2.0, 10)
+    n_grid = max(2, config.trials // 2)
+
+    def field_mc(idx):
+        stream = (STREAM_PAIRS, EPR_FIELD_MC, idx)
+        return quadratic_correlation_mc(ensemble, a0, b_ops[idx], config.samples, seed, stream=stream)
+
+    def clicks(purpose, idx, theta2, d, n):
+        batch = run_trials(
+            ensemble, 0.0, float(theta2), float(d), n, seed,
+            policy=config.policy, stream=(STREAM_PAIRS, purpose, idx),
+        )
+        return correlation_from_clicks(batch) if purpose == EPR_CURVE else None, click_statistics(batch)
+
+    jobs = [
+        job
+        for idx, delta in enumerate(deltas)
+        for job in (partial(field_mc, idx), partial(clicks, EPR_CURVE, idx, delta, threshold, config.trials))
+    ]
+    jobs += [partial(clicks, EPR_GRID, k, math.pi / 8, d, n_grid) for k, d in enumerate(grid)]
+    jobs += [
+        partial(clicks, EPR_NO_SIGNALLING, k, theta2, threshold, config.trials)
+        for k, theta2 in enumerate((math.pi / 8, 3 * math.pi / 8))
+    ]
+    done = map_jobs(lambda job: job(), jobs, config.workers)
+    curve, grid_runs, no_signalling = done[: 2 * len(deltas)], done[2 * len(deltas) : -2], done[-2:]
+
+    header = ["delta", "reference", "exact_renormalized", "mc_renormalized", "mc_se",
+              "clicks_E", "clicks_se", "accepted_fraction"]
+    rows = []
+    worst_exact = worst_mc = worst_clicks = max_click_se = 0.0
+    for delta, b_op, mc, ((e_clicks, se_clicks), stats) in zip(deltas, b_ops, curve[0::2], curve[1::2]):
         reference = -math.cos(2.0 * float(delta))
         exact = quadratic_correlation_renormalized(ensemble, a0, b_op)
         worst_exact = max(worst_exact, abs(exact - reference))
-        mc = quadratic_correlation_mc(
-            ensemble, a0, b_op, config.samples, seed,
-            stream=(STREAM_PAIRS, EPR_FIELD_MC, idx), workers=config.workers,
-        )
         worst_mc = max(worst_mc, abs(mc.mean - exact) / max(mc.standard_error, 1e-30))
-        batch = run_trials(
-            ensemble, 0.0, float(delta), threshold, config.trials, seed,
-            policy=config.policy, workers=config.workers, stream=(STREAM_PAIRS, EPR_CURVE, idx),
-        )
-        e_clicks, se_clicks = correlation_from_clicks(batch)
-        stats = click_statistics(batch)
         worst_clicks = max(worst_clicks, abs(e_clicks - reference))
         max_click_se = max(max_click_se, se_clicks)
-        rows.append(
-            [
-                float(delta),
-                reference,
-                exact,
-                mc.mean,
-                mc.standard_error,
-                e_clicks,
-                se_clicks,
-                stats.accepted_fraction,
-            ]
-        )
+        rows.append([float(delta), reference, exact, mc.mean, mc.standard_error,
+                     e_clicks, se_clicks, stats.accepted_fraction])
     result.tables["correlation_curve"] = (header, rows)
     result.add_exact("max_exact_deviation", worst_exact)
     result.check_abs("exact_equals_qm_curve", worst_exact, 1e-10)
@@ -531,14 +531,8 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     # with probability exp(-2 d / (1/2 + eps))
     header = ["threshold", "double_rate_1", "double_rate_2", "accepted_fraction", "exact"]
     rows = []
-    n_grid = max(2, config.trials // 2)
     worst_pull = 0.0
-    for k, d in enumerate(np.geomspace(0.05, 2.0, 10)):
-        batch = run_trials(
-            ensemble, 0.0, math.pi / 8, float(d), n_grid, seed,
-            policy=config.policy, workers=config.workers, stream=(STREAM_PAIRS, EPR_GRID, k),
-        )
-        stats = click_statistics(batch)
+    for d, (_, stats) in zip(grid, grid_runs):
         exact = math.exp(-2.0 * d / (0.5 + eps))
         se = max(math.sqrt(exact * (1.0 - exact) / n_grid), 1.0 / n_grid)
         for party in stats.parties:
@@ -553,15 +547,7 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     # no-signalling: party 1's marginals cannot see party 2's setting; each
     # run draws its own fields (reusing the same samples for both settings
     # would make the comparison exactly zero and test nothing)
-    b1, b2 = (
-        run_trials(
-            ensemble, 0.0, theta2, threshold, config.trials, seed, policy=config.policy,
-            workers=config.workers, stream=(STREAM_PAIRS, EPR_NO_SIGNALLING, k),
-        )
-        for k, theta2 in enumerate((math.pi / 8, 3 * math.pi / 8))
-    )
-    r1 = np.asarray(click_statistics(b1).parties[0].raw_click_rates)
-    r2 = np.asarray(click_statistics(b2).parties[0].raw_click_rates)
+    r1, r2 = (np.asarray(stats.parties[0].raw_click_rates) for _, stats in no_signalling)
     se = math.sqrt(2.0 * 0.25 / config.trials)
     gap = float(np.abs(r1 - r2).max())
     result.add_mc("no_signalling_gap", gap, se, 2 * config.trials)

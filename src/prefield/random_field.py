@@ -13,7 +13,8 @@ pure-state covariances, unlike Cholesky) and xi a standard circular
 complex Gaussian.  `for_each_chunk` is the one streaming loop: every
 sampling consumer walks its index range in block-aligned chunks, on the
 calling thread or on workers, and fills a preallocated array from the
-chunk's channel powers (`sample_powers`).
+chunk's channel powers (`sample_powers`).  `map_jobs` runs independent
+calls, such as those ranges, on worker threads.
 
 RNG contract (version RNG_CONTRACT = 2).  Every random bit is a function
 of (master seed, stream label, block index):
@@ -217,14 +218,32 @@ def block_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def map_jobs(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on up to `workers` threads, in input order.
+
+    One worker or one item runs every call on the calling thread, in order.
+    If a call raises, calls not yet started are cancelled and the first
+    failure in input order is raised once the running ones have ended.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return [future.result() for future in [pool.submit(fn, item) for item in items]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def for_each_chunk(fn, start: int, stop: int, workers: int) -> None:
     """fn(lo, hi) on chunks of [start, stop) that end on multiples of CHUNK.
 
     The chunks tile the range; callers fill arrays they allocated up front.
-    Contiguous block-aligned ranges of chunks run on threads (the draws and
-    products inside release the interpreter lock).  Each thread gets at
-    least _WORKER_BLOCKS blocks, so shorter runs use fewer threads, down to
-    the calling one.
+    Contiguous block-aligned ranges of chunks run on threads (`map_jobs`;
+    the draws and products inside release the interpreter lock).  Each
+    thread gets at least _WORKER_BLOCKS blocks, so shorter runs use fewer
+    threads, down to the calling one; `epr` runs its short estimates side
+    by side instead.
     """
 
     def walk(lo: int, hi: int) -> None:
@@ -235,12 +254,7 @@ def for_each_chunk(fn, start: int, stop: int, workers: int) -> None:
 
     blocks = -(-stop // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
     ranges = block_ranges(start, stop, min(workers, blocks // _WORKER_BLOCKS))
-    if len(ranges) == 1:
-        walk(*ranges[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        for future in [pool.submit(walk, lo, hi) for lo, hi in ranges]:
-            future.result()
+    map_jobs(lambda r: walk(*r), ranges, len(ranges))
 
 
 class GaussianFieldEnsemble:

@@ -1,7 +1,9 @@
 import json
 import math
 import platform
+import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -259,18 +261,24 @@ class TestExitCodes:
             ["hessian", "--step", "nan"],
             ["chsh", "--model", "lhv", "--trials", "1"],
             ["kolmogorov", "--model", "lhv", "--trials", "1"],
+            ["epr", "--trials", "20000", "--samples", "2000", "--threshold", "50", "--workers", "2"],
+            ["epr", "--trials", "2000", "--samples", "2000", "--epsilon", "1e308"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
             "chsh-nan-angle", "chsh-inf-angle", "born-one-sample", "triangle-wide-angles",
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
             "hessian-nan-step", "chsh-lhv-one-trial", "kolmogorov-lhv-one-trial",
+            "epr-high-threshold-two-workers", "epr-huge-epsilon",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
+        threads = threading.active_count()
         code = main(argv + ["--seed", "7", "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert threading.active_count() == threads
 
     def test_out_naming_a_file_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "taken"
@@ -341,6 +349,25 @@ class TestDeterminism:
         assert main(args + ["--workers", "3", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
 
+    def test_epr_estimates_worker_invariance(self, tmp_path):
+        """Whole estimates on worker threads, none split: artifacts at 1, 2 and 3 workers agree.
+
+        Three threads on two cores with a short switch interval: a result
+        collected out of order or a job that ran twice would change the bits.
+        """
+        args = ["epr", "--seed", "9", "--trials", "20000", "--samples", "20000"]
+        outs = [tmp_path / f"w{w}" for w in (1, 2, 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            began = time.perf_counter()
+            for workers, out in zip((1, 2, 3), outs):
+                assert main(args + ["--workers", str(workers), "--out", str(out)]) == 0
+            assert time.perf_counter() - began < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert read_artifacts(outs[0]) == read_artifacts(outs[1]) == read_artifacts(outs[2])
+
     @pytest.mark.usefixtures("split_every_block")
     def test_click_trial_csvs_worker_invariance(self, tmp_path):
         out1, out3 = tmp_path / "c1", tmp_path / "c3"
@@ -408,6 +435,23 @@ class TestExitContractFuzz:
         argv = [kind, "--model", "lhv", "--trials", str(trials), "--seed", str(seed)]
         if angles is not None:
             argv.append("--angles=" + ",".join(map(repr, angles)))
+        assert_exit_contract(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trials=st.integers(1, 3000),
+        samples=st.integers(1, 3000),
+        workers=st.integers(1, 3),
+        threshold=st.none() | st.floats(0.0, 10.0) | st.floats(min_value=0.0) | BAD_REALS,
+        epsilon=st.none() | st.floats(0.0, 1.0) | st.floats(min_value=0.0) | BAD_REALS,
+        seed=st.integers(0, 2**32),
+        angles=st.lists(st.floats(-1e12, 1e12) | st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3),
+    )
+    def test_epr(self, trials, samples, workers, threshold, epsilon, seed, angles):
+        argv = ["epr", "--seed", str(seed), "--trials", str(trials), "--samples", str(samples),
+                "--workers", str(workers), "--angles=" + ",".join(map(repr, angles))]
+        argv += [f"--{name}={value!r}" for name, value in (("threshold", threshold), ("epsilon", epsilon))
+                 if value is not None]
         assert_exit_contract(argv)
 
 

@@ -1,13 +1,13 @@
+import itertools
 import math
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prefield import detection, random_field
+from prefield import detection, experiments, random_field
 from prefield.cli import main
 from prefield.detection import (
     BackgroundTooSmallError,
@@ -38,11 +38,9 @@ from prefield.random_field import (
     SAMPLE_BLOCK,
     BackgroundField,
     RandomSeed,
-    block_ranges,
     empirical_covariance,
     ensemble_from_density,
     ensemble_from_pure_state,
-    sample_powers,
 )
 
 SEED = RandomSeed(777)
@@ -288,45 +286,39 @@ class TestPowerKernel:
         # more threads than cores and a short switch interval: a chunk written
         # to the wrong slice or lost would change the bits
         rng = np.random.default_rng(31)
-        psi = rand_unit(rng, 9)
-        ens = BipartiteEnsemble(psi, BackgroundField(1.0))
-        a, b = rand_hermitian(rng, 3), rand_hermitian(rng, 3)
         single = ensemble_from_pure_state(rand_unit(rng, 3), BackgroundField(0.05))
-        form = QuadraticForm(a)
+        form = QuadraticForm(rand_hermitian(rng, 3))
         n, start = 6 * SAMPLE_BLOCK + 1, SAMPLE_BLOCK - 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [
-                (quadratic_correlation_mc(ens, a, b, n, SEED, start, workers=w),
-                 quadratic_form_values(single, form, n, SEED, start, workers=w))
-                for w in (1, 5)
-            ]
+            runs = [quadratic_form_values(single, form, n, SEED, start, workers=w) for w in (1, 5)]
         finally:
             sys.setswitchinterval(interval)
-        assert runs[0][0] == runs[1][0]
-        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_epr_field_monte_carlo_worker_invariance(self, tmp_path, monkeypatch):
-        samples = 300_000
-        blocks = -(-samples // SAMPLE_BLOCK)
-        assert len(block_ranges(0, samples, min(2, blocks // random_field._WORKER_BLOCKS))) == 2
-        threads = set()
+        """At two workers the field Monte Carlo estimates run side by side, bits unchanged.
 
-        def recorded(factor, n_samples, *args):
-            if factor.shape[0] == 4 and n_samples > 2000:  # field Monte Carlo chunks only
-                threads.add(threading.get_ident())
-            return sample_powers(factor, n_samples, *args)
-
-        monkeypatch.setattr(detection, "sample_powers", recorded)
+        Each call covers 25 blocks, too few for a split of its own, so only
+        running whole estimates concurrently lets the first two meet.
+        """
+        samples = 100_000
+        assert -(-samples // SAMPLE_BLOCK) < 2 * random_field._WORKER_BLOCKS
         args = ["epr", "--seed", "5", "--trials", "2000", "--samples", str(samples), "--angles", "0.0,0.4"]
-        outputs = []
-        for workers in ("1", "2"):
-            threads.clear()
-            out = tmp_path / workers
-            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
-            assert len(threads) == int(workers)
-            outputs.append({p.name: p.read_bytes() for p in sorted(Path(out).iterdir())})
+        assert main(args + ["--workers", "1", "--out", str(tmp_path / "1")]) == 0
+        barrier = threading.Barrier(2, timeout=10)
+        calls = itertools.count()
+
+        def meeting(*args, **kwargs):
+            if next(calls) < 2:
+                barrier.wait()
+            return quadratic_correlation_mc(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "quadratic_correlation_mc", meeting)
+        assert main(args + ["--workers", "2", "--out", str(tmp_path / "2")]) == 0
+        assert not barrier.broken and next(calls) == 2
+        outputs = [{p.name: p.read_bytes() for p in sorted((tmp_path / w).iterdir())} for w in ("1", "2")]
         assert outputs[0] == outputs[1]
 
     def test_correlation_streams_its_samples(self):

@@ -23,6 +23,7 @@ from prefield.random_field import (
     ensemble_from_density,
     ensemble_from_pure_state,
     for_each_chunk,
+    map_jobs,
     sample_with_factor,
 )
 
@@ -256,6 +257,42 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert (hits[:start] == 0).all() and (hits[start:] == 1).all()
+
+    def test_jobs_return_in_input_order(self):
+        """Later jobs finish first on the threads; one worker or one job stays on the caller, in order."""
+        ran = []
+
+        def job(k):
+            time.sleep(0.002 * (5 - k))
+            ran.append(k)
+            return k, threading.get_ident()
+
+        results = map_jobs(job, list(range(6)), 3)
+        assert [k for k, _ in results] == list(range(6))
+        assert threading.get_ident() not in {thread for _, thread in results}
+        ran.clear()
+        assert map_jobs(job, list(range(6)), 1) == [(k, threading.get_ident()) for k in range(6)]
+        assert ran == list(range(6))
+        assert map_jobs(job, [4], 3) == [(4, threading.get_ident())]
+
+    def test_failing_job_cancels_the_pending_ones(self):
+        """The first failure in input order is raised; unstarted jobs never run; no thread outlives the call."""
+        started = []
+
+        def job(k):
+            started.append(k)
+            if k == 1:
+                time.sleep(0.05)
+                raise ValueError("job 1")
+            if k == 3:
+                raise ValueError("job 3")
+            time.sleep(0.005)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="job 1"):
+            map_jobs(job, list(range(200)), 2)
+        assert len(started) < 100
+        assert threading.active_count() == threads
 
     def test_different_seeds_differ(self):
         ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
