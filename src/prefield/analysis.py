@@ -26,7 +26,7 @@ import numpy as np
 
 from .detection import NoCoincidencesError
 from .random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
-from .serialize import read_json, write_json
+from .serialize import read_json
 
 NORMALIZATION_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
@@ -479,20 +479,13 @@ def singlet_exact_table(a_settings, b_settings) -> CorrelationTable:
 # Table files
 
 
-def table_to_json(table: CorrelationTable, path) -> None:
-    payload = {
-        "a_settings": list(table.a_settings),
-        "b_settings": list(table.b_settings),
-        "correlations": table.correlations.tolist(),
-        "standard_errors": table.standard_errors.tolist(),
-        "frequencies": None if table.frequencies is None else table.frequencies.tolist(),
-        "counts": None if table.counts is None else table.counts.tolist(),
-    }
-    write_json(path, payload)
-
-
 def table_from_json(path) -> CorrelationTable:
-    """Table written by `table_to_json`; a missing or malformed file raises TableFileError."""
+    """Table from a JSON object with the `CorrelationTable` fields as keys.
+
+    `a_settings`, `b_settings`, `correlations` and `standard_errors` are
+    required; `frequencies` and `counts` may be null or absent.  A missing or
+    malformed file raises TableFileError.
+    """
     try:
         payload = read_json(path)
         return CorrelationTable(

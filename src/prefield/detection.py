@@ -59,7 +59,6 @@ from .hilbert import FieldVector, HermitianOperator
 from .observables import MCEstimate
 from .random_field import (
     CHUNK,
-    STREAM_CALIBRATION,
     STREAM_PAIRS,
     STREAM_TRIALS,
     BackgroundField,
@@ -519,66 +518,3 @@ def correlation_from_clicks(batch: TrialBatch) -> tuple[float, float]:
     # the standard error keeps its last bits
     products = _OUTCOME_PRODUCT[batch.codes[_SINGLE_SINGLE[batch.codes]]]
     return e, float(products.std(ddof=1) / np.sqrt(n_acc))
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Threshold scan on the maximally mixed ensemble."""
-
-    threshold: float
-    epsilon: float
-    target_single_fraction: float
-    grid: tuple[tuple[float, float], ...]
-    channel_rates: tuple[float, ...]
-    balanced: bool
-
-
-def calibrate_threshold(
-    epsilon: float,
-    target_single_fraction: float,
-    seed: RandomSeed,
-    dim: int = 2,
-    d_grid=None,
-    n_trials: int = 200_000,
-) -> CalibrationResult:
-    """Pick the threshold whose singles fraction on the mixed state hits a target.
-
-    Calibration never sees the state under test: it scans d on the
-    maximally mixed ensemble (covariance (1/dim + eps) I), checks that the
-    per-channel single-click rates are balanced, and returns the grid point
-    whose total single-click fraction is closest to the requested target.
-    One sample batch is shared across the whole scan.
-    """
-    from .hilbert import DensityOperator
-    from .random_field import ensemble_from_density
-
-    if dim != 2:
-        raise ValueError("calibration is defined for two-channel detectors")
-    if d_grid is None:
-        d_grid = np.geomspace(1e-3, 1.0, 61)
-    ens = ensemble_from_density(DensityOperator.maximally_mixed(dim), BackgroundField(epsilon))
-    powers = sample_powers(ens.sampler_factor, n_trials, seed, 0, STREAM_CALIBRATION)
-    grid = []
-    best = None
-    for d in d_grid:
-        clicks = powers > d
-        singles_mask = clicks.sum(axis=1) == 1
-        frac = float(singles_mask.mean())
-        grid.append((float(d), frac))
-        gap = abs(frac - target_single_fraction)
-        if best is None or gap < best[0]:
-            best = (gap, float(d), singles_mask, clicks)
-    _, d_star, singles_mask, clicks = best
-    n_singles = max(1, int(singles_mask.sum()))
-    channel_rates = tuple(float((clicks[:, c] & singles_mask).sum() / n_singles) for c in range(2))
-    # per-channel singles on the mixed state are equal by symmetry; flag if not
-    se = math.sqrt(0.25 / n_singles)
-    balanced = abs(channel_rates[0] - channel_rates[1]) <= 5.0 * 2.0 * se
-    return CalibrationResult(
-        threshold=d_star,
-        epsilon=float(epsilon),
-        target_single_fraction=float(target_single_fraction),
-        grid=tuple(grid),
-        channel_rates=channel_rates,
-        balanced=balanced,
-    )

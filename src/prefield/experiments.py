@@ -10,19 +10,24 @@ which estimate or block, never the numbers.
 
 Detection operating points
 --------------------------
-The threshold model needs calibrated (eps, d) pairs; these were frozen
-from scans documented in the test suite and README:
+The threshold model needs calibrated (eps, d) pairs.  The Born point is a
+closed form; the other two were frozen from scans documented in the test
+suite and README:
 
-* Born frequencies (single party): eps = 0.06 with the threshold chosen by
-  `calibrate_threshold` at a 0.068 singles fraction on the maximally mixed
-  state (d ~ 0.020).  At this point the conditional single-click
-  frequencies reproduce cos^2/sin^2 weights to well under a percent for
-  amplitude angles in [pi/6, pi/3]; the agreement degrades toward extreme
-  ratios.  No CLI experiment runs this point; the acceptance suite does.
+* Born frequencies (single party): eps = 0.06 and the threshold at which
+  the maximally mixed state gives a 0.068 singles fraction.  There each
+  channel power is exponential with mean 1/2 + eps, so a channel fires
+  with probability q = exp(-d / (1/2 + eps)) and the singles fraction is
+  2 q (1 - q); its root q = (1 + sqrt(1 - 2 * 0.068)) / 2 gives d = 0.0200917.
+  At this point the conditional single-click frequencies reproduce
+  cos^2/sin^2 weights to about a percent for amplitude angles in
+  [pi/6, pi/3]; the agreement degrades toward extreme ratios.  No CLI
+  experiment runs this point; the acceptance suite does.
 * Correlation curve: eps = eps*(singlet) + 0.03, d = 1.1 keeps the click
   correlation within ~0.03 of -cos 2(delta) across the whole angle sweep.
-* CHSH from clicks: eps = eps*(singlet), d = 0.2 maximizes the
-  post-selected violation (|S| ~ 3.4); the time-window style selection of
+* CHSH from clicks: eps = eps*(singlet), d = 0.2 trades |S| ~ 3.44 against
+  an accepted fraction of ~0.21; |S| rises as d falls (3.77 at d = 0.001)
+  while acceptance vanishes.  The time-window style selection of
   single-click coincidences is exactly what makes |S| exceed 2.
 """
 
@@ -96,6 +101,9 @@ SINGLET_EPS_MIN = math.sqrt(0.5) - 0.5
 # frozen calibration constants (see module docstring)
 BORN_CLICK_EPSILON = 0.06
 BORN_SINGLE_FRACTION_TARGET = 0.068
+BORN_CLICK_THRESHOLD = -(0.5 + BORN_CLICK_EPSILON) * math.log(
+    (1.0 + math.sqrt(1.0 - 2.0 * BORN_SINGLE_FRACTION_TARGET)) / 2.0
+)
 CURVE_EPSILON = SINGLET_EPS_MIN + 0.03
 CURVE_THRESHOLD = 1.1
 CHSH_CLICK_EPSILON = SINGLET_EPS_MIN
@@ -212,8 +220,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"dt too small for the horizon: dynamics takes round(time / dt) + "
             f"round({DRIFT_HORIZON:g} / dt) steps, at most {DYNAMICS_MAX_STEPS}"
         )
-    if config.step <= 0.0:
-        problems.append("step must be positive")
+    if not 1e-150 <= config.step <= 1e75:  # step**2 stays a normal float, (2 step)**4 finite
+        problems.append("step must lie in [1e-150, 1e75]: finite differences divide by step**2")
     if config.time_horizon < 0.0:
         problems.append("time must be non-negative")
     if config.kind == "triangle":
@@ -287,6 +295,15 @@ class ExperimentResult:
 
     def check_true(self, name: str, condition: bool, observed: float = 1.0) -> None:
         self.checks.append(Check(name, bool(condition), float(observed), 0.0, comparator="bool"))
+
+
+def _worst(values) -> float:
+    """Largest of `values`, 0 for none; NaN when any is NaN.
+
+    The builtin max(worst, x) keeps worst when x is NaN, so a NaN estimate
+    would pass its check; np.max carries the NaN into it and fails it.
+    """
+    return float(np.max(np.asarray(values, dtype=np.float64), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +390,17 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     e0 = system.hamilton_function(x)
     n0 = float(x @ x)
     steps = int(round(DRIFT_HORIZON / dt))
-    energy_drift = 0.0
-    norm_drift = 0.0
     stride = max(1, steps // 1000)
     header = ["t"] + [f"re_{k}" for k in range(dim)] + [f"im_{k}" for k in range(dim)] + ["energy", "power"]
     rows = []
     for k in range(steps + 1):
         if k % stride == 0 or k == steps:
-            e = system.hamilton_function(x)
-            n = float(x @ x)
-            energy_drift = max(energy_drift, abs(e - e0))
-            norm_drift = max(norm_drift, abs(n - n0))
-            rows.append([k * dt] + x.tolist() + [e, n])
+            rows.append([k * dt] + x.tolist() + [system.hamilton_function(x), float(x @ x)])
         if k < steps:
             x = integrator.step(x)
     result.tables["trajectory"] = (header, rows)
+    energy, power = np.array(rows)[:, -2:].T
+    energy_drift, norm_drift = _worst(np.abs(energy - e0)), _worst(np.abs(power - n0))
     result.add_exact("energy_drift", energy_drift)
     result.add_exact("norm_drift", norm_drift)
     result.check_abs("energy_conserved", energy_drift, 1e-6)
@@ -508,17 +521,17 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     header = ["delta", "reference", "exact_renormalized", "mc_renormalized", "mc_se",
               "clicks_E", "clicks_se", "accepted_fraction"]
     rows = []
-    worst_exact = worst_mc = worst_clicks = max_click_se = 0.0
     for delta, b_op, mc, ((e_clicks, se_clicks), stats) in zip(deltas, b_ops, curve[0::2], curve[1::2]):
         reference = -math.cos(2.0 * float(delta))
         exact = quadratic_correlation_renormalized(ensemble, a0, b_op)
-        worst_exact = max(worst_exact, abs(exact - reference))
-        worst_mc = max(worst_mc, abs(mc.mean - exact) / max(mc.standard_error, 1e-30))
-        worst_clicks = max(worst_clicks, abs(e_clicks - reference))
-        max_click_se = max(max_click_se, se_clicks)
         rows.append([float(delta), reference, exact, mc.mean, mc.standard_error,
                      e_clicks, se_clicks, stats.accepted_fraction])
     result.tables["correlation_curve"] = (header, rows)
+    _, reference, exact, mc_mean, mc_se, e_clicks, se_clicks, _ = np.array(rows).T
+    worst_exact = _worst(np.abs(exact - reference))
+    worst_mc = _worst(np.abs(mc_mean - exact) / np.maximum(mc_se, 1e-30))
+    worst_clicks = _worst(np.abs(e_clicks - reference))
+    max_click_se = _worst(se_clicks)
     result.add_exact("max_exact_deviation", worst_exact)
     result.check_abs("exact_equals_qm_curve", worst_exact, 1e-10)
     result.add_info("max_mc_deviation_in_se", worst_mc)
@@ -530,19 +543,17 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     # are independent exponentials with mean 1/2 + eps, so both exceed d
     # with probability exp(-2 d / (1/2 + eps))
     header = ["threshold", "double_rate_1", "double_rate_2", "accepted_fraction", "exact"]
-    rows = []
-    worst_pull = 0.0
+    rows, pulls = [], []
     for d, (_, stats) in zip(grid, grid_runs):
         exact = math.exp(-2.0 * d / (0.5 + eps))
         se = max(math.sqrt(exact * (1.0 - exact) / n_grid), 1.0 / n_grid)
-        for party in stats.parties:
-            worst_pull = max(worst_pull, abs(party.double_rate - exact) / se)
+        pulls += [abs(party.double_rate - exact) / se for party in stats.parties]
         rows.append(
             [float(d), stats.parties[0].double_rate, stats.parties[1].double_rate,
              stats.accepted_fraction, exact]
         )
     result.tables["double_click_rate"] = (header, rows)
-    result.check_abs("double_rate_vs_exact_5se", worst_pull, 5.0)
+    result.check_abs("double_rate_vs_exact_5se", _worst(pulls), 5.0)
 
     # no-signalling: party 1's marginals cannot see party 2's setting; each
     # run draws its own fields (reusing the same samples for both settings
@@ -585,15 +596,15 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
     q = math.exp(-threshold / (0.5 + eps))
     exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
     se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
-    worst_pull = 0.0
+    pulls = []
     for batch in batches.values():
         for party in click_statistics(batch).parties:
             (plus, minus), both = party.raw_click_rates, party.double_rate
             # none, + only, - only, both
             freq = np.array([1.0 - plus - minus + both, plus - both, minus - both, both])
-            worst_pull = max(worst_pull, float((np.abs(freq - exact) / se).max()))
+            pulls.append(np.abs(freq - exact) / se)
     result.add_exact("channel_click_probability", q)
-    result.check_abs("party_rates_vs_exact_5se", worst_pull, 5.0)
+    result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
     table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
     return table, batches
 

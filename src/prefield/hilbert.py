@@ -120,9 +120,6 @@ class HermitianOperator:
             self._eig = (w, v)
         return self._eig
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eig()[0][0])
-
     def to_payload(self) -> dict:
         from .serialize import operator_payload
 
@@ -130,54 +127,6 @@ class HermitianOperator:
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
-
-
-class DensityOperator:
-    """Hermitian, positive semi-definite, unit-trace matrix."""
-
-    __slots__ = ("_op",)
-
-    def __init__(self, operator):
-        if isinstance(operator, HermitianOperator):
-            op = operator
-        else:
-            op = HermitianOperator(operator)
-        wmin = op.min_eigenvalue()
-        if wmin < -PSD_TOL:
-            raise ValueError(f"density operator not PSD: min eigenvalue {wmin:.3e}")
-        tr = np.trace(op.matrix)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density operator trace {tr} differs from 1 beyond 1e-12")
-        self._op = op
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim) / dim)
-
-    @property
-    def operator(self) -> HermitianOperator:
-        return self._op
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self._op.dim
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim})"
-
-
-def projector_from_state(psi: FieldVector) -> HermitianOperator:
-    """Rank-1 orthogonal projector psi psi^+ onto the direction of psi.
-
-    The state is normalized first, so the result is idempotent with unit
-    trace for any nonzero input.
-    """
-    unit = psi.normalized().components
-    return HermitianOperator(np.outer(unit, unit.conj()))
 
 
 def trace_product(d: HermitianOperator, a: HermitianOperator) -> float:
@@ -194,11 +143,6 @@ def trace_product(d: HermitianOperator, a: HermitianOperator) -> float:
     return t.real
 
 
-def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product acting on the composite space of dimension n_a * n_b."""
-    return HermitianOperator(np.kron(a.matrix, b.matrix))
-
-
 def kron_vector(psi1: FieldVector, psi2: FieldVector) -> FieldVector:
     """Product vector with components (psi1 kron psi2)_{jn+k} = psi1_j psi2_k."""
     return FieldVector(np.kron(psi1.components, psi2.components))
@@ -211,22 +155,3 @@ def state_average(a: HermitianOperator, psi: FieldVector) -> float:
     if abs(val.imag) > TRACE_IMAG_TOL:
         raise ArithmeticError(f"<A psi, psi> has imaginary residue {val.imag:.3e}")
     return val.real
-
-
-def partial_trace(op: HermitianOperator, dims: tuple[int, int], keep: int) -> HermitianOperator:
-    """Trace out one tensor factor of an operator on a bipartite space.
-
-    `dims` gives the factor dimensions (n1, n2) with n1 * n2 equal to the
-    operator dimension; `keep` is 1 or 2.
-    """
-    n1, n2 = dims
-    if n1 * n2 != op.dim:
-        raise ValueError(f"dims {dims} incompatible with operator dimension {op.dim}")
-    m = op.matrix.reshape(n1, n2, n1, n2)
-    if keep == 1:
-        out = np.einsum("ikjk->ij", m)
-    elif keep == 2:
-        out = np.einsum("kikj->ij", m)
-    else:
-        raise ValueError("keep must be 1 or 2")
-    return HermitianOperator.symmetrized(out)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import FieldVector, HermitianOperator, trace_product
+from .hilbert import HermitianOperator, trace_product
 from .random_field import STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
 
 EVAL_IMAG_TOL = 1e-12
@@ -46,14 +46,6 @@ class QuadraticForm:
     @property
     def dim(self) -> int:
         return self._op.dim
-
-    def evaluate(self, phi: FieldVector) -> float:
-        if phi.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {phi.dim}")
-        val = complex(np.vdot(phi.components, self._op.matrix @ phi.components))
-        if abs(val.imag) > EVAL_IMAG_TOL * max(1.0, abs(val.real)):
-            raise ArithmeticError(f"quadratic form has imaginary residue {val.imag:.3e}")
-        return val.real
 
     def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
         """Values on an (N, dim) batch of field samples."""
@@ -123,7 +115,7 @@ def quadratic_form_values(
     ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed,
     start_index: int = 0, workers: int = 1,
 ) -> np.ndarray:
-    """f_A on the samples [start_index, start_index + n_samples) of `ensemble.sample`.
+    """f_A on the field samples [start_index, start_index + n_samples) of `ensemble`.
 
     With A = V diag(a) V^+, f_A(phi) = sum_k a_k |(V^+ phi)_k|^2: V^+ is folded
     into the sampling factor and each chunk's channel powers (`sample_powers`)

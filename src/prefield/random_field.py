@@ -5,7 +5,9 @@ operator D = E[phi phi^+]; the mean is identically zero and the law is
 circular (the pseudo-covariance E[phi phi^T] vanishes), the unique
 rotation-invariant choice compatible with phase invariance of the
 quadratic observables.  A pure state psi with background level eps yields
-D = psi psi^+ / ||psi||^2 + eps I; a density matrix rho yields rho + eps I.
+D = psi psi^+ / ||psi||^2 + eps I (`ensemble_from_pure_state`); any other
+covariance, such as rho + eps I for a density matrix rho, is handed to
+`GaussianFieldEnsemble` directly.
 
 Sampling draws phi = S xi with S = V sqrt(Lambda) from the
 eigendecomposition D = V Lambda V^+ (robust to the rank deficiency of
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, FieldVector, HermitianOperator, PSD_TOL
+from .hilbert import FieldVector, HermitianOperator, PSD_TOL
 
 SAMPLE_BLOCK = 4096
 
@@ -72,7 +74,6 @@ RNG_CONTRACT = 2
 STREAM_FIELD = 1
 STREAM_PAIRS = 3
 STREAM_TRIALS = 4
-STREAM_CALIBRATION = 5
 STREAM_HIDDEN_VARIABLE = 6
 STREAM_EXPERIMENT = 7
 
@@ -289,10 +290,6 @@ class GaussianFieldEnsemble:
     def dim(self) -> int:
         return self._cov.dim
 
-    def sample(self, n_samples: int, seed: RandomSeed, start_index: int = 0) -> np.ndarray:
-        """(n_samples, dim) array of field samples, one per row."""
-        return sample_with_factor(self._factor, n_samples, seed, start_index, STREAM_FIELD)
-
     def __repr__(self) -> str:
         return f"GaussianFieldEnsemble(dim={self.dim})"
 
@@ -309,28 +306,3 @@ def ensemble_from_pure_state(
     unit = psi.normalized().components
     cov = np.outer(unit, unit.conj()) + background.epsilon * np.eye(psi.dim)
     return GaussianFieldEnsemble(HermitianOperator(cov), background.epsilon)
-
-
-def ensemble_from_density(
-    rho: DensityOperator, background: BackgroundField = BackgroundField(0.0)
-) -> GaussianFieldEnsemble:
-    """Ensemble with covariance rho + eps I."""
-    cov = rho.matrix + background.epsilon * np.eye(rho.dim)
-    return GaussianFieldEnsemble(HermitianOperator.symmetrized(cov), background.epsilon)
-
-
-def empirical_covariance(samples: np.ndarray) -> HermitianOperator:
-    """(1/N) sum phi phi^+ with the mean pinned at zero, not subtracted.
-
-    Population normalization; the zero-mean law is part of the model, so
-    subtracting the sample mean would only add noise.
-    """
-    x = np.asarray(samples, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("samples must be a 2-D array, one sample per row")
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("empty sample batch")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    return HermitianOperator(x.T @ x.conj() / n)

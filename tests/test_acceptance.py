@@ -24,7 +24,6 @@ from prefield.cli import main as cli_main
 from prefield.detection import (
     BipartiteEnsemble,
     ThresholdDetector,
-    calibrate_threshold,
     click_statistics,
     pbs_projectors,
     quadratic_correlation_mc,
@@ -42,18 +41,13 @@ from prefield.dynamics import (
 )
 from prefield.experiments import (
     BORN_CLICK_EPSILON,
-    BORN_SINGLE_FRACTION_TARGET,
+    BORN_CLICK_THRESHOLD,
     CHSH_CLICK_EPSILON,
     CHSH_CLICK_THRESHOLD,
     CHSH_TARGET,
     DEFAULT_CHSH_ANGLES,
 )
-from prefield.hilbert import (
-    FieldVector,
-    HermitianOperator,
-    state_average,
-    tensor_product,
-)
+from prefield.hilbert import FieldVector, HermitianOperator, state_average
 from prefield.observables import (
     QuadraticForm,
     classical_average_exact,
@@ -212,7 +206,7 @@ def test_criterion_5_entangled_correlations():
         a, b = polarization(0.0), polarization(float(delta))
         reference = -math.cos(2.0 * float(delta))
         exact = quadratic_correlation_renormalized(ens, a, b)
-        oracle = state_average(tensor_product(a, b), SINGLET)
+        oracle = state_average(HermitianOperator(np.kron(a.matrix, b.matrix)), SINGLET)
         assert abs(oracle - reference) <= 1e-12  # tensor oracle agrees with the curve
         worst_exact = max(worst_exact, abs(exact - oracle))
         est = quadratic_correlation_mc(ens, a, b, 100_000, SEED, start_index=k * 100_000)
@@ -230,14 +224,12 @@ class TestCriterion6ThresholdDetection:
     def test_born_frequencies_from_clicks(self):
         """Calibrated clicks reproduce Born weights within 3 % relative error.
 
-        Calibration (documented): background 0.06; threshold from a scan on
-        the maximally mixed ensemble targeting a 6.8 % singles fraction.
-        Amplitude angles pi/6, pi/4, pi/3; agreement degrades toward extreme
-        amplitude ratios, which is not asserted here.
+        Calibration (documented): background 0.06; the threshold at which the
+        maximally mixed ensemble gives a 6.8 % singles fraction, in closed
+        form.  Amplitude angles pi/6, pi/4, pi/3; agreement degrades toward
+        extreme amplitude ratios, which is not asserted here.
         """
-        cal = calibrate_threshold(BORN_CLICK_EPSILON, BORN_SINGLE_FRACTION_TARGET, SEED)
-        assert cal.balanced
-        det = ThresholdDetector(cal.threshold)
+        det = ThresholdDetector(BORN_CLICK_THRESHOLD)
         worst = 0.0
         for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
             psi = FieldVector([math.cos(alpha), math.sin(alpha)])
@@ -252,7 +244,7 @@ class TestCriterion6ThresholdDetection:
         report(
             "criterion 6a (Born from clicks)",
             f"max relative error {worst * 100:.2f}% <= 3% at 1e6 trials "
-            f"(eps = {BORN_CLICK_EPSILON}, d = {cal.threshold:.4f})",
+            f"(eps = {BORN_CLICK_EPSILON}, d = {BORN_CLICK_THRESHOLD:.4f})",
         )
 
     def test_double_click_rate_matches_exact(self):

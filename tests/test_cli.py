@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import platform
@@ -16,8 +17,27 @@ from hypothesis import strategies as st
 from prefield import detection, experiments
 from prefield.analysis import CorrelationTable, singlet_exact_table
 from prefield.cli import main, parse_config_file
+from prefield.dynamics import HamiltonianSystem
 from prefield.experiments import DYNAMICS_MAX_STEPS, ExperimentConfig, run_born, validate
+from prefield.observables import MCEstimate
 from prefield.random_field import SAMPLE_BLOCK, block_ranges
+
+
+EPR_SMALL = ["epr", "--trials", "4000", "--samples", "2000", "--angles", "0.3"]
+
+
+def nan_field_mc(ensemble, a, b, n_samples, *rest, **kwargs):
+    return MCEstimate(math.nan, math.nan, n_samples)
+
+
+def nan_double_rates(batch):
+    stats = detection.click_statistics(batch)
+    parties = tuple(dataclasses.replace(party, double_rate=math.nan) for party in stats.parties)
+    return dataclasses.replace(stats, parties=parties)
+
+
+def nan_energy(system, x):
+    return math.nan
 
 
 def table_text(**changes):
@@ -244,6 +264,27 @@ class TestExitCodes:
         assert failed.get("double_rate_vs_exact_5se", 0.0) > 5.0
 
     @pytest.mark.parametrize(
+        "argv, owner, name, mutant, check",
+        [
+            (EPR_SMALL, experiments, "quadratic_correlation_mc", nan_field_mc, "mc_within_5se"),
+            (EPR_SMALL, experiments, "click_statistics", nan_double_rates, "double_rate_vs_exact_5se"),
+            (["chsh", "--model", "singlet-clicks", "--trials", "4000"], experiments, "click_statistics",
+             nan_double_rates, "party_rates_vs_exact_5se"),
+            (["dynamics"], HamiltonianSystem, "hamilton_function", nan_energy, "energy_conserved"),
+        ],
+        ids=["epr-field-mc", "epr-click-rates", "chsh-click-rates", "dynamics-energy"],
+    )
+    def test_nan_estimates_fail_their_checks(self, argv, owner, name, mutant, check, tmp_path, monkeypatch):
+        """A NaN pull fails its check instead of being dropped by a running max."""
+        args = argv + ["--seed", "41"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        monkeypatch.setattr(owner, name, mutant)
+        assert main(args + ["--out", str(tmp_path / "mutant")]) == 1
+        checks = json.loads((tmp_path / "mutant" / "results.json").read_text())["checks"]
+        failed = {c["name"]: c["observed"] for c in checks if not c["passed"]}
+        assert math.isnan(failed[check])
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["chsh", "--model", "singlet-clicks", "--trials", "1"],
@@ -259,6 +300,8 @@ class TestExitCodes:
             ["dynamics", "--dt", "nan"],
             ["dynamics", "--time", "inf"],
             ["hessian", "--step", "nan"],
+            ["hessian", "--step", "1e-170"],
+            ["hessian", "--step", "1e77"],
             ["chsh", "--model", "lhv", "--trials", "1"],
             ["kolmogorov", "--model", "lhv", "--trials", "1"],
             ["epr", "--trials", "20000", "--samples", "2000", "--threshold", "50", "--workers", "2"],
@@ -268,8 +311,8 @@ class TestExitCodes:
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
             "chsh-nan-angle", "chsh-inf-angle", "born-one-sample", "triangle-wide-angles",
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
-            "hessian-nan-step", "chsh-lhv-one-trial", "kolmogorov-lhv-one-trial",
-            "epr-high-threshold-two-workers", "epr-huge-epsilon",
+            "hessian-nan-step", "hessian-tiny-step", "hessian-huge-step", "chsh-lhv-one-trial",
+            "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
@@ -405,6 +448,11 @@ def assert_exit_contract(argv):
             assert all(math.isfinite(c["observed"]) for c in results["checks"])
 
 
+def real_flags(**values):
+    """--name=value for every real flag given a value; underscores become dashes."""
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items() if value is not None]
+
+
 class TestExitContractFuzz:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -450,9 +498,45 @@ class TestExitContractFuzz:
     def test_epr(self, trials, samples, workers, threshold, epsilon, seed, angles):
         argv = ["epr", "--seed", str(seed), "--trials", str(trials), "--samples", str(samples),
                 "--workers", str(workers), "--angles=" + ",".join(map(repr, angles))]
-        argv += [f"--{name}={value!r}" for name, value in (("threshold", threshold), ("epsilon", epsilon))
-                 if value is not None]
-        assert_exit_contract(argv)
+        assert_exit_contract(argv + real_flags(threshold=threshold, epsilon=epsilon))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        samples=st.integers(1, 3000),
+        workers=st.integers(1, 3),
+        epsilon=st.none() | st.floats(0.0, 1.0) | st.floats(min_value=0.0) | BAD_REALS,
+        threshold=st.none() | BAD_REALS,
+        seed=st.integers(0, 2**32),
+    )
+    def test_born(self, dim, samples, workers, epsilon, threshold, seed):
+        argv = ["born", "--seed", str(seed), "--dim", str(dim), "--samples", str(samples),
+                "--workers", str(workers)]
+        assert_exit_contract(argv + real_flags(epsilon=epsilon, threshold=threshold))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        step=st.none() | st.floats(1e-6, 1e-1) | st.floats(min_value=0.0) | BAD_REALS,
+        epsilon=st.none() | BAD_REALS,
+        threshold=st.none() | BAD_REALS,
+        seed=st.integers(0, 2**32),
+    )
+    def test_hessian(self, dim, step, epsilon, threshold, seed):
+        argv = ["hessian", "--seed", str(seed), "--dim", str(dim)]
+        assert_exit_contract(argv + real_flags(step=step, epsilon=epsilon, threshold=threshold))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, 4.0) | st.floats() | BAD_REALS, max_size=4),
+        flat_sum=st.none() | st.floats(0.0, 10.0) | st.floats() | BAD_REALS,
+        epsilon=st.none() | BAD_REALS,
+        threshold=st.none() | BAD_REALS,
+        seed=st.integers(0, 2**32),
+    )
+    def test_triangle(self, angles, flat_sum, epsilon, threshold, seed):
+        argv = ["triangle", "--seed", str(seed), "--angles=" + ",".join(map(repr, angles))]
+        assert_exit_contract(argv + real_flags(flat_sum=flat_sum, epsilon=epsilon, threshold=threshold))
 
 
 class TestMemory:

@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prefield import detection, experiments, random_field
+from prefield import experiments, random_field
 from prefield.cli import main
 from prefield.detection import (
     BackgroundTooSmallError,
     BipartiteEnsemble,
     ThresholdDetector,
     TrialBatch,
-    calibrate_threshold,
     click_statistics,
     correlation_from_clicks,
     pbs_projectors,
@@ -23,24 +22,16 @@ from prefield.detection import (
     run_single_party_trials,
     run_trials,
 )
-from prefield.hilbert import (
-    DensityOperator,
-    FieldVector,
-    HermitianOperator,
-    kron_vector,
-    partial_trace,
-    projector_from_state,
-    state_average,
-    tensor_product,
-)
+from prefield.experiments import BORN_CLICK_EPSILON, BORN_CLICK_THRESHOLD
+from prefield.hilbert import FieldVector, HermitianOperator, kron_vector, state_average
 from prefield.observables import QuadraticForm, quadratic_form_values
 from prefield.random_field import (
     SAMPLE_BLOCK,
     BackgroundField,
+    GaussianFieldEnsemble,
     RandomSeed,
-    empirical_covariance,
-    ensemble_from_density,
     ensemble_from_pure_state,
+    sample_with_factor,
 )
 
 SEED = RandomSeed(777)
@@ -157,16 +148,16 @@ class TestBipartiteConstruction:
         rng = np.random.default_rng(2)
         psi = rand_unit(rng, 9)
         ens = BipartiteEnsemble(psi, BackgroundField(1.0))
-        proj = projector_from_state(psi)
-        for keep, marginal in zip((1, 2), marginal_covariances(ens)):
-            rho = partial_trace(proj, (3, 3), keep).matrix
+        m = np.outer(psi.components, psi.components.conj()).reshape(3, 3, 3, 3)
+        reduced = np.einsum("ikjk->ij", m), np.einsum("kikj->ij", m)
+        for rho, marginal in zip(reduced, marginal_covariances(ens)):
             np.testing.assert_allclose(marginal, rho + np.eye(3), atol=1e-12)
 
     def test_sampled_marginals_match(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
         phi1, phi2 = ens.sample_pairs(60_000, SEED)
         for phi, marginal in zip((phi1, phi2), marginal_covariances(ens)):
-            emp = empirical_covariance(phi).matrix
+            emp = phi.T @ phi.conj() / 60_000
             assert np.abs(emp - marginal).max() <= 5.0 * 0.75 / np.sqrt(60_000)
 
     def test_pair_sampling_partition_invariant(self):
@@ -208,7 +199,7 @@ class TestQuadraticCorrelation:
             eps = eps_floor + float(rng.uniform(0.0, 0.5))
             ens = BipartiteEnsemble(psi, BackgroundField(eps))
             a, b = rand_hermitian(rng, n), rand_hermitian(rng, n)
-            oracle = state_average(tensor_product(a, b), psi)
+            oracle = state_average(HermitianOperator(np.kron(a.matrix, b.matrix)), psi)
             assert quadratic_correlation_renormalized(ens, a, b) == pytest.approx(
                 oracle, abs=1e-10
             )
@@ -228,8 +219,8 @@ class TestQuadraticCorrelation:
         a, b = rand_hermitian(rng, 2), rand_hermitian(rng, 2)
         e1 = ensemble_from_pure_state(psi1, BackgroundField(0.1))
         e2 = ensemble_from_pure_state(psi2, BackgroundField(0.1))
-        fa = QuadraticForm(a).evaluate_batch(e1.sample(40_000, RandomSeed(61)))
-        fb = QuadraticForm(b).evaluate_batch(e2.sample(40_000, RandomSeed(62)))
+        fa = QuadraticForm(a).evaluate_batch(sample_with_factor(e1.sampler_factor, 40_000, RandomSeed(61)))
+        fb = QuadraticForm(b).evaluate_batch(sample_with_factor(e2.sampler_factor, 40_000, RandomSeed(62)))
         cov = float(np.mean(fa * fb) - fa.mean() * fb.mean())
         se = float((fa * fb).std(ddof=1) / np.sqrt(40_000))
         assert abs(cov) <= 5.0 * se
@@ -278,7 +269,7 @@ class TestPowerKernel:
         ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, dim))
         values = quadratic_form_values(ens, form, stop - start, SEED, start)
-        reference = form.evaluate_batch(ens.sample(stop - start, SEED, start))
+        reference = form.evaluate_batch(sample_with_factor(ens.sampler_factor, stop - start, SEED, start))
         assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
 
     @pytest.mark.usefixtures("split_every_block")
@@ -351,18 +342,28 @@ class TestTrials:
 
     def test_double_click_rate_matches_closed_form(self):
         # on the maximally mixed ensemble each channel power is an independent
-        # exponential with mean 1/2 + eps, so both channels fire with
-        # probability exp(-2d / (1/2 + eps)); every threshold reads fields of
-        # its own index range.  A kernel whose threshold is scaled by 1.05
-        # reaches a pull of about 12.
-        eps, n = SINGLET_EPS_MIN, 100_000
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2), BackgroundField(eps))
-        for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
-            batch = run_single_party_trials(ens, ThresholdDetector(float(d)), n, SEED, start_index=k * n)
-            rate = click_statistics(batch).parties[0].double_rate
-            exact = math.exp(-2.0 * d / (0.5 + eps))
-            se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
-            assert abs(rate - exact) <= 5.0 * se, (d, rate, exact)
+        # exponential with mean 1/2 + eps, so a channel fires with probability
+        # q = exp(-d / (1/2 + eps)): both channels with q^2, each channel alone
+        # with q (1 - q), either alone with 2 q (1 - q).  Every threshold reads
+        # fields of its own index range; the last one is the Born operating
+        # point, whose singles fraction is 0.068.  A kernel whose threshold is
+        # scaled by 1.05 reaches a pull of about 12.
+        q_born = math.exp(-BORN_CLICK_THRESHOLD / (0.5 + BORN_CLICK_EPSILON))
+        assert abs(2.0 * q_born * (1.0 - q_born) - 0.068) <= 1e-12
+        n = 100_000
+        points = [(SINGLET_EPS_MIN, float(d)) for d in np.geomspace(0.01, 2.0, 12)]
+        points.append((BORN_CLICK_EPSILON, BORN_CLICK_THRESHOLD))
+        for k, (eps, d) in enumerate(points):
+            ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
+            batch = run_single_party_trials(ens, ThresholdDetector(d), n, SEED, start_index=k * n)
+            party = click_statistics(batch).parties[0]
+            single = [rate - party.double_rate for rate in party.raw_click_rates]
+            q = math.exp(-d / (0.5 + eps))
+            pairs = [(party.double_rate, math.exp(-2.0 * d / (0.5 + eps)))]
+            pairs += [(sum(single), 2.0 * q * (1.0 - q))] + [(rate, q * (1.0 - q)) for rate in single]
+            for observed, exact in pairs:
+                se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
+                assert abs(observed - exact) <= 5.0 * se, (eps, d, observed, exact)
 
     def test_acceptance_fraction_monotone_past_peak(self):
         # the accepted-coincidence fraction vanishes at both threshold
@@ -453,11 +454,7 @@ class TestSingleParty:
     def test_born_frequencies_at_calibration_point(self):
         # quick statistical check at the frozen operating point; the full
         # million-trial version lives in the acceptance suite
-        from prefield.experiments import BORN_CLICK_EPSILON, BORN_SINGLE_FRACTION_TARGET
-
-        cal = calibrate_threshold(BORN_CLICK_EPSILON, BORN_SINGLE_FRACTION_TARGET, SEED)
-        assert cal.balanced
-        det = ThresholdDetector(cal.threshold)
+        det = ThresholdDetector(BORN_CLICK_THRESHOLD)
         for alpha in (np.pi / 6, np.pi / 3):
             psi = FieldVector([np.cos(alpha), np.sin(alpha)])
             ens = ensemble_from_pure_state(psi, BackgroundField(BORN_CLICK_EPSILON))
@@ -467,22 +464,6 @@ class TestSingleParty:
             born = np.cos(alpha) ** 2
             assert abs(f_plus - born) / born <= 0.03
             assert abs((1 - f_plus) - (1 - born)) / (1 - born) <= 0.03
-
-
-class TestCalibration:
-    def test_threshold_hits_target_fraction(self):
-        cal = calibrate_threshold(0.06, 0.068, SEED, n_trials=100_000)
-        fractions = dict(cal.grid)
-        assert abs(fractions[cal.threshold] - 0.068) <= 0.01
-        assert cal.balanced
-
-    def test_rejects_other_dimensions_before_sampling(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("calibration drew samples before checking the dimension")
-
-        monkeypatch.setattr(detection, "sample_powers", no_draws)
-        with pytest.raises(ValueError, match="two-channel"):
-            calibrate_threshold(0.06, 0.068, SEED, dim=3)
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 3])

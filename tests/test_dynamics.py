@@ -10,10 +10,10 @@ from prefield.dynamics import (
     exact_propagator,
     integrate,
 )
-from prefield.hilbert import DensityOperator, FieldVector, HermitianOperator
+from prefield.hilbert import FieldVector, HermitianOperator
 from prefield.random_field import (
     BackgroundField,
-    ensemble_from_density,
+    GaussianFieldEnsemble,
     ensemble_from_pure_state,
 )
 
@@ -175,8 +175,8 @@ class TestEnsembleEvolution:
 
     def test_background_is_stationary(self):
         eps = 0.3
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2), BackgroundField(eps - 0.25))
-        # covariance (0.5 + eps - 0.25) I: any isotropic law is stationary
+        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps - 0.25) * np.eye(2)), eps - 0.25)
+        # any isotropic law is stationary
         rng = np.random.default_rng(9)
         h = rand_hermitian(rng, 2)
         out = evolve_ensemble(ens, h, 2.0)

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from prefield.hilbert import (
-    DensityOperator,
     FieldVector,
     HermitianOperator,
     kron_vector,
-    partial_trace,
-    projector_from_state,
     state_average,
-    tensor_product,
     trace_product,
 )
+from prefield.random_field import ensemble_from_pure_state
 
 
 def rand_unit(rng, dim):
@@ -22,6 +19,11 @@ def rand_unit(rng, dim):
 def rand_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator((m + m.conj().T) / 2)
+
+
+def projector_from_state(psi):
+    """The projector psi psi^+ / ||psi||^2, as the covariance of psi without background."""
+    return ensemble_from_pure_state(psi).covariance
 
 
 class TestProjector:
@@ -89,24 +91,14 @@ class TestTraceProduct:
 
 
 class TestTensor:
-    def test_identity_kron(self):
-        eye2 = HermitianOperator(np.eye(2))
-        np.testing.assert_allclose(tensor_product(eye2, eye2).matrix, np.eye(4), atol=1e-15)
-
-    def test_diag_kron(self):
-        a = HermitianOperator.diagonal([1, -1])
-        eye2 = HermitianOperator(np.eye(2))
-        np.testing.assert_allclose(
-            tensor_product(a, eye2).matrix, np.diag([1, 1, -1, -1]).astype(complex), atol=1e-15
-        )
-
     def test_singlet_correlation(self):
         up, down = FieldVector([1, 0]), FieldVector([0, 1])
         singlet = FieldVector(
             (kron_vector(up, down).components - kron_vector(down, up).components) / np.sqrt(2)
         )
         sz = HermitianOperator.diagonal([1, -1])
-        assert state_average(tensor_product(sz, sz), singlet) == pytest.approx(-1.0, abs=1e-14)
+        szsz = HermitianOperator(np.kron(sz.matrix, sz.matrix))
+        assert state_average(szsz, singlet) == pytest.approx(-1.0, abs=1e-14)
 
 
 class TestHermitianConstruction:
@@ -132,30 +124,6 @@ class TestHermitianConstruction:
         h = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 2.0
-
-
-class TestDensityOperator:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="PSD"):
-            DensityOperator(HermitianOperator.diagonal([1.5, -0.5]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityOperator(HermitianOperator.diagonal([0.9, 0.9]))
-
-    def test_maximally_mixed(self):
-        rho = DensityOperator.maximally_mixed(4)
-        np.testing.assert_allclose(rho.matrix, np.eye(4) / 4)
-
-    def test_partial_trace_of_singlet(self):
-        up, down = FieldVector([1, 0]), FieldVector([0, 1])
-        singlet = FieldVector(
-            (kron_vector(up, down).components - kron_vector(down, up).components) / np.sqrt(2)
-        )
-        proj = projector_from_state(singlet)
-        for keep in (1, 2):
-            red = partial_trace(proj, (2, 2), keep)
-            np.testing.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-14)
 
 
 class TestFieldVector:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prefield.hilbert import DensityOperator, FieldVector, HermitianOperator, state_average
+from prefield.hilbert import FieldVector, HermitianOperator, state_average
 from prefield.observables import (
     FieldFunctional,
     QuadraticForm,
@@ -17,7 +17,6 @@ from prefield.random_field import (
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
-    ensemble_from_density,
     ensemble_from_pure_state,
 )
 
@@ -37,28 +36,28 @@ def rand_hermitian(rng, dim):
 class TestEvaluateQuadratic:
     def test_identity_equals_power(self):
         form = QuadraticForm(HermitianOperator(np.eye(2)))
-        assert form.evaluate(FieldVector([1, 1j])) == pytest.approx(2.0, abs=1e-14)
+        assert form.evaluate_batch([[1, 1j]])[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_diagonal(self):
         form = QuadraticForm(HermitianOperator.diagonal([1, -1]))
-        assert form.evaluate(FieldVector([1, 0])) == pytest.approx(1.0, abs=1e-15)
+        assert form.evaluate_batch([[1, 0]])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_offdiagonal(self):
         form = QuadraticForm(HermitianOperator([[0, 1], [1, 0]]))
-        phi = FieldVector(np.array([1, 1]) / np.sqrt(2))
-        assert form.evaluate(phi) == pytest.approx(1.0, abs=1e-14)
+        phi = np.array([1, 1]) / np.sqrt(2)
+        assert form.evaluate_batch([phi])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_dimension_mismatch(self):
         form = QuadraticForm(HermitianOperator(np.eye(3)))
         with pytest.raises(ValueError):
-            form.evaluate(FieldVector([1, 0]))
+            form.evaluate_batch([[1, 0]])
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         form = QuadraticForm(rand_hermitian(rng, 3))
         x = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
         batch = form.evaluate_batch(x)
-        singles = [form.evaluate(FieldVector(row)) for row in x]
+        singles = [np.vdot(row, form.operator.matrix @ row).real for row in x]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -69,13 +68,12 @@ class TestExactAverages:
         assert classical_average_exact(ens, form) == pytest.approx(1.0, abs=1e-14)
 
     def test_traceless_on_mixed_with_background(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2), BackgroundField(0.4))
+        ens = GaussianFieldEnsemble(HermitianOperator(0.9 * np.eye(2)), 0.4)
         form = QuadraticForm(HermitianOperator([[0, 1], [1, 0]]))
         assert classical_average_exact(ens, form) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_with_background(self):
-        rho = DensityOperator(HermitianOperator.diagonal([0.9, 0.1]))
-        ens = ensemble_from_density(rho, BackgroundField(0.2))
+        ens = GaussianFieldEnsemble(HermitianOperator.diagonal([1.1, 0.3]), 0.2)
         form = QuadraticForm(HermitianOperator.diagonal([1, -1]))
         assert classical_average_exact(ens, form) == pytest.approx(0.8, abs=1e-14)
 
@@ -96,12 +94,12 @@ class TestRenormalize:
         rng = np.random.default_rng(2)
         rho_m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho_m = rho_m @ rho_m.conj().T
-        rho = DensityOperator(HermitianOperator.symmetrized(rho_m / np.trace(rho_m).real))
+        rho = rho_m / np.trace(rho_m).real
         a = rand_hermitian(rng, 3)
         eps = 0.37
-        ens = ensemble_from_density(rho, BackgroundField(eps))
+        ens = GaussianFieldEnsemble(HermitianOperator.symmetrized(rho + eps * np.eye(3)), eps)
         avg = classical_average_exact(ens, QuadraticForm(a))
-        born = float(np.trace(rho.matrix @ a.matrix).real)
+        born = float(np.trace(rho @ a.matrix).real)
         assert renormalize(avg, a, eps) == pytest.approx(born, abs=1e-12)
 
     def test_traceless_identity(self):
@@ -117,7 +115,7 @@ def mc_average(ens, form, n):
 
 class TestMCAverages:
     def test_zero_functional(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
+        ens = GaussianFieldEnsemble(HermitianOperator(np.eye(2) / 2))
         form = QuadraticForm(HermitianOperator(np.zeros((2, 2))))
         assert mc_average(ens, form, 1000) == (0.0, 0.0)
 

@@ -9,7 +9,7 @@ import pytest
 from prefield import random_field
 from prefield.analysis import lhv_sampled_table
 from prefield.detection import BipartiteEnsemble
-from prefield.hilbert import DensityOperator, FieldVector, HermitianOperator
+from prefield.hilbert import FieldVector, HermitianOperator
 from prefield.random_field import (
     CHUNK,
     SAMPLE_BLOCK,
@@ -19,8 +19,6 @@ from prefield.random_field import (
     GaussianFieldEnsemble,
     RandomSeed,
     _standard_circular,
-    empirical_covariance,
-    ensemble_from_density,
     ensemble_from_pure_state,
     for_each_chunk,
     map_jobs,
@@ -58,7 +56,17 @@ def chunk_calls(start, stop, workers, n_threads):
 def rand_density(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = m @ m.conj().T
-    return DensityOperator(HermitianOperator.symmetrized(h / np.trace(h).real))
+    return HermitianOperator.symmetrized(h / np.trace(h).real).matrix
+
+
+def mixed_ensemble(rho, eps=0.0):
+    """Ensemble with covariance rho + eps I for a density matrix rho."""
+    return GaussianFieldEnsemble(HermitianOperator.symmetrized(rho + eps * np.eye(len(rho))), eps)
+
+
+def sample(ens, n, seed=SEED, start=0):
+    """Field samples [start, start + n) of an ensemble."""
+    return sample_with_factor(ens.sampler_factor, n, seed, start, STREAM_FIELD)
 
 
 class TestEnsembleConstruction:
@@ -78,19 +86,6 @@ class TestEnsembleConstruction:
         ens = ensemble_from_pure_state(FieldVector([2, 0]))
         np.testing.assert_allclose(ens.covariance.matrix, [[1, 0], [0, 0]], atol=1e-15)
 
-    def test_density_identity(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
-        np.testing.assert_allclose(ens.covariance.matrix, np.eye(2) / 2, atol=1e-15)
-
-    def test_density_with_background(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2), BackgroundField(0.25))
-        np.testing.assert_allclose(ens.covariance.matrix, 0.75 * np.eye(2), atol=1e-15)
-
-    def test_density_diagonal(self):
-        rho = DensityOperator(HermitianOperator.diagonal([0.9, 0.1]))
-        ens = ensemble_from_density(rho)
-        np.testing.assert_allclose(ens.covariance.matrix, np.diag([0.9, 0.1]), atol=1e-15)
-
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             BackgroundField(-0.1)
@@ -103,39 +98,39 @@ class TestEnsembleConstruction:
 class TestSampling:
     def test_zero_covariance_gives_zero_fields(self):
         ens = GaussianFieldEnsemble(HermitianOperator(np.zeros((2, 2))))
-        x = ens.sample(100, SEED)
+        x = sample(ens, 100)
         assert np.all(x == 0)
 
     def test_scalar_unit_variance(self):
         ens = GaussianFieldEnsemble(HermitianOperator(np.eye(1)))
-        x = ens.sample(1_000_000, SEED)
+        x = sample(ens, 1_000_000)
         mean_power = float(np.mean(np.abs(x) ** 2))
         assert abs(mean_power - 1.0) <= 0.005  # 5 / sqrt(N)
 
     def test_rank_one_support_exact_zero_component(self):
         ens = ensemble_from_pure_state(FieldVector([1, 0]))
-        x = ens.sample(1000, SEED)
+        x = sample(ens, 1000)
         assert np.all(x[:, 1] == 0)
 
     def test_rank_one_support_general_state(self):
         rng = np.random.default_rng(1)
         psi = rand_unit(rng, 4)
         ens = ensemble_from_pure_state(psi)
-        x = ens.sample(500, SEED)
+        x = sample(ens, 500)
         overlap = x @ psi.components.conj()
         residual = x - overlap[:, None] * psi.components[None, :]
         assert np.abs(residual).max() <= 1e-12
 
     def test_mean_is_zero(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(3))
-        x = ens.sample(200_000, SEED)
+        ens = mixed_ensemble(np.eye(3) / 3)
+        x = sample(ens, 200_000)
         assert np.abs(x.mean(axis=0)).max() <= 5.0 / np.sqrt(200_000)
 
     def test_circularity(self):
         rng = np.random.default_rng(2)
         ens = ensemble_from_pure_state(rand_unit(rng, 3), BackgroundField(0.2))
         n = 100_000
-        x = ens.sample(n, SEED)
+        x = sample(ens, n)
         pseudo = x.T @ x / n  # E[phi phi^T] vanishes for a circular law
         assert np.abs(pseudo).max() <= 5.0 / np.sqrt(n)
 
@@ -145,8 +140,9 @@ class TestSampling:
         for dim in range(2, 9):
             for _ in range(3):
                 rho = rand_density(rng, dim)
-                ens = ensemble_from_density(rho, BackgroundField(0.05))
-                emp = empirical_covariance(ens.sample(n, SEED)).matrix
+                ens = mixed_ensemble(rho, 0.05)
+                x = sample(ens, n)
+                emp = x.T @ x.conj() / n
                 d = ens.covariance.matrix
                 bound = 5.0 * float(np.abs(d).max()) / np.sqrt(n)
                 assert np.abs(emp - d).max() <= bound
@@ -154,15 +150,15 @@ class TestSampling:
 
 class TestDeterminism:
     def test_partition_invariance(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(3), BackgroundField(0.1))
-        full = ens.sample(10_000, SEED)
-        pieces = [ens.sample(2_500, SEED, start_index=k * 2_500) for k in range(4)]
+        ens = mixed_ensemble(np.eye(3) / 3, 0.1)
+        full = sample(ens, 10_000)
+        pieces = [sample(ens, 2_500, start=k * 2_500) for k in range(4)]
         np.testing.assert_array_equal(full, np.concatenate(pieces, axis=0))
 
     def test_same_indices_same_fields(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
-        a = ens.sample(6_000, SEED)
-        b = ens.sample(2_000, SEED, start_index=4_000)
+        ens = mixed_ensemble(np.eye(2) / 2)
+        a = sample(ens, 6_000)
+        b = sample(ens, 2_000, start=4_000)
         np.testing.assert_array_equal(a[4_000:], b)
 
     @pytest.mark.parametrize(
@@ -185,7 +181,7 @@ class TestDeterminism:
             factor = BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5)).sampler_factor
         else:
             rho = rand_density(np.random.default_rng(5), 3)
-            factor = ensemble_from_density(rho, BackgroundField(0.1)).sampler_factor
+            factor = mixed_ensemble(rho, 0.1).sampler_factor
         first, last = start // SAMPLE_BLOCK, (start + n - 1) // SAMPLE_BLOCK
         blocks = [
             _standard_circular(SEED.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[1])
@@ -295,8 +291,8 @@ class TestDeterminism:
         assert threading.active_count() == threads
 
     def test_different_seeds_differ(self):
-        ens = ensemble_from_density(DensityOperator.maximally_mixed(2))
-        assert not np.array_equal(ens.sample(10, RandomSeed(1)), ens.sample(10, RandomSeed(2)))
+        ens = mixed_ensemble(np.eye(2) / 2)
+        assert not np.array_equal(sample(ens, 10, RandomSeed(1)), sample(ens, 10, RandomSeed(2)))
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -365,19 +361,5 @@ class TestFunctionals:
         rng = np.random.default_rng(4)
         for dim in (2, 5):
             rho = rand_density(rng, dim)
-            ens = ensemble_from_density(rho, BackgroundField(0.3))
+            ens = mixed_ensemble(rho, 0.3)
             assert ens.covariance.trace() == pytest.approx(1.0 + dim * 0.3, abs=1e-12)
-
-    def test_empirical_covariance_two_samples(self):
-        emp = empirical_covariance(np.array([[1, 0], [-1, 0]], dtype=complex))
-        np.testing.assert_allclose(emp.matrix, [[1, 0], [0, 0]], atol=1e-15)
-
-    def test_empirical_covariance_repeated_sample(self):
-        emp = empirical_covariance(np.array([[0, 2], [0, 2]], dtype=complex))
-        np.testing.assert_allclose(emp.matrix, [[0, 0], [0, 4]], atol=1e-15)
-
-    def test_empirical_covariance_needs_samples(self):
-        with pytest.raises(ValueError):
-            empirical_covariance(np.empty((0, 2), dtype=complex))
-        with pytest.raises(ValueError):
-            empirical_covariance(np.array([[1, 0]], dtype=complex))

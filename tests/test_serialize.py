@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -45,11 +46,11 @@ class TestCliIntegration:
         assert (out / "trajectory.csv").exists()
 
     def test_kolmogorov_from_table_file(self, tmp_path):
-        from prefield.analysis import singlet_exact_table, table_to_json
+        from prefield.analysis import singlet_exact_table
 
         table = singlet_exact_table((0.0, math.pi / 4), (math.pi / 8, -math.pi / 8))
         path = tmp_path / "table.json"
-        table_to_json(table, path)
+        path.write_text(json.dumps(dataclasses.asdict(table), default=np.ndarray.tolist))
         out = tmp_path / "kol"
         code = main(
             ["kolmogorov", "--seed", "1", "--model", "file", "--table", str(path), "--out", str(out)]
