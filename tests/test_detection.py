@@ -22,7 +22,11 @@ from prefield.detection import (
     run_single_party_trials,
     run_trials,
 )
-from prefield.experiments import BORN_CLICK_EPSILON, BORN_CLICK_THRESHOLD
+from prefield.experiments import (
+    BORN_CLICK_EPSILON,
+    BORN_CLICK_THRESHOLD,
+    BORN_SINGLE_FRACTION_TARGET,
+)
 from prefield.hilbert import FieldVector, HermitianOperator, kron_vector, state_average
 from prefield.observables import QuadraticForm, quadratic_form_values
 from prefield.random_field import (
@@ -345,16 +349,12 @@ class TestTrials:
         # exponential with mean 1/2 + eps, so a channel fires with probability
         # q = exp(-d / (1/2 + eps)): both channels with q^2, each channel alone
         # with q (1 - q), either alone with 2 q (1 - q).  Every threshold reads
-        # fields of its own index range; the last one is the Born operating
-        # point, whose singles fraction is 0.068.  A kernel whose threshold is
-        # scaled by 1.05 reaches a pull of about 12.
-        q_born = math.exp(-BORN_CLICK_THRESHOLD / (0.5 + BORN_CLICK_EPSILON))
-        assert abs(2.0 * q_born * (1.0 - q_born) - 0.068) <= 1e-12
-        n = 100_000
-        points = [(SINGLET_EPS_MIN, float(d)) for d in np.geomspace(0.01, 2.0, 12)]
-        points.append((BORN_CLICK_EPSILON, BORN_CLICK_THRESHOLD))
-        for k, (eps, d) in enumerate(points):
-            ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
+        # fields of its own index range.  A kernel whose threshold is scaled by
+        # 1.05 reaches a pull of about 12.
+        eps, n = SINGLET_EPS_MIN, 100_000
+        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
+        for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
+            d = float(d)
             batch = run_single_party_trials(ens, ThresholdDetector(d), n, SEED, start_index=k * n)
             party = click_statistics(batch).parties[0]
             single = [rate - party.double_rate for rate in party.raw_click_rates]
@@ -363,7 +363,7 @@ class TestTrials:
             pairs += [(sum(single), 2.0 * q * (1.0 - q))] + [(rate, q * (1.0 - q)) for rate in single]
             for observed, exact in pairs:
                 se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
-                assert abs(observed - exact) <= 5.0 * se, (eps, d, observed, exact)
+                assert abs(observed - exact) <= 5.0 * se, (d, observed, exact)
 
     def test_acceptance_fraction_monotone_past_peak(self):
         # the accepted-coincidence fraction vanishes at both threshold
@@ -464,6 +464,26 @@ class TestSingleParty:
             born = np.cos(alpha) ** 2
             assert abs(f_plus - born) / born <= 0.03
             assert abs((1 - f_plus) - (1 - born)) / (1 - born) <= 0.03
+
+
+class TestCalibration:
+    def test_threshold_hits_target_fraction(self):
+        # the Born threshold is the closed-form root of 2 q (1 - q) = target
+        # with q = exp(-d / (1/2 + eps)), the single-click fraction on the
+        # maximally mixed ensemble; simulated singles at that threshold hit
+        # the target, and the two channels fire alone equally often
+        eps, d, target = BORN_CLICK_EPSILON, BORN_CLICK_THRESHOLD, BORN_SINGLE_FRACTION_TARGET
+        q = math.exp(-d / (0.5 + eps))
+        assert abs(2.0 * q * (1.0 - q) - target) <= 1e-12
+        n = 100_000
+        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
+        party = click_statistics(run_single_party_trials(ens, ThresholdDetector(d), n, SEED)).parties[0]
+        single = [rate - party.double_rate for rate in party.raw_click_rates]
+        assert abs(sum(single) - target) <= 0.01
+        se = math.sqrt(q * (1.0 - q) / n)
+        for rate in single:
+            assert abs(rate - q * (1.0 - q)) <= 5.0 * se, (rate, q * (1.0 - q))
+        assert abs(single[0] - single[1]) <= 5.0 * math.sqrt(2.0) * se
 
 
 @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 3])
