@@ -20,6 +20,7 @@ CHSH detects the absence of a joint distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,29 @@ class TableFileError(ValueError):
     """A correlation-table file is missing or malformed."""
 
 
+def _numbers(values, kinds: str, name: str) -> np.ndarray:
+    """`values` as an array of a dtype kind in `kinds`; strings, None, bools and overlong ints are not."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{name} must be numbers of kind {kinds!r}, got {arr.dtype}")
+    return arr
+
+
+def _correlations(freq: np.ndarray) -> np.ndarray:
+    """E = P++ + P-- - P+- - P-+ of every setting pair of a (2, 2, 2, 2) table."""
+    return freq[..., 0, 0] + freq[..., 1, 1] - freq[..., 0, 1] - freq[..., 1, 0]
+
+
+def _frequencies(corr, mean_a=0.0, mean_b=0.0) -> np.ndarray:
+    """The (2, 2, 2, 2) table of +-1 outcomes with party means m_a, m_b and correlations E.
+
+    Cell (x, y, i, j) is (1 + a m_a[x] + b m_b[y] + a b E[x, y]) / 4, (a, b) = (_OUTCOMES[i], _OUTCOMES[j]).
+    """
+    a = np.array(_OUTCOMES, dtype=np.float64)[:, None]  # along i; a.T is b, along j
+    m_a, m_b = np.broadcast_to(mean_a, 2)[:, None, None, None], np.broadcast_to(mean_b, 2)[:, None, None]
+    return (1.0 + a * m_a + a.T * m_b + a * a.T * np.reshape(corr, (2, 2, 1, 1))) / 4.0
+
+
 @dataclass(frozen=True)
 class CorrelationTable:
     """Correlations (and optionally full frequencies) for a 2x2x2 Bell scenario.
@@ -69,21 +93,24 @@ class CorrelationTable:
     def __post_init__(self):
         if len(self.a_settings) != 2 or len(self.b_settings) != 2:
             raise ValueError("each party needs exactly two settings")
-        corr = np.array(self.correlations, dtype=np.float64)
-        errs = np.array(self.standard_errors, dtype=np.float64)
+        for s in (*self.a_settings, *self.b_settings):
+            if not (isinstance(s, numbers.Real) and type(s) is not bool and -math.inf < s < math.inf):
+                raise ValueError("settings must be finite real numbers")
+        corr = np.array(_numbers(self.correlations, "iuf", "correlations"), dtype=np.float64)
+        errs = np.array(_numbers(self.standard_errors, "iuf", "standard_errors"), dtype=np.float64)
         if corr.shape != (2, 2) or errs.shape != (2, 2):
             raise ValueError("correlations and standard_errors must be 2x2")
         # comparisons are written so that NaN fails them
         if not np.all(np.abs(corr) <= 1.0 + NORMALIZATION_TOL):
             raise ValueError("correlations must lie in [-1, 1]")
-        if not np.all(errs >= 0.0):
-            raise ValueError("standard errors must be non-negative")
+        if not np.all((errs >= 0.0) & (errs < np.inf)):
+            raise ValueError("standard errors must be finite and non-negative")
         corr.setflags(write=False)
         errs.setflags(write=False)
         object.__setattr__(self, "correlations", corr)
         object.__setattr__(self, "standard_errors", errs)
         if self.frequencies is not None:
-            freq = np.array(self.frequencies, dtype=np.float64)
+            freq = np.array(_numbers(self.frequencies, "iuf", "frequencies"), dtype=np.float64)
             if freq.shape != (2, 2, 2, 2):
                 raise ValueError("frequencies must have shape (2, 2, 2, 2)")
             if not np.all(freq >= -NORMALIZATION_TOL):
@@ -94,28 +121,24 @@ class CorrelationTable:
             freq.setflags(write=False)
             object.__setattr__(self, "frequencies", freq)
         if self.counts is not None:
-            cnt = np.array(self.counts, dtype=np.int64)
-            if cnt.shape != (2, 2):
-                raise ValueError("counts must be 2x2")
+            cnt = _numbers(self.counts, "iu", "counts")
+            if cnt.shape != (2, 2) or not np.all((cnt >= 0) & (cnt <= np.iinfo(np.int64).max)):
+                raise ValueError("counts must be a 2x2 table of integers in [0, 2**63)")
+            cnt = cnt.astype(np.int64)
             cnt.setflags(write=False)
             object.__setattr__(self, "counts", cnt)
 
     @classmethod
     def from_frequencies(cls, a_settings, b_settings, frequencies, counts=None) -> "CorrelationTable":
         freq = np.asarray(frequencies, dtype=np.float64)
-        corr = np.empty((2, 2))
-        errs = np.empty((2, 2))
-        for x in range(2):
-            for y in range(2):
-                p = freq[x, y]
-                corr[x, y] = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
-                if counts is not None and counts[x][y] > 0:
-                    # a cell whose n trials all agree has sample variance 0;
-                    # floor it at 1/n so that its standard error is not 0
-                    n = counts[x][y]
-                    errs[x, y] = math.sqrt(max(1.0 / n, 1.0 - corr[x, y] ** 2) / n)
-                else:
-                    errs[x, y] = 0.0
+        corr = _correlations(freq)
+        errs = np.zeros((2, 2))
+        if counts is not None:
+            # a cell whose n trials all agree has sample variance 0; floor it
+            # at 1/n so that its standard error is not 0
+            n = np.asarray(counts, dtype=np.float64)
+            live = n > 0
+            errs[live] = np.sqrt(np.maximum(1.0 / n[live], 1.0 - corr[live] ** 2) / n[live])
         return cls(tuple(a_settings), tuple(b_settings), corr, errs, freq, counts)
 
     @classmethod
@@ -176,17 +199,12 @@ def _assignment_matrix() -> np.ndarray:
     {0: +1, 1: -1}; column k is the deterministic assignment
     (A1, A2, B1, B2) = _assignment_outcomes(k).
     """
+    k = np.arange(16)
+    bits = (k >> np.arange(4)[:, None]) & 1  # outcome index of A1, A2, B1, B2 under each assignment
+    x, y = np.divmod(np.arange(4), 2)  # setting pair (x, y) of each block of four rows
+    rows = 4 * (2 * x + y)[:, None] + 2 * bits[x] + bits[2 + y]
     m = np.zeros((16, 16))
-    for k in range(16):
-        a1, a2, b1, b2 = _assignment_outcomes(k)
-        a = (a1, a2)
-        b = (b1, b2)
-        for x in range(2):
-            for y in range(2):
-                i = 0 if a[x] == 1 else 1
-                j = 0 if b[y] == 1 else 1
-                row = ((x * 2) + y) * 4 + i * 2 + j
-                m[row, k] = 1.0
+    m[rows, k] = 1.0
     return m
 
 
@@ -271,26 +289,21 @@ class FeasibilityVerdict:
 
 def _no_signalling_check(table: CorrelationTable, se_factor: float = 5.0):
     """Marginals of one party must not depend on the other party's setting."""
-    freq = table.frequencies
+    freq, counts = table.frequencies, table.counts
+    # each party's outcome marginals and counts, indexed [own setting, remote setting]
+    parties = ((freq.sum(axis=3), counts),
+               (freq.sum(axis=2).transpose(1, 0, 2), None if counts is None else counts.T))
     problems = []
-    for x in range(2):
-        m0 = freq[x, 0, 0, :].sum() - freq[x, 0, 1, :].sum()
-        m1 = freq[x, 1, 0, :].sum() - freq[x, 1, 1, :].sum()
-        tol = NORMALIZATION_TOL
-        if table.counts is not None:
-            n0, n1 = max(int(table.counts[x, 0]), 1), max(int(table.counts[x, 1]), 1)
-            tol = se_factor * math.sqrt(1.0 / n0 + 1.0 / n1)
-        if abs(m0 - m1) > tol:
-            problems.append(f"party 1 marginal at setting {x}: {m0:+.5f} vs {m1:+.5f} (tol {tol:.2g})")
-    for y in range(2):
-        m0 = freq[0, y, :, 0].sum() - freq[0, y, :, 1].sum()
-        m1 = freq[1, y, :, 0].sum() - freq[1, y, :, 1].sum()
-        tol = NORMALIZATION_TOL
-        if table.counts is not None:
-            n0, n1 = max(int(table.counts[0, y]), 1), max(int(table.counts[1, y]), 1)
-            tol = se_factor * math.sqrt(1.0 / n0 + 1.0 / n1)
-        if abs(m0 - m1) > tol:
-            problems.append(f"party 2 marginal at setting {y}: {m0:+.5f} vs {m1:+.5f} (tol {tol:.2g})")
+    for party, (marginals, n) in enumerate(parties, start=1):
+        means = marginals[..., 0] - marginals[..., 1]
+        for s in range(2):
+            m0, m1 = means[s]
+            tol = NORMALIZATION_TOL
+            if n is not None:
+                n0, n1 = max(int(n[s, 0]), 1), max(int(n[s, 1]), 1)
+                tol = se_factor * math.sqrt(1.0 / n0 + 1.0 / n1)
+            if abs(m0 - m1) > tol:
+                problems.append(f"party {party} marginal at setting {s}: {m0:+.5f} vs {m1:+.5f} (tol {tol:.2g})")
     if problems:
         raise SignallingDataError("; ".join(problems))
 
@@ -304,25 +317,9 @@ def _canonical_frequencies(table: CorrelationTable) -> np.ndarray:
     Already non-signalling input is reproduced unchanged.
     """
     freq = table.frequencies
-    corr = np.empty((2, 2))
-    for x in range(2):
-        for y in range(2):
-            p = freq[x, y]
-            corr[x, y] = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
-    mean_a = np.array(
-        [freq[x, :, 0, :].sum() - freq[x, :, 1, :].sum() for x in range(2)]
-    ) / 2.0
-    mean_b = np.array(
-        [freq[:, y, :, 0].sum() - freq[:, y, :, 1].sum() for y in range(2)]
-    ) / 2.0
-    canon = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for i, a in enumerate(_OUTCOMES):
-                for j, b in enumerate(_OUTCOMES):
-                    canon[x, y, i, j] = (
-                        1.0 + a * mean_a[x] + b * mean_b[y] + a * b * corr[x, y]
-                    ) / 4.0
+    mean_a = np.array([freq[x, :, 0, :].sum() - freq[x, :, 1, :].sum() for x in range(2)]) / 2.0
+    mean_b = np.array([freq[:, y, :, 0].sum() - freq[:, y, :, 1].sum() for y in range(2)]) / 2.0
+    canon = _frequencies(_correlations(freq), mean_a, mean_b)
     if np.any(canon < -1e-6):
         raise InconsistentTableError(
             "canonical frequencies have a significantly negative entry; too few trials per setting pair?"
@@ -426,14 +423,8 @@ def lhv_exact_table(
     a_settings, b_settings, flip_probability: float = DEFAULT_LHV_FLIP
 ) -> CorrelationTable:
     """Closed-form correlation table of the flip model (zero marginals)."""
-    freq = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            e = _lhv_exact_correlation(a_settings[x], b_settings[y], flip_probability)
-            for i, a in enumerate(_OUTCOMES):
-                for j, b in enumerate(_OUTCOMES):
-                    freq[x, y, i, j] = (1.0 + a * b * e) / 4.0
-    return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq)
+    corr = [[_lhv_exact_correlation(a, b, flip_probability) for b in b_settings] for a in a_settings]
+    return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), _frequencies(corr))
 
 
 def lhv_sampled_table(
@@ -465,14 +456,9 @@ def lhv_sampled_table(
 
 def singlet_exact_table(a_settings, b_settings) -> CorrelationTable:
     """Analytic singlet table E = -cos 2(a - b) with uniform marginals."""
-    freq = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            e = -math.cos(2.0 * (a_settings[x] - b_settings[y]))
-            for i, a in enumerate(_OUTCOMES):
-                for j, b in enumerate(_OUTCOMES):
-                    freq[x, y, i, j] = (1.0 + a * b * e) / 4.0
-    return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq)
+    # math.cos, not np.cos: numpy's SIMD cosine may differ in the last ulp
+    corr = [[-math.cos(2.0 * (a - b)) for b in b_settings] for a in a_settings]
+    return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), _frequencies(corr))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +477,10 @@ def table_from_json(path) -> CorrelationTable:
         return CorrelationTable(
             tuple(payload["a_settings"]),
             tuple(payload["b_settings"]),
-            np.asarray(payload["correlations"], dtype=np.float64),
-            np.asarray(payload["standard_errors"], dtype=np.float64),
-            None if payload.get("frequencies") is None else np.asarray(payload["frequencies"]),
-            None if payload.get("counts") is None else np.asarray(payload["counts"]),
+            payload["correlations"],
+            payload["standard_errors"],
+            payload.get("frequencies"),
+            payload.get("counts"),
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise TableFileError(f"cannot read correlation table {path}: {exc}") from exc

@@ -566,14 +566,20 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+def _bell_settings(config: ExperimentConfig):
+    """Settings (a1, a2), (b1, b2) from the four --angles, or the default CHSH angles."""
+    a1, a2, b1, b2 = config.angles or DEFAULT_CHSH_ANGLES
+    return (a1, a2), (b1, b2)
+
+
 def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
+    """The click table of the four setting pairs, their trial batches and their click statistics."""
     seed = RandomSeed(config.seed)
     psi = _singlet()
     eps = max(config.epsilon, CHSH_CLICK_EPSILON)
     ensemble = BipartiteEnsemble(psi, BackgroundField(eps))
     threshold = config.threshold if config.threshold is not None else CHSH_CLICK_THRESHOLD
-    angles = config.angles if config.angles else DEFAULT_CHSH_ANGLES
-    a_settings, b_settings = (angles[0], angles[1]), (angles[2], angles[3])
+    a_settings, b_settings = _bell_settings(config)
     result.add_info("epsilon", eps)
     result.add_info("threshold", threshold)
     batches = {}
@@ -596,9 +602,10 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
     q = math.exp(-threshold / (0.5 + eps))
     exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
     se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
+    stats = {key: click_statistics(batch) for key, batch in batches.items()}
     pulls = []
-    for batch in batches.values():
-        for party in click_statistics(batch).parties:
+    for batch_stats in stats.values():
+        for party in batch_stats.parties:
             (plus, minus), both = party.raw_click_rates, party.double_rate
             # none, + only, - only, both
             freq = np.array([1.0 - plus - minus + both, plus - both, minus - both, both])
@@ -606,14 +613,13 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
     result.add_exact("channel_click_probability", q)
     result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
     table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
-    return table, batches
+    return table, batches, stats
 
 
 def run_chsh(config: ExperimentConfig) -> ExperimentResult:
     """CHSH evaluation for an LHV model, the analytic singlet, or click data."""
     result = ExperimentResult("chsh")
-    angles = config.angles if config.angles else DEFAULT_CHSH_ANGLES
-    a_settings, b_settings = (angles[0], angles[1]), (angles[2], angles[3])
+    a_settings, b_settings = _bell_settings(config)
 
     if config.model == "lhv":
         exact = lhv_exact_table(a_settings, b_settings)
@@ -629,22 +635,19 @@ def run_chsh(config: ExperimentConfig) -> ExperimentResult:
         table = singlet_exact_table(a_settings, b_settings)
         s, _ = chsh(table)
         result.add_exact("S_exact", s)
-        if tuple(angles) == DEFAULT_CHSH_ANGLES:
+        if a_settings + b_settings == DEFAULT_CHSH_ANGLES:
             result.check_abs("tsirelson_value", s + 2.0 * math.sqrt(2.0), 1e-9)
         fine = fine_chsh_values(table)
         result.add_info("max_fine_value", max(abs(v) for v in fine.values()))
         result.tables["chsh_table"] = _table_rows(table)
     else:  # singlet-clicks
-        table, batches = _chsh_from_clicks(config, result)
+        table, batches, stats = _chsh_from_clicks(config, result)
         s, se = chsh(table)
         result.add_mc("S_clicks", s, se, int(table.counts.sum()))
         reproduced = abs(s) >= CHSH_TARGET
         result.add_info("violation_target", CHSH_TARGET)
         result.add_info("violation_reproduced", bool(reproduced))
-        result.add_info(
-            "accepted_fractions",
-            {f"{k}": click_statistics(b).accepted_fraction for k, b in batches.items()},
-        )
+        result.add_info("accepted_fractions", {f"{k}": v.accepted_fraction for k, v in stats.items()})
         result.tables["chsh_table"] = _table_rows(table)
         if config.trials <= TRIAL_CSV_LIMIT:
             for (x, y), batch in batches.items():
@@ -654,28 +657,19 @@ def run_chsh(config: ExperimentConfig) -> ExperimentResult:
 
 def _table_rows(table: CorrelationTable):
     header = ["x", "y", "a_setting", "b_setting", "E", "se", "n"]
-    rows = []
-    for x in range(2):
-        for y in range(2):
-            rows.append(
-                [
-                    x,
-                    y,
-                    table.a_settings[x],
-                    table.b_settings[y],
-                    float(table.correlations[x, y]),
-                    float(table.standard_errors[x, y]),
-                    0 if table.counts is None else int(table.counts[x, y]),
-                ]
-            )
+    rows = [
+        [x, y, table.a_settings[x], table.b_settings[y], float(table.correlations[x, y]),
+         float(table.standard_errors[x, y]), 0 if table.counts is None else int(table.counts[x, y])]
+        for x in range(2)
+        for y in range(2)
+    ]
     return header, rows
 
 
 def run_kolmogorov(config: ExperimentConfig) -> ExperimentResult:
     """Joint-distribution feasibility for a generated or loaded table."""
     result = ExperimentResult("kolmogorov")
-    angles = config.angles if config.angles else DEFAULT_CHSH_ANGLES
-    a_settings, b_settings = (angles[0], angles[1]), (angles[2], angles[3])
+    a_settings, b_settings = _bell_settings(config)
     if config.model == "lhv":
         table = lhv_sampled_table(a_settings, b_settings, config.trials, RandomSeed(config.seed))
         expected = True

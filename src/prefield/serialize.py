@@ -2,7 +2,8 @@
 
 Complex data is stored as nested row-major [re, im] pairs; CSV output is
 RFC-4180 style with a header row.  JSON writing is deterministic (sorted
-keys, no timestamps) so identical runs produce bit-identical artifacts.
+keys, no timestamps) so identical runs produce bit-identical artifacts,
+and strict: a non-finite float is written as null.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,17 @@ def operator_payload(matrix: np.ndarray) -> dict:
     return {"kind": "operator", "dim": int(matrix.shape[0]), "data": complex_to_pairs(matrix)}
 
 
+def _finite(value):
+    """`value` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
 
 

@@ -13,6 +13,7 @@ from prefield.analysis import (
     FeasibilityVerdict,
     SignallingDataError,
     _assignment_matrix,
+    _canonical_frequencies,
     _lhv_exact_correlation,
     _phase1_simplex,
     chsh,
@@ -56,16 +57,39 @@ def lhv_sampled_table_by_masks(a_settings, b_settings, n_per_pair, seed):
     return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), freq, counts)
 
 
-def table_from_correlations(corr, ses=None):
-    corr = np.asarray(corr, dtype=float)
-    ses = np.zeros((2, 2)) if ses is None else np.asarray(ses, dtype=float)
+def scalar_frequencies(corr, mean_a=(0.0, 0.0), mean_b=(0.0, 0.0)):
+    """The +-1 outcome table cell by cell: (1 + a m_a[x] + b m_b[y] + a b E[x, y]) / 4."""
     freq = np.empty((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
             for i, a in enumerate((1, -1)):
                 for j, b in enumerate((1, -1)):
-                    freq[x, y, i, j] = (1.0 + a * b * corr[x, y]) / 4.0
-    return CorrelationTable((0.0, 1.0), (2.0, 3.0), corr, ses, freq)
+                    freq[x, y, i, j] = (1.0 + a * mean_a[x] + b * mean_b[y] + a * b * corr[x][y]) / 4.0
+    return freq
+
+
+def table_from_correlations(corr, ses=None):
+    corr = np.asarray(corr, dtype=float)
+    ses = np.zeros((2, 2)) if ses is None else np.asarray(ses, dtype=float)
+    return CorrelationTable((0.0, 1.0), (2.0, 3.0), corr, ses, scalar_frequencies(corr))
+
+
+def signalling_table(party, gaps, counts=None):
+    """Zero-correlation table in which `party` signals.
+
+    Its mean outcome at its own setting s is (r - 1/2) gaps[s] when the other
+    party's setting is r, so that marginal moves by gaps[s] with r.
+    """
+    freq = np.empty((2, 2, 2, 2))
+    for x in range(2):
+        for y in range(2):
+            own, remote = (x, y) if party == 1 else (y, x)
+            p_plus = (1.0 + (remote - 0.5) * gaps[own]) / 2.0
+            for i in range(2):
+                for j in range(2):
+                    outcome = i if party == 1 else j
+                    freq[x, y, i, j] = (p_plus if outcome == 0 else 1.0 - p_plus) / 2.0
+    return CorrelationTable.from_frequencies((0, 1), (2, 3), freq, counts)
 
 
 class TestChsh:
@@ -161,18 +185,29 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="frequencies"):
             kolmogorov_feasible(table)
 
-    def test_signalling_rejected(self):
-        freq = np.empty((2, 2, 2, 2))
-        for x in range(2):
-            for y in range(2):
-                # party 1's marginal leaks y
-                pa = 0.5 + (0.2 if y == 1 else -0.2)
-                for i, a in enumerate((1, -1)):
-                    for j in range(2):
-                        freq[x, y, i, j] = (pa if a == 1 else 1 - pa) / 2.0
-        table = CorrelationTable.from_frequencies((0, 1), (2, 3), freq)
-        with pytest.raises(SignallingDataError):
-            kolmogorov_feasible(table)
+    @pytest.mark.parametrize("party", [1, 2], ids=["party-1", "party-2"])
+    def test_signalling_rejected(self, party):
+        # the leaking party's marginal moves by 0.4 with the remote setting, at both of its settings
+        with pytest.raises(SignallingDataError) as raised:
+            kolmogorov_feasible(signalling_table(party, (0.4, 0.4)))
+        named = [problem.split(":")[0] for problem in str(raised.value).split("; ")]
+        assert named == [f"party {party} marginal at setting {s}" for s in (0, 1)]
+
+    @pytest.mark.parametrize("setting", [0, 1])
+    @pytest.mark.parametrize("party", [1, 2], ids=["party-1", "party-2"])
+    def test_signalling_tolerance_reads_the_party_counts(self, party, setting):
+        """The tolerance is 5 sqrt(1/n0 + 1/n1) over the counts of the party's setting at each remote one."""
+        counts = np.array([[400, 900], [100, 2500]])
+        n0, n1 = (counts if party == 1 else counts.T)[setting]
+        tol = 5.0 * math.sqrt(1.0 / n0 + 1.0 / n1)
+        gaps = np.zeros(2)
+        gaps[setting] = 0.999 * tol
+        assert kolmogorov_feasible(signalling_table(party, gaps, counts)).feasible
+        gaps[setting] = 1.001 * tol
+        with pytest.raises(SignallingDataError) as raised:
+            kolmogorov_feasible(signalling_table(party, gaps, counts))
+        assert str(raised.value).startswith(f"party {party} marginal at setting {setting}: ")
+        assert f"(tol {tol:.2g})" in str(raised.value) and ";" not in str(raised.value)
 
     def test_lhv_always_feasible(self):
         # at the quantum-optimal angles the sign-response model touches the
@@ -202,17 +237,8 @@ class TestFeasibility:
             means_a = rng.uniform(-1, 1, size=2)
             means_b = rng.uniform(-1, 1, size=2)
             corr = rng.uniform(-1, 1, size=(2, 2))
-            freq = np.empty((2, 2, 2, 2))
-            ok = True
-            for x in range(2):
-                for y in range(2):
-                    for i, a in enumerate((1, -1)):
-                        for j, b in enumerate((1, -1)):
-                            p = (1 + a * means_a[x] + b * means_b[y] + a * b * corr[x, y]) / 4
-                            if p < 0:
-                                ok = False
-                            freq[x, y, i, j] = p
-            if not ok:
+            freq = scalar_frequencies(corr, means_a, means_b)
+            if (freq < 0).any():
                 continue
             table = CorrelationTable.from_frequencies((0, 1), (2, 3), freq)
             verdict = kolmogorov_feasible(table)
@@ -228,6 +254,48 @@ class TestFeasibility:
         assert not verdict.feasible
         worst = max(abs(v) for _, v in verdict.violated_inequalities)
         assert worst == pytest.approx(4.0, abs=1e-12)
+
+
+class TestTableBuilders:
+    @pytest.mark.parametrize("angles", [CHSH_ANGLES, (0.3, 1.1, -0.4, 0.7), HUGE_ANGLES])
+    def test_exact_tables_match_scalar_cells(self, angles):
+        a_settings, b_settings = angles[:2], angles[2:]
+        lhv = [[_lhv_exact_correlation(a, b, DEFAULT_LHV_FLIP) for b in b_settings] for a in a_settings]
+        singlet = [[-math.cos(2.0 * (a - b)) for b in b_settings] for a in a_settings]
+        assert np.array_equal(lhv_exact_table(a_settings, b_settings).frequencies, scalar_frequencies(lhv))
+        singlet_table = singlet_exact_table(a_settings, b_settings)
+        assert np.array_equal(singlet_table.frequencies, scalar_frequencies(singlet))
+
+    # 99991 trials leave k / 99991 frequencies with full mantissas, so a cell
+    # formula summed in another order or a rearranged standard error changes
+    # some bits of at least one of these eight tables
+    SAMPLED = [lhv_sampled_table((0.3, 1.1), (-0.4, 0.7), 99_991, RandomSeed(seed)) for seed in range(8)]
+
+    @pytest.mark.parametrize("table", SAMPLED, ids=[f"seed-{k}" for k in range(8)])
+    def test_canonical_frequencies_match_scalar_cells(self, table):
+        freq = table.frequencies
+        corr = [[p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0] for p in row] for row in freq]
+        mean_a = [(freq[x, :, 0, :].sum() - freq[x, :, 1, :].sum()) / 2.0 for x in range(2)]
+        mean_b = [(freq[:, y, :, 0].sum() - freq[:, y, :, 1].sum()) / 2.0 for y in range(2)]
+        assert min(map(abs, mean_a + mean_b)) > 0.0
+        assert np.array_equal(_canonical_frequencies(table), scalar_frequencies(corr, mean_a, mean_b))
+
+    @pytest.mark.parametrize("table", SAMPLED, ids=[f"seed-{k}" for k in range(8)])
+    def test_standard_errors_match_scalar_floor(self, table):
+        """sqrt(max(1/n, 1 - E^2) / n) per cell; 0 where n = 0; 1/n where all n trials agree."""
+        freq = table.frequencies.copy()
+        freq[1, 0] = [[0.0, 0.0], [0.0, 1.0]]  # every trial agrees: E = 1
+        counts = np.array([[99_991, 0], [7, 99_991]])
+        table = CorrelationTable.from_frequencies(table.a_settings, table.b_settings, freq, counts)
+        expected = np.zeros((2, 2))
+        for x in range(2):
+            for y in range(2):
+                p, n = freq[x, y], counts[x, y]
+                e = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
+                if n > 0:
+                    expected[x, y] = math.sqrt(max(1.0 / n, 1.0 - e**2) / n)
+        assert expected[0, 1] == 0.0 and expected[1, 0] == pytest.approx(1.0 / 7)  # the 1/n floor, not 0
+        assert np.array_equal(table.standard_errors, expected)
 
 
 class TestLhvSampledTable:

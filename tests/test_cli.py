@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefield import detection, experiments
@@ -51,6 +51,15 @@ def table_text(**changes):
         "counts": None,
     }
     return json.dumps({**payload, **changes})
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens that strict readers reject."""
+    return json.loads(Path(path).read_text(), parse_constant=reject_constant)
 
 
 def read_artifacts(out_dir):
@@ -280,9 +289,27 @@ class TestExitCodes:
         assert main(args + ["--out", str(tmp_path / "ok")]) == 0
         monkeypatch.setattr(owner, name, mutant)
         assert main(args + ["--out", str(tmp_path / "mutant")]) == 1
-        checks = json.loads((tmp_path / "mutant" / "results.json").read_text())["checks"]
+        checks = strict_json(tmp_path / "mutant" / "results.json")["checks"]
         failed = {c["name"]: c["observed"] for c in checks if not c["passed"]}
-        assert math.isnan(failed[check])
+        assert failed[check] is None  # NaN, written as JSON null
+
+    @pytest.mark.parametrize(
+        "argv, mutant, read",
+        [
+            (["triangle", "--angles", "1e308,1e308,1e308", "--flat-sum", "1.7e308"], None,
+             lambda results: results["values"]["angle_sum"]["value"]),
+            (["dynamics"], nan_energy,
+             lambda results: {c["name"]: c["observed"] for c in results["checks"]}["energy_conserved"]),
+        ],
+        ids=["triangle-overflow", "dynamics-nan-energy"],
+    )
+    def test_results_are_strict_json(self, argv, mutant, read, tmp_path, monkeypatch):
+        """An infinite value or a NaN check is written as null, not as a bare Infinity or NaN token."""
+        if mutant is not None:
+            monkeypatch.setattr(HamiltonianSystem, "hamilton_function", mutant)
+        main(argv + ["--seed", "1", "--out", str(tmp_path)])
+        strict_json(tmp_path / "manifest.json")
+        assert read(strict_json(tmp_path / "results.json")) is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -349,10 +376,15 @@ class TestExitCodes:
             table_text(a_settings=[0.0, 0.5, 1.0]),
             table_text(frequencies=None),
             table_text(frequencies=[[[[0.15, 0.15], [0.35, 0.35]], [[0.35, 0.35], [0.15, 0.15]]]] * 2),
+            table_text(counts=[[10**30, 1], [1, 1]]),
+            table_text(a_settings=["x", "y"]),
+            table_text(b_settings=[math.nan, 0.4]),
+            table_text(counts=[[-5, 10], [10, 10]]),
         ],
         ids=[
             "missing", "not-json", "not-an-object", "missing-keys", "nan-correlation",
-            "three-settings", "no-frequencies", "signalling",
+            "three-settings", "no-frequencies", "signalling", "huge-count", "string-settings",
+            "nan-setting", "negative-count",
         ],
     )
     def test_bad_table_files_are_config_errors(self, text, capsys, tmp_path):
@@ -438,14 +470,14 @@ BAD_REALS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
 
 
 def assert_exit_contract(argv):
-    """One CLI run ends in 0, 1 or 2, and a passing run carries no non-finite check."""
+    """One CLI run ends in 0, 1 or 2, and a passing run writes strict JSON with no non-finite check."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         code = main(argv + ["--out", str(out)])
         assert code in (0, 1, 2)
         if code == 0:
-            results = json.loads((out / "results.json").read_text())
-            assert all(math.isfinite(c["observed"]) for c in results["checks"])
+            results = strict_json(out / "results.json")
+            assert all(c["observed"] is not None and math.isfinite(c["observed"]) for c in results["checks"])
 
 
 def real_flags(**values):
@@ -453,7 +485,37 @@ def real_flags(**values):
     return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items() if value is not None]
 
 
+TABLE_FIELDS = ("a_settings", "b_settings", "correlations", "standard_errors", "frequencies", "counts")
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, 10**30, 10**400])
+    | st.floats() | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+TWO_BY_TWO = st.lists(st.lists(JSON_VALUES, min_size=2, max_size=2), min_size=2, max_size=2)
+
+
 class TestExitContractFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        text=st.binary(max_size=64)
+        | st.builds(
+            lambda name, value: table_text(**{name: value}).encode(),
+            st.sampled_from(TABLE_FIELDS),
+            JSON_VALUES | TWO_BY_TWO | st.lists(JSON_SCALARS, min_size=2, max_size=2),
+        ),
+    )
+    @example(text=table_text(counts=[[10**30, 1], [1, 1]]).encode())
+    def test_table_file(self, text):
+        """A table file of random bytes, or a valid one with one field replaced, ends in 0, 1 or 2."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.json"
+            path.write_bytes(text)
+            assert_exit_contract(["kolmogorov", "--model", "file", "--table", str(path), "--seed", "7"])
+
     @settings(max_examples=60, deadline=None)
     @given(
         dt=st.floats(1e-3, 2.0) | BAD_REALS,
