@@ -155,15 +155,8 @@ class ExperimentConfig:
         with no effect on any number; omitting them keeps artifacts
         bit-identical across worker counts and output locations.
         """
-        out = {}
-        for f in fields(self):
-            if f.name in ("workers", "out"):
-                continue
-            val = getattr(self, f.name)
-            if isinstance(val, tuple):
-                val = list(val)
-            out[f.name] = val
-        return out
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("workers", "out")}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
 
 def _dynamics_steps(t: float, dt: float) -> float:
@@ -280,12 +273,7 @@ class ExperimentResult:
         self.values[name] = {"value": float(value), "provenance": "reference-oracle"}
 
     def add_mc(self, name: str, value: float, se: float, n: int) -> None:
-        self.values[name] = {
-            "value": float(value),
-            "provenance": "mc",
-            "standard_error": float(se),
-            "n": int(n),
-        }
+        self.values[name] = {"value": float(value), "provenance": "mc", "standard_error": float(se), "n": int(n)}
 
     def add_info(self, name: str, value) -> None:
         self.values[name] = {"value": value, "provenance": "derived"}
@@ -356,13 +344,10 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     result.add_mc("mc_average", mean, se, config.samples)
     result.check_abs("born_mc_within_5se", mean - exact, 5.0 * se)
 
-    header = ["n", "running_mean", "exact"]
-    rows = []
     cum = np.cumsum(vals)
     checkpoints = np.unique(np.clip(np.geomspace(1, config.samples, 40).astype(int), 1, config.samples))
-    for k in checkpoints:
-        rows.append([int(k), float(cum[k - 1] / k), exact])
-    result.tables["born_convergence"] = (header, rows)
+    rows = [[int(k), float(cum[k - 1] / k), exact] for k in checkpoints]
+    result.tables["born_convergence"] = (["n", "running_mean", "exact"], rows)
     return result
 
 
@@ -393,11 +378,11 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     stride = max(1, steps // 1000)
     header = ["t"] + [f"re_{k}" for k in range(dim)] + [f"im_{k}" for k in range(dim)] + ["energy", "power"]
     rows = []
-    for k in range(steps + 1):
-        if k % stride == 0 or k == steps:
-            rows.append([k * dt] + x.tolist() + [system.hamilton_function(x), float(x @ x)])
-        if k < steps:
-            x = integrator.step(x)
+    step = integrator.step
+    for k in [*range(0, steps, stride), steps]:
+        rows.append([k * dt] + x.tolist() + [system.hamilton_function(x), float(x @ x)])
+        for _ in range(min(stride, steps - k)):  # none after the last row
+            x = step(x)
     result.tables["trajectory"] = (header, rows)
     energy, power = np.array(rows)[:, -2:].T
     energy_drift, norm_drift = _worst(np.abs(energy - e0)), _worst(np.abs(power - n0))
@@ -449,12 +434,11 @@ def run_hessian(config: ExperimentConfig) -> ExperimentResult:
     result.add_exact("quartic_null_error", zero_err)
     result.check_abs("quartic_maps_to_zero", zero_err, 1e-6)
 
-    header = ["step", "recovery_error"]
-    rows = []
-    for s in np.geomspace(1e-4, 1e-2, 9):
-        e = float(np.abs(hessian_extract(functional, float(s)).operator.matrix - a_op.matrix).max())
-        rows.append([float(s), e])
-    result.tables["hessian_step_scan"] = (header, rows)
+    rows = [
+        [float(s), float(np.abs(hessian_extract(functional, float(s)).operator.matrix - a_op.matrix).max())]
+        for s in np.geomspace(1e-4, 1e-2, 9)
+    ]
+    result.tables["hessian_step_scan"] = (["step", "recovery_error"], rows)
     return result
 
 

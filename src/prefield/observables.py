@@ -20,6 +20,7 @@ from .random_field import STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_e
 
 EVAL_IMAG_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-3
+FD_SLICE_ELEMENTS = 1 << 16  # stencil points x real coordinates per evaluator call
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,29 @@ class QuadraticForm:
         return vals.real
 
 
+def _one_per_row(values: np.ndarray, rows: int) -> np.ndarray:
+    if values.shape != (rows,):
+        raise ValueError(f"evaluator must return one value per row: expected shape ({rows},), got {values.shape}")
+    return values
+
+
 class FieldFunctional:
     """Smooth real functional of the field with f(0) = 0.
 
-    The evaluator takes a complex coordinate array and must be side-effect
-    free; `smoothness_order` is how often it is differentiable at zero.
+    The evaluator maps an (m, dim) complex array of fields to their m real
+    values and must be side-effect free; `smoothness_order` is how often it
+    is differentiable at zero.
     """
 
     __slots__ = ("evaluator", "dim", "smoothness_order")
 
-    def __init__(self, evaluator: Callable[[np.ndarray], float], dim: int, smoothness_order: int = 2):
+    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], dim: int, smoothness_order: int = 2):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        at_zero = evaluator(np.zeros(dim, dtype=np.complex128))
-        if at_zero != 0.0:
+        at_zero = np.asarray(evaluator(np.zeros((1, dim), dtype=np.complex128)), dtype=float)
+        if np.any(at_zero != 0.0):
             raise ValueError(f"functional must map the zero field to zero, got f(0) = {at_zero!r}")
+        _one_per_row(at_zero, 1)
         self.evaluator = evaluator
         self.dim = dim
         self.smoothness_order = smoothness_order
@@ -81,7 +90,7 @@ def quadratic_functional(operator: HermitianOperator) -> FieldFunctional:
     """FieldFunctional of <A phi, phi>."""
 
     def evaluator(phi):
-        return float(np.vdot(phi, operator.matrix @ phi).real)
+        return np.einsum("mi,mi->m", phi.conj(), phi @ operator.matrix.T).real
 
     return FieldFunctional(evaluator, operator.dim)
 
@@ -90,7 +99,7 @@ def quartic_power_functional(dim: int, weight: float = 1.0) -> FieldFunctional:
     """f(phi) = weight * ||phi||^4; quartic, so its Hessian at zero vanishes."""
 
     def evaluator(phi):
-        return float(weight) * float(np.vdot(phi, phi).real) ** 2
+        return float(weight) * np.einsum("mi,mi->m", phi.conj(), phi).real ** 2
 
     return FieldFunctional(evaluator, dim, smoothness_order=4)
 
@@ -162,29 +171,45 @@ class HessianExtraction:
     real_hessian: np.ndarray
 
 
-def _fd_hessian(func: Callable[[np.ndarray], float], dim2: int, h: float) -> np.ndarray:
-    """Central-difference Hessian at the origin in dim2 real coordinates."""
+def _fd_hessians(evaluator: Callable[[np.ndarray], np.ndarray], n: int, steps) -> np.ndarray:
+    """Central-difference Hessians at the zero field in the 2n real coordinates x = (q, p), one per step.
 
-    def f(x):
-        val = float(func(x))
-        if not np.isfinite(val):
-            raise ArithmeticError(f"functional returned non-finite value {val!r} during differentiation")
-        return val
+    The stencils +-h e_i and +-h (e_i +- e_j), i < j, of all steps h are
+    built as rows of one array of points phi = q + ip and evaluated in slices
+    of at most FD_SLICE_ELEMENTS real coordinates, so memory stays O(n**2).
+    """
+    h, dim2 = np.asarray(steps, dtype=float), 2 * n
+    iu, ju = np.triu_indices(dim2, k=1)
+    diag = np.arange(dim2)
+    counts = [dim2, dim2] + [len(iu)] * 4
+    # stencil point p sets coordinate first[p] to first_sign[p] * h, then adds
+    # second_sign[p] * h to coordinate second[p] (zero on the diagonal points);
+    # row k of all steps' points is point k % points at step h[k // points]
+    first = np.concatenate((diag, diag, iu, iu, iu, iu))
+    second = np.concatenate((diag, diag, ju, ju, ju, ju))
+    first_sign = np.repeat([1.0, -1.0, 1.0, 1.0, -1.0, -1.0], counts)
+    second_sign = np.repeat([0.0, 0.0, 1.0, -1.0, 1.0, -1.0], counts)
+    points = len(first)
+    values = np.empty(len(h) * points)
+    rows = max(1, FD_SLICE_ELEMENTS // dim2)
+    for lo in range(0, len(values), rows):
+        k = np.arange(lo, min(lo + rows, len(values)))
+        point, step = k % points, h[k // points]
+        x = np.zeros((len(k), dim2))
+        r = np.arange(len(k))
+        x[r, first[point]] = first_sign[point] * step
+        x[r, second[point]] += second_sign[point] * step
+        values[k] = _one_per_row(np.asarray(evaluator(x[:, :n] + 1j * x[:, n:]), dtype=float), len(k))
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ArithmeticError(f"functional returned non-finite value {float(bad[0])!r} during differentiation")
 
-    hess = np.empty((dim2, dim2))
-    e = np.eye(dim2)
-    diag_plus = np.array([f(h * e[i]) for i in range(dim2)])
-    diag_minus = np.array([f(-h * e[i]) for i in range(dim2)])
-    for i in range(dim2):
-        hess[i, i] = (diag_plus[i] + diag_minus[i]) / h**2  # f(0) = 0 by contract
-        for jdx in range(i + 1, dim2):
-            pp = f(h * (e[i] + e[jdx]))
-            pm = f(h * (e[i] - e[jdx]))
-            mp = f(-h * (e[i] - e[jdx]))
-            mm = f(-h * (e[i] + e[jdx]))
-            val = (pp - pm - mp + mm) / (4.0 * h**2)
-            hess[i, jdx] = val
-            hess[jdx, i] = val
+    values = values.reshape(len(h), points)
+    h2 = h[:, None] ** 2
+    pp, pm, mp, mm = values[:, 2 * dim2 :].reshape(len(h), 4, -1).transpose(1, 0, 2)
+    hess = np.empty((len(h), dim2, dim2))
+    hess[:, diag, diag] = (values[:, :dim2] + values[:, dim2 : 2 * dim2]) / h2  # f(0) = 0 by contract
+    hess[:, iu, ju] = hess[:, ju, iu] = (pp - pm - mp + mm) / (4.0 * h2)
     return hess
 
 
@@ -207,31 +232,16 @@ def hessian_extract(
     if functional.smoothness_order < 2:
         raise ValueError("functional must be at least twice differentiable at 0")
     n = functional.dim
-
-    def as_real(func):
-        def wrapped(x):
-            return func(x[:n] + 1j * x[n:])
-
-        return wrapped
-
-    f = as_real(functional.evaluator)
-    coarse = _fd_hessian(f, 2 * n, step)
-    fine = _fd_hessian(f, 2 * n, step / 2.0)
+    coarse, fine = _fd_hessians(functional.evaluator, n, (step, step / 2.0))
     hess = (4.0 * fine - coarse) / 3.0
 
     m = hess / 2.0
-    a_qq = m[:n, :n]
-    a_qp = m[:n, n:]
-    a_pq = m[n:, :n]
-    a_pp = m[n:, n:]
+    a_qq, a_qp, a_pq, a_pp = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
     r = (a_qq + a_pp) / 2.0
     r = (r + r.T) / 2.0
     j = (a_pq - a_qp) / 2.0
     j = (j - j.T) / 2.0
-    phase_defect = max(
-        float(np.abs(a_qq - a_pp).max()),
-        float(np.abs(a_qp + a_pq).max()),
-    )
+    phase_defect = max(float(np.abs(a_qq - a_pp).max()), float(np.abs(a_qp + a_pq).max()))
     tol = 10.0 * step**2
     return HessianExtraction(
         operator=HermitianOperator(r + 1j * j),

@@ -47,10 +47,10 @@ def read_json(path):
 
 
 def _cell(value):
-    """Shortest round-trip text for numbers; numpy scalars lose their wrapper."""
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
+    """Shortest round-trip text for numbers; numpy scalars and float subclasses lose their wrapper."""
+    if type(value) is float:  # csv writes a plain float as its repr already
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))

@@ -562,6 +562,28 @@ class TestExitContractFuzz:
                 "--workers", str(workers), "--angles=" + ",".join(map(repr, angles))]
         assert_exit_contract(argv + real_flags(threshold=threshold, epsilon=epsilon))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trials=st.integers(1, 3000),
+        threshold=st.none() | st.floats(0.0, 0.5) | st.floats(0.0, 10.0) | BAD_REALS,
+        epsilon=st.none() | st.floats(0.0, 1.0) | st.floats(0.0, 1.0) | st.floats(min_value=0.0) | BAD_REALS,
+        policy=st.none() | st.sampled_from(["keep-singles", "keep-all"]) | st.just("keep-none"),
+        workers=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+        angles=st.none()
+        | st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4)
+        | st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)
+        | st.lists(st.floats(-1e12, 1e12) | st.sampled_from([math.nan, math.inf, -math.inf]), max_size=6),
+    )
+    def test_chsh_clicks(self, trials, threshold, epsilon, policy, workers, seed, angles):
+        argv = ["chsh", "--model", "singlet-clicks", "--seed", str(seed), "--trials", str(trials),
+                "--workers", str(workers)]
+        if policy is not None:
+            argv.append("--policy=" + policy)
+        if angles is not None:
+            argv.append("--angles=" + ",".join(map(repr, angles)))
+        assert_exit_contract(argv + real_flags(threshold=threshold, epsilon=epsilon))
+
     @settings(max_examples=40, deadline=None)
     @given(
         dim=st.integers(1, 6),

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from prefield.cli import main
 from prefield.dynamics import (
     HamiltonianSystem,
     SymplecticIntegrator,
@@ -9,6 +12,13 @@ from prefield.dynamics import (
     evolve_ensemble,
     exact_propagator,
     integrate,
+)
+from prefield.experiments import (
+    DRIFT_HORIZON,
+    ExperimentConfig,
+    _random_hermitian,
+    _random_state,
+    _rng_for,
 )
 from prefield.hilbert import FieldVector, HermitianOperator
 from prefield.random_field import (
@@ -205,3 +215,31 @@ class TestEnsembleEvolution:
         d = ens.covariance.matrix
         fd = (u_p @ d @ u_p.conj().T - u_m @ d @ u_m.conj().T) / (2 * step)
         assert np.abs(fd - covariance_derivative(ens, h)).max() <= 1e-6
+
+
+class TestDriftTable:
+    def test_trajectory_matches_per_step_loop(self, tmp_path):
+        # 33,333 steps at dt = 3e-4, not a multiple of the stride 33: the last
+        # row is an extra one at t = steps * dt
+        seed, dt = 23, 3e-4
+        assert main(["dynamics", "--seed", str(seed), "--dt", repr(dt), "--out", str(tmp_path)]) == 0
+        config = ExperimentConfig(kind="dynamics", seed=seed, dt=dt)
+        rng = _rng_for(config)
+        system = HamiltonianSystem(_random_hermitian(rng, config.dim, spectral_radius=1.0))
+        phi0 = _random_state(rng, config.dim).components
+        integrator = SymplecticIntegrator(system, dt)
+        x = np.concatenate((phi0.real, phi0.imag))
+        steps = int(round(DRIFT_HORIZON / dt))
+        stride = max(1, steps // 1000)
+        assert (steps, stride) == (33_333, 33)
+        rows = []
+        for k in range(steps + 1):
+            if k % stride == 0 or k == steps:
+                rows.append([k * dt] + x.tolist() + [system.hamilton_function(x), float(x @ x)])
+            if k < steps:
+                x = integrator.step(x)
+
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            written = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        assert written == rows
+        assert written[-1][0] == steps * dt

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from prefield import observables
 from prefield.hilbert import FieldVector, HermitianOperator, state_average
 from prefield.observables import (
     FieldFunctional,
     QuadraticForm,
+    _fd_hessians,
     classical_average_exact,
     hessian_extract,
     quadratic_form_values,
@@ -141,6 +145,18 @@ class TestFunctionalRegistration:
         with pytest.raises(ValueError, match="zero field"):
             FieldFunctional(lambda phi: 1.0, 2)
 
+    def test_rejects_scalar_evaluator(self):
+        # the per-field convention: one float for one field, which would
+        # broadcast over the stencil into a wrong Hessian
+        with pytest.raises(ValueError, match="one value per row"):
+            FieldFunctional(lambda phi: float(np.vdot(phi, phi).real), 2)
+
+    def test_rejects_wrong_length_away_from_zero(self):
+        # right shape on the one zero row checked at registration, wrong on the stencil
+        f = FieldFunctional(lambda phi: np.abs(phi[:1, 0]) ** 2, 2)
+        with pytest.raises(ValueError, match="one value per row"):
+            hessian_extract(f)
+
 
 class TestHessianExtraction:
     def test_quadratic_recovers_operator(self):
@@ -169,14 +185,105 @@ class TestHessianExtraction:
     def test_phase_coupling_reported_not_guessed(self):
         # f = Re(phi_0^2) couples phi phi^T terms; no Hermitian operator has
         # this quadratic part
-        f = FieldFunctional(lambda phi: float((phi[0] ** 2).real), 2, smoothness_order=2)
+        f = FieldFunctional(lambda phi: (phi[:, 0] ** 2).real, 2, smoothness_order=2)
         ext = hessian_extract(f)
         assert not ext.representable
         assert ext.phase_defect > ext.tolerance
 
     def test_non_finite_evaluation_raises(self):
         f = FieldFunctional(
-            lambda phi: 0.0 if abs(phi[0]) == 0.0 else float("nan"), 2, smoothness_order=2
+            lambda phi: np.where(np.abs(phi[:, 0]) == 0.0, 0.0, np.nan), 2, smoothness_order=2
         )
         with pytest.raises(ArithmeticError, match="non-finite"):
             hessian_extract(f)
+
+
+def per_point_fd_hessian(func, dim2, h):
+    """The nested-loop central-difference Hessian, one field per evaluator call."""
+
+    def f(x):
+        val = float(func(x))
+        if not np.isfinite(val):
+            raise ArithmeticError(f"functional returned non-finite value {val!r} during differentiation")
+        return val
+
+    hess = np.empty((dim2, dim2))
+    e = np.eye(dim2)
+    diag_plus = np.array([f(h * e[i]) for i in range(dim2)])
+    diag_minus = np.array([f(-h * e[i]) for i in range(dim2)])
+    for i in range(dim2):
+        hess[i, i] = (diag_plus[i] + diag_minus[i]) / h**2
+        for jdx in range(i + 1, dim2):
+            pp = f(h * (e[i] + e[jdx]))
+            pm = f(h * (e[i] - e[jdx]))
+            mp = f(-h * (e[i] - e[jdx]))
+            mm = f(-h * (e[i] + e[jdx]))
+            val = (pp - pm - mp + mm) / (4.0 * h**2)
+            hess[i, jdx] = val
+            hess[jdx, i] = val
+    return hess
+
+
+def pinned_functionals(dim):
+    """Batched functionals, each with its one-field evaluator written out."""
+    rng = np.random.default_rng(100 + dim)
+    a = rand_hermitian(rng, dim)
+
+    def quadratic(phi):
+        return float(np.vdot(phi, a.matrix @ phi).real)
+
+    def quartic(phi):
+        return 0.7 * float(np.vdot(phi, phi).real) ** 2
+
+    return {
+        "quadratic": (quadratic_functional(a), quadratic),
+        "quartic": (quartic_power_functional(dim, 0.7), quartic),
+        "quadratic_plus_quartic": (quadratic_plus_quartic(a, 0.7), lambda phi: quadratic(phi) + quartic(phi)),
+        "phase_coupling": (
+            FieldFunctional(lambda phi: (phi[:, 0] ** 2).real, dim),
+            lambda phi: float((phi[0] ** 2).real),
+        ),
+    }
+
+
+class TestBatchedStencil:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [1e-4, 1e-3, 1e-2])
+    def test_matches_per_point_hessian(self, dim, step):
+        for name, (functional, one_field) in pinned_functionals(dim).items():
+            ref = per_point_fd_hessian(lambda x: one_field(x[:dim] + 1j * x[dim:]), 2 * dim, step)
+            got = _fd_hessians(functional.evaluator, dim, [step])[0]
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), name
+
+    def test_stencil_slices_match_one_slice(self, monkeypatch):
+        # one point per slice: the slices must cover the stencil in order
+        functional, _ = pinned_functionals(4)["quadratic_plus_quartic"]
+        whole = hessian_extract(functional).real_hessian
+        monkeypatch.setattr(observables, "FD_SLICE_ELEMENTS", 1)
+        np.testing.assert_allclose(hessian_extract(functional).real_hessian, whole, rtol=1e-13, atol=1e-13)
+
+    def test_two_evaluator_calls_per_extraction(self):
+        a = rand_hermitian(np.random.default_rng(8), 6)
+        inner = quadratic_plus_quartic(a).evaluator
+        calls = []
+
+        def counted(phi):
+            calls.append(len(phi))
+            return inner(phi)
+
+        functional = FieldFunctional(counted, 6, smoothness_order=4)
+        calls.clear()
+        ext = hessian_extract(functional)
+        assert len(calls) <= 2
+        assert sum(calls) == 2 * 2 * 12**2  # the stencils at h and h/2, 2 dim2**2 points each
+        assert np.abs(ext.operator.matrix - a.matrix).max() <= 1e-5
+
+    def test_stencil_memory_bounded(self):
+        functional = quadratic_plus_quartic(rand_hermitian(np.random.default_rng(9), 48))
+        tracemalloc.start()
+        try:
+            hessian_extract(functional)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20

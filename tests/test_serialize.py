@@ -1,13 +1,25 @@
+import csv
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefield.cli import main
 from prefield.hilbert import HermitianOperator
-from prefield.serialize import complex_to_pairs, operator_payload, read_json, write_json
+from prefield.serialize import (
+    complex_to_pairs,
+    operator_payload,
+    read_json,
+    write_csv,
+    write_csv_indexed,
+    write_json,
+)
 
 
 class TestComplexPairs:
@@ -77,3 +89,62 @@ class TestCliIntegration:
         results = json.loads((out / "results.json").read_text())
         assert abs(results["values"]["S_clicks"]["value"]) > 2.0
         assert (out / "trials_x0_y0.csv").exists()
+
+
+class LabelledFloat(float):
+    """A float subclass that prints itself with a wrapper, as np.float64's repr does."""
+
+    def __str__(self):
+        return f"LabelledFloat({float(self)!r})"
+
+    __repr__ = __str__
+
+
+def reference_cell(value):
+    """Cell text as write_csv formats it: every number converted, floats by repr(float(v))."""
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
+def reference_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([reference_cell(v) for v in row])
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5]
+FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS)
+CELLS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    FLOATS.map(LabelledFloat),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(st.characters(codec="utf-8"), max_size=4),
+)
+
+
+class TestCsvCells:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=5), min_size=1, max_size=6))
+    def test_write_csv_matches_reference_writer(self, rows):
+        """A plain float goes to csv unconverted; every other number is converted first."""
+        header = [f"c{k}" for k in range(max(map(len, rows)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, indexed, want = (Path(tmp) / name for name in ("got.csv", "indexed.csv", "want.csv"))
+            write_csv(got, header, rows)
+            write_csv_indexed(indexed, header, rows, list(range(len(rows)))[::-1])
+            reference_csv(want, header, rows)
+            assert got.read_bytes() == want.read_bytes()
+            reference_csv(want, header, rows[::-1])
+            assert indexed.read_bytes() == want.read_bytes()
