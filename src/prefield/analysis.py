@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import NoCoincidencesError
+from .detection import NoCoincidencesError, sign_standard_error
 from .random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 from .serialize import read_json
 
@@ -134,11 +134,9 @@ class CorrelationTable:
         corr = _correlations(freq)
         errs = np.zeros((2, 2))
         if counts is not None:
-            # a cell whose n trials all agree has sample variance 0; floor it
-            # at 1/n so that its standard error is not 0
             n = np.asarray(counts, dtype=np.float64)
             live = n > 0
-            errs[live] = np.sqrt(np.maximum(1.0 / n[live], 1.0 - corr[live] ** 2) / n[live])
+            errs[live] = sign_standard_error(corr[live], n[live])
         return cls(tuple(a_settings), tuple(b_settings), corr, errs, freq, counts)
 
     @classmethod
@@ -146,13 +144,11 @@ class CorrelationTable:
         """Build from detection trial batches keyed by setting indices (x, y).
 
         Frequencies are over the trials each batch's policy accepts (single-click
-        coincidences by default), read from the batch's click-code histogram.
+        coincidences by default): the batch's masked raw table mapped to +-1 outcomes.
         """
         freq = np.zeros((2, 2, 2, 2))
         counts = np.zeros((2, 2), dtype=np.int64)
         for (x, y), batch in batches.items():
-            if not batch.bipartite:
-                raise ValueError("correlation tables need bipartite trial batches")
             cells = batch.coincidences()
             n_acc = int(cells.sum())
             if n_acc == 0:

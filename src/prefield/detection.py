@@ -43,9 +43,15 @@ exactly one click, mirroring the time-window discard of coincidence
 experiments; raw counts are always retained so the selection is auditable.
 
 A trial is stored as one byte, the click code of its four channels, and a
-batch of trials as its codes plus their 16-bin histogram.  Every rate,
-coincidence count and correlation is a function of the histogram, so
-batches from different workers combine by concatenating their codes.
+batch of trials as its codes plus their 16-bin histogram.  A party's code
+is 0 none, 1 "+" only, 2 "-" only, 3 both, and the histogram read as a
+4x4 raw table counts trials by (party 1 code, party 2 code).  A policy is
+a 4x4 mask over that table, and the 2x2 counts of +-1 outcomes are
+_OUTCOME^T (raw * mask) _OUTCOME, with _OUTCOME mapping a party code to
+"+" when its + channel fired.  Every rate, coincidence count and
+correlation is read from the raw table.  A single party's clicks are
+party 1's marginal of a product state psi x e_0, whose party-1 covariance
+is psi psi^+ + eps I.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .observables import MCEstimate
 from .random_field import (
     CHUNK,
     STREAM_PAIRS,
-    STREAM_TRIALS,
     BackgroundField,
     RandomSeed,
     for_each_chunk,
@@ -71,11 +76,6 @@ from .random_field import (
 from .serialize import write_csv_indexed
 
 STATE_NORM_TOL = 1e-10
-
-CLASS_NONE = 0
-CLASS_SINGLE = 1
-CLASS_DOUBLE = 2
-_CLASS_NAMES = {CLASS_NONE: "none", CLASS_SINGLE: "single", CLASS_DOUBLE: "double"}
 
 POLICY_KEEP_SINGLES = "keep-singles"
 POLICY_KEEP_ALL = "keep-all"
@@ -264,24 +264,35 @@ class NoCoincidencesError(ValueError):
     """No trial passed the post-selection, so no correlation can be estimated."""
 
 
+def sign_standard_error(corr, n):
+    """Standard error of the mean E of n products of +-1 outcomes.
+
+    A sample whose n products all agree has variance 0; the variance is
+    floored at 1/n so that its standard error is not 0.
+    """
+    return np.sqrt(np.maximum(1.0 / n, 1.0 - corr * corr) / n)
+
+
 # One uint8 click code per trial: bit 0 party 1 "+", bit 1 party 1 "-",
-# bit 2 party 2 "+", bit 3 party 2 "-".  Single-party codes use bits 0-1.
+# bit 2 party 2 "+", bit 3 party 2 "-".  A party's code (bits 0-1 or 2-3)
+# is 0 none, 1 "+" only, 2 "-" only, 3 both.
 _N_CODES = 16
 _CODE_CLICKS = ((np.arange(_N_CODES)[:, None] >> np.arange(4)) & 1).astype(bool)
-_CODE_CLASSES = _CODE_CLICKS.reshape(_N_CODES, 2, 2).sum(axis=2)  # clicks per party
-_SINGLE_SINGLE = (_CODE_CLASSES == CLASS_SINGLE).all(axis=1)
-# outcome of a party: "+" (index 0) when its + channel fired, "-" (index 1) otherwise
-_OUTCOME_CELL = np.where(_CODE_CLICKS[:, 0], 0, 2) + np.where(_CODE_CLICKS[:, 2], 0, 1)
-_OUTCOME_PRODUCT = np.where(_CODE_CLICKS[:, 0] == _CODE_CLICKS[:, 2], 1.0, -1.0)
 _CODE_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
+_PARTY_CLASS = ("none", "single", "single", "double")
+# outcome of a party code: "+" (column 0) when its + channel fired, "-" (column 1) otherwise
+_OUTCOME = np.array([[0, 1], [1, 0], [0, 1], [1, 0]], dtype=np.int64)
+_SINGLE = np.array([False, True, True, False])
+# post-selection policy: a 4x4 mask over (party 1 code, party 2 code)
+_POLICY_MASKS = {POLICY_KEEP_SINGLES: np.outer(_SINGLE, _SINGLE), POLICY_KEEP_ALL: np.ones((4, 4), dtype=bool)}
 
 
 def _pack_codes(clicks: np.ndarray) -> np.ndarray:
-    """Code of each row of an (n, k <= 4) boolean click table: column c sets bit c."""
+    """Code of each row of an (n, 4) boolean click table: column c sets bit c."""
     # np.packbits along rows of four would do the same, but it holds the
     # interpreter lock for the whole call (about 0.8 ms per chunk), so the
     # other worker threads stall; this uint8 product runs without the lock
-    return clicks.view(np.uint8) @ _CODE_BITS[: clicks.shape[1]]
+    return clicks.view(np.uint8) @ _CODE_BITS
 
 
 def _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers=1) -> np.ndarray:
@@ -300,20 +311,12 @@ def _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers
     return codes
 
 
-def _outcome_counts(histogram: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """2x2 counts of accepted trials by (party 1, party 2) outcome, "+" first."""
-    cells = np.zeros(4, dtype=np.int64)
-    np.add.at(cells, _OUTCOME_CELL[accepted], histogram[accepted])
-    return cells.reshape(2, 2)
-
-
 class TrialBatch:
     """Detection trials for one setting pair, one click code per trial.
 
-    A single-party batch has theta2 None and codes below 4.  The 16-bin
-    code histogram is computed once and every statistic of the batch reads
-    it; the per-trial click tables, classifications and acceptance flags
-    are derived from the codes.
+    The 16-bin code histogram is computed once; read as the 4x4 raw table
+    of trials by (party 1 code, party 2 code), it is what every statistic
+    of the batch reads.  The policy is a 4x4 mask over that table.
     """
 
     __slots__ = ("theta1", "theta2", "codes", "histogram", "policy")
@@ -322,14 +325,13 @@ class TrialBatch:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.theta1 = float(theta1)
-        self.theta2 = None if theta2 is None else float(theta2)
+        self.theta2 = float(theta2)
         self.policy = policy
         codes = np.asarray(codes, dtype=np.uint8)
         if codes.ndim != 1:
             raise ValueError("codes must be one-dimensional")
-        limit = _N_CODES if self.bipartite else 4
-        if codes.size and int(codes.max()) >= limit:
-            raise ValueError(f"click codes must lie below {limit}")
+        if codes.size and int(codes.max()) >= _N_CODES:
+            raise ValueError(f"click codes must lie below {_N_CODES}")
         self.codes = codes
         # bincount widens its input to intp (8 bytes per trial), so count by chunks
         self.histogram = np.zeros(_N_CODES, dtype=np.int64)
@@ -341,34 +343,23 @@ class TrialBatch:
         return self.codes.size
 
     @property
-    def bipartite(self) -> bool:
-        return self.theta2 is not None
+    def raw(self) -> np.ndarray:
+        """4x4 trial counts by (party 1 code, party 2 code)."""
+        return self.histogram.reshape(4, 4).T
 
     @property
-    def clicks1(self) -> np.ndarray:
-        """(n_trials, 2) click table of party 1: channels + and -."""
-        return _CODE_CLICKS[self.codes, :2]
-
-    @property
-    def clicks2(self) -> np.ndarray | None:
-        return _CODE_CLICKS[self.codes, 2:] if self.bipartite else None
-
-    @property
-    def accepted_codes(self) -> np.ndarray:
-        """(16,) mask of the click codes the post-selection policy keeps."""
-        if self.policy == POLICY_KEEP_ALL:
-            return np.ones(_N_CODES, dtype=bool)
-        return _SINGLE_SINGLE.copy() if self.bipartite else _CODE_CLASSES[:, 0] == CLASS_SINGLE
+    def mask(self) -> np.ndarray:
+        """4x4 mask of the (party 1 code, party 2 code) cells the policy keeps."""
+        return _POLICY_MASKS[self.policy]
 
     @property
     def accepted(self) -> np.ndarray:
-        return self.accepted_codes[self.codes]
+        """Per-trial flag: the policy keeps the trial."""
+        return self.mask.T.ravel()[self.codes]
 
     def coincidences(self) -> np.ndarray:
         """2x2 accepted-trial counts by (party 1, party 2) outcome, "+" first."""
-        if not self.bipartite:
-            raise ValueError("batch has no second party")
-        return _outcome_counts(self.histogram, self.accepted_codes)
+        return _OUTCOME.T @ (self.raw * self.mask) @ _OUTCOME
 
     def to_csv(self, path) -> None:
         """One row per trial: settings, click flags, classifications, accepted.
@@ -376,18 +367,13 @@ class TrialBatch:
         A batch has at most 16 distinct rows, one per click code; each is
         formatted once and the file is written by indexing them with the codes.
         """
-        accepted = self.accepted_codes
-        names = [[_CLASS_NAMES[int(k)] for k in classes] for classes in _CODE_CLASSES]
-        if self.bipartite:
-            header = ["theta1", "theta2", "click1_plus", "click1_minus", "click2_plus"]
-            header += ["click2_minus", "class1", "class2", "accepted"]
-            rows = [
-                [self.theta1, self.theta2, *_CODE_CLICKS[c], *names[c], accepted[c]]
-                for c in range(_N_CODES)
-            ]
-        else:
-            header = ["theta", "click_plus", "click_minus", "classification", "accepted"]
-            rows = [[self.theta1, *_CODE_CLICKS[c, :2], names[c][0], accepted[c]] for c in range(4)]
+        accepted = self.mask.T.ravel()
+        header = ["theta1", "theta2", "click1_plus", "click1_minus", "click2_plus"]
+        header += ["click2_minus", "class1", "class2", "accepted"]
+        rows = [
+            [self.theta1, self.theta2, *_CODE_CLICKS[c], _PARTY_CLASS[c & 3], _PARTY_CLASS[c >> 2], accepted[c]]
+            for c in range(_N_CODES)
+        ]
         write_csv_indexed(path, header, rows, self.codes)
 
 
@@ -428,93 +414,41 @@ def run_trials(
     return TrialBatch(theta1, theta2, codes, policy)
 
 
-def run_single_party_trials(
-    ensemble,
-    detector: ThresholdDetector,
-    n_trials: int,
-    seed: RandomSeed,
-    start_index: int = 0,
-    policy: str = POLICY_KEEP_SINGLES,
-) -> TrialBatch:
-    """Threshold trials on a single two-channel field ensemble."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if ensemble.dim != 2:
-        raise ValueError(f"the detector has two channels, the ensemble dimension is {ensemble.dim}")
-    factor = _splitter_basis(detector.theta).T @ ensemble.sampler_factor
-    codes = _click_codes(factor, detector.threshold, n_trials, seed, start_index, STREAM_TRIALS)
-    return TrialBatch(detector.theta, None, codes, policy)
-
-
-@dataclass(frozen=True)
-class PartyRates:
-    """Click rates of one party's + and - channels."""
-
-    raw_click_rates: tuple[float, float]  # channel fired, over all trials
-    double_rate: float  # both channels fired, over all trials
-    conditional: tuple[float, float] | None  # channel fired, over accepted trials
-
-
 @dataclass(frozen=True)
 class ClickStatistics:
-    """Aggregate click frequencies for one batch: one `PartyRates` per party."""
+    """Trial counts of one batch; `party_counts[p]` is party p's (none, + only, - only, both)."""
 
     n_trials: int
     n_accepted: int
-    parties: tuple[PartyRates, ...]
-    coincidences: dict | None
+    party_counts: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
 
     @property
     def accepted_fraction(self) -> float:
         return self.n_accepted / self.n_trials
 
-
-def _party_rates(histogram: np.ndarray, party: int, accepted: np.ndarray, n_acc: int) -> PartyRates:
-    n = int(histogram.sum())
-    clicks = _CODE_CLICKS[:, 2 * party : 2 * party + 2]
-    conditional = None
-    if n_acc:
-        conditional = tuple(float(histogram[accepted & clicks[:, c]].sum() / n_acc) for c in range(2))
-    return PartyRates(
-        raw_click_rates=tuple(float(histogram[clicks[:, c]].sum() / n) for c in range(2)),
-        double_rate=float(histogram[_CODE_CLASSES[:, party] == CLASS_DOUBLE].sum() / n),
-        conditional=conditional,
-    )
+    @property
+    def party_frequencies(self) -> np.ndarray:
+        """(2, 4) frequencies of each party's (none, + only, - only, both) over all trials."""
+        return np.array(self.party_counts) / self.n_trials
 
 
 def click_statistics(batch: TrialBatch) -> ClickStatistics:
-    """Frequencies conditioned on the acceptance policy; raw counts retained."""
+    """Trial, accepted and per-party code counts, read from the raw table."""
     if batch.n_trials < 1:
         raise ValueError("empty batch")
-    accepted = batch.accepted_codes
-    n_acc = int(batch.histogram[accepted].sum())
-    parties = range(2 if batch.bipartite else 1)
-    coincidences = None
-    if batch.bipartite and n_acc:
-        cells = batch.coincidences()
-        coincidences = {
-            (a, b): int(cells[i, j]) for i, a in enumerate((1, -1)) for j, b in enumerate((1, -1))
-        }
+    raw = batch.raw
     return ClickStatistics(
         n_trials=batch.n_trials,
-        n_accepted=n_acc,
-        parties=tuple(_party_rates(batch.histogram, p, accepted, n_acc) for p in parties),
-        coincidences=coincidences,
+        n_accepted=int(raw[batch.mask].sum()),
+        party_counts=(tuple(map(int, raw.sum(axis=1))), tuple(map(int, raw.sum(axis=0)))),
     )
 
 
 def correlation_from_clicks(batch: TrialBatch) -> tuple[float, float]:
-    """E = (N++ + N-- - N+- - N-+) / N_accepted over single-click coincidences."""
-    if not batch.bipartite:
-        raise ValueError("correlation needs a bipartite batch")
-    cells = _outcome_counts(batch.histogram, _SINGLE_SINGLE)
+    """E = (N++ + N-- - N+- - N-+) / N_accepted over the policy's coincidences, and its SE."""
+    cells = batch.coincidences()
     n_acc = int(cells.sum())
     if n_acc == 0:
         raise NoCoincidencesError("no accepted coincidences")
     e = float((cells[0, 0] + cells[1, 1] - cells[0, 1] - cells[1, 0]) / n_acc)
-    if n_acc == 1:
-        return e, 1.0
-    # the sample deviation is summed in trial order, as numpy does, so that
-    # the standard error keeps its last bits
-    products = _OUTCOME_PRODUCT[batch.codes[_SINGLE_SINGLE[batch.codes]]]
-    return e, float(products.std(ddof=1) / np.sqrt(n_acc))
+    return e, float(sign_standard_error(e, n_acc))

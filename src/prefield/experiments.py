@@ -22,7 +22,8 @@ suite and README:
   At this point the conditional single-click frequencies reproduce
   cos^2/sin^2 weights to about a percent for amplitude angles in
   [pi/6, pi/3]; the agreement degrades toward extreme ratios.  No CLI
-  experiment runs this point; the acceptance suite does.
+  experiment runs this point; the acceptance suite does, as party 1's
+  marginal of `run_trials` on the product state psi x e_0.
 * Correlation curve: eps = eps*(singlet) + 0.03, d = 1.1 keeps the click
   correlation within ~0.03 of -cos 2(delta) across the whole angle sweep.
 * CHSH from clicks: eps = eps*(singlet), d = 0.2 trades |S| ~ 3.44 against
@@ -124,6 +125,7 @@ EPR_NO_SIGNALLING = 5
 TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
 DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
 DYNAMICS_MAX_STEPS = 1_000_000  # integrate plus drift-table steps; about 2 s of stepping on one core
+MAX_DIM = 64  # hessian evaluates 16 dim**2 stencil points: about 2.6 s at dim 64 on one core
 
 
 @dataclass
@@ -190,8 +192,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             problems.append(f"{name} must be finite")
     if config.angles is not None and not all(map(math.isfinite, config.angles)):
         problems.append("angles must be finite")
-    if config.dim < 1:
-        problems.append("dim must be >= 1")
+    if not 1 <= config.dim <= MAX_DIM:
+        problems.append(f"dim must lie in [1, {MAX_DIM}]: hessian's stencil grows as dim**2 points")
     if config.epsilon < 0.0 or config.epsilon >= 2.0**53:  # from 2**53 on, 1 + eps == eps
         problems.append("epsilon must lie in [0, 2**53): a larger background swallows the state")
     if config.threshold is not None and config.threshold < 0.0:
@@ -531,18 +533,18 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     for d, (_, stats) in zip(grid, grid_runs):
         exact = math.exp(-2.0 * d / (0.5 + eps))
         se = max(math.sqrt(exact * (1.0 - exact) / n_grid), 1.0 / n_grid)
-        pulls += [abs(party.double_rate - exact) / se for party in stats.parties]
-        rows.append(
-            [float(d), stats.parties[0].double_rate, stats.parties[1].double_rate,
-             stats.accepted_fraction, exact]
-        )
+        double_rates = stats.party_frequencies[:, 3]
+        pulls += list(np.abs(double_rates - exact) / se)
+        rows.append([float(d), *map(float, double_rates), stats.accepted_fraction, exact])
     result.tables["double_click_rate"] = (header, rows)
     result.check_abs("double_rate_vs_exact_5se", _worst(pulls), 5.0)
 
-    # no-signalling: party 1's marginals cannot see party 2's setting; each
-    # run draws its own fields (reusing the same samples for both settings
-    # would make the comparison exactly zero and test nothing)
-    r1, r2 = (np.asarray(stats.parties[0].raw_click_rates) for _, stats in no_signalling)
+    # no-signalling: party 1's + and - channel rates (the channel fired alone
+    # or in a double click) cannot see party 2's setting; each run draws its
+    # own fields (reusing the same samples for both settings would make the
+    # comparison exactly zero and test nothing)
+    fired = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # (none, + only, - only, both) -> (+, -)
+    r1, r2 = (np.array(stats.party_counts[0]) @ fired / stats.n_trials for _, stats in no_signalling)
     se = math.sqrt(2.0 * 0.25 / config.trials)
     gap = float(np.abs(r1 - r2).max())
     result.add_mc("no_signalling_gap", gap, se, 2 * config.trials)
@@ -587,13 +589,7 @@ def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
     exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
     se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
     stats = {key: click_statistics(batch) for key, batch in batches.items()}
-    pulls = []
-    for batch_stats in stats.values():
-        for party in batch_stats.parties:
-            (plus, minus), both = party.raw_click_rates, party.double_rate
-            # none, + only, - only, both
-            freq = np.array([1.0 - plus - minus + both, plus - both, minus - both, both])
-            pulls.append(np.abs(freq - exact) / se)
+    pulls = [np.abs(batch_stats.party_frequencies - exact) / se for batch_stats in stats.values()]
     result.add_exact("channel_click_probability", q)
     result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
     table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)

@@ -73,7 +73,6 @@ RNG_CONTRACT = 2
 # tuple label such as (STREAM_PAIRS, x, y) sub-keys one use.
 STREAM_FIELD = 1
 STREAM_PAIRS = 3
-STREAM_TRIALS = 4
 STREAM_HIDDEN_VARIABLE = 6
 STREAM_EXPERIMENT = 7
 

@@ -23,12 +23,10 @@ from prefield.analysis import (
 from prefield.cli import main as cli_main
 from prefield.detection import (
     BipartiteEnsemble,
-    ThresholdDetector,
     click_statistics,
     pbs_projectors,
     quadratic_correlation_mc,
     quadratic_correlation_renormalized,
-    run_single_party_trials,
     run_trials,
 )
 from prefield.dynamics import (
@@ -47,7 +45,7 @@ from prefield.experiments import (
     CHSH_TARGET,
     DEFAULT_CHSH_ANGLES,
 )
-from prefield.hilbert import FieldVector, HermitianOperator, state_average
+from prefield.hilbert import FieldVector, HermitianOperator, kron_vector, state_average
 from prefield.observables import (
     QuadraticForm,
     classical_average_exact,
@@ -227,16 +225,19 @@ class TestCriterion6ThresholdDetection:
         Calibration (documented): background 0.06; the threshold at which the
         maximally mixed ensemble gives a 6.8 % singles fraction, in closed
         form.  Amplitude angles pi/6, pi/4, pi/3; agreement degrades toward
-        extreme amplitude ratios, which is not asserted here.
+        extreme amplitude ratios, which is not asserted here.  The single
+        party is party 1 of the product state psi x e_0, whose party-1
+        covariance is psi psi^+ + eps I; its click frequencies are party 1's
+        marginal of the raw table.
         """
-        det = ThresholdDetector(BORN_CLICK_THRESHOLD)
         worst = 0.0
         for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
             psi = FieldVector([math.cos(alpha), math.sin(alpha)])
-            ens = ensemble_from_pure_state(psi, BackgroundField(BORN_CLICK_EPSILON))
-            batch = run_single_party_trials(ens, det, 1_000_000, SEED)
-            stats = click_statistics(batch)
-            f_plus = stats.parties[0].conditional[0]
+            product = kron_vector(psi, FieldVector([1.0, 0.0]))
+            ens = BipartiteEnsemble(product, BackgroundField(BORN_CLICK_EPSILON))
+            batch = run_trials(ens, 0.0, 0.0, BORN_CLICK_THRESHOLD, 1_000_000, SEED)
+            _, plus, minus, _ = batch.raw.sum(axis=1)
+            f_plus = plus / (plus + minus)
             born = math.cos(alpha) ** 2
             rel = max(abs(f_plus - born) / born, abs((1 - f_plus) - (1 - born)) / (1 - born))
             worst = max(worst, rel)
@@ -260,8 +261,8 @@ class TestCriterion6ThresholdDetection:
             batch = run_trials(ens, 0.0, math.pi / 8, float(d), n, SEED, stream=(STREAM_PAIRS, k))
             exact = math.exp(-2.0 * d / (0.5 + CHSH_CLICK_EPSILON))
             se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
-            for party in click_statistics(batch).parties:
-                worst = max(worst, abs(party.double_rate - exact) / se)
+            for _, _, _, both in click_statistics(batch).party_counts:
+                worst = max(worst, abs(both / n - exact) / se)
         assert worst <= 5.0
         report(
             "criterion 6b (double clicks)",
@@ -275,7 +276,9 @@ class TestCriterion6ThresholdDetection:
         n = 1_000_000
         b1 = run_trials(ens, 0.0, math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(61))
         b2 = run_trials(ens, 0.0, 3 * math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(62))
-        gap = float(np.abs(b1.clicks1.mean(axis=0) - b2.clicks1.mean(axis=0)).max())
+        # party 1's + and - channel rates: the channel fired alone or in a double click
+        r1, r2 = (batch.raw.sum(axis=1) @ [[0, 0], [1, 0], [0, 1], [1, 1]] / n for batch in (b1, b2))
+        gap = float(np.abs(r1 - r2).max())
         se = math.sqrt(2.0 * 0.25 / n)
         assert gap <= 5.0 * se
         report(

@@ -30,14 +30,46 @@ def nan_field_mc(ensemble, a, b, n_samples, *rest, **kwargs):
     return MCEstimate(math.nan, math.nan, n_samples)
 
 
-def nan_double_rates(batch):
+def nan_party_counts(batch):
     stats = detection.click_statistics(batch)
-    parties = tuple(dataclasses.replace(party, double_rate=math.nan) for party in stats.parties)
-    return dataclasses.replace(stats, parties=parties)
+    return dataclasses.replace(stats, party_counts=((math.nan,) * 4,) * 2)
 
 
 def nan_energy(system, x):
     return math.nan
+
+
+def signalling_threshold(monkeypatch):
+    """Party 1's threshold scaled by 1 + theta2, so party 1's clicks see party 2's setting."""
+    kernel, run_trials = detection._click_codes, experiments.run_trials
+
+    def run(ensemble, theta1, theta2, threshold, *args, **kwargs):
+        scale = np.array([1.0 + theta2, 1.0 + theta2, 1.0, 1.0])
+
+        def scaled(factor, d, *rest, **kw):
+            return kernel(factor, d * scale, *rest, **kw)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detection, "_click_codes", scaled)
+            return run_trials(ensemble, theta1, theta2, threshold, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_trials", run)
+
+
+def swapped_party_two(monkeypatch):
+    """Party 2's "+" and "-" click bits swapped."""
+    kernel = detection._click_codes
+
+    def swapped(*args, **kwargs):
+        codes = kernel(*args, **kwargs)
+        return (codes & 3) | ((codes & 4) << 1) | ((codes & 8) >> 1)
+
+    monkeypatch.setattr(detection, "_click_codes", swapped)
+
+
+def failed_checks(out):
+    checks = strict_json(Path(out) / "results.json")["checks"]
+    return {c["name"]: c["observed"] for c in checks if not c["passed"]}
 
 
 def table_text(**changes):
@@ -76,6 +108,10 @@ class TestValidate:
         cfg = ExperimentConfig(kind="born", seed=7, epsilon=-0.1)
         problems = validate(cfg)
         assert any("epsilon" in p for p in problems)
+
+    def test_dim_bound_is_inclusive(self):
+        # dim 65 is among test_degenerate_click_runs_are_config_errors
+        assert validate(ExperimentConfig(kind="hessian", seed=7, dim=64)) == []
 
     def test_missing_seed(self):
         cfg = ExperimentConfig(kind="born")
@@ -273,12 +309,59 @@ class TestExitCodes:
         assert failed.get("double_rate_vs_exact_5se", 0.0) > 5.0
 
     @pytest.mark.parametrize(
+        "mutate, check",
+        [(signalling_threshold, "no_signalling_5se"), (swapped_party_two, "clicks_near_qm_curve")],
+        ids=["epr-no-signalling", "epr-clicks-curve"],
+    )
+    def test_click_check_fails_its_mutant(self, mutate, check, tmp_path, monkeypatch):
+        """Each epr click check passes on the program and fails on a kernel that breaks what it checks."""
+        args = EPR_SMALL + ["--seed", "41"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        mutate(monkeypatch)
+        assert main(args + ["--out", str(tmp_path / "mutant")]) == 1
+        assert check in failed_checks(tmp_path / "mutant")
+
+    def test_epr_keep_all_curve_follows_the_policy(self, tmp_path, monkeypatch):
+        """Each clicks_E / clicks_se row is the +-1 estimator of its batch's keep-all coincidences.
+
+        Under keep-all a party with no click or a double click counts as an
+        outcome too, which pulls the curve off -cos 2(delta), so the run fails
+        clicks_near_qm_curve and nothing else.
+        """
+        curve_codes = {}
+        run_trials = experiments.run_trials
+
+        def recorded(*args, **kwargs):
+            batch = run_trials(*args, **kwargs)
+            _, purpose, idx = kwargs["stream"]
+            if purpose == experiments.EPR_CURVE:
+                curve_codes[idx] = batch.codes
+            return batch
+
+        monkeypatch.setattr(experiments, "run_trials", recorded)
+        argv = ["epr", "--seed", "7", "--trials", "20000", "--samples", "2000", "--angles", "0.0,0.8,1.9"]
+        assert main(argv + ["--policy", "keep-all", "--out", str(tmp_path / "run")]) == 1
+        assert set(failed_checks(tmp_path / "run")) == {"clicks_near_qm_curve"}
+        lines = (tmp_path / "run" / "correlation_curve.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == len(curve_codes) == 3
+        for idx, row in enumerate(rows):
+            codes = curve_codes[idx]
+            # a party's outcome is "+" when its + channel fired
+            agree = (codes & 1) == ((codes >> 2) & 1)
+            n = codes.size
+            e = (2 * int(agree.sum()) - n) / n
+            assert float(row["clicks_E"]) == e
+            assert float(row["clicks_se"]) == math.sqrt(max(1.0 / n, 1.0 - e * e) / n)
+            assert float(row["accepted_fraction"]) == 1.0
+
+    @pytest.mark.parametrize(
         "argv, owner, name, mutant, check",
         [
             (EPR_SMALL, experiments, "quadratic_correlation_mc", nan_field_mc, "mc_within_5se"),
-            (EPR_SMALL, experiments, "click_statistics", nan_double_rates, "double_rate_vs_exact_5se"),
+            (EPR_SMALL, experiments, "click_statistics", nan_party_counts, "double_rate_vs_exact_5se"),
             (["chsh", "--model", "singlet-clicks", "--trials", "4000"], experiments, "click_statistics",
-             nan_double_rates, "party_rates_vs_exact_5se"),
+             nan_party_counts, "party_rates_vs_exact_5se"),
             (["dynamics"], HamiltonianSystem, "hamilton_function", nan_energy, "energy_conserved"),
         ],
         ids=["epr-field-mc", "epr-click-rates", "chsh-click-rates", "dynamics-energy"],
@@ -333,6 +416,7 @@ class TestExitCodes:
             ["kolmogorov", "--model", "lhv", "--trials", "1"],
             ["epr", "--trials", "20000", "--samples", "2000", "--threshold", "50", "--workers", "2"],
             ["epr", "--trials", "2000", "--samples", "2000", "--epsilon", "1e308"],
+            ["hessian", "--dim", "65"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
@@ -340,6 +424,7 @@ class TestExitCodes:
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
             "hessian-nan-step", "hessian-tiny-step", "hessian-huge-step", "chsh-lhv-one-trial",
             "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
+            "hessian-dim-over-bound",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):

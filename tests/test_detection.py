@@ -19,7 +19,6 @@ from prefield.detection import (
     pbs_projectors,
     quadratic_correlation_mc,
     quadratic_correlation_renormalized,
-    run_single_party_trials,
     run_trials,
 )
 from prefield.experiments import (
@@ -334,36 +333,36 @@ class TestTrials:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         batch = run_trials(ens, 0.0, 0.3, 0.0, 5_000, SEED)
         stats = click_statistics(batch)
-        assert stats.parties[0].double_rate >= 0.999
-        assert stats.parties[1].double_rate >= 0.999
+        assert stats.party_counts[0][3] >= 0.999 * 5_000
+        assert stats.party_counts[1][3] >= 0.999 * 5_000
 
     def test_huge_threshold_no_clicks(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         batch = run_trials(ens, 0.0, 0.3, 1e6, 2_000, SEED)
         stats = click_statistics(batch)
-        assert stats.parties[0].raw_click_rates == (0.0, 0.0)
+        assert stats.party_counts == ((2_000, 0, 0, 0), (2_000, 0, 0, 0))
         assert stats.n_accepted == 0
 
     def test_double_click_rate_matches_closed_form(self):
-        # on the maximally mixed ensemble each channel power is an independent
-        # exponential with mean 1/2 + eps, so a channel fires with probability
-        # q = exp(-d / (1/2 + eps)): both channels with q^2, each channel alone
-        # with q (1 - q), either alone with 2 q (1 - q).  Every threshold reads
-        # fields of its own index range.  A kernel whose threshold is scaled by
-        # 1.05 reaches a pull of about 12.
+        # the singlet's reduced state is maximally mixed, so each party's
+        # channel power is an independent exponential with mean 1/2 + eps and
+        # a channel fires with probability q = exp(-d / (1/2 + eps)): both
+        # channels with q^2, each channel alone with q (1 - q), either alone
+        # with 2 q (1 - q).  Every threshold reads fields of its own index
+        # range.  A kernel whose threshold is scaled by 1.05 reaches a pull of
+        # about 13.
         eps, n = SINGLET_EPS_MIN, 100_000
-        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
+        ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
         for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
             d = float(d)
-            batch = run_single_party_trials(ens, ThresholdDetector(d), n, SEED, start_index=k * n)
-            party = click_statistics(batch).parties[0]
-            single = [rate - party.double_rate for rate in party.raw_click_rates]
+            batch = run_trials(ens, 0.0, 0.3, d, n, SEED, start_index=k * n)
             q = math.exp(-d / (0.5 + eps))
-            pairs = [(party.double_rate, math.exp(-2.0 * d / (0.5 + eps)))]
-            pairs += [(sum(single), 2.0 * q * (1.0 - q))] + [(rate, q * (1.0 - q)) for rate in single]
-            for observed, exact in pairs:
-                se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
-                assert abs(observed - exact) <= 5.0 * se, (d, observed, exact)
+            for _, plus, minus, both in click_statistics(batch).party_counts:
+                pairs = [(both / n, q * q), ((plus + minus) / n, 2.0 * q * (1.0 - q))]
+                pairs += [(plus / n, q * (1.0 - q)), (minus / n, q * (1.0 - q))]
+                for observed, exact in pairs:
+                    se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
+                    assert abs(observed - exact) <= 5.0 * se, (d, observed, exact)
 
     def test_acceptance_fraction_monotone_past_peak(self):
         # the accepted-coincidence fraction vanishes at both threshold
@@ -404,12 +403,7 @@ class TestTrials:
         parts = [
             run_trials(ens, 0.0, 0.5, 0.1, 4_000, SEED, start_index=k * 4_000) for k in range(2)
         ]
-        np.testing.assert_array_equal(
-            full.clicks1, np.concatenate([p.clicks1 for p in parts], axis=0)
-        )
-        np.testing.assert_array_equal(
-            full.clicks2, np.concatenate([p.clicks2 for p in parts], axis=0)
-        )
+        np.testing.assert_array_equal(full.codes, np.concatenate([p.codes for p in parts]))
 
 
 class TestClickStatistics:
@@ -417,7 +411,8 @@ class TestClickStatistics:
         batch = TrialBatch(0.0, 0.1, codes_of(np.zeros((10, 2), bool), np.zeros((10, 2), bool)))
         stats = click_statistics(batch)
         assert stats.n_accepted == 0
-        assert stats.coincidences is None
+        assert stats.party_counts == ((10, 0, 0, 0), (10, 0, 0, 0))
+        np.testing.assert_array_equal(batch.coincidences(), np.zeros((2, 2)))
 
     def test_synthetic_counts(self):
         clicks1 = np.array([[1, 0], [1, 0], [0, 1], [1, 1]], bool)
@@ -425,9 +420,13 @@ class TestClickStatistics:
         batch = TrialBatch(0.0, 0.2, codes_of(clicks1, clicks2))
         stats = click_statistics(batch)
         assert stats.n_accepted == 3
-        assert stats.parties[0].double_rate == pytest.approx(0.25)
-        assert stats.parties[1].raw_click_rates == pytest.approx((0.25, 0.5))
-        assert stats.coincidences == {(1, 1): 1, (1, -1): 1, (-1, 1): 0, (-1, -1): 1}
+        assert stats.party_counts == ((0, 2, 1, 1), (1, 1, 2, 0))
+        np.testing.assert_array_equal(stats.party_frequencies[0], [0.0, 0.5, 0.25, 0.25])
+        np.testing.assert_array_equal(batch.raw, [[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+        # rows: party 1 outcome +, -; columns: party 2 outcome +, -
+        np.testing.assert_array_equal(batch.coincidences(), [[1, 1], [0, 1]])
+        keep_all = TrialBatch(0.0, 0.2, batch.codes, policy="keep-all")
+        np.testing.assert_array_equal(keep_all.coincidences(), [[1, 2], [0, 1]])
 
     def test_correlation_from_synthetic_batches(self):
         plus = np.tile([True, False], (8, 1))
@@ -450,17 +449,23 @@ class TestClickStatistics:
         assert batch.accepted.all()
 
 
+def single_party_counts(psi, eps, threshold, n, seed):
+    """Party 1's (none, + only, - only, both) counts on the product state psi x e_0.
+
+    Party 1's field then has covariance psi psi^+ + eps I, the single-party ensemble of psi.
+    """
+    ens = BipartiteEnsemble(kron_vector(psi, FieldVector([1.0, 0.0])), BackgroundField(eps))
+    return run_trials(ens, 0.0, 0.0, threshold, n, seed).raw.sum(axis=1)
+
+
 class TestSingleParty:
     def test_born_frequencies_at_calibration_point(self):
         # quick statistical check at the frozen operating point; the full
         # million-trial version lives in the acceptance suite
-        det = ThresholdDetector(BORN_CLICK_THRESHOLD)
         for alpha in (np.pi / 6, np.pi / 3):
             psi = FieldVector([np.cos(alpha), np.sin(alpha)])
-            ens = ensemble_from_pure_state(psi, BackgroundField(BORN_CLICK_EPSILON))
-            batch = run_single_party_trials(ens, det, 400_000, SEED)
-            stats = click_statistics(batch)
-            f_plus = stats.parties[0].conditional[0]
+            _, plus, minus, _ = single_party_counts(psi, BORN_CLICK_EPSILON, BORN_CLICK_THRESHOLD, 400_000, SEED)
+            f_plus = plus / (plus + minus)
             born = np.cos(alpha) ** 2
             assert abs(f_plus - born) / born <= 0.03
             assert abs((1 - f_plus) - (1 - born)) / (1 - born) <= 0.03
@@ -476,9 +481,11 @@ class TestCalibration:
         q = math.exp(-d / (0.5 + eps))
         assert abs(2.0 * q * (1.0 - q) - target) <= 1e-12
         n = 100_000
+        # eps = 0.06 lies below the singlet's floor, so the maximally mixed
+        # field is sampled directly and put behind the detector
         ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
-        party = click_statistics(run_single_party_trials(ens, ThresholdDetector(d), n, SEED)).parties[0]
-        single = [rate - party.double_rate for rate in party.raw_click_rates]
+        clicks = ThresholdDetector(d).clicks(sample_with_factor(ens.sampler_factor, n, SEED))
+        single = [float((clicks[:, c] & ~clicks[:, 1 - c]).mean()) for c in range(2)]
         assert abs(sum(single) - target) <= 0.01
         se = math.sqrt(q * (1.0 - q) / n)
         for rate in single:
@@ -507,11 +514,9 @@ def test_click_probability_quadrature_oracle(alpha):
     p_minus = float(np.sum(weights * cdf_p * sf_m))
 
     psi = FieldVector([np.cos(alpha), np.sin(alpha)])
-    ens = ensemble_from_pure_state(psi, BackgroundField(eps))
-    det = ThresholdDetector(d)
     n = 400_000
-    clicks = run_single_party_trials(ens, det, n, SEED).clicks1
-    singles = (clicks[:, 0] & ~clicks[:, 1]).mean(), (clicks[:, 1] & ~clicks[:, 0]).mean()
+    _, plus, minus, _ = single_party_counts(psi, eps, d, n, SEED)
+    singles = plus / n, minus / n
     for observed, expected in zip(singles, (p_plus, p_minus)):
         se = math.sqrt(expected * (1 - expected) / n)
         assert abs(observed - expected) <= 5.0 * se

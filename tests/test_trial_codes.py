@@ -13,28 +13,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from prefield.analysis import CorrelationTable
 from prefield.detection import (
     BipartiteEnsemble,
-    ClickStatistics,
     NoCoincidencesError,
-    PartyRates,
-    ThresholdDetector,
     TrialBatch,
     click_statistics,
     correlation_from_clicks,
     pbs_projectors,
-    run_single_party_trials,
     run_trials,
 )
-from prefield.hilbert import FieldVector
+from prefield.hilbert import FieldVector, kron_vector
 from prefield.random_field import (
     CHUNK,
     SAMPLE_BLOCK,
     STREAM_PAIRS,
-    STREAM_TRIALS,
     BackgroundField,
     RandomSeed,
-    ensemble_from_pure_state,
     sample_with_factor,
 )
 from prefield.serialize import _cell
@@ -57,38 +52,33 @@ def codes_of(*tables):
     return bits @ (1 << np.arange(bits.shape[1], dtype=np.uint8))
 
 
-def reference_statistics(clicks1, clicks2, policy):
-    """click_statistics computed from boolean click tables."""
-    n = clicks1.shape[0]
-    parties = [clicks1] if clicks2 is None else [clicks1, clicks2]
-    counts = [c.sum(axis=1) for c in parties]
+def reference_accepted(clicks1, clicks2, policy):
     if policy == "keep-all":
-        acc = np.ones(n, dtype=bool)
-    else:
-        acc = np.logical_and.reduce([k == 1 for k in counts])
-    n_acc = int(acc.sum())
-    rates = tuple(
-        PartyRates(
-            raw_click_rates=tuple(float(v) for v in c.mean(axis=0)),
-            double_rate=float((k >= 2).mean()),
-            conditional=None if n_acc == 0 else tuple(float(c[acc, j].mean()) for j in range(2)),
-        )
-        for c, k in zip(parties, counts)
-    )
-    coincidences = None
-    if clicks2 is not None and n_acc:
-        o1 = np.where(clicks1[acc, 0], 1, -1)
-        o2 = np.where(clicks2[acc, 0], 1, -1)
-        coincidences = {
-            (a, b): int(((o1 == a) & (o2 == b)).sum()) for a in (1, -1) for b in (1, -1)
-        }
-    return ClickStatistics(n, n_acc, rates, coincidences)
+        return np.ones(clicks1.shape[0], dtype=bool)
+    return (clicks1.sum(axis=1) == 1) & (clicks2.sum(axis=1) == 1)
 
 
-def reference_correlation(clicks1, clicks2):
-    acc = (clicks1.sum(axis=1) == 1) & (clicks2.sum(axis=1) == 1)
+def reference_statistics(clicks1, clicks2, policy):
+    """Raw table, accepted count and 2x2 outcome counts from boolean click tables.
+
+    A party's outcome is "+" when its + channel fired, "-" otherwise.
+    """
+    # each party's trials by code: none, + only, - only, both
+    party_codes = [[~p & ~m, p & ~m, ~p & m, p & m] for p, m in (clicks1.T, clicks2.T)]
+    raw = np.array([[int((c1 & c2).sum()) for c2 in party_codes[1]] for c1 in party_codes[0]])
+    acc = reference_accepted(clicks1, clicks2, policy)
+    plus1, plus2 = clicks1[acc, 0], clicks2[acc, 0]
+    cells = np.array([[int((a1 & a2).sum()) for a2 in (plus2, ~plus2)] for a1 in (plus1, ~plus1)])
+    return raw, int(acc.sum()), cells
+
+
+def reference_correlation(clicks1, clicks2, policy):
+    """E and the +-1 standard error sqrt(max(1/n, 1 - E^2) / n) over the policy's trials."""
+    acc = reference_accepted(clicks1, clicks2, policy)
     prod = np.where(clicks1[acc, 0], 1.0, -1.0) * np.where(clicks2[acc, 0], 1.0, -1.0)
-    return float(prod.mean()), float(prod.std(ddof=1) / np.sqrt(acc.sum()))
+    n = int(acc.sum())
+    e = float(int(prod.sum()) / n)
+    return e, math.sqrt(max(1.0 / n, 1.0 - e * e) / n)
 
 
 def reference_csv(path, theta1, theta2, clicks1, clicks2, policy):
@@ -96,13 +86,6 @@ def reference_csv(path, theta1, theta2, clicks1, clicks2, policy):
     stats_acc = reference_accepted(clicks1, clicks2, policy)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if clicks2 is None:
-            writer.writerow(["theta", "click_plus", "click_minus", "classification", "accepted"])
-            for i in range(clicks1.shape[0]):
-                row = [theta1, int(clicks1[i, 0]), int(clicks1[i, 1]),
-                       NAMES[int(clicks1[i].sum())], int(stats_acc[i])]
-                writer.writerow([_cell(v) for v in row])
-            return
         writer.writerow(["theta1", "theta2", "click1_plus", "click1_minus",
                          "click2_plus", "click2_minus", "class1", "class2", "accepted"])
         for i in range(clicks1.shape[0]):
@@ -110,15 +93,6 @@ def reference_csv(path, theta1, theta2, clicks1, clicks2, policy):
                    int(clicks2[i, 0]), int(clicks2[i, 1]), NAMES[int(clicks1[i].sum())],
                    NAMES[int(clicks2[i].sum())], int(stats_acc[i])]
             writer.writerow([_cell(v) for v in row])
-
-
-def reference_accepted(clicks1, clicks2, policy):
-    if policy == "keep-all":
-        return np.ones(clicks1.shape[0], dtype=bool)
-    acc = clicks1.sum(axis=1) == 1
-    if clicks2 is not None:
-        acc &= clicks2.sum(axis=1) == 1
-    return acc
 
 
 def random_clicks(seed, n, p):
@@ -160,8 +134,6 @@ class TestKernel:
         clicks2 = projector_clicks(phi2, theta2, threshold)
         bits = np.concatenate([clicks1, clicks2], axis=1).astype(int)
         np.testing.assert_array_equal(batch.codes, bits @ [1, 2, 4, 8])
-        np.testing.assert_array_equal(batch.clicks1, clicks1)
-        np.testing.assert_array_equal(batch.clicks2, clicks2)
         np.testing.assert_array_equal(batch.histogram, np.bincount(bits @ [1, 2, 4, 8], minlength=16))
 
     @pytest.mark.parametrize("theta1, theta2, threshold, eps", KERNEL_CONFIGS)
@@ -180,14 +152,15 @@ class TestKernel:
     @pytest.mark.parametrize("theta, threshold", [(0.0, 0.0202), (0.6, 0.3), (-1.2, 0.05)])
     @pytest.mark.parametrize("start, n", [(0, 5_000), (SAMPLE_BLOCK - 7, CHUNK + 9), (123, 2 * CHUNK + 5_000)])
     def test_single_party_codes_match_projector_powers(self, theta, threshold, start, n):
+        """A single party is party 1 of the product state psi x e_0; its codes are the low two bits."""
         psi = FieldVector([math.cos(0.4), math.sin(0.4) * 1j])
-        ens = ensemble_from_pure_state(psi, BackgroundField(0.06))
-        batch = run_single_party_trials(ens, ThresholdDetector(threshold, theta), n, SEED, start)
-        phi = sample_with_factor(ens.sampler_factor, n, SEED, start, STREAM_TRIALS)
-        clicks = projector_clicks(phi, theta, threshold)
-        np.testing.assert_array_equal(batch.codes, codes_of(clicks))
-        np.testing.assert_array_equal(batch.clicks1, clicks)
-        assert batch.theta1 == theta and not batch.bipartite
+        ens = BipartiteEnsemble(kron_vector(psi, FieldVector([1.0, 0.0])), BackgroundField(0.06))
+        batch = run_trials(ens, theta, 0.0, threshold, n, SEED, start)
+        phi1, _ = ens.sample_pairs(n, SEED, start)
+        clicks = projector_clicks(phi1, theta, threshold)
+        np.testing.assert_array_equal(batch.codes & 3, codes_of(clicks))
+        np.testing.assert_array_equal(batch.raw.sum(axis=1), np.bincount(codes_of(clicks), minlength=4))
+        assert batch.theta1 == theta
 
     def test_memory_is_one_chunk_plus_one_byte_per_trial(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
@@ -220,17 +193,40 @@ class TestHistogramStatistics:
     def test_bipartite_statistics_match_boolean_reference(self, policy, p):
         clicks1, clicks2 = random_clicks(int(p * 100), 20_011, p)
         batch = TrialBatch(0.1, 0.2, codes_of(clicks1, clicks2), policy)
+        raw, n_accepted, cells = reference_statistics(clicks1, clicks2, policy)
+        np.testing.assert_array_equal(batch.raw, raw)
+        np.testing.assert_array_equal(batch.coincidences(), cells)
         stats = click_statistics(batch)
-        assert stats == reference_statistics(clicks1, clicks2, policy)
+        assert (stats.n_trials, stats.n_accepted) == (20_011, n_accepted)
+        assert stats.party_counts == (tuple(raw.sum(axis=1)), tuple(raw.sum(axis=0)))
         assert stats.accepted_fraction == reference_accepted(clicks1, clicks2, policy).mean()
-        assert correlation_from_clicks(batch) == reference_correlation(clicks1, clicks2)
+        assert correlation_from_clicks(batch) == reference_correlation(clicks1, clicks2, policy)
         np.testing.assert_array_equal(batch.accepted, reference_accepted(clicks1, clicks2, policy))
 
     @pytest.mark.parametrize("policy", ["keep-singles", "keep-all"])
     def test_single_party_statistics_match_boolean_reference(self, policy):
+        """A single party's clicks are party 1's marginal when party 2 never clicks."""
         clicks1, _ = random_clicks(5, 9_999, 0.4)
-        batch = TrialBatch(0.0, None, codes_of(clicks1), policy)
-        assert click_statistics(batch) == reference_statistics(clicks1, None, policy)
+        silent = np.zeros_like(clicks1)
+        batch = TrialBatch(0.0, 0.0, codes_of(clicks1, silent), policy)
+        raw, n_accepted, cells = reference_statistics(clicks1, silent, policy)
+        np.testing.assert_array_equal(batch.raw, raw)
+        np.testing.assert_array_equal(batch.coincidences(), cells)
+        stats = click_statistics(batch)
+        assert stats.party_counts == (tuple(raw[:, 0]), (9_999, 0, 0, 0))
+        assert stats.n_accepted == n_accepted == (9_999 if policy == "keep-all" else 0)
+
+    @pytest.mark.parametrize("policy", ["keep-singles", "keep-all"])
+    def test_one_estimator_for_curve_and_table(self, policy):
+        """correlation_from_clicks and from_trial_batches give one E and SE for one batch."""
+        clicks1, clicks2 = random_clicks(11, 5_003, 0.35)
+        batch = TrialBatch(0.1, 0.2, codes_of(clicks1, clicks2), policy)
+        e, se = correlation_from_clicks(batch)
+        table = CorrelationTable.from_trial_batches((0.1, 0.5), (0.2, 0.6), dict.fromkeys(
+            [(0, 0), (0, 1), (1, 0), (1, 1)], batch))
+        assert table.counts[0, 0] == int(reference_accepted(clicks1, clicks2, policy).sum())
+        assert table.correlations[0, 0] == pytest.approx(e, rel=1e-13, abs=1e-15)
+        assert table.standard_errors[0, 0] == pytest.approx(se, rel=1e-13)
 
     def test_zero_accepted_is_a_dedicated_error(self):
         batch = TrialBatch(0.0, 0.0, codes_of(np.ones((5, 2), bool), np.zeros((5, 2), bool)))
@@ -239,22 +235,21 @@ class TestHistogramStatistics:
         assert click_statistics(batch).n_accepted == 0
 
     def test_rejects_codes_outside_the_party_layout(self):
-        with pytest.raises(ValueError, match="below 4"):
-            TrialBatch(0.0, None, np.array([0, 5], dtype=np.uint8))
+        with pytest.raises(ValueError, match="below 16"):
+            TrialBatch(0.0, 0.0, np.array([0, 16], dtype=np.uint8))
 
 
 class TestTrialCsv:
     @pytest.mark.parametrize(
-        "bipartite, policy",
+        "party2_clicks, policy",
         [(True, "keep-singles"), (True, "keep-all"), (False, "keep-singles"), (False, "keep-all")],
     )
-    def test_bytes_match_row_by_row_writer(self, tmp_path, bipartite, policy):
+    def test_bytes_match_row_by_row_writer(self, tmp_path, party2_clicks, policy):
         clicks1, clicks2 = random_clicks(3, 3_000, 0.45)
+        if not party2_clicks:
+            clicks2 = np.zeros_like(clicks2)
         theta1, theta2 = -math.pi / 8, 3 * math.pi / 8
-        codes = codes_of(clicks1, clicks2)
-        if not bipartite:
-            clicks2, theta2, codes = None, None, codes_of(clicks1)
-        batch = TrialBatch(theta1, theta2, codes, policy)
+        batch = TrialBatch(theta1, theta2, codes_of(clicks1, clicks2), policy)
         batch.to_csv(tmp_path / "codes.csv")
         reference_csv(tmp_path / "rows.csv", theta1, theta2, clicks1, clicks2, policy)
         assert (tmp_path / "codes.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
