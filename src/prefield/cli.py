@@ -1,12 +1,16 @@
 """Command-line experiment runner.
 
-One subcommand per experiment kind; every run writes a results file with
-provenance-tagged values and pass/fail checks, CSV plot data, and a run
-manifest (config + package version, no timestamps).  Configuration comes
-from defaults, then an optional key=value config file, then command-line
-flags, in that order of precedence.  A seed is mandatory; repeated runs
-with the same config and seed produce bit-identical artifacts regardless
-of the worker count.
+One subcommand per experiment kind.  Each takes --config, --seed, --out and
+--workers, plus one flag for every setting its runner reads
+(`experiments.KIND_SETTINGS`; flag names and parsers in `SETTINGS`).  A flag
+or config-file key the kind does not read is a configuration error.  Every
+run writes a results file with provenance-tagged values and pass/fail
+checks, CSV plot data, and a run manifest (the kind, the seed and the
+kind's settings, plus the package version; no timestamps).  Configuration
+comes from defaults, then an optional key=value config file, then
+command-line flags, in that order of precedence.  A seed is mandatory;
+repeated runs with the same config and seed produce bit-identical
+artifacts regardless of the worker count.
 
 Exit status: 0 when every declared tolerance check passed, 1 when any
 failed, 2 for configuration errors.
@@ -15,6 +19,7 @@ failed, 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,6 +27,7 @@ from .analysis import InconsistentTableError, SignallingDataError, TableFileErro
 from .detection import NoCoincidencesError
 from .experiments import (
     EXPERIMENT_KINDS,
+    KIND_SETTINGS,
     ExperimentConfig,
     manifest_payload,
     run_experiment,
@@ -44,42 +50,42 @@ def parse_config_file(path) -> dict:
     return values
 
 
-_FIELD_PARSERS = {
-    "dim": int,
-    "trials": int,
-    "samples": int,
-    "seed": int,
-    "workers": int,
-    "epsilon": float,
-    "threshold": float,
-    "flat_sum": float,
-    "time_horizon": float,
-    "dt": float,
-    "step": float,
-    "out": str,
-    "policy": str,
-    "model": str,
-    "table_path": str,
-}
-
-
 def _parse_angles(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in text.replace(",", " ").split())
+
+
+# config field -> (flag, parser of its flag or file value, help)
+SETTINGS = {
+    "seed": ("--seed", int, "master seed (required here or in the file)"),
+    "out": ("--out", str, "output directory (default: artifacts)"),
+    "workers": ("--workers", int, "parallel workers (results unchanged)"),
+    "dim": ("--dim", int, "space dimension"),
+    "epsilon": ("--epsilon", float, "background field level"),
+    "samples": ("--samples", int, "Monte Carlo field samples"),
+    "trials": ("--trials", int, "detector trials / table samples per setting"),
+    "threshold": ("--threshold", float, "detector power threshold"),
+    "angles": ("--angles", _parse_angles, "comma-separated angles in radians"),
+    "policy": ("--policy", str, "post-selection policy (keep-singles | keep-all)"),
+    "model": ("--model", str, "data source model"),
+    "table_path": ("--table", str, "correlation table JSON file"),
+    "flat_sum": ("--flat-sum", float, "flat angle-sum reference"),
+    "time_horizon": ("--time", float, "integration horizon"),
+    "dt": ("--dt", float, "integrator step"),
+    "step": ("--step", float, "finite-difference step"),
+}
+_EVERY_KIND = ("seed", "out", "workers")
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key == "angles":
-            config.angles = _parse_angles(val) if isinstance(val, str) else tuple(val)
-        elif key in _FIELD_PARSERS:
-            setattr(config, key, _FIELD_PARSERS[key](val))
-        elif key == "kind":
-            config.kind = str(val)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+    """Parse and set each key's text value; a key that config.kind does not read is an error."""
+    readable = (*_EVERY_KIND, *KIND_SETTINGS[config.kind])
+    for key, text in overrides.items():
+        if key not in readable:
+            raise ValueError(f"{config.kind} does not read config key {key!r}")
+        try:
+            setattr(config, key, SETTINGS[key][1](text))
+        except ValueError:
+            raise ValueError(f"{key}: cannot parse {text!r}") from None
     return config
 
 
@@ -93,42 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", help="key=value config file applied before flags")
-        p.add_argument("--seed", type=int, help="master seed (required here or in the file)")
-        p.add_argument("--out", help="output directory (default: artifacts)")
-        p.add_argument("--trials", type=int, help="detector trials / table samples per setting")
-        p.add_argument("--samples", type=int, help="Monte Carlo field samples")
-        p.add_argument("--epsilon", type=float, help="background field level")
-        p.add_argument("--threshold", type=float, help="detector power threshold")
-        p.add_argument("--angles", help="comma-separated angles in radians")
-        p.add_argument("--dim", type=int, help="space dimension")
-        p.add_argument("--workers", type=int, help="parallel workers (results unchanged)")
-        p.add_argument("--policy", help="post-selection policy (keep-singles | keep-all)")
-        if kind in ("chsh", "kolmogorov"):
-            p.add_argument("--model", help="data source model")
-        if kind == "kolmogorov":
-            p.add_argument("--table", dest="table_path", help="correlation table JSON file")
-        if kind == "triangle":
-            p.add_argument("--flat-sum", dest="flat_sum", type=float, help="flat angle-sum reference")
-        if kind == "dynamics":
-            p.add_argument("--time", dest="time_horizon", type=float, help="integration horizon")
-            p.add_argument("--dt", type=float, help="integrator step")
-        if kind == "hessian":
-            p.add_argument("--step", type=float, help="finite-difference step")
+        for name in (*_EVERY_KIND, *KIND_SETTINGS[kind]):
+            flag, _, text = SETTINGS[name]
+            p.add_argument(flag, dest=name, help=text)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(kind=args.kind)
-    if getattr(args, "config", None):
+    if args.config:
         apply_overrides(config, parse_config_file(args.config))
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("kind", "config") and v is not None
-    }
-    apply_overrides(config, overrides)
-    config.kind = args.kind
-    return config
+    flags = {k: v for k, v in vars(args).items() if k not in ("kind", "config") and v is not None}
+    return apply_overrides(config, flags)
 
 
 def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
@@ -136,16 +118,7 @@ def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
         "kind": result.kind,
         "passed": result.passed,
         "values": result.values,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "observed": c.observed,
-                "tolerance": c.tolerance,
-                "comparator": c.comparator,
-            }
-            for c in result.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in result.checks],
     }
     write_json(out_dir / "results.json", payload)
     write_json(out_dir / "manifest.json", manifest_payload(config))
@@ -158,9 +131,10 @@ def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise ValueError(f"{args.kind} does not read {' '.join(unread)} (see prefield {args.kind} --help)")
         config = config_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

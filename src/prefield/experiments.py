@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import platform
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -93,7 +93,18 @@ from .random_field import (
     map_jobs,
 )
 
-EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", "chsh", "kolmogorov", "triangle")
+# The ExperimentConfig fields each kind's runner reads besides seed and
+# workers: the CLI takes, and the manifest records, exactly these.
+KIND_SETTINGS = {
+    "born": ("dim", "epsilon", "samples"),
+    "dynamics": ("dim", "epsilon", "time_horizon", "dt"),
+    "hessian": ("dim", "step"),
+    "epr": ("epsilon", "threshold", "angles", "trials", "samples", "policy"),
+    "chsh": ("model", "epsilon", "threshold", "angles", "trials", "policy"),
+    "kolmogorov": ("model", "table_path", "angles", "trials"),
+    "triangle": ("angles", "flat_sum"),
+}
+EXPERIMENT_KINDS = tuple(KIND_SETTINGS)
 CHSH_MODELS = ("lhv", "singlet-exact", "singlet-clicks")
 KOLMOGOROV_SOURCES = ("lhv", "singlet", "file")
 
@@ -126,6 +137,7 @@ TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
 DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
 DYNAMICS_MAX_STEPS = 1_000_000  # integrate plus drift-table steps; about 2 s of stepping on one core
 MAX_DIM = 64  # hessian evaluates 16 dim**2 stencil points: about 2.6 s at dim 64 on one core
+MAX_DRAWS = 10**7  # trials or samples: born holds 16 bytes per sample; README gives peak RSS at the bound
 
 
 @dataclass
@@ -151,14 +163,14 @@ class ExperimentConfig:
     table_path: str | None = None
 
     def as_manifest_dict(self) -> dict:
-        """Config as written to the run manifest.
+        """Config as written to the run manifest: the kind, the seed and KIND_SETTINGS[kind].
 
-        The worker count and output directory are execution infrastructure
-        with no effect on any number; omitting them keeps artifacts
-        bit-identical across worker counts and output locations.
+        Fields the runner does not read are left out, so the manifest names
+        only what produced the numbers.  The worker count and output
+        directory are execution infrastructure with no effect on any number;
+        omitting them keeps artifacts bit-identical across both.
         """
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("workers", "out")}
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
+        return {name: getattr(self, name) for name in ("kind", "seed", *KIND_SETTINGS[self.kind])}
 
 
 def _dynamics_steps(t: float, dt: float) -> float:
@@ -198,10 +210,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("epsilon must lie in [0, 2**53): a larger background swallows the state")
     if config.threshold is not None and config.threshold < 0.0:
         problems.append("threshold must be non-negative")
-    if config.trials < 1:
-        problems.append("trials must be >= 1")
-    if config.samples < 1:
-        problems.append("samples must be >= 1")
+    if not 1 <= config.trials <= MAX_DRAWS:
+        problems.append(f"trials must lie in [1, {MAX_DRAWS:,}]")
+    if not 1 <= config.samples <= MAX_DRAWS:
+        problems.append(f"samples must lie in [1, {MAX_DRAWS:,}]")
     elif config.kind in ("born", "epr") and config.samples < 2:
         problems.append(f"{config.kind} needs samples >= 2 for a Monte Carlo standard error")
     if config.workers < 1:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import platform
+import re
 import sys
 import tempfile
 import threading
@@ -18,7 +19,14 @@ from prefield import detection, experiments
 from prefield.analysis import CorrelationTable, singlet_exact_table
 from prefield.cli import main, parse_config_file
 from prefield.dynamics import HamiltonianSystem
-from prefield.experiments import DYNAMICS_MAX_STEPS, ExperimentConfig, run_born, validate
+from prefield.experiments import (
+    DYNAMICS_MAX_STEPS,
+    KIND_SETTINGS,
+    MAX_DRAWS,
+    ExperimentConfig,
+    run_born,
+    validate,
+)
 from prefield.observables import MCEstimate
 from prefield.random_field import SAMPLE_BLOCK, block_ranges
 
@@ -113,6 +121,11 @@ class TestValidate:
         # dim 65 is among test_degenerate_click_runs_are_config_errors
         assert validate(ExperimentConfig(kind="hessian", seed=7, dim=64)) == []
 
+    def test_draw_bound_is_inclusive(self):
+        # MAX_DRAWS + 1 is among test_degenerate_click_runs_are_config_errors
+        cfg = ExperimentConfig(kind="epr", seed=7, trials=MAX_DRAWS, samples=MAX_DRAWS)
+        assert validate(cfg) == []
+
     def test_missing_seed(self):
         cfg = ExperimentConfig(kind="born")
         assert any("seed" in p for p in validate(cfg))
@@ -164,6 +177,131 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["samples"] == 2000
         assert manifest["config"]["seed"] == 11
+
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("born", "kind = epr\ntrials = 5\nthreshold = 9\n", "kind"),
+            ("born", "kind = born\n", "kind"),
+            ("born", "threshold = 9\n", "threshold"),
+            ("hessian", "epsilon = 0.1\n", "epsilon"),
+            ("epr", "dim = 3\n", "dim"),
+            ("triangle", "trials = 5\n", "trials"),
+        ],
+        ids=["born-epr-file", "born-kind", "born-threshold", "hessian-epsilon", "epr-dim", "triangle-trials"],
+    )
+    def test_unread_key_is_a_config_error(self, kind, text, key, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(key) in err
+        assert not out.exists()
+
+
+# The flags each kind takes besides --config, --seed, --out and --workers.
+KIND_FLAGS = {
+    "born": {"--dim", "--epsilon", "--samples"},
+    "dynamics": {"--dim", "--epsilon", "--time", "--dt"},
+    "hessian": {"--dim", "--step"},
+    "epr": {"--epsilon", "--threshold", "--angles", "--trials", "--samples", "--policy"},
+    "chsh": {"--model", "--epsilon", "--threshold", "--angles", "--trials", "--policy"},
+    "kolmogorov": {"--model", "--table", "--angles", "--trials"},
+    "triangle": {"--angles", "--flat-sum"},
+}
+SETTING_FLAGS = set().union(*KIND_FLAGS.values())
+
+
+class TestKindSettings:
+    @pytest.mark.parametrize("kind", KIND_FLAGS)
+    def test_help_lists_exactly_the_read_flags(self, kind, capsys):
+        with pytest.raises(SystemExit):
+            main([kind, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert flags == {"--config", "--seed", "--out", "--workers"} | KIND_FLAGS[kind]
+
+    @pytest.mark.parametrize("kind", KIND_FLAGS)
+    def test_unread_flag_is_a_config_error(self, kind, capsys, tmp_path):
+        out = tmp_path / "out"
+        for flag in sorted(SETTING_FLAGS - KIND_FLAGS[kind]):
+            assert main([kind, flag, "1", "--seed", "7", "--out", str(out)]) == 2, flag
+            err = capsys.readouterr().err
+            assert "configuration error" in err and flag in err and "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "--trials", "abc"],
+            ["born", "--samples", "1e6"],
+            ["hessian", "--dim", "2.5"],
+            ["chsh", "--angles", "0,x,0,0"],
+            ["triangle", "--angles", "1,1,1", "--flat-sum", "pi"],
+            ["born", "--seed", "seven"],
+        ],
+        ids=["trials-abc", "samples-float-text", "dim-real", "angles-text", "flat-sum-text", "seed-text"],
+    )
+    def test_non_numeric_value_is_a_config_error(self, argv, capsys, tmp_path):
+        argv = argv if "--seed" in argv else argv + ["--seed", "7"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["born", "--samples", "2000"], {"dim", "epsilon", "samples"}),
+            (["chsh", "--model", "singlet-exact"], {"model", "epsilon", "threshold", "angles", "trials", "policy"}),
+        ],
+        ids=["born", "chsh"],
+    )
+    def test_manifest_records_only_read_settings(self, argv, keys, tmp_path):
+        assert main(argv + ["--seed", "7", "--workers", "2", "--out", str(tmp_path)]) == 0
+        config = strict_json(tmp_path / "manifest.json")["config"]
+        assert set(config) == {"kind", "seed"} | keys
+        assert config["kind"] == argv[0] and config["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "kind, runs",
+        [
+            ("born", [dict(samples=2000)]),
+            ("dynamics", [dict(dt=1e-2)]),
+            ("hessian", [dict(dim=2)]),
+            ("epr", [dict(trials=2000, samples=2000, angles=(0.3,))]),
+            ("chsh", [dict(model="lhv", trials=1000), dict(model="singlet-exact"),
+                      dict(model="singlet-clicks", trials=2000)]),
+            ("kolmogorov", [dict(model="lhv", trials=1000), dict(model="singlet"), dict(model="file")]),
+            ("triangle", [dict(angles=(1.0, 1.0, 1.0))]),
+        ],
+        ids=list(KIND_FLAGS),
+    )
+    def test_table_lists_what_the_runners_read(self, kind, runs, tmp_path):
+        """Every run reads only its kind's settings, and some run of the kind reads each of them."""
+        table = tmp_path / "table.json"
+        table.write_text(table_text())
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        reads = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        seen = set()
+        for settings in runs:
+            if settings.get("model") == "file":
+                settings = {**settings, "table_path": str(table)}
+            config = Recording(kind=kind, seed=7, **settings)
+            assert validate(config) == []
+            reads.clear()
+            experiments._RUNNERS[kind](config)
+            outside = reads - {"kind", "seed", "workers", *KIND_SETTINGS[kind]}
+            assert not outside, f"{kind} {settings} reads {outside}, which KIND_SETTINGS does not list"
+            seen |= reads
+        unread = set(KIND_SETTINGS[kind]) - seen
+        assert not unread, f"KIND_SETTINGS lists {unread} for {kind}, which no run reads"
 
 
 class TestExitCodes:
@@ -417,6 +555,12 @@ class TestExitCodes:
             ["epr", "--trials", "20000", "--samples", "2000", "--threshold", "50", "--workers", "2"],
             ["epr", "--trials", "2000", "--samples", "2000", "--epsilon", "1e308"],
             ["hessian", "--dim", "65"],
+            ["born", "--samples", "10000001"],
+            ["born", "--samples", "10000000000000"],
+            ["epr", "--trials", "10000001", "--samples", "2000"],
+            ["epr", "--trials", "2000", "--samples", "10000001"],
+            ["chsh", "--model", "singlet-clicks", "--trials", "10000001"],
+            ["kolmogorov", "--model", "lhv", "--trials", "10000001"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
@@ -424,7 +568,9 @@ class TestExitCodes:
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
             "hessian-nan-step", "hessian-tiny-step", "hessian-huge-step", "chsh-lhv-one-trial",
             "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
-            "hessian-dim-over-bound",
+            "hessian-dim-over-bound", "born-samples-over-bound", "born-huge-samples",
+            "epr-trials-over-bound", "epr-samples-over-bound", "chsh-trials-over-bound",
+            "kolmogorov-trials-over-bound",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
