@@ -11,10 +11,6 @@ family of eight CHSH expressions (necessary and sufficient for existence
 when the tables are non-signalling) is exposed separately and serves as an
 independent cross-check of the simplex verdicts, never as the decision
 path.
-
-`triangle_angle_test` is the geometric cousin: summing the three angles of
-a triangle and comparing with the flat value detects curvature just as
-CHSH detects the absence of a joint distribution.
 """
 
 from __future__ import annotations
@@ -362,28 +358,6 @@ def kolmogorov_feasible(table: CorrelationTable, se_factor: float = 5.0) -> Feas
             "inconsistent input"
         )
     return FeasibilityVerdict(False, None, residual, farkas, violated, canon, assignments)
-
-
-def triangle_angle_test(
-    angles, flat_sum: float = math.pi, tolerance: float = 1e-9
-) -> str:
-    """Classify an angle-sum measurement as flat, deficit, or excess.
-
-    The flat reference is a parameter: pi for interior angles of a plane
-    triangle; conventions measuring angles between extended sides total
-    2 pi instead.  A deficit diagnoses hyperbolic geometry the same way a
-    CHSH violation diagnoses the absence of a joint distribution.
-    """
-    vals = [float(v) for v in angles]
-    if len(vals) != 3:
-        raise ValueError("need exactly three angles")
-    for v in vals:
-        if not 0.0 < v < flat_sum:
-            raise ValueError(f"each angle must lie in (0, {flat_sum:.6g}), got {v:.6g}")
-    total = sum(vals)
-    if abs(total - flat_sum) <= tolerance:
-        return "flat"
-    return "deficit" if total < flat_sum else "excess"
 
 
 # ---------------------------------------------------------------------------

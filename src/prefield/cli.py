@@ -2,18 +2,20 @@
 
 One subcommand per experiment kind.  Each takes --config, --seed, --out and
 --workers, plus one flag for every setting its runner reads
-(`experiments.KIND_SETTINGS`; flag names and parsers in `SETTINGS`).  A flag
-or config-file key the kind does not read is a configuration error.  Every
-run writes a results file with provenance-tagged values and pass/fail
-checks, CSV plot data, and a run manifest (the kind, the seed and the
-kind's settings, plus the package version; no timestamps).  Configuration
-comes from defaults, then an optional key=value config file, then
-command-line flags, in that order of precedence.  A seed is mandatory;
-repeated runs with the same config and seed produce bit-identical
-artifacts regardless of the worker count.
+(`experiments.KIND_SETTINGS`; flag names and parsers in `SETTINGS`).  The
+Bell kinds, chsh and kolmogorov, take the flags of every --model in
+`experiments.BELL_SOURCES`, and a run reads only its model's.  A flag or
+config-file key the run does not read (`experiments.settings_read`) is a
+configuration error.  Every run writes a results file with
+provenance-tagged values and pass/fail checks, CSV plot data, and a run
+manifest (the kind, the seed and the settings the run read, plus the
+package version; no timestamps).  Configuration comes from defaults, then
+an optional key=value config file, then command-line flags, in that order
+of precedence.  A seed is mandatory; repeated runs with the same config and
+seed produce bit-identical artifacts regardless of the worker count.
 
 Exit status: 0 when every declared tolerance check passed, 1 when any
-failed, 2 for configuration errors.
+failed, 2 for configuration errors, usage errors included (`--help` exits 0).
 """
 
 from __future__ import annotations
@@ -26,11 +28,15 @@ from pathlib import Path
 from .analysis import InconsistentTableError, SignallingDataError, TableFileError
 from .detection import NoCoincidencesError
 from .experiments import (
+    BELL_KINDS,
+    BELL_SETTINGS,
+    BELL_SOURCES,
     EXPERIMENT_KINDS,
     KIND_SETTINGS,
     ExperimentConfig,
     manifest_payload,
     run_experiment,
+    settings_read,
     validate,
 )
 from .serialize import write_csv, write_json
@@ -66,9 +72,8 @@ SETTINGS = {
     "threshold": ("--threshold", float, "detector power threshold"),
     "angles": ("--angles", _parse_angles, "comma-separated angles in radians"),
     "policy": ("--policy", str, "post-selection policy (keep-singles | keep-all)"),
-    "model": ("--model", str, "data source model"),
+    "model": ("--model", str, "Bell table source (" + " | ".join(BELL_SOURCES) + ")"),
     "table_path": ("--table", str, "correlation table JSON file"),
-    "flat_sum": ("--flat-sum", float, "flat angle-sum reference"),
     "time_horizon": ("--time", float, "integration horizon"),
     "dt": ("--dt", float, "integrator step"),
     "step": ("--step", float, "finite-difference step"),
@@ -77,11 +82,14 @@ _EVERY_KIND = ("seed", "out", "workers")
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Parse and set each key's text value; a key that config.kind does not read is an error."""
-    readable = (*_EVERY_KIND, *KIND_SETTINGS[config.kind])
+    """Parse and set each key's text value; a key that the resulting run does not read is an error."""
+    config.model = overrides.get("model", config.model)  # a Bell run reads its model's settings
+    run = f"{config.kind} --model {config.model}" if config.kind in BELL_KINDS else config.kind
+    readable = (*_EVERY_KIND, *settings_read(config))
     for key, text in overrides.items():
         if key not in readable:
-            raise ValueError(f"{config.kind} does not read config key {key!r}")
+            flag = f" ({SETTINGS[key][0]})" if key in SETTINGS else ""
+            raise ValueError(f"{run} does not read {key!r}{flag}")
         try:
             setattr(config, key, SETTINGS[key][1](text))
         except ValueError:
@@ -89,8 +97,16 @@ def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a configuration error: main returns 2 instead of exiting."""
+        if message.startswith("argument --angles"):
+            message += "; join a negative first angle to its flag, as in --angles=-0.5,0.3,0.1,0.2"
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefield",
         description="Random-field experiments: Born averages, field dynamics, "
         "threshold-detector clicks, and Bell/Kolmogorov analysis.",
@@ -99,18 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", help="key=value config file applied before flags")
-        for name in (*_EVERY_KIND, *KIND_SETTINGS[kind]):
+        bell = BELL_SETTINGS if kind in BELL_KINDS else ()
+        for name in (*_EVERY_KIND, *KIND_SETTINGS[kind], *bell):
             flag, _, text = SETTINGS[name]
             p.add_argument(flag, dest=name, help=text)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig(kind=args.kind)
-    if args.config:
-        apply_overrides(config, parse_config_file(args.config))
-    flags = {k: v for k, v in vars(args).items() if k not in ("kind", "config") and v is not None}
-    return apply_overrides(config, flags)
+    """Defaults, then the config file's values, then the flags."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k not in ("kind", "config") and v is not None)
+    return apply_overrides(ExperimentConfig(kind=args.kind), values)
 
 
 def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
@@ -131,8 +147,8 @@ def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
 
 
 def main(argv=None) -> int:
-    args, unread = build_parser().parse_known_args(argv)
     try:
+        args, unread = build_parser().parse_known_args(argv)
         if unread:
             raise ValueError(f"{args.kind} does not read {' '.join(unread)} (see prefield {args.kind} --help)")
         config = config_from_args(args)

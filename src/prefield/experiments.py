@@ -8,6 +8,10 @@ plot tables.  All randomness flows through the counter-based streams of
 `random_field`, so a worker count change rearranges only who computes
 which estimate or block, never the numbers.
 
+chsh and kolmogorov share one table layer, `_bell_table`: each --model in
+BELL_SOURCES builds its table, declares its S and checks, and reads only its
+listed settings.  chsh is that layer; kolmogorov adds the feasibility verdict.
+
 Detection operating points
 --------------------------
 The threshold model needs calibrated (eps, d) pairs.  The Born point is a
@@ -43,6 +47,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    FEASIBILITY_TOL,
     CorrelationTable,
     TableFileError,
     chsh,
@@ -52,7 +57,6 @@ from .analysis import (
     lhv_sampled_table,
     singlet_exact_table,
     table_from_json,
-    triangle_angle_test,
 )
 from .detection import (
     POLICIES,
@@ -94,19 +98,25 @@ from .random_field import (
 )
 
 # The ExperimentConfig fields each kind's runner reads besides seed and
-# workers: the CLI takes, and the manifest records, exactly these.
+# workers.  The Bell kinds read a model, and then the settings that
+# BELL_SOURCES lists for it; `settings_read` gives a run's whole list.
 KIND_SETTINGS = {
     "born": ("dim", "epsilon", "samples"),
     "dynamics": ("dim", "epsilon", "time_horizon", "dt"),
     "hessian": ("dim", "step"),
     "epr": ("epsilon", "threshold", "angles", "trials", "samples", "policy"),
-    "chsh": ("model", "epsilon", "threshold", "angles", "trials", "policy"),
-    "kolmogorov": ("model", "table_path", "angles", "trials"),
-    "triangle": ("angles", "flat_sum"),
+    "chsh": ("model",),
+    "kolmogorov": ("model",),
 }
 EXPERIMENT_KINDS = tuple(KIND_SETTINGS)
-CHSH_MODELS = ("lhv", "singlet-exact", "singlet-clicks")
-KOLMOGOROV_SOURCES = ("lhv", "singlet", "file")
+BELL_KINDS = ("chsh", "kolmogorov")
+BELL_SOURCES = {
+    "lhv": ("angles", "trials"),
+    "singlet": ("angles",),
+    "singlet-clicks": ("epsilon", "threshold", "angles", "trials", "policy"),
+    "file": ("table_path",),
+}
+BELL_SETTINGS = tuple(dict.fromkeys(name for names in BELL_SOURCES.values() for name in names))
 
 SINGLET_EPS_MIN = math.sqrt(0.5) - 0.5
 
@@ -156,21 +166,27 @@ class ExperimentConfig:
     workers: int = 1
     policy: str = POLICY_KEEP_SINGLES
     model: str = "lhv"
-    flat_sum: float = math.pi
     time_horizon: float = 1.0
     dt: float = 1e-3
     step: float = 1e-3
     table_path: str | None = None
 
     def as_manifest_dict(self) -> dict:
-        """Config as written to the run manifest: the kind, the seed and KIND_SETTINGS[kind].
+        """Config as written to the run manifest: the kind, the seed and `settings_read`.
 
-        Fields the runner does not read are left out, so the manifest names
+        Fields the run does not read are left out, so the manifest names
         only what produced the numbers.  The worker count and output
         directory are execution infrastructure with no effect on any number;
         omitting them keeps artifacts bit-identical across both.
         """
-        return {name: getattr(self, name) for name in ("kind", "seed", *KIND_SETTINGS[self.kind])}
+        return {name: getattr(self, name) for name in ("kind", "seed", *settings_read(self))}
+
+
+def settings_read(config: ExperimentConfig) -> tuple[str, ...]:
+    """A run's settings besides seed and workers: its kind's, then its Bell source's
+    (any Bell setting for an unknown model, so that `validate` names the model)."""
+    own = KIND_SETTINGS[config.kind]
+    return own + BELL_SOURCES.get(config.model, BELL_SETTINGS) if config.kind in BELL_KINDS else own
 
 
 def _dynamics_steps(t: float, dt: float) -> float:
@@ -194,7 +210,6 @@ def validate(config: ExperimentConfig) -> list[str]:
     reals = {
         "epsilon": config.epsilon,
         "threshold": config.threshold,
-        "flat-sum": config.flat_sum,
         "time": config.time_horizon,
         "dt": config.dt,
         "step": config.step,
@@ -231,24 +246,15 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("step must lie in [1e-150, 1e75]: finite differences divide by step**2")
     if config.time_horizon < 0.0:
         problems.append("time must be non-negative")
-    if config.kind == "triangle":
-        if config.angles is None or len(config.angles) != 3:
-            problems.append("triangle needs exactly three angles")
-        elif config.flat_sum <= 0.0:
-            problems.append("flat-sum must be positive")
-        elif not all(0.0 < a < config.flat_sum for a in config.angles):
-            problems.append(f"triangle angles must lie in (0, flat-sum) = (0, {config.flat_sum:.6g})")
-    if config.kind == "chsh" and config.model not in CHSH_MODELS:
-        problems.append(f"chsh model must be one of {CHSH_MODELS}")
-    if config.kind == "kolmogorov":
-        if config.model not in KOLMOGOROV_SOURCES:
-            problems.append(f"kolmogorov source must be one of {KOLMOGOROV_SOURCES}")
+    if config.kind in BELL_KINDS:
+        if config.model not in BELL_SOURCES:
+            problems.append(f"{config.kind} model must be one of {tuple(BELL_SOURCES)}")
         if config.model == "file" and not config.table_path:
-            problems.append("kolmogorov source 'file' needs --table")
-    if config.kind in ("chsh", "kolmogorov") and config.model == "lhv" and config.trials < 2:
-        problems.append("lhv tables need trials >= 2 per setting pair")
-    if config.kind in ("chsh", "kolmogorov") and config.angles is not None and len(config.angles) != 4:
-        problems.append(f"{config.kind} needs exactly four angles (a1, a2, b1, b2)")
+            problems.append("model 'file' needs --table")
+        if config.model == "lhv" and config.trials < 2:
+            problems.append("lhv tables need trials >= 2 per setting pair")
+        if config.angles is not None and len(config.angles) != 4:
+            problems.append(f"{config.kind} needs exactly four angles (a1, a2, b1, b2)")
     return problems
 
 
@@ -564,87 +570,70 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _bell_settings(config: ExperimentConfig):
-    """Settings (a1, a2), (b1, b2) from the four --angles, or the default CHSH angles."""
-    a1, a2, b1, b2 = config.angles or DEFAULT_CHSH_ANGLES
-    return (a1, a2), (b1, b2)
+def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> CorrelationTable:
+    """The table of config.model (BELL_SOURCES), written as chsh_table.csv.
 
-
-def _chsh_from_clicks(config: ExperimentConfig, result: ExperimentResult):
-    """The click table of the four setting pairs, their trial batches and their click statistics."""
-    seed = RandomSeed(config.seed)
-    psi = _singlet()
-    eps = max(config.epsilon, CHSH_CLICK_EPSILON)
-    ensemble = BipartiteEnsemble(psi, BackgroundField(eps))
-    threshold = config.threshold if config.threshold is not None else CHSH_CLICK_THRESHOLD
-    a_settings, b_settings = _bell_settings(config)
-    result.add_info("epsilon", eps)
-    result.add_info("threshold", threshold)
-    batches = {}
-    for x in range(2):
-        for y in range(2):
-            batches[(x, y)] = run_trials(
-                ensemble,
-                a_settings[x],
-                b_settings[y],
-                threshold,
-                config.trials,
-                seed,
-                policy=config.policy,
-                workers=config.workers,
-                stream=(STREAM_PAIRS, x, y),
-            )
-    # each party's field is circular with covariance (1/2 + eps) I, so its two
-    # channel powers are independent exponentials with mean 1/2 + eps: each
-    # channel fires with probability q, independently of the other
-    q = math.exp(-threshold / (0.5 + eps))
-    exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
-    se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
-    stats = {key: click_statistics(batch) for key, batch in batches.items()}
-    pulls = [np.abs(batch_stats.party_frequencies - exact) / se for batch_stats in stats.values()]
-    result.add_exact("channel_click_probability", q)
-    result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
-    table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
-    return table, batches, stats
-
-
-def run_chsh(config: ExperimentConfig) -> ExperimentResult:
-    """CHSH evaluation for an LHV model, the analytic singlet, or click data."""
-    result = ExperimentResult("chsh")
-    a_settings, b_settings = _bell_settings(config)
-
+    Declares the source's S, with its provenance, and the source's checks.
+    """
+    if config.model != "file":
+        a1, a2, b1, b2 = config.angles or DEFAULT_CHSH_ANGLES
+        a_settings, b_settings = (a1, a2), (b1, b2)
     if config.model == "lhv":
-        exact = lhv_exact_table(a_settings, b_settings)
-        s_exact, _ = chsh(exact)
+        s_exact, _ = chsh(lhv_exact_table(a_settings, b_settings))
         result.add_exact("S_exact", s_exact)
         result.check_abs("lhv_bound_exact", s_exact, 2.0 + 1e-9)
-        sampled = lhv_sampled_table(a_settings, b_settings, config.trials, RandomSeed(config.seed))
-        s_mc, se_mc = chsh(sampled)
-        result.add_mc("S_sampled", s_mc, se_mc, int(4 * config.trials))
-        result.check_abs("lhv_bound_sampled_5se", s_mc, 2.0 + 5.0 * max(se_mc, 1e-12))
-        result.tables["chsh_table"] = _table_rows(sampled)
-    elif config.model == "singlet-exact":
+        table = lhv_sampled_table(a_settings, b_settings, config.trials, RandomSeed(config.seed))
+        s, se = chsh(table)
+        result.add_mc("S_sampled", s, se, int(4 * config.trials))
+        result.check_abs("lhv_bound_sampled_5se", s, 2.0 + 5.0 * max(se, 1e-12))
+    elif config.model == "singlet":
         table = singlet_exact_table(a_settings, b_settings)
         s, _ = chsh(table)
         result.add_exact("S_exact", s)
         if a_settings + b_settings == DEFAULT_CHSH_ANGLES:
             result.check_abs("tsirelson_value", s + 2.0 * math.sqrt(2.0), 1e-9)
-        fine = fine_chsh_values(table)
-        result.add_info("max_fine_value", max(abs(v) for v in fine.values()))
-        result.tables["chsh_table"] = _table_rows(table)
-    else:  # singlet-clicks
-        table, batches, stats = _chsh_from_clicks(config, result)
+        result.add_info("max_fine_value", max(abs(v) for v in fine_chsh_values(table).values()))
+    elif config.model == "singlet-clicks":
+        eps = max(config.epsilon, CHSH_CLICK_EPSILON)
+        threshold = config.threshold if config.threshold is not None else CHSH_CLICK_THRESHOLD
+        ensemble = BipartiteEnsemble(_singlet(), BackgroundField(eps))
+        seed = RandomSeed(config.seed)
+        result.add_info("epsilon", eps)
+        result.add_info("threshold", threshold)
+        batches = {
+            (x, y): run_trials(
+                ensemble, a_settings[x], b_settings[y], threshold, config.trials, seed,
+                policy=config.policy, workers=config.workers, stream=(STREAM_PAIRS, x, y),
+            )
+            for x in range(2)
+            for y in range(2)
+        }
+        # each party's field is circular with covariance (1/2 + eps) I, so its two
+        # channel powers are independent exponentials with mean 1/2 + eps: each
+        # channel fires with probability q, independently of the other
+        q = math.exp(-threshold / (0.5 + eps))
+        exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
+        rate_se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
+        stats = {key: click_statistics(batch) for key, batch in batches.items()}
+        pulls = [np.abs(batch_stats.party_frequencies - exact) / rate_se for batch_stats in stats.values()]
+        result.add_exact("channel_click_probability", q)
+        result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
+        table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
         s, se = chsh(table)
         result.add_mc("S_clicks", s, se, int(table.counts.sum()))
-        reproduced = abs(s) >= CHSH_TARGET
         result.add_info("violation_target", CHSH_TARGET)
-        result.add_info("violation_reproduced", bool(reproduced))
+        result.add_info("violation_reproduced", bool(abs(s) >= CHSH_TARGET))
         result.add_info("accepted_fractions", {f"{k}": v.accepted_fraction for k, v in stats.items()})
-        result.tables["chsh_table"] = _table_rows(table)
         if config.trials <= TRIAL_CSV_LIMIT:
             for (x, y), batch in batches.items():
                 result.tables[f"trials_x{x}_y{y}"] = batch
-    return result
+    else:  # file
+        table = table_from_json(config.table_path)
+        s, se = chsh(table)
+        result.add_info("S_file", s)
+        result.add_info("S_file_se", se)
+    result.tables["chsh_table"] = _table_rows(table)
+    return table
 
 
 def _table_rows(table: CorrelationTable):
@@ -658,24 +647,24 @@ def _table_rows(table: CorrelationTable):
     return header, rows
 
 
+def run_chsh(config: ExperimentConfig) -> ExperimentResult:
+    """S of one Bell source's table: an LHV model, the analytic singlet, clicks, or a file."""
+    result = ExperimentResult("chsh")
+    _bell_table(config, result)
+    return result
+
+
 def run_kolmogorov(config: ExperimentConfig) -> ExperimentResult:
-    """Joint-distribution feasibility for a generated or loaded table."""
+    """The Bell source's table, and whether one joint distribution reproduces it.
+
+    A local model's table is feasible, and the singlet's exactly when Fine's
+    eight CHSH facets hold; click and file verdicts are reported unchecked.
+    """
     result = ExperimentResult("kolmogorov")
-    a_settings, b_settings = _bell_settings(config)
-    if config.model == "lhv":
-        table = lhv_sampled_table(a_settings, b_settings, config.trials, RandomSeed(config.seed))
-        expected = True
-    elif config.model == "singlet":
-        table = singlet_exact_table(a_settings, b_settings)
-        expected = False
-    else:
-        table = table_from_json(config.table_path)
-        if table.frequencies is None:
-            raise TableFileError(f"{config.table_path} has no outcome frequencies")
-        expected = None
+    table = _bell_table(config, result)
+    if table.frequencies is None:
+        raise TableFileError(f"{config.table_path} has no outcome frequencies")
     verdict = kolmogorov_feasible(table)
-    s, se = chsh(table)
-    result.add_exact("S", s)
     result.add_info("feasible", verdict.feasible)
     result.add_info("residual", verdict.residual)
     if verdict.feasible:
@@ -687,29 +676,16 @@ def run_kolmogorov(config: ExperimentConfig) -> ExperimentResult:
             [{"minus_on": list(k), "value": v} for k, v in verdict.violated_inequalities],
         )
         result.add_info("farkas", list(map(float, verdict.farkas)))
-    if expected is not None:
-        passed = verdict.feasible == expected
-        if expected and not passed:
-            # a local model's finite-sample table leaves the polytope by noise
-            # alone when every violated CHSH value is within 5 se of 2
-            passed = all(abs(v) <= 2.0 + 5.0 * se for _, v in verdict.violated_inequalities)
-        result.check_true(
-            f"verdict_matches_{'feasible' if expected else 'infeasible'}",
-            passed,
-            float(verdict.residual),
-        )
-    result.tables["table"] = _table_rows(table)
-    return result
-
-
-def run_triangle(config: ExperimentConfig) -> ExperimentResult:
-    """Angle-sum classification against a configurable flat reference."""
-    result = ExperimentResult("triangle")
-    verdict = triangle_angle_test(config.angles, config.flat_sum)
-    total = float(sum(config.angles))
-    result.add_exact("angle_sum", total)
-    result.add_info("flat_sum", config.flat_sum)
-    result.add_info("classification", verdict)
+    if config.model == "lhv":
+        # a local model's finite-sample table leaves the polytope by noise
+        # alone when every violated CHSH value is within 5 se of 2
+        _, se = chsh(table)
+        passed = verdict.feasible or all(abs(v) <= 2.0 + 5.0 * se for _, v in verdict.violated_inequalities)
+        result.check_true("verdict_matches_feasible", passed, float(verdict.residual))
+    elif config.model == "singlet":
+        expected = all(abs(v) <= 2.0 + FEASIBILITY_TOL for v in fine_chsh_values(table).values())
+        name = f"verdict_matches_{'feasible' if expected else 'infeasible'}"
+        result.check_true(name, verdict.feasible == expected, float(verdict.residual))
     return result
 
 
@@ -720,7 +696,6 @@ _RUNNERS = {
     "epr": run_epr,
     "chsh": run_chsh,
     "kolmogorov": run_kolmogorov,
-    "triangle": run_triangle,
 }
 
 

@@ -95,11 +95,6 @@ class HermitianOperator:
         arr = np.asarray(matrix, dtype=np.complex128)
         return cls((arr + arr.conj().T) / 2.0)
 
-    @classmethod
-    def diagonal(cls, values) -> "HermitianOperator":
-        vals = np.asarray(values, dtype=np.float64)
-        return cls(np.diag(vals.astype(np.complex128)))
-
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix

@@ -23,7 +23,6 @@ from prefield.analysis import (
     lhv_sampled_table,
     singlet_exact_table,
     table_from_json,
-    triangle_angle_test,
 )
 from prefield.random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 
@@ -356,30 +355,6 @@ class TestSimplexEdgeCases:
         assert residual > 0.1
         assert (farkas @ a <= 1e-9).all()
         assert farkas @ b > 0.0
-
-
-class TestTriangle:
-    def test_flat_plane_triangle(self):
-        assert triangle_angle_test((math.pi / 3,) * 3) == "flat"
-
-    def test_spherical_octant_excess(self):
-        assert triangle_angle_test((math.pi / 2,) * 3) == "excess"
-
-    def test_hyperbolic_deficit(self):
-        assert triangle_angle_test((0.5, 0.5, 0.5)) == "deficit"
-
-    def test_flat_sum_parameter(self):
-        # under the all-sides convention the flat reference is 2 pi
-        assert triangle_angle_test((2.0, 2.0, 2.0), flat_sum=2 * math.pi) == "deficit"
-        assert triangle_angle_test((2 * math.pi / 3,) * 3, flat_sum=2 * math.pi) == "flat"
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            triangle_angle_test((0.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            triangle_angle_test((1.0, 1.0))
-        with pytest.raises(ValueError):
-            triangle_angle_test((1.0, 1.0, math.pi))
 
 
 class TestTableValidation:

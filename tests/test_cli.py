@@ -25,6 +25,7 @@ from prefield.experiments import (
     MAX_DRAWS,
     ExperimentConfig,
     run_born,
+    settings_read,
     validate,
 )
 from prefield.observables import MCEstimate
@@ -134,10 +135,6 @@ class TestValidate:
         cfg = ExperimentConfig(kind="banana", seed=7)
         assert any("kind" in p for p in validate(cfg))
 
-    def test_triangle_needs_three_angles(self):
-        cfg = ExperimentConfig(kind="triangle", seed=7, angles=(1.0, 1.0))
-        assert any("three angles" in p for p in validate(cfg))
-
     def test_aggregated_diagnostics(self):
         cfg = ExperimentConfig(kind="born", epsilon=-1.0, trials=0, workers=0)
         assert len(validate(cfg)) >= 3
@@ -186,9 +183,9 @@ class TestConfigFile:
             ("born", "threshold = 9\n", "threshold"),
             ("hessian", "epsilon = 0.1\n", "epsilon"),
             ("epr", "dim = 3\n", "dim"),
-            ("triangle", "trials = 5\n", "trials"),
+            ("kolmogorov", "model = singlet\ntrials = 5\n", "trials"),
         ],
-        ids=["born-epr-file", "born-kind", "born-threshold", "hessian-epsilon", "epr-dim", "triangle-trials"],
+        ids=["born-epr-file", "born-kind", "born-threshold", "hessian-epsilon", "epr-dim", "kolmogorov-singlet-trials"],
     )
     def test_unread_key_is_a_config_error(self, kind, text, key, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -200,17 +197,25 @@ class TestConfigFile:
         assert not out.exists()
 
 
-# The flags each kind takes besides --config, --seed, --out and --workers.
+# The flags each Bell model reads besides --model, and each kind takes
+# besides --config, --seed, --out and --workers.
+MODEL_FLAGS = {
+    "lhv": {"--angles", "--trials"},
+    "singlet": {"--angles"},
+    "singlet-clicks": {"--epsilon", "--threshold", "--angles", "--trials", "--policy"},
+    "file": {"--table"},
+}
+BELL_FLAGS = {"--model"}.union(*MODEL_FLAGS.values())
 KIND_FLAGS = {
     "born": {"--dim", "--epsilon", "--samples"},
     "dynamics": {"--dim", "--epsilon", "--time", "--dt"},
     "hessian": {"--dim", "--step"},
     "epr": {"--epsilon", "--threshold", "--angles", "--trials", "--samples", "--policy"},
-    "chsh": {"--model", "--epsilon", "--threshold", "--angles", "--trials", "--policy"},
-    "kolmogorov": {"--model", "--table", "--angles", "--trials"},
-    "triangle": {"--angles", "--flat-sum"},
+    "chsh": BELL_FLAGS,
+    "kolmogorov": BELL_FLAGS,
 }
 SETTING_FLAGS = set().union(*KIND_FLAGS.values())
+BELL_RUNS = [(kind, model) for kind in ("chsh", "kolmogorov") for model in MODEL_FLAGS]
 
 
 class TestKindSettings:
@@ -237,10 +242,9 @@ class TestKindSettings:
             ["born", "--samples", "1e6"],
             ["hessian", "--dim", "2.5"],
             ["chsh", "--angles", "0,x,0,0"],
-            ["triangle", "--angles", "1,1,1", "--flat-sum", "pi"],
             ["born", "--seed", "seven"],
         ],
-        ids=["trials-abc", "samples-float-text", "dim-real", "angles-text", "flat-sum-text", "seed-text"],
+        ids=["trials-abc", "samples-float-text", "dim-real", "angles-text", "seed-text"],
     )
     def test_non_numeric_value_is_a_config_error(self, argv, capsys, tmp_path):
         argv = argv if "--seed" in argv else argv + ["--seed", "7"]
@@ -252,7 +256,7 @@ class TestKindSettings:
         "argv, keys",
         [
             (["born", "--samples", "2000"], {"dim", "epsilon", "samples"}),
-            (["chsh", "--model", "singlet-exact"], {"model", "epsilon", "threshold", "angles", "trials", "policy"}),
+            (["chsh", "--model", "singlet"], {"model", "angles"}),
         ],
         ids=["born", "chsh"],
     )
@@ -269,15 +273,14 @@ class TestKindSettings:
             ("dynamics", [dict(dt=1e-2)]),
             ("hessian", [dict(dim=2)]),
             ("epr", [dict(trials=2000, samples=2000, angles=(0.3,))]),
-            ("chsh", [dict(model="lhv", trials=1000), dict(model="singlet-exact"),
-                      dict(model="singlet-clicks", trials=2000)]),
-            ("kolmogorov", [dict(model="lhv", trials=1000), dict(model="singlet"), dict(model="file")]),
-            ("triangle", [dict(angles=(1.0, 1.0, 1.0))]),
+            *[(kind, [dict(model="lhv", trials=1000), dict(model="singlet"),
+                      dict(model="singlet-clicks", trials=4000), dict(model="file")])
+              for kind in ("chsh", "kolmogorov")],
         ],
         ids=list(KIND_FLAGS),
     )
     def test_table_lists_what_the_runners_read(self, kind, runs, tmp_path):
-        """Every run reads only its kind's settings, and some run of the kind reads each of them."""
+        """Every run, one per Bell model, reads exactly the settings that settings_read lists for it."""
         table = tmp_path / "table.json"
         table.write_text(table_text())
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -297,11 +300,23 @@ class TestKindSettings:
             assert validate(config) == []
             reads.clear()
             experiments._RUNNERS[kind](config)
-            outside = reads - {"kind", "seed", "workers", *KIND_SETTINGS[kind]}
-            assert not outside, f"{kind} {settings} reads {outside}, which KIND_SETTINGS does not list"
-            seen |= reads
+            read, listed = set(reads), set(settings_read(config))  # settings_read reads the model too
+            outside = read - {"kind", "seed", "workers"} - listed
+            assert not outside, f"{kind} {settings} reads {outside}, which settings_read does not list"
+            assert listed <= read, f"settings_read lists {listed - read} for {kind} {settings}, which it does not read"
+            seen |= read
         unread = set(KIND_SETTINGS[kind]) - seen
         assert not unread, f"KIND_SETTINGS lists {unread} for {kind}, which no run reads"
+
+    @pytest.mark.parametrize("kind, model", BELL_RUNS, ids=[f"{k}-{m}" for k, m in BELL_RUNS])
+    def test_unread_model_flag_is_a_config_error(self, kind, model, capsys, tmp_path):
+        """Each flag that the Bell kind takes but the model does not read exits 2 and is named."""
+        out = tmp_path / "out"
+        for flag in sorted(BELL_FLAGS - {"--model"} - MODEL_FLAGS[model]):
+            assert main([kind, "--model", model, flag, "1", "--seed", "7", "--out", str(out)]) == 2, flag
+            err = capsys.readouterr().err
+            assert "configuration error" in err and flag in err and "Traceback" not in err
+            assert not out.exists()
 
 
 class TestExitCodes:
@@ -310,15 +325,20 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_triangle_flat(self, tmp_path):
-        out = tmp_path / "tri"
-        code = main(
-            ["triangle", "--seed", "1", "--angles",
-             f"{math.pi/3},{math.pi/3},{math.pi/3}", "--out", str(out)]
-        )
-        assert code == 0
-        results = json.loads((out / "results.json").read_text())
-        assert results["values"]["classification"]["value"] == "flat"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chsh", "--model", "singlet", "--angles", "-0.5,0.3,0.1,0.2"], "--angles=-0.5"),
+            (["chsh", "--trials"], "--trials"),
+        ],
+        ids=["negative-first-angle", "flag-without-value"],
+    )
+    def test_usage_error_returns_2(self, argv, message, capsys, tmp_path):
+        """An argument the parser rejects is a configuration error that main returns, not a SystemExit."""
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not (tmp_path / "run").exists()
 
     def test_chsh_lhv_passes(self, tmp_path):
         out = tmp_path / "chsh"
@@ -354,6 +374,7 @@ class TestExitCodes:
         monkeypatch.setattr(experiments, "lhv_sampled_table", singlet_table)
         argv = ["kolmogorov", "--seed", "1", "--model", "lhv", "--trials", "100000"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert "verdict_matches_feasible" in failed_checks(tmp_path / "run")
 
     def test_chsh_seeds_share_no_batch(self, tmp_path):
         """Neighbouring seeds draw no setting pair's fields twice.
@@ -401,6 +422,27 @@ class TestExitCodes:
         checks = json.loads((tmp_path / "mutant" / "results.json").read_text())["checks"]
         failed = {c["name"]: c["observed"] for c in checks if not c["passed"]}
         assert failed.get("party_rates_vs_exact_5se", 0.0) > 5.0
+
+    def test_kolmogorov_singlet_verdict_follows_fine(self, tmp_path):
+        """Away from the default angles the singlet table can be feasible (S = -1.84), and the run says so."""
+        argv = ["kolmogorov", "--model", "singlet", "--angles=0,0.3,0.1,0.2", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        results = strict_json(tmp_path / "results.json")
+        assert results["values"]["feasible"]["value"] is True
+        assert [c["name"] for c in results["checks"]] == ["verdict_matches_feasible"]
+        assert results["values"]["S_exact"]["value"] == pytest.approx(-1.84, abs=0.01)
+
+    def test_kolmogorov_singlet_verdict_check_fails_its_mutant(self, tmp_path, monkeypatch):
+        """Fine's values with the minus sign dropped find no violation, so the infeasible verdict fails."""
+        argv = ["kolmogorov", "--model", "singlet", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+
+        def unsigned(table):
+            return {key: float(table.correlations.sum()) for key in np.ndindex(2, 2)}
+
+        monkeypatch.setattr(experiments, "fine_chsh_values", unsigned)
+        assert main(argv + ["--out", str(tmp_path / "mutant")]) == 1
+        assert set(failed_checks(tmp_path / "mutant")) == {"verdict_matches_feasible"}
 
     def test_kolmogorov_singlet_infeasible(self, tmp_path):
         out = tmp_path / "kol"
@@ -517,15 +559,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, mutant, read",
         [
-            (["triangle", "--angles", "1e308,1e308,1e308", "--flat-sum", "1.7e308"], None,
-             lambda results: results["values"]["angle_sum"]["value"]),
             (["dynamics"], nan_energy,
              lambda results: {c["name"]: c["observed"] for c in results["checks"]}["energy_conserved"]),
         ],
-        ids=["triangle-overflow", "dynamics-nan-energy"],
+        ids=["dynamics-nan-energy"],
     )
     def test_results_are_strict_json(self, argv, mutant, read, tmp_path, monkeypatch):
-        """An infinite value or a NaN check is written as null, not as a bare Infinity or NaN token."""
+        """A NaN check is written as null, not as a bare NaN token."""
         if mutant is not None:
             monkeypatch.setattr(HamiltonianSystem, "hamilton_function", mutant)
         main(argv + ["--seed", "1", "--out", str(tmp_path)])
@@ -539,10 +579,9 @@ class TestExitCodes:
             ["chsh", "--model", "singlet-clicks", "--threshold", "50"],
             ["epr", "--trials", "1", "--samples", "1000"],
             ["epr", "--samples", "1"],
-            ["chsh", "--model", "singlet-exact", "--angles", "nan,0,0,0"],
+            ["chsh", "--model", "singlet", "--angles", "nan,0,0,0"],
             ["chsh", "--model", "lhv", "--angles", "inf,0,0,0"],
             ["born", "--samples", "1"],
-            ["triangle", "--angles", "4,4,4"],
             ["chsh", "--model", "singlet-clicks", "--trials", "1000", "--policy", "bogus"],
             ["epr", "--trials", "1000", "--samples", "1000", "--policy", "bogus"],
             ["dynamics", "--dt", "nan"],
@@ -564,7 +603,7 @@ class TestExitCodes:
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
-            "chsh-nan-angle", "chsh-inf-angle", "born-one-sample", "triangle-wide-angles",
+            "chsh-nan-angle", "chsh-inf-angle", "born-one-sample",
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
             "hessian-nan-step", "hessian-tiny-step", "hessian-huge-step", "chsh-lhv-one-trial",
             "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
@@ -584,7 +623,7 @@ class TestExitCodes:
     def test_out_naming_a_file_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "taken"
         path.write_text("keep me")
-        code = main(["triangle", "--seed", "1", "--angles", "1,1,1", "--out", str(path)])
+        code = main(["chsh", "--model", "singlet", "--seed", "1", "--out", str(path)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
         assert path.read_text() == "keep me"
@@ -727,25 +766,56 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 TWO_BY_TWO = st.lists(st.lists(JSON_VALUES, min_size=2, max_size=2), min_size=2, max_size=2)
+# A table file of random bytes, or a valid one with one field replaced.
+TABLE_FILES = st.binary(max_size=64) | st.builds(
+    lambda name, value: table_text(**{name: value}).encode(),
+    st.sampled_from(TABLE_FIELDS),
+    JSON_VALUES | TWO_BY_TWO | st.lists(JSON_SCALARS, min_size=2, max_size=2),
+)
+CLICK_SETTINGS = dict(
+    trials=st.integers(1, 3000),
+    threshold=st.none() | st.floats(0.0, 0.5) | st.floats(0.0, 10.0) | BAD_REALS,
+    epsilon=st.none() | st.floats(0.0, 1.0) | st.floats(0.0, 1.0) | st.floats(min_value=0.0) | BAD_REALS,
+    policy=st.none() | st.sampled_from(["keep-singles", "keep-all"]) | st.just("keep-none"),
+    workers=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    angles=st.none()
+    | st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4)
+    | st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)
+    | st.lists(st.floats(-1e12, 1e12) | st.sampled_from([math.nan, math.inf, -math.inf]), max_size=6),
+)
+
+
+def assert_table_file_contract(kind, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_bytes(text)
+        assert_exit_contract([kind, "--model", "file", "--table", str(path), "--seed", "7"])
+
+
+def assert_click_contract(kind, trials, threshold, epsilon, policy, workers, seed, angles):
+    argv = [kind, "--model", "singlet-clicks", "--seed", str(seed), "--trials", str(trials),
+            "--workers", str(workers)]
+    if policy is not None:
+        argv.append("--policy=" + policy)
+    if angles is not None:
+        argv.append("--angles=" + ",".join(map(repr, angles)))
+    assert_exit_contract(argv + real_flags(threshold=threshold, epsilon=epsilon))
 
 
 class TestExitContractFuzz:
     @settings(max_examples=80, deadline=None)
-    @given(
-        text=st.binary(max_size=64)
-        | st.builds(
-            lambda name, value: table_text(**{name: value}).encode(),
-            st.sampled_from(TABLE_FIELDS),
-            JSON_VALUES | TWO_BY_TWO | st.lists(JSON_SCALARS, min_size=2, max_size=2),
-        ),
-    )
+    @given(text=TABLE_FILES)
     @example(text=table_text(counts=[[10**30, 1], [1, 1]]).encode())
     def test_table_file(self, text):
-        """A table file of random bytes, or a valid one with one field replaced, ends in 0, 1 or 2."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "table.json"
-            path.write_bytes(text)
-            assert_exit_contract(["kolmogorov", "--model", "file", "--table", str(path), "--seed", "7"])
+        """A kolmogorov table file of random bytes, or a valid one with one field replaced, ends in 0, 1 or 2."""
+        assert_table_file_contract("kolmogorov", text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=TABLE_FILES)
+    @example(text=table_text(frequencies=None).encode())
+    def test_chsh_table_file(self, text):
+        assert_table_file_contract("chsh", text)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -794,26 +864,15 @@ class TestExitContractFuzz:
         assert_exit_contract(argv + real_flags(threshold=threshold, epsilon=epsilon))
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        trials=st.integers(1, 3000),
-        threshold=st.none() | st.floats(0.0, 0.5) | st.floats(0.0, 10.0) | BAD_REALS,
-        epsilon=st.none() | st.floats(0.0, 1.0) | st.floats(0.0, 1.0) | st.floats(min_value=0.0) | BAD_REALS,
-        policy=st.none() | st.sampled_from(["keep-singles", "keep-all"]) | st.just("keep-none"),
-        workers=st.integers(1, 3),
-        seed=st.integers(0, 2**32),
-        angles=st.none()
-        | st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4)
-        | st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)
-        | st.lists(st.floats(-1e12, 1e12) | st.sampled_from([math.nan, math.inf, -math.inf]), max_size=6),
-    )
-    def test_chsh_clicks(self, trials, threshold, epsilon, policy, workers, seed, angles):
-        argv = ["chsh", "--model", "singlet-clicks", "--seed", str(seed), "--trials", str(trials),
-                "--workers", str(workers)]
-        if policy is not None:
-            argv.append("--policy=" + policy)
-        if angles is not None:
-            argv.append("--angles=" + ",".join(map(repr, angles)))
-        assert_exit_contract(argv + real_flags(threshold=threshold, epsilon=epsilon))
+    @given(**CLICK_SETTINGS)
+    def test_chsh_clicks(self, **drawn):
+        assert_click_contract("chsh", **drawn)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CLICK_SETTINGS)
+    def test_kolmogorov_clicks(self, **drawn):
+        """The click table under the feasibility test: signalling or inconsistent tables end in 2."""
+        assert_click_contract("kolmogorov", **drawn)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -841,18 +900,6 @@ class TestExitContractFuzz:
         argv = ["hessian", "--seed", str(seed), "--dim", str(dim)]
         assert_exit_contract(argv + real_flags(step=step, epsilon=epsilon, threshold=threshold))
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        angles=st.lists(st.floats(0.0, 4.0) | st.floats() | BAD_REALS, max_size=4),
-        flat_sum=st.none() | st.floats(0.0, 10.0) | st.floats() | BAD_REALS,
-        epsilon=st.none() | BAD_REALS,
-        threshold=st.none() | BAD_REALS,
-        seed=st.integers(0, 2**32),
-    )
-    def test_triangle(self, angles, flat_sum, epsilon, threshold, seed):
-        argv = ["triangle", "--seed", str(seed), "--angles=" + ",".join(map(repr, angles))]
-        assert_exit_contract(argv + real_flags(flat_sum=flat_sum, epsilon=epsilon, threshold=threshold))
-
 
 class TestMemory:
     def test_born_streams_its_samples(self):
@@ -879,10 +926,10 @@ class TestProvenance:
 
     def test_manifest_has_config_and_version(self, tmp_path):
         out = tmp_path / "m"
-        assert main(["triangle", "--seed", "1", "--angles", "1,1,1", "--out", str(out)]) == 0
+        assert main(["chsh", "--model", "singlet", "--seed", "1", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"]
-        assert manifest["config"]["kind"] == "triangle"
+        assert manifest["config"]["kind"] == "chsh"
         assert manifest["rng_contract"] == 2
         assert "workers" not in manifest["config"]
         env = manifest["environment"]

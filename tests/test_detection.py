@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import diagonal_operator
 from prefield import experiments, random_field
 from prefield.cli import main
 from prefield.detection import (
@@ -184,7 +185,7 @@ class TestQuadraticCorrelation:
 
     def test_singlet_anticorrelated(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
-        sz = HermitianOperator.diagonal([1.0, -1.0])
+        sz = diagonal_operator([1.0, -1.0])
         assert quadratic_correlation_renormalized(ens, sz, sz) == pytest.approx(-1.0, abs=1e-12)
 
     def test_singlet_cosine_curve(self):
@@ -209,7 +210,7 @@ class TestQuadraticCorrelation:
 
     def test_renormalized_mc_matches_exact(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
-        sz = HermitianOperator.diagonal([1.0, -1.0])
+        sz = diagonal_operator([1.0, -1.0])
         est = quadratic_correlation_mc(ens, sz, sz, 50_000, SEED)
         assert abs(est.mean - (-1.0)) <= 5.0 * est.standard_error
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from helpers import diagonal_operator
 from prefield.cli import main
 from prefield.dynamics import (
     HamiltonianSystem,
@@ -63,11 +64,11 @@ def strang_step(system, dt, q, p):
 
 class TestExactPropagator:
     def test_zero_time_is_identity(self):
-        h = HermitianOperator.diagonal([1.0, 2.0])
+        h = diagonal_operator([1.0, 2.0])
         np.testing.assert_allclose(exact_propagator(h, 0.0), np.eye(2), atol=1e-15)
 
     def test_pi_rotation(self):
-        h = HermitianOperator.diagonal([1.0, -1.0])
+        h = diagonal_operator([1.0, -1.0])
         np.testing.assert_allclose(exact_propagator(h, np.pi), -np.eye(2), atol=1e-12)
 
     def test_group_property(self):

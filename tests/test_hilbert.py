@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import diagonal_operator
 from prefield.hilbert import (
     FieldVector,
     HermitianOperator,
@@ -57,12 +58,12 @@ class TestProjector:
 class TestTraceProduct:
     def test_traceless_on_mixed(self):
         d = HermitianOperator(np.eye(2) / 2)
-        a = HermitianOperator.diagonal([1, -1])
+        a = diagonal_operator([1, -1])
         assert trace_product(d, a) == pytest.approx(0.0, abs=1e-15)
 
     def test_projector_pairing(self):
         d = HermitianOperator([[1, 0], [0, 0]])
-        a = HermitianOperator.diagonal([1, -1])
+        a = diagonal_operator([1, -1])
         assert trace_product(d, a) == pytest.approx(1.0, abs=1e-15)
 
     def test_offdiagonal_pairing(self):
@@ -96,7 +97,7 @@ class TestTensor:
         singlet = FieldVector(
             (kron_vector(up, down).components - kron_vector(down, up).components) / np.sqrt(2)
         )
-        sz = HermitianOperator.diagonal([1, -1])
+        sz = diagonal_operator([1, -1])
         szsz = HermitianOperator(np.kron(sz.matrix, sz.matrix))
         assert state_average(szsz, singlet) == pytest.approx(-1.0, abs=1e-14)
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import diagonal_operator
 from prefield import observables
 from prefield.hilbert import FieldVector, HermitianOperator, state_average
 from prefield.observables import (
@@ -43,7 +44,7 @@ class TestEvaluateQuadratic:
         assert form.evaluate_batch([[1, 1j]])[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_diagonal(self):
-        form = QuadraticForm(HermitianOperator.diagonal([1, -1]))
+        form = QuadraticForm(diagonal_operator([1, -1]))
         assert form.evaluate_batch([[1, 0]])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_offdiagonal(self):
@@ -68,7 +69,7 @@ class TestEvaluateQuadratic:
 class TestExactAverages:
     def test_pure_state_projector(self):
         ens = ensemble_from_pure_state(FieldVector([1, 0]))
-        form = QuadraticForm(HermitianOperator.diagonal([1, -1]))
+        form = QuadraticForm(diagonal_operator([1, -1]))
         assert classical_average_exact(ens, form) == pytest.approx(1.0, abs=1e-14)
 
     def test_traceless_on_mixed_with_background(self):
@@ -77,8 +78,8 @@ class TestExactAverages:
         assert classical_average_exact(ens, form) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_with_background(self):
-        ens = GaussianFieldEnsemble(HermitianOperator.diagonal([1.1, 0.3]), 0.2)
-        form = QuadraticForm(HermitianOperator.diagonal([1, -1]))
+        ens = GaussianFieldEnsemble(diagonal_operator([1.1, 0.3]), 0.2)
+        form = QuadraticForm(diagonal_operator([1, -1]))
         assert classical_average_exact(ens, form) == pytest.approx(0.8, abs=1e-14)
 
     def test_born_identity_1000_random(self):
@@ -160,7 +161,7 @@ class TestFunctionalRegistration:
 
 class TestHessianExtraction:
     def test_quadratic_recovers_operator(self):
-        a = HermitianOperator.diagonal([1, -1])
+        a = diagonal_operator([1, -1])
         ext = hessian_extract(quadratic_functional(a))
         assert ext.representable
         assert np.abs(ext.operator.matrix - a.matrix).max() <= 1e-6

@@ -1,37 +1,54 @@
-"""The program surface that the benchmark's instrumentation patches.
+"""The program surface that the benchmark drives and its instrumentation patches.
 
 `perfbench/spans.py` wraps every function named in `SELF_TIME_METRICS` at
 its callers' lookup names, binds the `start_index` argument of
 `sample_with_factor`, and reads `n_trials` and `accepted` from what
-`run_trials` returns.  Removing or renaming any of these breaks the traced
-benchmark run, so this test fails first.
+`run_trials` returns.  `perfbench/run.py` runs the CLI argument vectors of
+its `WORKLOADS`.  Removing or renaming any of these, or rejecting one of
+those argument vectors, breaks the benchmark run, so these tests fail first.
 """
 
 import importlib
 import importlib.util
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from prefield.cli import main
+from prefield.cli import build_parser, config_from_args, main
 from prefield.detection import BipartiteEnsemble, run_trials
 from prefield.dynamics import SymplecticIntegrator
+from prefield.experiments import validate
 from prefield.hilbert import FieldVector
 from prefield.random_field import BackgroundField, RandomSeed, sample_with_factor
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # run.py's dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = sorted({name for names in load_spans().SELF_TIME_METRICS.values() for name in names})
+TARGETS = sorted({name for names in load_perfbench("spans").SELF_TIME_METRICS.values() for name in names})
+
+
+def workload_argvs():
+    """Every CLI argument vector of perfbench/run.py's workloads; run.py imports spans by its bare name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = load_perfbench("run").WORKLOADS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {f"{name}-{k}": list(inv.argv) for name, invs in workloads.items() for k, inv in enumerate(invs)}
+
+
+WORKLOAD_ARGVS = workload_argvs()
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -44,6 +61,14 @@ def test_span_target_resolves(target):
         # spans.py patches methods through the class dictionary
         assert attr in vars(owner), f"{target} is not defined on {owner_name}"
     assert callable(inspect.unwrap(getattr(owner, attr)))
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGVS.values(), ids=WORKLOAD_ARGVS)
+def test_workload_invocation_is_a_valid_config(argv):
+    """Each benchmark invocation, with the seed and workers that run.py adds, parses and validates."""
+    args, unread = build_parser().parse_known_args(argv + ["--seed", "1", "--workers", "2"])
+    assert not unread
+    assert validate(config_from_args(args)) == []
 
 
 def test_sample_with_factor_takes_start_index():

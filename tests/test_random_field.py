@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import diagonal_operator
 from prefield import random_field
 from prefield.analysis import lhv_sampled_table
 from prefield.detection import BipartiteEnsemble
@@ -92,7 +93,7 @@ class TestEnsembleConstruction:
 
     def test_hard_negative_covariance_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
-            GaussianFieldEnsemble(HermitianOperator.diagonal([1.0, -0.5]))
+            GaussianFieldEnsemble(diagonal_operator([1.0, -0.5]))
 
 
 class TestSampling:

@@ -73,7 +73,7 @@ class TestCliIntegration:
 
     def test_chsh_singlet_exact_cli(self, tmp_path):
         out = tmp_path / "chsh"
-        code = main(["chsh", "--seed", "2", "--model", "singlet-exact", "--out", str(out)])
+        code = main(["chsh", "--seed", "2", "--model", "singlet", "--out", str(out)])
         assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert results["values"]["S_exact"]["value"] == pytest.approx(
