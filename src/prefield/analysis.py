@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import NoCoincidencesError, sign_standard_error
+from .detection import NoCoincidencesError, _correlations, sign_standard_error
 from .random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 from .serialize import read_json
 
 NORMALIZATION_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
+PIVOT_TOL = 1e-11  # simplex: smallest reduced cost and pivot entry taken as nonzero
+SIGNALLING_SE = 5.0  # marginal gaps beyond this many standard errors are signalling
 
 _OUTCOMES = (1, -1)
 
@@ -52,11 +54,6 @@ def _numbers(values, kinds: str, name: str) -> np.ndarray:
     if arr.dtype.kind not in kinds:
         raise ValueError(f"{name} must be numbers of kind {kinds!r}, got {arr.dtype}")
     return arr
-
-
-def _correlations(freq: np.ndarray) -> np.ndarray:
-    """E = P++ + P-- - P+- - P-+ of every setting pair of a (2, 2, 2, 2) table."""
-    return freq[..., 0, 0] + freq[..., 1, 1] - freq[..., 0, 1] - freq[..., 1, 0]
 
 
 def _frequencies(corr, mean_a=0.0, mean_b=0.0) -> np.ndarray:
@@ -200,7 +197,7 @@ def _assignment_matrix() -> np.ndarray:
     return m
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11):
+def _phase1_simplex(a: np.ndarray, b: np.ndarray):
     """Find x >= 0 with A x = b, or a Farkas certificate that none exists.
 
     Dense phase-1 simplex with Bland's rule (no cycling).  Returns
@@ -228,14 +225,14 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11):
     for _ in range(10_000):
         entering = -1
         for jdx in range(n + m):
-            if red[jdx] < -tol:
+            if red[jdx] < -PIVOT_TOL:
                 entering = jdx
                 break  # Bland: smallest eligible index
         if entering < 0:
             break
         ratios = []
         for i in range(m):
-            if tab[i, entering] > tol:
+            if tab[i, entering] > PIVOT_TOL:
                 ratios.append((tab[i, -1] / tab[i, entering], basis[i], i))
         if not ratios:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
@@ -256,7 +253,7 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11):
     for i, var in enumerate(basis):
         if var < n:
             x[var] = tab[i, -1]
-    if obj <= max(tol * 100, FEASIBILITY_TOL):
+    if obj <= max(PIVOT_TOL * 100, FEASIBILITY_TOL):
         residual = float(np.abs(a @ x - b).max())
         return True, x, residual, None
     # Farkas vector from the reduced costs of the artificial columns,
@@ -275,11 +272,10 @@ class FeasibilityVerdict:
     residual: float
     farkas: np.ndarray | None
     violated_inequalities: tuple[tuple[tuple[int, int], float], ...]
-    canonical_frequencies: np.ndarray
     assignments: tuple[tuple[int, int, int, int], ...]
 
 
-def _no_signalling_check(table: CorrelationTable, se_factor: float = 5.0):
+def _no_signalling_check(table: CorrelationTable):
     """Marginals of one party must not depend on the other party's setting."""
     freq, counts = table.frequencies, table.counts
     # each party's outcome marginals and counts, indexed [own setting, remote setting]
@@ -293,7 +289,7 @@ def _no_signalling_check(table: CorrelationTable, se_factor: float = 5.0):
             tol = NORMALIZATION_TOL
             if n is not None:
                 n0, n1 = max(int(n[s, 0]), 1), max(int(n[s, 1]), 1)
-                tol = se_factor * math.sqrt(1.0 / n0 + 1.0 / n1)
+                tol = SIGNALLING_SE * math.sqrt(1.0 / n0 + 1.0 / n1)
             if abs(m0 - m1) > tol:
                 problems.append(f"party {party} marginal at setting {s}: {m0:+.5f} vs {m1:+.5f} (tol {tol:.2g})")
     if problems:
@@ -319,10 +315,10 @@ def _canonical_frequencies(table: CorrelationTable) -> np.ndarray:
     return np.clip(canon, 0.0, None)
 
 
-def kolmogorov_feasible(table: CorrelationTable, se_factor: float = 5.0) -> FeasibilityVerdict:
+def kolmogorov_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     """Decide whether one joint distribution reproduces all four tables.
 
-    Requires full frequencies.  Signalling beyond `se_factor` standard
+    Requires full frequencies.  Signalling beyond SIGNALLING_SE standard
     errors is rejected with a diagnostic rather than projected away.  The
     decision is made by exact linear feasibility over the 16 deterministic
     assignments; when infeasible, the verdict carries both the simplex
@@ -331,7 +327,7 @@ def kolmogorov_feasible(table: CorrelationTable, se_factor: float = 5.0) -> Feas
     """
     if table.frequencies is None:
         raise ValueError("feasibility test needs full outcome frequencies")
-    _no_signalling_check(table, se_factor)
+    _no_signalling_check(table)
     canon = _canonical_frequencies(table)
     a = _assignment_matrix()
     b = canon.reshape(16)
@@ -345,7 +341,7 @@ def kolmogorov_feasible(table: CorrelationTable, se_factor: float = 5.0) -> Feas
         if abs(val) > 2.0 + FEASIBILITY_TOL
     )
     if feasible:
-        return FeasibilityVerdict(True, x, residual, None, (), canon, assignments)
+        return FeasibilityVerdict(True, x, residual, None, (), assignments)
     if farkas is not None:
         # certificate sanity: y^T A <= 0 on every assignment, y^T b > 0
         slack = float((farkas @ a).max())
@@ -357,7 +353,7 @@ def kolmogorov_feasible(table: CorrelationTable, se_factor: float = 5.0) -> Feas
             "simplex reports infeasible but no CHSH inequality is violated; "
             "inconsistent input"
         )
-    return FeasibilityVerdict(False, None, residual, farkas, violated, canon, assignments)
+    return FeasibilityVerdict(False, None, residual, farkas, violated, assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +362,18 @@ def kolmogorov_feasible(table: CorrelationTable, se_factor: float = 5.0) -> Feas
 # model always admits a joint distribution, so it pins down the classical
 # side of every test above.  The pure sign-response model (flip probability
 # zero) saturates one CHSH facet exactly at any angle set, so finite-sample
-# tables from it straddle the polytope boundary; a positive flip probability
-# pulls the model strictly inside by the visibility factor (1 - 2p)^2.
+# tables from it straddle the polytope boundary; the flip probability
+# LHV_FLIP pulls the model strictly inside by the visibility factor (1 - 2p)^2.
 
-DEFAULT_LHV_FLIP = 0.05
+LHV_FLIP = 0.05
 
 
-def _lhv_exact_correlation(a: float, b: float, flip_probability: float) -> float:
+def _lhv_exact_correlation(a: float, b: float) -> float:
     """E[A B] for the sign-response model with a uniform shared angle.
 
     Both base responses are half-period square waves in lam with period pi,
     giving the triangle wave 1 - 4 delta / pi for offsets in [0, pi/2];
-    independent flips scale it by (1 - 2p)^2.
+    independent flips with probability p = LHV_FLIP scale it by (1 - 2p)^2.
     """
     delta = math.fmod(b - a, math.pi)
     if delta < 0.0:
@@ -386,24 +382,16 @@ def _lhv_exact_correlation(a: float, b: float, flip_probability: float) -> float
         base = 1.0 - 4.0 * delta / math.pi
     else:
         base = 4.0 * (delta - math.pi / 2.0) / math.pi - 1.0
-    return (1.0 - 2.0 * flip_probability) ** 2 * base
+    return (1.0 - 2.0 * LHV_FLIP) ** 2 * base
 
 
-def lhv_exact_table(
-    a_settings, b_settings, flip_probability: float = DEFAULT_LHV_FLIP
-) -> CorrelationTable:
+def lhv_exact_table(a_settings, b_settings) -> CorrelationTable:
     """Closed-form correlation table of the flip model (zero marginals)."""
-    corr = [[_lhv_exact_correlation(a, b, flip_probability) for b in b_settings] for a in a_settings]
+    corr = [[_lhv_exact_correlation(a, b) for b in b_settings] for a in a_settings]
     return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), _frequencies(corr))
 
 
-def lhv_sampled_table(
-    a_settings,
-    b_settings,
-    n_per_pair: int,
-    seed: RandomSeed,
-    flip_probability: float = DEFAULT_LHV_FLIP,
-) -> CorrelationTable:
+def lhv_sampled_table(a_settings, b_settings, n_per_pair: int, seed: RandomSeed) -> CorrelationTable:
     """Finite-sample table from the flip model (fresh hidden variable per trial).
 
     The four outcome counts of n independent trials are multinomial with
@@ -413,7 +401,7 @@ def lhv_sampled_table(
     """
     if n_per_pair < 2:
         raise ValueError("n_per_pair must be >= 2")
-    cells = lhv_exact_table(a_settings, b_settings, flip_probability).frequencies
+    cells = lhv_exact_table(a_settings, b_settings).frequencies
     freq = np.empty((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):

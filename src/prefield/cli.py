@@ -139,11 +139,7 @@ def write_artifacts(config: ExperimentConfig, result, out_dir: Path) -> None:
     write_json(out_dir / "results.json", payload)
     write_json(out_dir / "manifest.json", manifest_payload(config))
     for name, table in result.tables.items():
-        path = out_dir / f"{name}.csv"
-        if isinstance(table, tuple):
-            write_csv(path, *table)
-        else:
-            table.to_csv(path)
+        write_csv(out_dir / f"{name}.csv", *table)
 
 
 def main(argv=None) -> int:
@@ -181,7 +177,7 @@ def main(argv=None) -> int:
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: observed {check.observed:.6g} vs tolerance {check.tolerance:.6g}")
-    summary = "all checks passed" if result.passed else "checks FAILED"
+    summary = ("all checks passed" if result.passed else "checks FAILED") if result.checks else "no checks declared"
     print(f"{result.kind}: {summary}; artifacts in {config.out}")
     return 0 if result.passed else 1
 

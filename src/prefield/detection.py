@@ -73,7 +73,6 @@ from .random_field import (
     sample_with_factor,
     sampling_factor,
 )
-from .serialize import write_csv_indexed
 
 STATE_NORM_TOL = 1e-10
 
@@ -226,7 +225,6 @@ def quadratic_correlation_mc(
     b: HermitianOperator,
     n_samples: int,
     seed: RandomSeed,
-    start_index: int = 0,
     stream=STREAM_PAIRS,
 ) -> MCEstimate:
     """Monte Carlo counterpart of `quadratic_correlation_renormalized`.
@@ -247,10 +245,10 @@ def quadratic_correlation_mc(
 
     def fill(lo: int, hi: int) -> None:
         powers = sample_powers(factor, hi - lo, seed, lo, stream)
-        fa[lo - start_index : hi - start_index] = powers[:, :n] @ wa
-        fb[lo - start_index : hi - start_index] = powers[:, n:] @ wb
+        fa[lo:hi] = powers[:, :n] @ wa
+        fb[lo:hi] = powers[:, n:] @ wb
 
-    for_each_chunk(fill, start_index, start_index + n_samples, 1)
+    for_each_chunk(fill, 0, n_samples, 1)
     # deviation products, in place; bias-corrected covariance and its SE
     fa -= fa.mean()
     fb -= fb.mean()
@@ -262,6 +260,11 @@ def quadratic_correlation_mc(
 
 class NoCoincidencesError(ValueError):
     """No trial passed the post-selection, so no correlation can be estimated."""
+
+
+def _correlations(freq: np.ndarray) -> np.ndarray:
+    """E = P++ + P-- - P+- - P-+ of every setting pair of a (..., 2, 2) table of +-1 outcome frequencies."""
+    return freq[..., 0, 0] + freq[..., 1, 1] - freq[..., 0, 1] - freq[..., 1, 0]
 
 
 def sign_standard_error(corr, n):
@@ -295,8 +298,8 @@ def _pack_codes(clicks: np.ndarray) -> np.ndarray:
     return clicks.view(np.uint8) @ _CODE_BITS
 
 
-def _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers=1) -> np.ndarray:
-    """Click codes of trials [start_index, start_index + n_trials), chunk by chunk.
+def _click_codes(factor, threshold, n_trials, seed, stream, workers) -> np.ndarray:
+    """Click codes of trials [0, n_trials), chunk by chunk.
 
     `factor` has the splitter bases folded in, so its channel powers
     (`sample_powers`) are thresholded and packed straight into the codes.
@@ -305,9 +308,9 @@ def _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers
 
     def fill(lo: int, hi: int) -> None:
         powers = sample_powers(factor, hi - lo, seed, lo, stream)
-        codes[lo - start_index : hi - start_index] = _pack_codes(powers > threshold)
+        codes[lo:hi] = _pack_codes(powers > threshold)
 
-    for_each_chunk(fill, start_index, start_index + n_trials, workers)
+    for_each_chunk(fill, 0, n_trials, workers)
     return codes
 
 
@@ -361,11 +364,12 @@ class TrialBatch:
         """2x2 accepted-trial counts by (party 1, party 2) outcome, "+" first."""
         return _OUTCOME.T @ (self.raw * self.mask) @ _OUTCOME
 
-    def to_csv(self, path) -> None:
-        """One row per trial: settings, click flags, classifications, accepted.
+    def csv_table(self):
+        """(header, rows, index) of the trial CSV, the arguments of `serialize.write_csv` after the path.
 
-        A batch has at most 16 distinct rows, one per click code; each is
-        formatted once and the file is written by indexing them with the codes.
+        One written row per trial: settings, click flags, classifications,
+        accepted.  A batch has at most 16 distinct rows, one per click code,
+        and the codes index them.
         """
         accepted = self.mask.T.ravel()
         header = ["theta1", "theta2", "click1_plus", "click1_minus", "click2_plus"]
@@ -374,7 +378,7 @@ class TrialBatch:
             [self.theta1, self.theta2, *_CODE_CLICKS[c], _PARTY_CLASS[c & 3], _PARTY_CLASS[c >> 2], accepted[c]]
             for c in range(_N_CODES)
         ]
-        write_csv_indexed(path, header, rows, self.codes)
+        return header, rows, self.codes
 
 
 def run_trials(
@@ -384,7 +388,6 @@ def run_trials(
     threshold: float,
     n_trials: int,
     seed: RandomSeed,
-    start_index: int = 0,
     policy: str = POLICY_KEEP_SINGLES,
     workers: int = 1,
     stream=STREAM_PAIRS,
@@ -410,7 +413,7 @@ def run_trials(
     basis[2:, 2:] = _splitter_basis(theta2)
     # rows of the sampled pairs times basis: (xi S^T) basis = xi (basis^T S)^T
     factor = basis.T @ ensemble.sampler_factor
-    codes = _click_codes(factor, threshold, n_trials, seed, start_index, stream, workers)
+    codes = _click_codes(factor, threshold, n_trials, seed, stream, workers)
     return TrialBatch(theta1, theta2, codes, policy)
 
 
@@ -445,10 +448,15 @@ def click_statistics(batch: TrialBatch) -> ClickStatistics:
 
 
 def correlation_from_clicks(batch: TrialBatch) -> tuple[float, float]:
-    """E = (N++ + N-- - N+- - N-+) / N_accepted over the policy's coincidences, and its SE."""
+    """E over the policy's coincidences, and its SE.
+
+    E is the frequency sum `_correlations` of the coincidence counts over
+    their total, as `CorrelationTable.from_trial_batches` forms it, so one
+    batch gives one E and SE to the last bit on either path.
+    """
     cells = batch.coincidences()
     n_acc = int(cells.sum())
     if n_acc == 0:
         raise NoCoincidencesError("no accepted coincidences")
-    e = float((cells[0, 0] + cells[1, 1] - cells[0, 1] - cells[1, 0]) / n_acc)
+    e = float(_correlations(cells / n_acc))
     return e, float(sign_standard_error(e, n_acc))

@@ -150,9 +150,7 @@ def evolve_ensemble(
         raise ValueError(f"dimension mismatch: {ensemble.dim} vs {h_op.dim}")
     u = exact_propagator(h_op, t)
     evolved = u @ ensemble.covariance.matrix @ u.conj().T
-    return GaussianFieldEnsemble(
-        HermitianOperator.symmetrized(evolved), ensemble.background_epsilon
-    )
+    return GaussianFieldEnsemble(HermitianOperator.symmetrized(evolved))
 
 
 def covariance_derivative(ensemble: GaussianFieldEnsemble, h_op: HermitianOperator) -> np.ndarray:

@@ -44,10 +44,6 @@ class QuadraticForm:
     def operator(self) -> HermitianOperator:
         return self._op
 
-    @property
-    def dim(self) -> int:
-        return self._op.dim
-
     def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
         """Values on an (N, dim) batch of field samples."""
         x = np.asarray(samples, dtype=np.complex128)
@@ -68,13 +64,12 @@ class FieldFunctional:
     """Smooth real functional of the field with f(0) = 0.
 
     The evaluator maps an (m, dim) complex array of fields to their m real
-    values and must be side-effect free; `smoothness_order` is how often it
-    is differentiable at zero.
+    values and must be side-effect free.
     """
 
-    __slots__ = ("evaluator", "dim", "smoothness_order")
+    __slots__ = ("evaluator", "dim")
 
-    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], dim: int, smoothness_order: int = 2):
+    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], dim: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         at_zero = np.asarray(evaluator(np.zeros((1, dim), dtype=np.complex128)), dtype=float)
@@ -83,7 +78,6 @@ class FieldFunctional:
         _one_per_row(at_zero, 1)
         self.evaluator = evaluator
         self.dim = dim
-        self.smoothness_order = smoothness_order
 
 
 def quadratic_functional(operator: HermitianOperator) -> FieldFunctional:
@@ -95,24 +89,24 @@ def quadratic_functional(operator: HermitianOperator) -> FieldFunctional:
     return FieldFunctional(evaluator, operator.dim)
 
 
-def quartic_power_functional(dim: int, weight: float = 1.0) -> FieldFunctional:
-    """f(phi) = weight * ||phi||^4; quartic, so its Hessian at zero vanishes."""
+def quartic_power_functional(dim: int) -> FieldFunctional:
+    """f(phi) = ||phi||^4; quartic, so its Hessian at zero vanishes."""
 
     def evaluator(phi):
-        return float(weight) * np.einsum("mi,mi->m", phi.conj(), phi).real ** 2
+        return np.einsum("mi,mi->m", phi.conj(), phi).real ** 2
 
-    return FieldFunctional(evaluator, dim, smoothness_order=4)
+    return FieldFunctional(evaluator, dim)
 
 
-def quadratic_plus_quartic(operator: HermitianOperator, quartic_weight: float = 1.0) -> FieldFunctional:
-    """f(phi) = <A phi, phi> + weight * ||phi||^4."""
+def quadratic_plus_quartic(operator: HermitianOperator) -> FieldFunctional:
+    """f(phi) = <A phi, phi> + ||phi||^4."""
     quad = quadratic_functional(operator)
-    quart = quartic_power_functional(operator.dim, quartic_weight)
+    quart = quartic_power_functional(operator.dim)
 
     def evaluator(phi):
         return quad.evaluator(phi) + quart.evaluator(phi)
 
-    return FieldFunctional(evaluator, operator.dim, smoothness_order=4)
+    return FieldFunctional(evaluator, operator.dim)
 
 
 def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm) -> float:
@@ -121,10 +115,9 @@ def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm
 
 
 def quadratic_form_values(
-    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed,
-    start_index: int = 0, workers: int = 1,
+    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed, workers: int = 1
 ) -> np.ndarray:
-    """f_A on the field samples [start_index, start_index + n_samples) of `ensemble`.
+    """f_A on the field samples [0, n_samples) of `ensemble`.
 
     With A = V diag(a) V^+, f_A(phi) = sum_k a_k |(V^+ phi)_k|^2: V^+ is folded
     into the sampling factor and each chunk's channel powers (`sample_powers`)
@@ -136,9 +129,9 @@ def quadratic_form_values(
 
     def fill(lo: int, hi: int) -> None:
         powers = sample_powers(factor, hi - lo, seed, lo, STREAM_FIELD)
-        vals[lo - start_index : hi - start_index] = powers @ weights
+        vals[lo:hi] = powers @ weights
 
-    for_each_chunk(fill, start_index, start_index + n_samples, workers)
+    for_each_chunk(fill, 0, n_samples, workers)
     return vals
 
 
@@ -158,7 +151,7 @@ class HessianExtraction:
 
     `operator` is half the Hessian at the zero field reassembled as a
     complex matrix.  `phase_defect` measures couplings of phi phi^T type
-    that no Hermitian operator can represent; if it exceeds the tolerance,
+    that no Hermitian operator can represent; if it exceeds 10 step**2,
     `representable` is False and `operator` is the best phase-invariant
     part.
     """
@@ -166,9 +159,6 @@ class HessianExtraction:
     operator: HermitianOperator
     representable: bool
     phase_defect: float
-    tolerance: float
-    step: float
-    real_hessian: np.ndarray
 
 
 def _fd_hessians(evaluator: Callable[[np.ndarray], np.ndarray], n: int, steps) -> np.ndarray:
@@ -229,8 +219,6 @@ def hessian_extract(
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    if functional.smoothness_order < 2:
-        raise ValueError("functional must be at least twice differentiable at 0")
     n = functional.dim
     coarse, fine = _fd_hessians(functional.evaluator, n, (step, step / 2.0))
     hess = (4.0 * fine - coarse) / 3.0
@@ -242,12 +230,4 @@ def hessian_extract(
     j = (a_pq - a_qp) / 2.0
     j = (j - j.T) / 2.0
     phase_defect = max(float(np.abs(a_qq - a_pp).max()), float(np.abs(a_qp + a_pq).max()))
-    tol = 10.0 * step**2
-    return HessianExtraction(
-        operator=HermitianOperator(r + 1j * j),
-        representable=phase_defect <= tol,
-        phase_defect=phase_defect,
-        tolerance=tol,
-        step=step,
-        real_hessian=hess,
-    )
+    return HessianExtraction(HermitianOperator(r + 1j * j), phase_defect <= 10.0 * step**2, phase_defect)

@@ -258,19 +258,13 @@ def for_each_chunk(fn, start: int, stop: int, workers: int) -> None:
 
 
 class GaussianFieldEnsemble:
-    """Zero-mean circular complex Gaussian law with covariance D.
+    """Zero-mean circular complex Gaussian law with covariance D."""
 
-    `background_epsilon` records the white-noise level the ensemble was
-    built with (already included in D); `evolve_ensemble` carries it along
-    so downstream renormalization knows what to subtract.
-    """
+    __slots__ = ("_cov", "_factor")
 
-    __slots__ = ("_cov", "_factor", "_epsilon")
-
-    def __init__(self, covariance: HermitianOperator, background_epsilon: float = 0.0):
+    def __init__(self, covariance: HermitianOperator):
         self._cov = covariance
         self._factor = sampling_factor(covariance)
-        self._epsilon = float(background_epsilon)
 
     @property
     def covariance(self) -> HermitianOperator:
@@ -280,10 +274,6 @@ class GaussianFieldEnsemble:
     def sampler_factor(self) -> np.ndarray:
         """dim x rank(D) matrix S with S S^+ = D that colours white noise into samples."""
         return self._factor
-
-    @property
-    def background_epsilon(self) -> float:
-        return self._epsilon
 
     @property
     def dim(self) -> int:
@@ -304,4 +294,4 @@ def ensemble_from_pure_state(
     """
     unit = psi.normalized().components
     cov = np.outer(unit, unit.conj()) + background.epsilon * np.eye(psi.dim)
-    return GaussianFieldEnsemble(HermitianOperator(cov), background.epsilon)
+    return GaussianFieldEnsemble(HermitianOperator(cov))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefield.analysis import (
-    DEFAULT_LHV_FLIP,
+    LHV_FLIP,
     CorrelationTable,
     FeasibilityVerdict,
     SignallingDataError,
@@ -43,7 +43,7 @@ def lhv_sampled_table_by_masks(a_settings, b_settings, n_per_pair, seed):
     counts = np.zeros((2, 2), dtype=np.int64)
     for x in range(2):
         for y in range(2):
-            e = _lhv_exact_correlation(a_settings[x], b_settings[y], DEFAULT_LHV_FLIP)
+            e = _lhv_exact_correlation(a_settings[x], b_settings[y])
             cells = [(1.0 + a * b * e) / 4.0 for a in (1, -1) for b in (1, -1)]
             rng = seed.stream((STREAM_HIDDEN_VARIABLE, x, y), 0)
             cell = np.repeat(np.arange(4), rng.multinomial(n_per_pair, cells))
@@ -145,14 +145,13 @@ class TestChsh:
 
 class TestFeasibility:
     def test_independent_fair_coins(self):
-        verdict = kolmogorov_feasible(table_from_correlations(np.zeros((2, 2))))
+        table = table_from_correlations(np.zeros((2, 2)))
+        verdict = kolmogorov_feasible(table)
         assert verdict.feasible
         assert verdict.residual <= 1e-9
         # witness reproduces the tables
         m = _assignment_matrix()
-        np.testing.assert_allclose(
-            m @ verdict.witness, verdict.canonical_frequencies.reshape(16), atol=1e-9
-        )
+        np.testing.assert_allclose(m @ verdict.witness, _canonical_frequencies(table).reshape(16), atol=1e-9)
 
     def test_perfect_correlations_all_equal_assignment(self):
         verdict = kolmogorov_feasible(table_from_correlations(np.ones((2, 2))))
@@ -172,7 +171,7 @@ class TestFeasibility:
         # Farkas vector is a genuine certificate
         m = _assignment_matrix()
         assert float((verdict.farkas @ m).max()) <= 1e-7
-        assert float(verdict.farkas @ verdict.canonical_frequencies.reshape(16)) > 0.0
+        assert float(verdict.farkas @ _canonical_frequencies(table).reshape(16)) > 0.0
 
     def test_spec_grid_singlet_also_infeasible(self):
         table = singlet_exact_table(SPEC_GRID_ANGLES[:2], SPEC_GRID_ANGLES[2:])
@@ -259,7 +258,7 @@ class TestTableBuilders:
     @pytest.mark.parametrize("angles", [CHSH_ANGLES, (0.3, 1.1, -0.4, 0.7), HUGE_ANGLES])
     def test_exact_tables_match_scalar_cells(self, angles):
         a_settings, b_settings = angles[:2], angles[2:]
-        lhv = [[_lhv_exact_correlation(a, b, DEFAULT_LHV_FLIP) for b in b_settings] for a in a_settings]
+        lhv = [[_lhv_exact_correlation(a, b) for b in b_settings] for a in a_settings]
         singlet = [[-math.cos(2.0 * (a - b)) for b in b_settings] for a in a_settings]
         assert np.array_equal(lhv_exact_table(a_settings, b_settings).frequencies, scalar_frequencies(lhv))
         singlet_table = singlet_exact_table(a_settings, b_settings)
@@ -315,8 +314,9 @@ class TestArcTest:
 
     A party at setting s answers -1 when cos(2 (lam - s)) < 0, lam uniform
     on [0, pi).  The sampled table draws its counts from the closed-form
-    correlation `_lhv_exact_correlation`, so that closed form must equal the
-    mean sign product of the rule, here on a midpoint grid of lam.
+    correlation `_lhv_exact_correlation`, so that closed form, over the flip
+    visibility (1 - 2 LHV_FLIP)^2, must equal the mean sign product of the
+    rule, here on a midpoint grid of lam.
     """
 
     SETTINGS = [0.0, math.pi / 8, -math.pi / 8, math.pi / 4, -math.pi / 4, math.pi / 2, math.pi,
@@ -334,7 +334,8 @@ class TestArcTest:
         for offset in self.OFFSETS:
             b = s + offset
             sign_b = np.where(np.cos(2.0 * (lam - b)) < 0.0, -1.0, 1.0)
-            assert abs(float((sign_a * sign_b).mean()) - _lhv_exact_correlation(s, b, 0.0)) <= tol
+            base = _lhv_exact_correlation(s, b) / (1.0 - 2.0 * LHV_FLIP) ** 2
+            assert abs(float((sign_a * sign_b).mean()) - base) <= tol
 
 
 class TestSimplexEdgeCases:

@@ -16,10 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefield import detection, experiments
-from prefield.analysis import CorrelationTable, singlet_exact_table
+from prefield.analysis import CorrelationTable, lhv_exact_table, singlet_exact_table
 from prefield.cli import main, parse_config_file
 from prefield.dynamics import HamiltonianSystem
 from prefield.experiments import (
+    DEFAULT_CHSH_ANGLES,
     DYNAMICS_MAX_STEPS,
     KIND_SETTINGS,
     MAX_DRAWS,
@@ -443,6 +444,32 @@ class TestExitCodes:
         monkeypatch.setattr(experiments, "fine_chsh_values", unsigned)
         assert main(argv + ["--out", str(tmp_path / "mutant")]) == 1
         assert set(failed_checks(tmp_path / "mutant")) == {"verdict_matches_feasible"}
+
+    @pytest.mark.parametrize(
+        "build, check",
+        [(singlet_exact_table, "verdict_matches_infeasible"), (lhv_exact_table, "verdict_matches_feasible")],
+        ids=["singlet-table", "lhv-table"],
+    )
+    def test_kolmogorov_file_checks_the_verdict_against_fine(self, build, check, tmp_path, capsys):
+        """A table file's simplex verdict must agree with Fine's eight facets, as the singlet's does."""
+        path = tmp_path / "table.json"
+        table = build(DEFAULT_CHSH_ANGLES[:2], DEFAULT_CHSH_ANGLES[2:])
+        path.write_text(json.dumps(dataclasses.asdict(table), default=np.ndarray.tolist))
+        argv = ["kolmogorov", "--model", "file", "--table", str(path), "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        checks = strict_json(tmp_path / "run" / "results.json")["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [(check, True)]
+        assert "kolmogorov: all checks passed" in capsys.readouterr().out
+
+    def test_run_without_a_check_says_so(self, tmp_path, capsys):
+        """chsh --model file declares no check: it exits 0 and prints that, not that checks passed."""
+        path = tmp_path / "table.json"
+        path.write_text(table_text())
+        argv = ["chsh", "--model", "file", "--table", str(path), "--seed", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        assert strict_json(tmp_path / "run" / "results.json")["checks"] == []
+        out = capsys.readouterr().out
+        assert "chsh: no checks declared" in out and "passed" not in out
 
     def test_kolmogorov_singlet_infeasible(self, tmp_path):
         out = tmp_path / "kol"

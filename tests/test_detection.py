@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import diagonal_operator
+from helpers import diagonal_operator, in_two_pieces, pairs_in_two_pieces
 from prefield import experiments, random_field
 from prefield.cli import main
 from prefield.detection import (
@@ -31,6 +31,7 @@ from prefield.hilbert import FieldVector, HermitianOperator, kron_vector, state_
 from prefield.observables import QuadraticForm, quadratic_form_values
 from prefield.random_field import (
     SAMPLE_BLOCK,
+    STREAM_PAIRS,
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
@@ -235,16 +236,17 @@ class TestQuadraticCorrelation:
             quadratic_correlation_renormalized(ens, rand_hermitian(np.random.default_rng(7), 3), polarization(0.0))
 
 
-def reference_correlation(ens, a, b, n, seed, start):
+def reference_correlation(ens, a, b, seed, cut, stop):
     """Covariance of f_A(phi1) and f_B(phi2) and its SE from materialised field pairs."""
-    phi1, phi2 = ens.sample_pairs(n, seed, start)
+    phi1, phi2 = pairs_in_two_pieces(ens, seed, cut, stop)
     fa, fb = QuadraticForm(a).evaluate_batch(phi1), QuadraticForm(b).evaluate_batch(phi2)
     prod = (fa - fa.mean()) * (fb - fb.mean())
-    return prod.sum() / (n - 1), prod.std(ddof=1) / np.sqrt(n)
+    return prod.sum() / (stop - 1), prod.std(ddof=1) / np.sqrt(stop)
 
 
-# (start, stop) ranges: from a block edge, one row before and one row after
-# it, each ending one row into a block, the longest across a chunk edge
+# (cut, stop): the kernels run [0, stop), which ends one row into a block,
+# the longest across a chunk edge; the references draw their samples in two
+# pieces cut at a block edge, one row before it and one row after it
 KERNEL_RANGES = [(0, 3 * SAMPLE_BLOCK + 1), (4095, 2 * SAMPLE_BLOCK + 1), (4097, 9 * SAMPLE_BLOCK + 1)]
 
 
@@ -252,28 +254,29 @@ class TestPowerKernel:
     """The channel-power kernel against the field samples it replaces."""
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("start,stop", KERNEL_RANGES)
-    def test_correlation_matches_materialised_pairs(self, dim, start, stop):
+    @pytest.mark.parametrize("cut,stop", KERNEL_RANGES)
+    def test_correlation_matches_materialised_pairs(self, dim, cut, stop):
         # non-real A and B: party 2's transpose W^T differs from W^+
-        rng = np.random.default_rng(10 * dim + start % 7)
+        rng = np.random.default_rng(10 * dim + cut % 7)
         psi = rand_unit(rng, dim * dim)
         eps = BipartiteEnsemble(psi, BackgroundField(1.0)).epsilon_min + 0.1
         ens = BipartiteEnsemble(psi, BackgroundField(eps))
         a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
         assert np.abs(b.matrix.imag).max() > 0.1
-        est = quadratic_correlation_mc(ens, a, b, stop - start, SEED, start)
-        mean, se = reference_correlation(ens, a, b, stop - start, SEED, start)
+        est = quadratic_correlation_mc(ens, a, b, stop, SEED)
+        mean, se = reference_correlation(ens, a, b, SEED, cut, stop)
         assert abs(est.mean - mean) <= 1e-12 * max(1.0, abs(mean))
         assert abs(est.standard_error - se) <= 1e-12 * max(1.0, se)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("start,stop", KERNEL_RANGES)
-    def test_born_values_match_evaluate_batch(self, dim, start, stop):
-        rng = np.random.default_rng(20 * dim + start % 7)
+    @pytest.mark.parametrize("cut,stop", KERNEL_RANGES)
+    def test_born_values_match_evaluate_batch(self, dim, cut, stop):
+        rng = np.random.default_rng(20 * dim + cut % 7)
         ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, dim))
-        values = quadratic_form_values(ens, form, stop - start, SEED, start)
-        reference = form.evaluate_batch(sample_with_factor(ens.sampler_factor, stop - start, SEED, start))
+        values = quadratic_form_values(ens, form, stop, SEED)
+        pieces = in_two_pieces(lambda n, lo: sample_with_factor(ens.sampler_factor, n, SEED, lo), cut, stop)
+        reference = form.evaluate_batch(np.concatenate(pieces))
         assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
 
     @pytest.mark.usefixtures("split_every_block")
@@ -283,11 +286,13 @@ class TestPowerKernel:
         rng = np.random.default_rng(31)
         single = ensemble_from_pure_state(rand_unit(rng, 3), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, 3))
-        n, start = 6 * SAMPLE_BLOCK + 1, SAMPLE_BLOCK - 1
+        # the last thread's range is not one row long: a lone row takes numpy's
+        # dot path in powers @ weights, whose rounding differs from a longer product
+        n = 7 * SAMPLE_BLOCK - 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [quadratic_form_values(single, form, n, SEED, start, workers=w) for w in (1, 5)]
+            runs = [quadratic_form_values(single, form, n, SEED, workers=w) for w in (1, 5)]
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -349,14 +354,14 @@ class TestTrials:
         # channel power is an independent exponential with mean 1/2 + eps and
         # a channel fires with probability q = exp(-d / (1/2 + eps)): both
         # channels with q^2, each channel alone with q (1 - q), either alone
-        # with 2 q (1 - q).  Every threshold reads fields of its own index
-        # range.  A kernel whose threshold is scaled by 1.05 reaches a pull of
-        # about 13.
+        # with 2 q (1 - q).  Every threshold draws its fields from a stream
+        # label of its own.  A kernel whose threshold is scaled by 1.05 reaches
+        # a pull of about 13.
         eps, n = SINGLET_EPS_MIN, 100_000
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
         for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
             d = float(d)
-            batch = run_trials(ens, 0.0, 0.3, d, n, SEED, start_index=k * n)
+            batch = run_trials(ens, 0.0, 0.3, d, n, SEED, stream=(STREAM_PAIRS, k))
             q = math.exp(-d / (0.5 + eps))
             for _, plus, minus, both in click_statistics(batch).party_counts:
                 pairs = [(both / n, q * q), ((plus + minus) / n, 2.0 * q * (1.0 - q))]
@@ -398,13 +403,17 @@ class TestTrials:
         with pytest.raises(ValueError, match="threshold"):
             run_trials(ens, 0.0, 0.3, threshold, 100, SEED)
 
+    @pytest.mark.usefixtures("split_every_block")
     def test_trial_partition_invariance(self):
+        """Codes depend on the trial index and the stream label: a split across workers
+        leaves them unchanged, and another label draws other fields."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
-        full = run_trials(ens, 0.0, 0.5, 0.1, 8_000, SEED)
-        parts = [
-            run_trials(ens, 0.0, 0.5, 0.1, 4_000, SEED, start_index=k * 4_000) for k in range(2)
-        ]
-        np.testing.assert_array_equal(full.codes, np.concatenate([p.codes for p in parts]))
+        n = 2 * SAMPLE_BLOCK + 1
+        full = run_trials(ens, 0.0, 0.5, 0.1, n, SEED)
+        split = run_trials(ens, 0.0, 0.5, 0.1, n, SEED, workers=2)
+        np.testing.assert_array_equal(full.codes, split.codes)
+        labels = [run_trials(ens, 0.0, 0.5, 0.1, n, SEED, stream=(STREAM_PAIRS, k)).codes for k in range(2)]
+        assert (labels[0] != labels[1]).mean() > 0.1
 
 
 class TestClickStatistics:
@@ -484,7 +493,7 @@ class TestCalibration:
         n = 100_000
         # eps = 0.06 lies below the singlet's floor, so the maximally mixed
         # field is sampled directly and put behind the detector
-        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)), eps)
+        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)))
         clicks = ThresholdDetector(d).clicks(sample_with_factor(ens.sampler_factor, n, SEED))
         single = [float((clicks[:, c] & ~clicks[:, 1 - c]).mean()) for c in range(2)]
         assert abs(sum(single) - target) <= 0.01

@@ -186,7 +186,7 @@ class TestEnsembleEvolution:
 
     def test_background_is_stationary(self):
         eps = 0.3
-        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps - 0.25) * np.eye(2)), eps - 0.25)
+        ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps - 0.25) * np.eye(2)))
         # any isotropic law is stationary
         rng = np.random.default_rng(9)
         h = rand_hermitian(rng, 2)

@@ -62,7 +62,7 @@ def rand_density(rng, dim):
 
 def mixed_ensemble(rho, eps=0.0):
     """Ensemble with covariance rho + eps I for a density matrix rho."""
-    return GaussianFieldEnsemble(HermitianOperator.symmetrized(rho + eps * np.eye(len(rho))), eps)
+    return GaussianFieldEnsemble(HermitianOperator.symmetrized(rho + eps * np.eye(len(rho))))
 
 
 def sample(ens, n, seed=SEED, start=0):

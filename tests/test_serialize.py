@@ -17,7 +17,6 @@ from prefield.serialize import (
     operator_payload,
     read_json,
     write_csv,
-    write_csv_indexed,
     write_json,
 )
 
@@ -138,13 +137,17 @@ class TestCsvCells:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=5), min_size=1, max_size=6))
     def test_write_csv_matches_reference_writer(self, rows):
-        """A plain float goes to csv unconverted; every other number is converted first."""
+        """A plain float goes to csv unconverted; every other number is converted first.
+
+        Without an index every row is written in order; an index, reversed or
+        repeating rows, writes rows[i] for each of its entries.
+        """
         header = [f"c{k}" for k in range(max(map(len, rows)))]
+        n = len(rows)
+        indexes = {"none": None, "reversed": list(range(n))[::-1], "repeating": [k % n for k in range(3 * n + 1)][::2]}
         with tempfile.TemporaryDirectory() as tmp:
-            got, indexed, want = (Path(tmp) / name for name in ("got.csv", "indexed.csv", "want.csv"))
-            write_csv(got, header, rows)
-            write_csv_indexed(indexed, header, rows, list(range(len(rows)))[::-1])
-            reference_csv(want, header, rows)
-            assert got.read_bytes() == want.read_bytes()
-            reference_csv(want, header, rows[::-1])
-            assert indexed.read_bytes() == want.read_bytes()
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            for name, index in indexes.items():
+                write_csv(got, header, rows, index)
+                reference_csv(want, header, rows if index is None else [rows[i] for i in index])
+                assert got.read_bytes() == want.read_bytes(), name

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import pairs_in_two_pieces
 from prefield.analysis import CorrelationTable
 from prefield.detection import (
     BipartiteEnsemble,
@@ -32,7 +33,7 @@ from prefield.random_field import (
     RandomSeed,
     sample_with_factor,
 )
-from prefield.serialize import _cell
+from prefield.serialize import _cell, write_csv
 
 SEED = RandomSeed(4242)
 SINGLET = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
@@ -73,11 +74,13 @@ def reference_statistics(clicks1, clicks2, policy):
 
 
 def reference_correlation(clicks1, clicks2, policy):
-    """E and the +-1 standard error sqrt(max(1/n, 1 - E^2) / n) over the policy's trials."""
+    """E = P++ + P-- - P+- - P-+ and the +-1 standard error sqrt(max(1/n, 1 - E^2) / n) over the policy's trials."""
     acc = reference_accepted(clicks1, clicks2, policy)
-    prod = np.where(clicks1[acc, 0], 1.0, -1.0) * np.where(clicks2[acc, 0], 1.0, -1.0)
+    plus1, plus2 = clicks1[acc, 0], clicks2[acc, 0]
     n = int(acc.sum())
-    e = float(int(prod.sum()) / n)
+    pp, mm = int((plus1 & plus2).sum()) / n, int((~plus1 & ~plus2).sum()) / n
+    pm, mp = int((plus1 & ~plus2).sum()) / n, int((~plus1 & plus2).sum()) / n
+    e = pp + mm - pm - mp
     return e, math.sqrt(max(1.0 / n, 1.0 - e * e) / n)
 
 
@@ -114,9 +117,11 @@ def splitter(theta):
 
 
 class TestKernel:
+    """Kernel runs of [0, cut + n) against reference pairs drawn in two pieces cut at `cut`."""
+
     @pytest.mark.parametrize("theta1, theta2, threshold, eps", KERNEL_CONFIGS)
     @pytest.mark.parametrize(
-        "start, n",
+        "cut, n",
         [
             (0, 5_000),
             (1_000, 5_000),
@@ -126,10 +131,10 @@ class TestKernel:
             (123, 2 * CHUNK + 5_000),
         ],
     )
-    def test_codes_match_projector_powers(self, theta1, theta2, threshold, eps, start, n):
+    def test_codes_match_projector_powers(self, theta1, theta2, threshold, eps, cut, n):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
-        batch = run_trials(ens, theta1, theta2, threshold, n, SEED, start_index=start)
-        phi1, phi2 = ens.sample_pairs(n, SEED, start)
+        batch = run_trials(ens, theta1, theta2, threshold, cut + n, SEED)
+        phi1, phi2 = pairs_in_two_pieces(ens, SEED, cut, cut + n)
         clicks1 = projector_clicks(phi1, theta1, threshold)
         clicks2 = projector_clicks(phi2, theta2, threshold)
         bits = np.concatenate([clicks1, clicks2], axis=1).astype(int)
@@ -140,23 +145,23 @@ class TestKernel:
     def test_folded_basis_matches_projecting_the_samples(self, theta1, theta2, threshold, eps):
         """Colouring and projecting in one product thresholds like z @ basis."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
-        start, n = 123, 2 * CHUNK + 5_000
+        n = 2 * CHUNK + 1  # ends one row into a block
         basis = np.zeros((4, 4), dtype=complex)
         basis[:2, :2], basis[2:, 2:] = splitter(theta1), splitter(theta2)
-        amplitudes = sample_with_factor(ens.sampler_factor, n, SEED, start, STREAM_PAIRS) @ basis
+        amplitudes = sample_with_factor(ens.sampler_factor, n, SEED, 0, STREAM_PAIRS) @ basis
         clicks = amplitudes.real**2 + amplitudes.imag**2 > threshold
         expected = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
-        batch = run_trials(ens, theta1, theta2, threshold, n, SEED, start_index=start)
+        batch = run_trials(ens, theta1, theta2, threshold, n, SEED)
         np.testing.assert_array_equal(batch.codes, expected)
 
     @pytest.mark.parametrize("theta, threshold", [(0.0, 0.0202), (0.6, 0.3), (-1.2, 0.05)])
-    @pytest.mark.parametrize("start, n", [(0, 5_000), (SAMPLE_BLOCK - 7, CHUNK + 9), (123, 2 * CHUNK + 5_000)])
-    def test_single_party_codes_match_projector_powers(self, theta, threshold, start, n):
+    @pytest.mark.parametrize("cut, n", [(0, 5_000), (SAMPLE_BLOCK - 7, CHUNK + 9), (123, 2 * CHUNK + 5_000)])
+    def test_single_party_codes_match_projector_powers(self, theta, threshold, cut, n):
         """A single party is party 1 of the product state psi x e_0; its codes are the low two bits."""
         psi = FieldVector([math.cos(0.4), math.sin(0.4) * 1j])
         ens = BipartiteEnsemble(kron_vector(psi, FieldVector([1.0, 0.0])), BackgroundField(0.06))
-        batch = run_trials(ens, theta, 0.0, threshold, n, SEED, start)
-        phi1, _ = ens.sample_pairs(n, SEED, start)
+        batch = run_trials(ens, theta, 0.0, threshold, cut + n, SEED)
+        phi1, _ = pairs_in_two_pieces(ens, SEED, cut, cut + n)
         clicks = projector_clicks(phi1, theta, threshold)
         np.testing.assert_array_equal(batch.codes & 3, codes_of(clicks))
         np.testing.assert_array_equal(batch.raw.sum(axis=1), np.bincount(codes_of(clicks), minlength=4))
@@ -216,6 +221,20 @@ class TestHistogramStatistics:
         assert stats.party_counts == (tuple(raw[:, 0]), (9_999, 0, 0, 0))
         assert stats.n_accepted == n_accepted == (9_999 if policy == "keep-all" else 0)
 
+    def test_one_e_formula_on_2000_batches(self):
+        """correlation_from_clicks and from_trial_batches give E and SE bit for bit."""
+        rng = np.random.default_rng(2000)
+        keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for k in range(2000):
+            policy = ("keep-singles", "keep-all")[k % 2]
+            codes = rng.choice(16, size=int(rng.integers(20, 400)), p=rng.dirichlet(np.ones(16)))
+            batch = TrialBatch(0.1, 0.2, codes, policy)
+            if not batch.coincidences().sum():
+                continue
+            table = CorrelationTable.from_trial_batches((0.1, 0.5), (0.2, 0.6), dict.fromkeys(keys, batch))
+            e, se = correlation_from_clicks(batch)
+            assert (e, se) == (table.correlations[0, 0], table.standard_errors[0, 0]), (k, policy)
+
     @pytest.mark.parametrize("policy", ["keep-singles", "keep-all"])
     def test_one_estimator_for_curve_and_table(self, policy):
         """correlation_from_clicks and from_trial_batches give one E and SE for one batch."""
@@ -250,6 +269,6 @@ class TestTrialCsv:
             clicks2 = np.zeros_like(clicks2)
         theta1, theta2 = -math.pi / 8, 3 * math.pi / 8
         batch = TrialBatch(theta1, theta2, codes_of(clicks1, clicks2), policy)
-        batch.to_csv(tmp_path / "codes.csv")
+        write_csv(tmp_path / "codes.csv", *batch.csv_table())
         reference_csv(tmp_path / "rows.csv", theta1, theta2, clicks1, clicks2, policy)
         assert (tmp_path / "codes.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
