@@ -72,8 +72,8 @@ class CorrelationTable:
 
     `correlations[x, y]` estimates E(a_x, b_y); `frequencies[x, y, i, j]`
     is the probability of outcomes (_OUTCOMES[i], _OUTCOMES[j]) under
-    settings (x, y).  `counts[x, y]` are the accepted-trial counts behind
-    the estimates, used for standard-error arithmetic.
+    settings (x, y), and must give the correlations.  `counts[x, y]` are
+    the accepted-trial counts behind the estimates, for standard errors.
     """
 
     a_settings: tuple[float, float]
@@ -111,6 +111,8 @@ class CorrelationTable:
             sums = freq.sum(axis=(2, 3))
             if not np.all(np.abs(sums - 1.0) <= NORMALIZATION_TOL):
                 raise ValueError("each setting pair's frequencies must sum to 1")
+            if not np.all(np.abs(corr - _correlations(freq)) <= NORMALIZATION_TOL):
+                raise ValueError("correlations must equal the frequencies' P++ + P-- - P+- - P-+")
             freq.setflags(write=False)
             object.__setattr__(self, "frequencies", freq)
         if self.counts is not None:
@@ -427,8 +429,8 @@ def table_from_json(path) -> CorrelationTable:
     """Table from a JSON object with the `CorrelationTable` fields as keys.
 
     `a_settings`, `b_settings`, `correlations` and `standard_errors` are
-    required; `frequencies` and `counts` may be null or absent.  A missing or
-    malformed file raises TableFileError.
+    required; `frequencies` and `counts` may be null or absent.  A missing,
+    malformed or inconsistent file raises TableFileError.
     """
     try:
         payload = read_json(path)

@@ -66,7 +66,7 @@ SETTINGS = {
     "out": ("--out", str, "output directory (default: artifacts)"),
     "workers": ("--workers", int, "parallel workers (results unchanged)"),
     "dim": ("--dim", int, "space dimension"),
-    "epsilon": ("--epsilon", float, "background field level"),
+    "epsilon": ("--epsilon", float, "background field level (default: the run's calibrated point)"),
     "samples": ("--samples", int, "Monte Carlo field samples"),
     "trials": ("--trials", int, "detector trials / table samples per setting"),
     "threshold": ("--threshold", float, "detector power threshold"),

@@ -248,7 +248,7 @@ def quadratic_correlation_mc(
         fa[lo:hi] = powers[:, :n] @ wa
         fb[lo:hi] = powers[:, n:] @ wb
 
-    for_each_chunk(fill, 0, n_samples, 1)
+    for_each_chunk(fill, n_samples, 1)
     # deviation products, in place; bias-corrected covariance and its SE
     fa -= fa.mean()
     fb -= fb.mean()
@@ -310,7 +310,7 @@ def _click_codes(factor, threshold, n_trials, seed, stream, workers) -> np.ndarr
         powers = sample_powers(factor, hi - lo, seed, lo, stream)
         codes[lo:hi] = _pack_codes(powers > threshold)
 
-    for_each_chunk(fill, 0, n_trials, workers)
+    for_each_chunk(fill, n_trials, workers)
     return codes
 
 

@@ -157,7 +157,7 @@ class ExperimentConfig:
 
     kind: str
     dim: int = 2
-    epsilon: float = 0.05
+    epsilon: float | None = None  # None: the run's calibrated point (`background_level`)
     threshold: float | None = None
     angles: tuple[float, ...] | None = None
     trials: int = 100_000
@@ -180,7 +180,8 @@ class ExperimentConfig:
         directory are execution infrastructure with no effect on any number;
         omitting them keeps artifacts bit-identical across both.
         """
-        return {name: getattr(self, name) for name in ("kind", "seed", *settings_read(self))}
+        names = ("kind", "seed", *settings_read(self))
+        return {name: background_level(self) if name == "epsilon" else getattr(self, name) for name in names}
 
 
 def settings_read(config: ExperimentConfig) -> tuple[str, ...]:
@@ -188,6 +189,13 @@ def settings_read(config: ExperimentConfig) -> tuple[str, ...]:
     (any Bell setting for an unknown model, so that `validate` names the model)."""
     own = KIND_SETTINGS[config.kind]
     return own + BELL_SOURCES.get(config.model, BELL_SETTINGS) if config.kind in BELL_KINDS else own
+
+
+def background_level(config: ExperimentConfig) -> float:
+    """--epsilon, else the run's calibrated point: CURVE_EPSILON for epr,
+    CHSH_CLICK_EPSILON for singlet clicks and 0.05 for born and dynamics."""
+    calibrated = {"epr": CURVE_EPSILON, "chsh": CHSH_CLICK_EPSILON, "kolmogorov": CHSH_CLICK_EPSILON}
+    return config.epsilon if config.epsilon is not None else calibrated.get(config.kind, 0.05)
 
 
 def _dynamics_steps(t: float, dt: float) -> float:
@@ -201,7 +209,7 @@ def _dynamics_steps(t: float, dt: float) -> float:
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Schema and range diagnostics only; no computation."""
-    problems = []
+    problems, eps = [], background_level(config)
     if config.kind not in EXPERIMENT_KINDS:
         problems.append(f"unknown experiment kind {config.kind!r}; expected one of {EXPERIMENT_KINDS}")
     if config.seed is None:
@@ -209,7 +217,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     elif not 0 <= int(config.seed) < 2**64:
         problems.append("seed must fit in 64 bits")
     reals = {
-        "epsilon": config.epsilon,
+        "epsilon": eps,
         "threshold": config.threshold,
         "time": config.time_horizon,
         "dt": config.dt,
@@ -222,8 +230,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("angles must be finite")
     if not 1 <= config.dim <= MAX_DIM:
         problems.append(f"dim must lie in [1, {MAX_DIM}]: hessian's stencil grows as dim**2 points")
-    if config.epsilon < 0.0 or config.epsilon >= 2.0**53:  # from 2**53 on, 1 + eps == eps
+    singlet = config.kind == "epr" or config.kind in BELL_KINDS and config.model == "singlet-clicks"
+    if eps < 0.0 or eps >= 2.0**53:  # from 2**53 on, 1 + eps == eps
         problems.append("epsilon must lie in [0, 2**53): a larger background swallows the state")
+    elif singlet and eps < SINGLET_EPS_MIN:
+        problems.append(f"epsilon {eps:g} is below the singlet's floor eps* = sqrt(1/2) - 1/2 = {SINGLET_EPS_MIN:.6g}")
     if config.threshold is not None and config.threshold < 0.0:
         problems.append("threshold must be non-negative")
     if not 1 <= config.trials <= MAX_DRAWS:
@@ -346,12 +357,12 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     rng = _rng_for(config)
     psi = _random_state(rng, config.dim)
     a_op = _random_hermitian(rng, config.dim)
-    background = BackgroundField(config.epsilon)
-    ensemble = ensemble_from_pure_state(psi, background)
+    eps = background_level(config)
+    ensemble = ensemble_from_pure_state(psi, BackgroundField(eps))
     form = QuadraticForm(a_op)
 
     exact = classical_average_exact(ensemble, form)
-    born = renormalize(exact, a_op, config.epsilon)
+    born = renormalize(exact, a_op, eps)
     oracle = state_average(a_op, psi)
     result.add_exact("classical_average", exact)
     result.add_exact("renormalized_average", born)
@@ -380,7 +391,7 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     h_op = _random_hermitian(rng, dim, spectral_radius=1.0)
     phi0 = _random_state(rng, dim)
     system = HamiltonianSystem(h_op)
-    t, dt = config.time_horizon, config.dt
+    t, dt, eps = config.time_horizon, config.dt, background_level(config)
 
     u = exact_propagator(h_op, t)
     target = u @ phi0.components
@@ -413,7 +424,7 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     result.check_abs("norm_conserved", norm_drift, 1e-6)
 
     # covariance flow: finite difference of U D U^+ against -i [H, D]
-    ensemble = ensemble_from_pure_state(phi0, BackgroundField(config.epsilon))
+    ensemble = ensemble_from_pure_state(phi0, BackgroundField(eps))
     h = 1e-4
     plus = evolve_ensemble(ensemble, h_op, h).covariance.matrix
     u_minus = exact_propagator(h_op, -h)
@@ -427,7 +438,7 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     evolved = evolve_ensemble(ensemble, h_op, t).covariance.matrix
     psi_t = u @ phi0.components
     background_residual = float(
-        np.abs(evolved - np.outer(psi_t, psi_t.conj()) - config.epsilon * np.eye(dim)).max()
+        np.abs(evolved - np.outer(psi_t, psi_t.conj()) - eps * np.eye(dim)).max()
     )
     result.add_exact("background_shift_residual", background_residual)
     result.check_abs("background_invariant", background_residual, 1e-12)
@@ -486,7 +497,7 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult("epr")
     seed = RandomSeed(config.seed)
     psi = _singlet()
-    eps = max(config.epsilon, CURVE_EPSILON)
+    eps = background_level(config)
     ensemble = BipartiteEnsemble(psi, BackgroundField(eps))
     threshold = config.threshold if config.threshold is not None else CURVE_THRESHOLD
     result.add_info("epsilon", eps)
@@ -595,7 +606,7 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
             result.check_abs("tsirelson_value", s + 2.0 * math.sqrt(2.0), 1e-9)
         result.add_info("max_fine_value", max(abs(v) for v in fine_chsh_values(table).values()))
     elif config.model == "singlet-clicks":
-        eps = max(config.epsilon, CHSH_CLICK_EPSILON)
+        eps = background_level(config)
         threshold = config.threshold if config.threshold is not None else CHSH_CLICK_THRESHOLD
         ensemble = BipartiteEnsemble(_singlet(), BackgroundField(eps))
         seed = RandomSeed(config.seed)

@@ -131,7 +131,7 @@ def quadratic_form_values(
         powers = sample_powers(factor, hi - lo, seed, lo, STREAM_FIELD)
         vals[lo:hi] = powers @ weights
 
-    for_each_chunk(fill, 0, n_samples, workers)
+    for_each_chunk(fill, n_samples, workers)
     return vals
 
 

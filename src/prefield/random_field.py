@@ -13,10 +13,9 @@ Sampling draws phi = S xi with S = V sqrt(Lambda) from the
 eigendecomposition D = V Lambda V^+ (robust to the rank deficiency of
 pure-state covariances, unlike Cholesky) and xi a standard circular
 complex Gaussian.  `for_each_chunk` is the one streaming loop: every
-sampling consumer walks its index range in block-aligned chunks, on the
-calling thread or on workers, and fills a preallocated array from the
-chunk's channel powers (`sample_powers`).  `map_jobs` runs independent
-calls, such as those ranges, on worker threads.
+sampling consumer fills a preallocated array from the channel powers
+(`sample_powers`) of one fixed list of chunks, which worker threads may
+share out.  `map_jobs` runs independent calls on worker threads.
 
 RNG contract (version RNG_CONTRACT = 2).  Every random bit is a function
 of (master seed, stream label, block index):
@@ -27,8 +26,8 @@ of (master seed, stream label, block index):
 * block b of that label is Philox(key, counter=[0, 0, 0, b]): the block
   index sits in the counter's high word, so blocks never overlap;
 * sample i of a run lives in block i // SAMPLE_BLOCK, which is drawn
-  whole, so any partition of the index range across workers reproduces
-  bit-identical fields;
+  whole, so a sample's bits depend only on its index, not on the chunk
+  that holds it, the thread that draws it or where the run stops;
 * a block holds SAMPLE_BLOCK draws of r standard circular normals, r the
   rank of D (eigenvalues above PSD_TOL): one standard_normal draw of shape
   (SAMPLE_BLOCK, 2 r) whose column pairs are the real and imaginary parts,
@@ -60,11 +59,10 @@ _COLOUR_ROWS = SAMPLE_BLOCK // 2
 # over it) small against the draws, at about 5 MB of working memory per worker.
 CHUNK = 8 * SAMPLE_BLOCK
 
-# Fewest Philox blocks worth a thread of their own (about 50 ms of draws and
-# colouring).  A split costs a thread start, a join and hand-offs of the
-# interpreter lock, each of which waits until the OS runs the other thread;
-# on short ranges those waits are a large and erratic share of the call.
-_WORKER_BLOCKS = 32
+# Fewest chunks worth a thread of their own (32 Philox blocks, about 50 ms of
+# draws and colouring): a split costs a thread start, a join and hand-offs of
+# the interpreter lock, which on short runs are a large and erratic share.
+_WORKER_CHUNKS = 4
 
 # Version of the stream layout in the module docstring; manifest.json records it.
 RNG_CONTRACT = 2
@@ -200,24 +198,6 @@ def sample_powers(factor, n_samples, seed, start_index, stream_label) -> np.ndar
     return np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2])
 
 
-def block_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
-    """At most `workers` contiguous (lo, hi) ranges covering [start, stop).
-
-    Cuts fall on multiples of SAMPLE_BLOCK, so no two workers draw the same
-    Philox block and every block is coloured in the same slices whatever
-    the worker count.
-    """
-    first_block = start // SAMPLE_BLOCK
-    blocks = -(-stop // SAMPLE_BLOCK) - first_block
-    workers = max(1, min(workers, blocks))
-    base, extra = divmod(blocks, workers)
-    cuts, block = [start], first_block
-    for w in range(workers):
-        block += base + (1 if w < extra else 0)
-        cuts.append(min(stop, block * SAMPLE_BLOCK))
-    return list(zip(cuts, cuts[1:]))
-
-
 def map_jobs(fn, items, workers: int) -> list:
     """[fn(item) for item in items], on up to `workers` threads, in input order.
 
@@ -235,26 +215,23 @@ def map_jobs(fn, items, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def for_each_chunk(fn, start: int, stop: int, workers: int) -> None:
-    """fn(lo, hi) on chunks of [start, stop) that end on multiples of CHUNK.
+def for_each_chunk(fn, stop: int, workers: int) -> None:
+    """fn(lo, hi) on the chunks [0, CHUNK), [CHUNK, 2 CHUNK), ..., [k CHUNK, stop).
 
-    The chunks tile the range; callers fill arrays they allocated up front.
-    Contiguous block-aligned ranges of chunks run on threads (`map_jobs`;
-    the draws and products inside release the interpreter lock).  Each
-    thread gets at least _WORKER_BLOCKS blocks, so shorter runs use fewer
-    threads, down to the calling one; `epr` runs its short estimates side
-    by side instead.
+    Callers fill arrays they allocated up front.  A last chunk one row long
+    joins the one before: numpy takes a one-row product (`powers @ weights`)
+    by its dot path, whose rounding differs from a longer product's rows.
+    Threads share the list out in contiguous parts of at least _WORKER_CHUNKS
+    chunks (`map_jobs`; the draws and products inside release the interpreter
+    lock), so every worker count makes the same calls; shorter runs stay on
+    the calling thread, and `epr` runs its short estimates side by side.
     """
-
-    def walk(lo: int, hi: int) -> None:
-        while lo < hi:
-            end = min(hi, (lo // CHUNK + 1) * CHUNK)
-            fn(lo, end)
-            lo = end
-
-    blocks = -(-stop // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
-    ranges = block_ranges(start, stop, min(workers, blocks // _WORKER_BLOCKS))
-    map_jobs(lambda r: walk(*r), ranges, len(ranges))
+    cuts = [*range(0, stop - 1 or 1, CHUNK), stop]  # only a one-sample run has a one-row chunk
+    chunks = list(zip(cuts, cuts[1:]))
+    threads = max(1, min(workers, len(chunks) // _WORKER_CHUNKS))
+    shares = [-(-len(chunks) * k // threads) for k in range(threads + 1)]
+    parts = [chunks[a:b] for a, b in zip(shares, shares[1:])]
+    map_jobs(lambda part: [fn(lo, hi) for lo, hi in part], parts, threads)
 
 
 class GaussianFieldEnsemble:

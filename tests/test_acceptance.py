@@ -383,12 +383,12 @@ class TestCriterion7Kolmogorovness:
         )
 
 
-@pytest.mark.usefixtures("split_every_block")
+@pytest.mark.usefixtures("split_every_chunk")
 def test_criterion_8_determinism(tmp_path):
     """Identical config + seed gives bit-identical artifacts at any worker count."""
     outs = [tmp_path / name for name in ("r1", "r2", "w3")]
     base = [
-        "epr", "--seed", "2024", "--trials", "6000", "--samples", "6000",
+        "epr", "--seed", "2024", "--trials", "70000", "--samples", "6000",
         "--angles", "0.0,0.3927,1.1781",
     ]
     assert cli_main(base + ["--workers", "1", "--out", str(outs[0])]) == 0

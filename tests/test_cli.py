@@ -15,11 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import chunk_calls
 from prefield import detection, experiments
 from prefield.analysis import CorrelationTable, lhv_exact_table, singlet_exact_table
 from prefield.cli import main, parse_config_file
 from prefield.dynamics import HamiltonianSystem
 from prefield.experiments import (
+    CHSH_CLICK_EPSILON,
+    CURVE_EPSILON,
     DEFAULT_CHSH_ANGLES,
     DYNAMICS_MAX_STEPS,
     KIND_SETTINGS,
@@ -30,7 +33,7 @@ from prefield.experiments import (
     validate,
 )
 from prefield.observables import MCEstimate
-from prefield.random_field import SAMPLE_BLOCK, block_ranges
+from prefield.random_field import CHUNK, SAMPLE_BLOCK
 
 
 EPR_SMALL = ["epr", "--trials", "4000", "--samples", "2000", "--angles", "0.3"]
@@ -461,6 +464,42 @@ class TestExitCodes:
         assert [(c["name"], c["passed"]) for c in checks] == [(check, True)]
         assert "kolmogorov: all checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["chsh", "kolmogorov"])
+    def test_inconsistent_table_file_is_a_configuration_error(self, kind, tmp_path, capsys):
+        """Correlations that the file's own frequencies do not give exit 2, not a verdict on either."""
+        path = tmp_path / "table.json"
+        path.write_text(table_text(correlations=[[1.0, 1.0], [1.0, -1.0]]))  # uniform frequencies give E = 0
+        argv = [kind, "--model", "file", "--table", str(path), "--seed", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert "correlations must equal the frequencies'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["chsh", "kolmogorov"])
+    def test_singlet_table_file_matches_the_singlet_model(self, kind, tmp_path):
+        """The exact singlet table, written as a file, still runs and gives the singlet model's table bytes."""
+        path = tmp_path / "table.json"
+        table = singlet_exact_table(DEFAULT_CHSH_ANGLES[:2], DEFAULT_CHSH_ANGLES[2:])
+        path.write_text(json.dumps(dataclasses.asdict(table), default=np.ndarray.tolist))
+        outs = [tmp_path / "file", tmp_path / "model"]
+        assert main([kind, "--model", "file", "--table", str(path), "--seed", "1", "--out", str(outs[0])]) == 0
+        assert main([kind, "--model", "singlet", "--seed", "1", "--out", str(outs[1])]) == 0
+        assert len({(out / "chsh_table.csv").read_bytes() for out in outs}) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "--trials", "2000", "--samples", "2000"],
+            ["chsh", "--model", "singlet-clicks", "--trials", "2000"],
+            ["kolmogorov", "--model", "singlet-clicks", "--trials", "2000"],
+        ],
+        ids=["epr", "chsh-singlet-clicks", "kolmogorov-singlet-clicks"],
+    )
+    def test_epsilon_below_the_singlet_floor_is_a_configuration_error(self, argv, tmp_path, capsys):
+        """An explicit --epsilon below eps* is refused, not raised silently to a level the manifest does not record."""
+        assert main(argv + ["--epsilon", "0.1", "--seed", "1", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "eps* = sqrt(1/2) - 1/2 = 0.207107" in err
+        assert not (tmp_path / "run").exists()
+
     def test_run_without_a_check_says_so(self, tmp_path, capsys):
         """chsh --model file declares no check: it exits 0 and prints that, not that checks passed."""
         path = tmp_path / "table.json"
@@ -702,19 +741,19 @@ class TestDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
 
-    @pytest.mark.usefixtures("split_every_block")
+    @pytest.mark.usefixtures("split_every_chunk")
     def test_worker_count_invisible_in_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        args = ["born", "--seed", "42", "--samples", "20000"]
+        args = ["born", "--seed", "42", "--samples", "100000"]  # four chunks
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "4", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
 
-    @pytest.mark.usefixtures("split_every_block")
+    @pytest.mark.usefixtures("split_every_chunk")
     def test_trials_worker_invariance(self, tmp_path):
         out1, out2 = tmp_path / "e1", tmp_path / "e3"
         args = [
-            "epr", "--seed", "9", "--trials", "4000", "--samples", "4000",
+            "epr", "--seed", "9", "--trials", "70000", "--samples", "4000",
             "--angles", "0.0,0.3927,0.7854",
         ]
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
@@ -740,27 +779,38 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         assert read_artifacts(outs[0]) == read_artifacts(outs[1]) == read_artifacts(outs[2])
 
-    @pytest.mark.usefixtures("split_every_block")
+    @pytest.mark.usefixtures("split_every_chunk")
     def test_click_trial_csvs_worker_invariance(self, tmp_path):
         out1, out3 = tmp_path / "c1", tmp_path / "c3"
-        args = ["chsh", "--model", "singlet-clicks", "--seed", "9", "--trials", "10000"]
+        args = ["chsh", "--model", "singlet-clicks", "--seed", "9", "--trials", "70000"]  # three chunks
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "3", "--out", str(out3)]) == 0
         assert read_artifacts(out1) == read_artifacts(out3)
         assert "trials_x1_y1.csv" in read_artifacts(out1)
 
-    @pytest.mark.parametrize("total", [1, 4095, 4096, 4097, 50_000, 1_000_000])
+    @pytest.mark.usefixtures("split_every_chunk")
+    @pytest.mark.parametrize("total", [1, 4095, 4096, 4097, 50_000, 1_000_000, CHUNK + 1, 5 * CHUNK + 11])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_partition_cuts_at_block_edges(self, total, workers):
-        for start in (0, 5, SAMPLE_BLOCK - 1, 3 * SAMPLE_BLOCK):
-            ranges = block_ranges(start, start + total, workers)
-            assert ranges[0][0] == start and ranges[-1][1] == start + total
-            assert all(lo < hi for lo, hi in ranges)
-            for (_, hi), (next_lo, _) in zip(ranges, ranges[1:]):
-                assert next_lo == hi
-                assert hi % SAMPLE_BLOCK == 0
-            blocks = -(-(start + total) // SAMPLE_BLOCK) - start // SAMPLE_BLOCK
-            assert len(ranges) == min(workers, blocks)
+        """Every worker count makes the one-worker calls, [0, CHUNK), [CHUNK, 2 CHUNK), ...,
+        [k CHUNK, total), and spreads them over min(workers, chunks) threads; only the
+        thread that makes a call changes, and every index is filled once."""
+        one_worker = [(lo, hi) for lo, hi, _ in chunk_calls(total, 1, 1)]
+        assert [lo for lo, _ in one_worker] == list(range(0, CHUNK * len(one_worker), CHUNK))
+        assert one_worker[-1][1] == total and total - one_worker[-1][0] <= CHUNK + 1
+        assert total == 1 or total - one_worker[-1][0] > 1  # a lone last row joins the chunk before it
+        assert CHUNK % SAMPLE_BLOCK == 0
+        n_threads = min(workers, len(one_worker))
+        calls = chunk_calls(total, workers, n_threads)
+        assert [(lo, hi) for lo, hi, _ in calls] == one_worker
+        threads = {thread for _, _, thread in calls}
+        assert len(threads) == n_threads
+        if n_threads > 1:
+            assert threading.get_ident() not in threads
+        hits = np.zeros(total, dtype=np.int64)
+        for lo, hi, _ in calls:
+            hits[lo:hi] += 1
+        assert (hits == 1).all()
 
 
 BAD_REALS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -950,6 +1000,27 @@ class TestProvenance:
             assert entry["provenance"] in ("exact", "mc", "reference-oracle", "derived"), name
             if entry["provenance"] == "mc":
                 assert "standard_error" in entry and "n" in entry
+
+    @pytest.mark.parametrize(
+        "argv, epsilon",
+        [
+            (["born", "--samples", "2000"], 0.05),
+            (["dynamics", "--time", "0.1", "--dt", "0.01"], 0.05),
+            (["epr", "--trials", "2000", "--samples", "2000", "--angles", "0.3"], CURVE_EPSILON),
+            (["chsh", "--model", "singlet-clicks", "--trials", "2000"], CHSH_CLICK_EPSILON),
+            (["epr", "--trials", "2000", "--samples", "2000", "--angles", "0.3", "--epsilon", "0.21"], 0.21),
+            (["chsh", "--model", "singlet-clicks", "--trials", "2000", "--epsilon", "0.5"], 0.5),
+        ],
+        ids=["born", "dynamics", "epr", "singlet-clicks", "epr-explicit", "singlet-clicks-explicit"],
+    )
+    def test_manifest_records_the_epsilon_the_run_used(self, argv, epsilon, tmp_path):
+        """Without --epsilon a run uses its calibrated point; with it, the given value, unclamped."""
+        out = tmp_path / "run"
+        assert main(argv + ["--seed", "1", "--out", str(out)]) in (0, 1)
+        assert json.loads((out / "manifest.json").read_text())["config"]["epsilon"] == epsilon
+        values = json.loads((out / "results.json").read_text())["values"]
+        if "epsilon" in values:
+            assert values["epsilon"]["value"] == epsilon
 
     def test_manifest_has_config_and_version(self, tmp_path):
         out = tmp_path / "m"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import diagonal_operator, in_two_pieces, pairs_in_two_pieces
-from prefield import experiments, random_field
+from prefield import detection, experiments, random_field
 from prefield.cli import main
 from prefield.detection import (
     BackgroundTooSmallError,
@@ -30,6 +30,7 @@ from prefield.experiments import (
 from prefield.hilbert import FieldVector, HermitianOperator, kron_vector, state_average
 from prefield.observables import QuadraticForm, quadratic_form_values
 from prefield.random_field import (
+    CHUNK,
     SAMPLE_BLOCK,
     STREAM_PAIRS,
     BackgroundField,
@@ -279,16 +280,55 @@ class TestPowerKernel:
         reference = form.evaluate_batch(np.concatenate(pieces))
         assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
 
-    @pytest.mark.usefixtures("split_every_block")
+    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+    def test_born_values_do_not_depend_on_where_the_run_stops(self, n):
+        """A run of n samples ends one row into a chunk: its last value equals that of a longer run."""
+        for k in range(50):
+            rng = np.random.default_rng(k)
+            ens = ensemble_from_pure_state(rand_unit(rng, 2), BackgroundField(0.05))
+            form = QuadraticForm(rand_hermitian(rng, 2))
+            seed = RandomSeed(k)
+            longer = quadratic_form_values(ens, form, n + 1, seed)
+            np.testing.assert_array_equal(quadratic_form_values(ens, form, n, seed), longer[:n])
+
+    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+    def test_correlation_forms_do_not_depend_on_where_the_run_stops(self, n, monkeypatch):
+        """Both parties' form values of a run ending one row into a chunk equal those of a longer run."""
+        values = []
+
+        class Recorded(np.ndarray):
+            """Channel powers whose products with the form weights are kept in `values`."""
+
+            def __matmul__(self, weights):
+                values.append(np.asarray(np.ndarray.__matmul__(self, weights)))
+                return values[-1]
+
+        sample_powers = detection.sample_powers
+        monkeypatch.setattr(detection, "sample_powers", lambda *args: sample_powers(*args).view(Recorded))
+
+        def forms(ens, a, b, n_samples, seed):
+            values.clear()
+            quadratic_correlation_mc(ens, a, b, n_samples, seed)
+            return np.concatenate(values[0::2]), np.concatenate(values[1::2])
+
+        for k in range(50):
+            rng = np.random.default_rng(k)
+            psi = rand_unit(rng, 4)
+            ens = BipartiteEnsemble(psi, BackgroundField(BipartiteEnsemble(psi, BackgroundField(1.0)).epsilon_min))
+            a, b = rand_hermitian(rng, 2), rand_hermitian(rng, 2)
+            seed = RandomSeed(k)
+            longer = forms(ens, a, b, n + 1, seed)
+            for party, short in enumerate(forms(ens, a, b, n, seed)):
+                np.testing.assert_array_equal(short, longer[party][:n])
+
+    @pytest.mark.usefixtures("split_every_chunk")
     def test_worker_threads_fill_disjoint_slices(self):
         # more threads than cores and a short switch interval: a chunk written
         # to the wrong slice or lost would change the bits
         rng = np.random.default_rng(31)
         single = ensemble_from_pure_state(rand_unit(rng, 3), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, 3))
-        # the last thread's range is not one row long: a lone row takes numpy's
-        # dot path in powers @ weights, whose rounding differs from a longer product
-        n = 7 * SAMPLE_BLOCK - 1
+        n = 6 * CHUNK + 1  # six chunks, the last CHUNK + 1 rows long
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -300,11 +340,11 @@ class TestPowerKernel:
     def test_epr_field_monte_carlo_worker_invariance(self, tmp_path, monkeypatch):
         """At two workers the field Monte Carlo estimates run side by side, bits unchanged.
 
-        Each call covers 25 blocks, too few for a split of its own, so only
+        Each call covers 4 chunks, too few for a split of its own, so only
         running whole estimates concurrently lets the first two meet.
         """
         samples = 100_000
-        assert -(-samples // SAMPLE_BLOCK) < 2 * random_field._WORKER_BLOCKS
+        assert -(-samples // CHUNK) < 2 * random_field._WORKER_CHUNKS
         args = ["epr", "--seed", "5", "--trials", "2000", "--samples", str(samples), "--angles", "0.0,0.4"]
         assert main(args + ["--workers", "1", "--out", str(tmp_path / "1")]) == 0
         barrier = threading.Barrier(2, timeout=10)
@@ -403,12 +443,12 @@ class TestTrials:
         with pytest.raises(ValueError, match="threshold"):
             run_trials(ens, 0.0, 0.3, threshold, 100, SEED)
 
-    @pytest.mark.usefixtures("split_every_block")
+    @pytest.mark.usefixtures("split_every_chunk")
     def test_trial_partition_invariance(self):
         """Codes depend on the trial index and the stream label: a split across workers
         leaves them unchanged, and another label draws other fields."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
-        n = 2 * SAMPLE_BLOCK + 1
+        n = 2 * CHUNK + 1
         full = run_trials(ens, 0.0, 0.5, 0.1, n, SEED)
         split = run_trials(ens, 0.0, 0.5, 0.1, n, SEED, workers=2)
         np.testing.assert_array_equal(full.codes, split.codes)

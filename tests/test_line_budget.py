@@ -1,6 +1,7 @@
-"""The program stays within the line budget and the flag count that ROADMAP.md tracks."""
+"""The program stays within the line budget, the flag count and the knob count that ROADMAP.md tracks."""
 
 import argparse
+import ast
 from pathlib import Path
 
 from prefield.cli import build_parser
@@ -8,6 +9,7 @@ from prefield.cli import build_parser
 SRC = Path(__file__).resolve().parents[1] / "src" / "prefield"
 LINE_BUDGET = 3150
 FLAG_BUDGET = 53
+KNOB_BUDGET = 19
 
 
 def test_src_within_line_budget():
@@ -25,3 +27,17 @@ def test_cli_flag_budget():
     }
     count = sum(map(len, flags.values()))
     assert 0 < count <= FLAG_BUDGET, f"{count} flags over the {FLAG_BUDGET}-flag budget: {flags}"
+
+
+def test_knob_budget():
+    """Parameters with a default, over every function, method and lambda in src/prefield, stay within the budget."""
+    knobs = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+                if defaults:
+                    name = f"{path.stem}.{getattr(node, 'name', 'lambda')}:{node.lineno}"
+                    knobs[name] = defaults
+    count = sum(knobs.values())
+    assert 0 < count <= KNOB_BUDGET, f"{count} parameters with a default over the {KNOB_BUDGET}-knob budget: {knobs}"

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import diagonal_operator
+from helpers import chunk_calls, diagonal_operator
 from prefield import random_field
 from prefield.analysis import lhv_sampled_table
 from prefield.detection import BipartiteEnsemble
@@ -32,26 +32,6 @@ SEED = RandomSeed(20250809)
 def rand_unit(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return FieldVector(v / np.linalg.norm(v))
-
-
-def chunk_calls(start, stop, workers, n_threads):
-    """Sorted (lo, hi, thread) of every call for_each_chunk makes.
-
-    Each thread waits at its first chunk until n_threads threads have
-    started, so no pool thread can finish its range and take over another.
-    """
-    calls, started = [], set()
-    barrier = threading.Barrier(n_threads, timeout=10)
-
-    def record(lo, hi):
-        thread = threading.get_ident()
-        if thread not in started:
-            started.add(thread)
-            barrier.wait()
-        calls.append((lo, hi, thread))
-
-    for_each_chunk(record, start, stop, workers)
-    return sorted(calls)
 
 
 def rand_density(rng, dim):
@@ -193,53 +173,26 @@ class TestDeterminism:
         np.testing.assert_array_equal(sample_with_factor(factor, n, SEED, start), expected)
 
     def test_short_ranges_stay_on_the_calling_thread(self):
-        """A range splits only when every thread gets _WORKER_BLOCKS blocks."""
-        per_worker = random_field._WORKER_BLOCKS * SAMPLE_BLOCK
+        """A range splits only when every thread gets _WORKER_CHUNKS chunks."""
+        per_worker = random_field._WORKER_CHUNKS * CHUNK
 
-        def where(start, stop, workers, n_threads):
-            """(lo, hi, thread) of the part of [start, stop) each thread walked."""
+        def where(stop, workers, n_threads):
+            """(lo, hi, thread) of the part of [0, stop) each thread walked."""
             spans = {}
-            for lo, hi, thread in chunk_calls(start, stop, workers, n_threads):
+            for lo, hi, thread in chunk_calls(stop, workers, n_threads):
                 spans.setdefault(thread, [lo, hi])[1] = hi
             return sorted((lo, hi, thread) for thread, (lo, hi) in spans.items())
 
-        short = where(SAMPLE_BLOCK + 5, 2 * per_worker - 1, 2, 1)
-        assert short == [(SAMPLE_BLOCK + 5, 2 * per_worker - 1, threading.get_ident())]
-        split = where(0, 2 * per_worker, 4, 2)
-        assert [(lo, hi) for lo, hi, _ in split] == [(0, per_worker), (per_worker, 2 * per_worker)]
+        # seven chunks, the last CHUNK + 1 rows long, then eight
+        short = where(2 * per_worker - CHUNK + 1, 2, 1)
+        assert short == [(0, 2 * per_worker - CHUNK + 1, threading.get_ident())]
+        split = where(2 * per_worker - CHUNK + 2, 4, 2)
+        assert [(lo, hi) for lo, hi, _ in split] == [(0, per_worker), (per_worker, 2 * per_worker - CHUNK + 2)]
         assert threading.get_ident() not in {thread for _, _, thread in split}
 
-    @pytest.mark.usefixtures("split_every_block")
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "start, stop",
-        [
-            (0, 1),
-            (0, 4 * CHUNK),
-            (5, 3 * CHUNK + 7),
-            (CHUNK - 1, CHUNK + 1),
-            (SAMPLE_BLOCK + 3, 2 * CHUNK),
-            (2 * CHUNK + 17, 2 * CHUNK + SAMPLE_BLOCK - 1),
-            (3 * SAMPLE_BLOCK - 9, 5 * CHUNK + 2 * SAMPLE_BLOCK + 11),
-        ],
-    )
-    def test_chunks_tile_the_range(self, start, stop, workers):
-        """Chunks cover [start, stop) once and end on CHUNK multiples or worker cuts."""
-        ranges = random_field.block_ranges(start, stop, workers)
-        calls = chunk_calls(start, stop, workers, len(ranges))
-        assert calls[0][0] == start and calls[-1][1] == stop
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(calls, calls[1:]))
-        for lo, hi, _ in calls:
-            assert lo < hi and lo // CHUNK == (hi - 1) // CHUNK
-            assert hi % CHUNK == 0 or hi in {cut for _, cut in ranges}
-        threads = {thread for _, _, thread in calls}
-        assert len(threads) == len(ranges)
-        if len(ranges) > 1:
-            assert threading.get_ident() not in threads
-
-    @pytest.mark.usefixtures("split_every_block")
+    @pytest.mark.usefixtures("split_every_chunk")
     def test_more_workers_than_cores_fill_every_index_once(self):
-        start, stop = 7, 6 * CHUNK + 5 * SAMPLE_BLOCK + 3
+        stop = 6 * CHUNK + 5 * SAMPLE_BLOCK + 3
         hits = np.zeros(stop, dtype=np.int64)
 
         def fill(lo, hi):
@@ -249,11 +202,11 @@ class TestDeterminism:
         sys.setswitchinterval(1e-6)
         try:
             began = time.perf_counter()
-            for_each_chunk(fill, start, stop, 8)
+            for_each_chunk(fill, stop, 8)
             assert time.perf_counter() - began < 10.0
         finally:
             sys.setswitchinterval(interval)
-        assert (hits[:start] == 0).all() and (hits[start:] == 1).all()
+        assert (hits == 1).all()
 
     def test_jobs_return_in_input_order(self):
         """Later jobs finish first on the threads; one worker or one job stays on the caller, in order."""
