@@ -135,6 +135,17 @@ CHSH_TARGET = 2.6
 
 DEFAULT_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
 
+# A run's value of each setting left unset, by kind or, for a Bell kind, by model.
+CALIBRATED = {
+    "born": {"epsilon": 0.05},
+    "dynamics": {"epsilon": 0.05},
+    "epr": {"epsilon": CURVE_EPSILON, "threshold": CURVE_THRESHOLD,
+            "angles": tuple(np.linspace(0.0, math.pi, 16, endpoint=False).tolist())},
+    "lhv": {"angles": DEFAULT_CHSH_ANGLES},
+    "singlet": {"angles": DEFAULT_CHSH_ANGLES},
+    "singlet-clicks": {"epsilon": CHSH_CLICK_EPSILON, "threshold": CHSH_CLICK_THRESHOLD, "angles": DEFAULT_CHSH_ANGLES},
+}
+
 # Sub-keys of STREAM_PAIRS.  chsh draws setting pair (x, y) from
 # (STREAM_PAIRS, x, y) with x, y in {0, 1}; epr's estimates draw from
 # (STREAM_PAIRS, purpose, index) with the purposes below, so no two
@@ -157,7 +168,7 @@ class ExperimentConfig:
 
     kind: str
     dim: int = 2
-    epsilon: float | None = None  # None: the run's calibrated point (`background_level`)
+    epsilon: float | None = None  # None, as for threshold and angles: the run's CALIBRATED value
     threshold: float | None = None
     angles: tuple[float, ...] | None = None
     trials: int = 100_000
@@ -180,8 +191,13 @@ class ExperimentConfig:
         directory are execution infrastructure with no effect on any number;
         omitting them keeps artifacts bit-identical across both.
         """
-        names = ("kind", "seed", *settings_read(self))
-        return {name: background_level(self) if name == "epsilon" else getattr(self, name) for name in names}
+        return {name: self.setting(name) for name in ("kind", "seed", *settings_read(self))}
+
+    def setting(self, name: str):
+        """The value the run reads for field `name`: the config's, else its CALIBRATED one."""
+        value = getattr(self, name)
+        source = self.model if self.kind in BELL_KINDS else self.kind
+        return CALIBRATED.get(source, {}).get(name) if value is None else value
 
 
 def settings_read(config: ExperimentConfig) -> tuple[str, ...]:
@@ -189,13 +205,6 @@ def settings_read(config: ExperimentConfig) -> tuple[str, ...]:
     (any Bell setting for an unknown model, so that `validate` names the model)."""
     own = KIND_SETTINGS[config.kind]
     return own + BELL_SOURCES.get(config.model, BELL_SETTINGS) if config.kind in BELL_KINDS else own
-
-
-def background_level(config: ExperimentConfig) -> float:
-    """--epsilon, else the run's calibrated point: CURVE_EPSILON for epr,
-    CHSH_CLICK_EPSILON for singlet clicks and 0.05 for born and dynamics."""
-    calibrated = {"epr": CURVE_EPSILON, "chsh": CHSH_CLICK_EPSILON, "kolmogorov": CHSH_CLICK_EPSILON}
-    return config.epsilon if config.epsilon is not None else calibrated.get(config.kind, 0.05)
 
 
 def _dynamics_steps(t: float, dt: float) -> float:
@@ -209,7 +218,7 @@ def _dynamics_steps(t: float, dt: float) -> float:
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Schema and range diagnostics only; no computation."""
-    problems, eps = [], background_level(config)
+    problems, eps = [], config.setting("epsilon")
     if config.kind not in EXPERIMENT_KINDS:
         problems.append(f"unknown experiment kind {config.kind!r}; expected one of {EXPERIMENT_KINDS}")
     if config.seed is None:
@@ -226,12 +235,12 @@ def validate(config: ExperimentConfig) -> list[str]:
     for name, value in reals.items():
         if value is not None and not math.isfinite(value):
             problems.append(f"{name} must be finite")
-    if config.angles is not None and not all(map(math.isfinite, config.angles)):
-        problems.append("angles must be finite")
+    if config.angles is not None and not (config.angles and all(map(math.isfinite, config.angles))):
+        problems.append("angles must be a non-empty list of finite numbers")
     if not 1 <= config.dim <= MAX_DIM:
         problems.append(f"dim must lie in [1, {MAX_DIM}]: hessian's stencil grows as dim**2 points")
     singlet = config.kind == "epr" or config.kind in BELL_KINDS and config.model == "singlet-clicks"
-    if eps < 0.0 or eps >= 2.0**53:  # from 2**53 on, 1 + eps == eps
+    if eps is not None and (eps < 0.0 or eps >= 2.0**53):  # from 2**53 on, 1 + eps == eps
         problems.append("epsilon must lie in [0, 2**53): a larger background swallows the state")
     elif singlet and eps < SINGLET_EPS_MIN:
         problems.append(f"epsilon {eps:g} is below the singlet's floor eps* = sqrt(1/2) - 1/2 = {SINGLET_EPS_MIN:.6g}")
@@ -357,7 +366,7 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     rng = _rng_for(config)
     psi = _random_state(rng, config.dim)
     a_op = _random_hermitian(rng, config.dim)
-    eps = background_level(config)
+    eps = config.setting("epsilon")
     ensemble = ensemble_from_pure_state(psi, BackgroundField(eps))
     form = QuadraticForm(a_op)
 
@@ -391,7 +400,7 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     h_op = _random_hermitian(rng, dim, spectral_radius=1.0)
     phi0 = _random_state(rng, dim)
     system = HamiltonianSystem(h_op)
-    t, dt, eps = config.time_horizon, config.dt, background_level(config)
+    t, dt, eps = config.time_horizon, config.dt, config.setting("epsilon")
 
     u = exact_propagator(h_op, t)
     target = u @ phi0.components
@@ -497,14 +506,13 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult("epr")
     seed = RandomSeed(config.seed)
     psi = _singlet()
-    eps = background_level(config)
+    eps, threshold = config.setting("epsilon"), config.setting("threshold")
     ensemble = BipartiteEnsemble(psi, BackgroundField(eps))
-    threshold = config.threshold if config.threshold is not None else CURVE_THRESHOLD
     result.add_info("epsilon", eps)
     result.add_info("epsilon_min", ensemble.epsilon_min)
     result.add_info("threshold", threshold)
 
-    deltas = np.asarray(config.angles or np.linspace(0.0, np.pi, 16, endpoint=False), dtype=np.float64)
+    deltas = np.asarray(config.setting("angles"), dtype=np.float64)
     a0 = _polarization_observable(0.0)
     b_ops = [_polarization_observable(float(delta)) for delta in deltas]
     grid = np.geomspace(0.05, 2.0, 10)
@@ -572,10 +580,12 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     # no-signalling: party 1's + and - channel rates (the channel fired alone
     # or in a double click) cannot see party 2's setting; each run draws its
     # own fields (reusing the same samples for both settings would make the
-    # comparison exactly zero and test nothing)
+    # comparison exactly zero and test nothing).  Each channel fires with
+    # probability q, so a rate difference has variance 2 q (1 - q) / n.
     fired = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # (none, + only, - only, both) -> (+, -)
     r1, r2 = (np.array(stats.party_counts[0]) @ fired / stats.n_trials for _, stats in no_signalling)
-    se = math.sqrt(2.0 * 0.25 / config.trials)
+    q = math.exp(-threshold / (0.5 + eps))
+    se = max(math.sqrt(2.0 * q * (1.0 - q) / config.trials), 1.0 / config.trials)
     gap = float(np.abs(r1 - r2).max())
     result.add_mc("no_signalling_gap", gap, se, 2 * config.trials)
     result.check_abs("no_signalling_5se", gap, 5.0 * se)
@@ -588,7 +598,7 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
     Declares the source's S, with its provenance, and the source's checks.
     """
     if config.model != "file":
-        a1, a2, b1, b2 = config.angles or DEFAULT_CHSH_ANGLES
+        a1, a2, b1, b2 = config.setting("angles")
         a_settings, b_settings = (a1, a2), (b1, b2)
     if config.model == "lhv":
         s_exact, _ = chsh(lhv_exact_table(a_settings, b_settings))
@@ -606,8 +616,7 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
             result.check_abs("tsirelson_value", s + 2.0 * math.sqrt(2.0), 1e-9)
         result.add_info("max_fine_value", max(abs(v) for v in fine_chsh_values(table).values()))
     elif config.model == "singlet-clicks":
-        eps = background_level(config)
-        threshold = config.threshold if config.threshold is not None else CHSH_CLICK_THRESHOLD
+        eps, threshold = config.setting("epsilon"), config.setting("threshold")
         ensemble = BipartiteEnsemble(_singlet(), BackgroundField(eps))
         seed = RandomSeed(config.seed)
         result.add_info("epsilon", eps)

@@ -122,7 +122,10 @@ def quadratic_form_values(
     With A = V diag(a) V^+, f_A(phi) = sum_k a_k |(V^+ phi)_k|^2: V^+ is folded
     into the sampling factor and each chunk's channel powers (`sample_powers`)
     give the values, so memory is one chunk per worker plus the values.
+    One sample is refused: a one-row `powers @ weights` rounds differently.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     weights, basis = form.operator.eig()
     factor = basis.conj().T @ ensemble.sampler_factor
     vals = np.empty(n_samples)

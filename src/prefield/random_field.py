@@ -25,14 +25,14 @@ of (master seed, stream label, block index):
   SeedSequence(entropy=seed, spawn_key=label) and cached;
 * block b of that label is Philox(key, counter=[0, 0, 0, b]): the block
   index sits in the counter's high word, so blocks never overlap;
-* sample i of a run lives in block i // SAMPLE_BLOCK, which is drawn
-  whole, so a sample's bits depend only on its index, not on the chunk
-  that holds it, the thread that draws it or where the run stops;
+* sample i of a run lives in block i // SAMPLE_BLOCK, which is drawn and
+  coloured whole, so a sample's bits depend only on its index, not on the
+  chunk that holds it, the thread that draws it or where the run stops;
 * a block holds SAMPLE_BLOCK draws of r standard circular normals, r the
   rank of D (eigenvalues above PSD_TOL): one standard_normal draw of shape
   (SAMPLE_BLOCK, 2 r) whose column pairs are the real and imaginary parts,
-  scaled by sqrt(1/2), then coloured by the dim x r factor.  Rank 0 draws
-  nothing.
+  scaled by sqrt(1/2), then coloured by the dim x r factor in two products
+  of SAMPLE_BLOCK / 2 rows.  Rank 0 draws nothing.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from .hilbert import FieldVector, HermitianOperator, PSD_TOL
 
 SAMPLE_BLOCK = 4096
 
-# Rows per colouring product.  OpenBLAS hands a complex (m x dim) @ (dim x dim)
-# product to its thread pool from m ~ 4096 rows up, and the pool's spinning
-# threads then compete with the caller's other workers for the cores; at half
-# a block the product stays on the calling thread.  A row's bits do not
-# depend on m (m >= 2), so the slicing leaves every sample unchanged.
+# Rows per colouring product: each block is coloured as two.  OpenBLAS hands a
+# complex (m x dim) @ (dim x dim) product to its thread pool from m ~ 4096 rows
+# up, and the pool's spinning threads then compete with the caller's other
+# workers for the cores; at half a block the product stays on the calling
+# thread.  A row's bits do not depend on m >= 2, so the split changes no sample.
 _COLOUR_ROWS = SAMPLE_BLOCK // 2
 
 # Samples per chunk, aligned to Philox blocks.  Eight blocks keep the
@@ -149,10 +149,11 @@ def sample_with_factor(
 ) -> np.ndarray:
     """Samples with absolute indices [start_index, start_index + n_samples).
 
-    `factor` is dim x r; blocks of SAMPLE_BLOCK draws of r circular normals
-    are generated whole from their own stream and sliced, so the result
-    depends only on the absolute indices, never on how a Monte Carlo run
-    was partitioned.
+    `factor` is dim x r.  Every block of SAMPLE_BLOCK draws that the range
+    touches is drawn and coloured whole, as two _COLOUR_ROWS-row products
+    into a block-aligned buffer, and the requested rows are sliced out of
+    it, so a sample's bits depend only on its absolute index, never on
+    where a request starts or stops or how a run was partitioned.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -161,27 +162,12 @@ def sample_with_factor(
     dim, rank = factor.shape
     if rank == 0:
         return np.zeros((n_samples, dim), dtype=np.complex128)
-    colour = factor.T
-    out = np.empty((n_samples, dim), dtype=np.complex128)
-    lo, hi = start_index, start_index + n_samples
-    for block in range(lo // SAMPLE_BLOCK, (hi - 1) // SAMPLE_BLOCK + 1):
+    blocks = range(start_index // SAMPLE_BLOCK, (start_index + n_samples - 1) // SAMPLE_BLOCK + 1)
+    out = np.empty((len(blocks), SAMPLE_BLOCK // _COLOUR_ROWS, _COLOUR_ROWS, dim), dtype=np.complex128)
+    for k, block in enumerate(blocks):
         xi = _standard_circular(seed.stream(stream_label, block), SAMPLE_BLOCK, rank)
-        block_lo = block * SAMPLE_BLOCK
-        a = max(lo, block_lo) - block_lo
-        b = min(hi, block_lo + SAMPLE_BLOCK) - block_lo
-        if b - a == 1:
-            # numpy colours a lone row with gemv, whose rounding differs from
-            # the rows of a longer product: colour it inside a two-row product
-            # so that its bits do not depend on where the request starts or ends
-            pair = max(a - 1, 0)
-            out[block_lo + a - lo] = (xi[pair : pair + 2] @ colour)[a - pair]
-            continue
-        # equal slices, so that none is a lone row
-        pieces = -(-(b - a) // _COLOUR_ROWS)
-        cuts = [a + (b - a) * k // pieces for k in range(pieces + 1)]
-        for r0, r1 in zip(cuts, cuts[1:]):
-            np.matmul(xi[r0:r1], colour, out=out[block_lo + r0 - lo : block_lo + r1 - lo])
-    return out
+        np.matmul(xi.reshape(-1, _COLOUR_ROWS, rank), factor.T, out=out[k])
+    return out.reshape(-1, dim)[start_index % SAMPLE_BLOCK :][:n_samples]
 
 
 def sample_powers(factor, n_samples, seed, start_index, stream_label) -> np.ndarray:
@@ -226,7 +212,7 @@ def for_each_chunk(fn, stop: int, workers: int) -> None:
     lock), so every worker count makes the same calls; shorter runs stay on
     the calling thread, and `epr` runs its short estimates side by side.
     """
-    cuts = [*range(0, stop - 1 or 1, CHUNK), stop]  # only a one-sample run has a one-row chunk
+    cuts = [*range(0, stop - 1 or 1, CHUNK), stop]  # one row only at stop 1: _click_codes' exact uint8 product
     chunks = list(zip(cuts, cuts[1:]))
     threads = max(1, min(workers, len(chunks) // _WORKER_CHUNKS))
     shares = [-(-len(chunks) * k // threads) for k in range(threads + 1)]

@@ -666,6 +666,7 @@ class TestExitCodes:
             ["epr", "--trials", "2000", "--samples", "10000001"],
             ["chsh", "--model", "singlet-clicks", "--trials", "10000001"],
             ["kolmogorov", "--model", "lhv", "--trials", "10000001"],
+            ["epr", "--trials", "2000", "--samples", "2000", "--angles=,"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
@@ -675,7 +676,7 @@ class TestExitCodes:
             "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
             "hessian-dim-over-bound", "born-samples-over-bound", "born-huge-samples",
             "epr-trials-over-bound", "epr-samples-over-bound", "chsh-trials-over-bound",
-            "kolmogorov-trials-over-bound",
+            "kolmogorov-trials-over-bound", "epr-empty-angles",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
@@ -1021,6 +1022,32 @@ class TestProvenance:
         values = json.loads((out / "results.json").read_text())["values"]
         if "epsilon" in values:
             assert values["epsilon"]["value"] == epsilon
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["born", "--samples", "2000"],
+            ["dynamics", "--time", "0.1", "--dt", "0.01"],
+            ["hessian"],
+            ["epr", "--trials", "2000", "--samples", "2000"],
+            *[[kind, "--model", model, *extra] for kind in ("chsh", "kolmogorov") for model, extra in (
+                ("lhv", ["--trials", "1000"]), ("singlet", []), ("singlet-clicks", ["--trials", "4000"]), ("file", []))],
+        ],
+        ids=["born", "dynamics", "hessian", "epr", *(f"{kind}-{model}" for kind, model in BELL_RUNS)],
+    )
+    def test_manifest_records_every_setting_the_run_read(self, argv, tmp_path):
+        """No setting that settings_read lists is null in the manifest: defaults are recorded as the values used."""
+        table = tmp_path / "table.json"
+        table.write_text(table_text())
+        file_model = ["--table", str(table)] if "file" in argv else []
+        assert main(argv + file_model + ["--seed", "1", "--out", str(tmp_path / "run")]) in (0, 1)
+        config = strict_json(tmp_path / "run" / "manifest.json")["config"]
+        listed = settings_read(ExperimentConfig(kind=argv[0], model=config.get("model", "lhv")))
+        assert [name for name in listed if config.get(name) is None] == []
+        values = strict_json(tmp_path / "run" / "results.json")["values"]
+        for name in ("epsilon", "threshold"):
+            if name in values:
+                assert config[name] == values[name]["value"], name
 
     def test_manifest_has_config_and_version(self, tmp_path):
         out = tmp_path / "m"

@@ -131,6 +131,13 @@ class TestMCAverages:
         mean, se = mc_average(ens, form, 100_000)
         assert abs(mean - 2.0) <= 5.0 * se
 
+    def test_one_sample_is_refused(self):
+        """A one-row `powers @ weights` rounds unlike the rows of a longer product, so one sample is no estimate."""
+        ens = GaussianFieldEnsemble(HermitianOperator(np.eye(2) / 2))
+        form = QuadraticForm(HermitianOperator(np.diag([1.0, -0.5])))
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            quadratic_form_values(ens, form, 1, SEED)
+
     def test_mc_matches_exact_for_quadratic(self):
         rng = np.random.default_rng(3)
         for dim in (2, 3, 4):

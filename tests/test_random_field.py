@@ -152,11 +152,13 @@ class TestDeterminism:
             (SAMPLE_BLOCK - 5, 6),
             (4000, 10000),
             (123, 3 * SAMPLE_BLOCK + 7),
+            *[(SAMPLE_BLOCK + j, 1) for j in (0, 1, 2047, 4095)],
+            (SAMPLE_BLOCK + 1, SAMPLE_BLOCK),
         ],
     )
     @pytest.mark.parametrize("kind", ["singlet-pair", "dim3"])
     def test_sliced_colouring_matches_one_product(self, kind, start, n):
-        """Block-by-block colouring equals one product over the whole blocks."""
+        """Block-by-block colouring equals one product over the whole blocks, lone rows included."""
         if kind == "singlet-pair":
             singlet = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
             factor = BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5)).sampler_factor
@@ -164,13 +166,14 @@ class TestDeterminism:
             rho = rand_density(np.random.default_rng(5), 3)
             factor = mixed_ensemble(rho, 0.1).sampler_factor
         first, last = start // SAMPLE_BLOCK, (start + n - 1) // SAMPLE_BLOCK
-        blocks = [
-            _standard_circular(SEED.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[1])
-            for b in range(first, last + 1)
-        ]
         offset = start - first * SAMPLE_BLOCK
-        expected = (np.concatenate(blocks) @ factor.T)[offset : offset + n]
-        np.testing.assert_array_equal(sample_with_factor(factor, n, SEED, start), expected)
+        for seed in (SEED, *map(RandomSeed, range(1, 6))):
+            blocks = [
+                _standard_circular(seed.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[1])
+                for b in range(first, last + 1)
+            ]
+            expected = (np.concatenate(blocks) @ factor.T)[offset : offset + n]
+            np.testing.assert_array_equal(sample_with_factor(factor, n, seed, start), expected)
 
     def test_short_ranges_stay_on_the_calling_thread(self):
         """A range splits only when every thread gets _WORKER_CHUNKS chunks."""
