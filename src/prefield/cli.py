@@ -166,7 +166,8 @@ def main(argv=None) -> int:
         result = run_experiment(config)
     except NoCoincidencesError as exc:
         print(
-            f"configuration error: {exc}; too few trials or too high a threshold",
+            f"configuration error: {exc}; too few trials, or a threshold so high that no channel fires"
+            " or so low that every channel fires and every trial is a double click",
             file=sys.stderr,
         )
         return 2

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FieldVector, HermitianOperator
-from .observables import MCEstimate
+from .observables import MCEstimate, standard_error_in_place
 from .random_field import (
     CHUNK,
     STREAM_PAIRS,
@@ -254,7 +254,7 @@ def quadratic_correlation_mc(
     fb -= fb.mean()
     fa *= fb
     mean = float(fa.sum() / (n_samples - 1))
-    se = float(fa.std(ddof=1) / np.sqrt(n_samples))
+    se = standard_error_in_place(fa)
     return MCEstimate(mean, se, n_samples)
 
 

@@ -87,6 +87,8 @@ from .observables import (
     quadratic_plus_quartic,
     quartic_power_functional,
     renormalize,
+    running_sums,
+    standard_error_in_place,
 )
 from .random_field import (
     RNG_CONTRACT,
@@ -159,7 +161,7 @@ TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
 DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
 DYNAMICS_MAX_STEPS = 1_000_000  # integrate plus drift-table steps; about 2 s of stepping on one core
 MAX_DIM = 64  # hessian evaluates 16 dim**2 stencil points: about 2.6 s at dim 64 on one core
-MAX_DRAWS = 10**7  # trials or samples: born holds 16 bytes per sample; README gives peak RSS at the bound
+MAX_DRAWS = 10**7  # trials or samples: born holds 8 bytes per sample; README gives peak RSS at the bound
 
 
 @dataclass
@@ -381,13 +383,11 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     seed = RandomSeed(config.seed)
     vals = quadratic_form_values(ensemble, form, config.samples, seed, workers=config.workers)
     mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(config.samples))
+    checkpoints = np.unique(np.clip(np.geomspace(1, config.samples, 40).astype(int), 1, config.samples))
+    rows = [[int(k), float(s / k), exact] for k, s in zip(checkpoints, running_sums(vals, checkpoints))]
+    se = standard_error_in_place(vals)
     result.add_mc("mc_average", mean, se, config.samples)
     result.check_abs("born_mc_within_5se", mean - exact, 5.0 * se)
-
-    cum = np.cumsum(vals)
-    checkpoints = np.unique(np.clip(np.geomspace(1, config.samples, 40).astype(int), 1, config.samples))
-    rows = [[int(k), float(cum[k - 1] / k), exact] for k in checkpoints]
     result.tables["born_convergence"] = (["n", "running_mean", "exact"], rows)
     return result
 

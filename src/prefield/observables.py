@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import HermitianOperator, trace_product
-from .random_field import STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
+from .random_field import CHUNK, STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
 
 EVAL_IMAG_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-3
@@ -136,6 +136,31 @@ def quadratic_form_values(
 
     for_each_chunk(fill, n_samples, workers)
     return vals
+
+
+def standard_error_in_place(values: np.ndarray) -> float:
+    """values.std(ddof=1) / sqrt(n) by numpy's own steps, bit for bit, with no copy: values is overwritten."""
+    n = values.size
+    values -= values.sum() / n
+    np.square(values, out=values)
+    return float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n))
+
+
+def running_sums(values: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """np.cumsum(values)[stops - 1], bit for bit, from a cumsum taken one CHUNK at a time.
+
+    np.cumsum adds strictly left to right, so carrying the running total into
+    each chunk's first element reproduces it; the total starts at -0.0, the
+    one value whose addition changes nothing, -0.0 included.
+    """
+    sums, total = [], -0.0
+    for lo in range(0, values.size, CHUNK):
+        part = values[lo : lo + CHUNK].copy()
+        part[0] += total
+        np.cumsum(part, out=part)
+        total = part[-1]
+        sums.append(part[stops[(stops > lo) & (stops <= lo + part.size)] - 1 - lo])
+    return np.concatenate(sums)
 
 
 def renormalize(average: float, operator: HermitianOperator, epsilon: float) -> float:

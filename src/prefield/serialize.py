@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .random_field import CHUNK
+
 
 def complex_to_pairs(arr: np.ndarray):
     """Nested lists of [re, im] pairs mirroring the array shape."""
@@ -62,7 +64,9 @@ def write_csv(path, header, rows, index=None) -> None:
 
     Each row is formatted once, however often index names it, so a table of
     few distinct rows, such as a trial CSV of 16 rows indexed by click
-    codes, costs a join instead of a csv.writer call per written row.
+    codes, costs a join instead of a csv.writer call per written row.  The
+    body is written CHUNK rows at a time, so memory is one slice of text,
+    not the whole file.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -72,7 +76,9 @@ def write_csv(path, header, rows, index=None) -> None:
         lines.append(buffer.getvalue())
         buffer.seek(0)
         buffer.truncate()
-    body = lines[1:] if index is None else np.array(lines[1:], dtype=object)[np.asarray(index, dtype=np.intp)]
+    body = np.array(lines[1:], dtype=object)
+    index = range(len(body)) if index is None else index
     with open(path, "w", newline="") as fh:
         fh.write(lines[0])
-        fh.write("".join(body))
+        for lo in range(0, len(index), CHUNK):
+            fh.write("".join(body[np.asarray(index[lo : lo + CHUNK], dtype=np.intp)]))

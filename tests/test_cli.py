@@ -27,6 +27,7 @@ from prefield.experiments import (
     DYNAMICS_MAX_STEPS,
     KIND_SETTINGS,
     MAX_DRAWS,
+    TRIAL_CSV_LIMIT,
     ExperimentConfig,
     run_born,
     settings_read,
@@ -667,6 +668,8 @@ class TestExitCodes:
             ["chsh", "--model", "singlet-clicks", "--trials", "10000001"],
             ["kolmogorov", "--model", "lhv", "--trials", "10000001"],
             ["epr", "--trials", "2000", "--samples", "2000", "--angles=,"],
+            ["epr", "--trials", "2000", "--samples", "2000", "--threshold", "0"],
+            ["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "0"],
         ],
         ids=[
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
@@ -676,7 +679,7 @@ class TestExitCodes:
             "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
             "hessian-dim-over-bound", "born-samples-over-bound", "born-huge-samples",
             "epr-trials-over-bound", "epr-samples-over-bound", "chsh-trials-over-bound",
-            "kolmogorov-trials-over-bound", "epr-empty-angles",
+            "kolmogorov-trials-over-bound", "epr-empty-angles", "epr-zero-threshold", "chsh-zero-threshold",
         ],
     )
     def test_degenerate_click_runs_are_config_errors(self, argv, capsys, tmp_path):
@@ -686,6 +689,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epr", "--trials", "2000", "--samples", "2000", "--threshold", "0"],
+            ["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "0"],
+            ["epr", "--trials", "2000", "--samples", "2000", "--threshold", "50"],
+            ["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "50"],
+        ],
+        ids=["epr-zero", "chsh-zero", "epr-high", "chsh-high"],
+    )
+    def test_no_coincidences_hint_names_both_threshold_ends(self, argv, capsys, tmp_path):
+        """At threshold 0 every trial is a double click; far above it no channel fires: the hint names both."""
+        assert main(argv + ["--seed", "7", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "no accepted coincidences" in err
+        assert "so high that no channel fires" in err and "every trial is a double click" in err
 
     def test_out_naming_a_file_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "taken"
@@ -981,7 +1001,8 @@ class TestExitContractFuzz:
 
 class TestMemory:
     def test_born_streams_its_samples(self):
-        """run_born holds one chunk of samples at a time, not all of them."""
+        """run_born holds its 8 MB of values and one chunk: no running-sum array, no deviation copy."""
+        run_born(ExperimentConfig(kind="born", seed=7, samples=2_000))  # one-time lazy imports stay out of the peak
         tracemalloc.start()
         try:
             result = run_born(ExperimentConfig(kind="born", seed=7, samples=1_000_000))
@@ -989,7 +1010,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert result.values["mc_average"]["n"] == 1_000_000
-        assert peak < 32 * 2**20
+        assert peak < 10 * 2**20
+
+    def test_trial_csvs_stream_their_rows(self, tmp_path):
+        """The largest run that writes trial CSVs holds its click codes and one slice of CSV text, not a whole file."""
+        argv = ["chsh", "--model", "singlet-clicks", "--trials", str(TRIAL_CSV_LIMIT), "--seed", "7"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(list(tmp_path.glob("trials_x*_y*.csv"))) == 4
+        assert peak < 8 * 2**20
 
 
 class TestProvenance:

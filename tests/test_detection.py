@@ -362,16 +362,17 @@ class TestPowerKernel:
         assert outputs[0] == outputs[1]
 
     def test_correlation_streams_its_samples(self):
-        """Memory is one chunk per worker plus two floats per sample, not the field pairs."""
+        """Memory is two floats per sample plus one chunk of four-channel samples: the SE makes no copy."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
+        n = 1_000_000
         tracemalloc.start()
         try:
-            est = quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), 1_000_000, SEED)
+            est = quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), n, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.n_samples == 1_000_000
-        assert peak < 40 * 2**20
+        assert est.n_samples == n
+        assert peak < 2 * 8 * n + CHUNK * 4 * 16 + 2**20
 
 
 class TestTrials:

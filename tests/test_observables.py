@@ -18,8 +18,11 @@ from prefield.observables import (
     quadratic_plus_quartic,
     quartic_power_functional,
     renormalize,
+    running_sums,
+    standard_error_in_place,
 )
 from prefield.random_field import (
+    CHUNK,
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
@@ -147,6 +150,43 @@ class TestMCAverages:
             form = QuadraticForm(a)
             mean, se = mc_average(ens, form, 100_000)
             assert abs(mean - classical_average_exact(ens, form)) <= 5.0 * se
+
+
+REDUCTION_SIZES = [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestReductions:
+    """The chunked and in-place reductions give numpy's whole-array results bit for bit."""
+
+    @staticmethod
+    def values(n, seed):
+        # an offset and mixed scales make every rounding step matter; seed 0 starts at -0.0
+        rng = np.random.default_rng(seed)
+        v = 3.0 + rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        if seed == 0:
+            v[0] = -0.0
+        return v
+
+    @pytest.mark.parametrize("n", REDUCTION_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_running_sums_equal_cumsum_at_every_stop(self, n, seed):
+        v = self.values(n, seed)
+        stops = np.arange(1, n + 1)
+        assert np.array_equal(bits(running_sums(v, stops)), bits(np.cumsum(v)))
+        born_stops = np.unique(np.clip(np.geomspace(1, n, 40).astype(int), 1, n))
+        assert np.array_equal(bits(running_sums(v, born_stops)), bits(np.cumsum(v)[born_stops - 1]))
+        assert np.array_equal(bits(v), bits(self.values(n, seed)))  # the values are left as they were
+
+    @pytest.mark.parametrize("n", REDUCTION_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_standard_error_in_place_equals_numpy(self, n, seed):
+        v = self.values(n, seed)
+        want = float(np.std(v, ddof=1) / np.sqrt(n))
+        assert bits(standard_error_in_place(v)) == bits(want)
 
 
 class TestFunctionalRegistration:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from prefield.cli import main
 from prefield.hilbert import HermitianOperator
+from prefield.random_field import CHUNK
 from prefield.serialize import (
     complex_to_pairs,
     operator_payload,
@@ -151,3 +153,36 @@ class TestCsvCells:
                 write_csv(got, header, rows, index)
                 reference_csv(want, header, rows if index is None else [rows[i] for i in index])
                 assert got.read_bytes() == want.read_bytes(), name
+
+
+TRIAL_LIKE_ROWS = [[0.1 * k, np.float64(k) / 3, k & 1, bool(k & 2), np.bool_(k & 4), "+-"[k & 1]] for k in range(16)]
+TRIAL_LIKE_HEADER = ["theta1", "theta2", "click", "flag", "accepted", "class"]
+
+
+class TestCsvSlices:
+    """The body is written CHUNK rows at a time; the bytes never show where a slice ends."""
+
+    @pytest.mark.parametrize("n", [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_indexed_body_matches_reference_across_slices(self, n, tmp_path):
+        index = np.random.default_rng(n).integers(0, 16, n).astype(np.uint8)  # as trial click codes are stored
+        write_csv(tmp_path / "got.csv", TRIAL_LIKE_HEADER, TRIAL_LIKE_ROWS, index)
+        reference_csv(tmp_path / "want.csv", TRIAL_LIKE_HEADER, [TRIAL_LIKE_ROWS[i] for i in index])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_unindexed_body_matches_reference_across_a_slice(self, tmp_path):
+        rows = [[k, k / 7, np.float64(k) / 3] for k in range(CHUNK + 1)]
+        write_csv(tmp_path / "got.csv", ["k", "x", "y"], rows)
+        reference_csv(tmp_path / "want.csv", ["k", "x", "y"], rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_memory_is_one_slice(self, tmp_path):
+        """A 200,000-entry index over 16 rows: one slice of text at a time, not the whole file twice over."""
+        index = np.random.default_rng(5).integers(0, 16, 200_000).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", TRIAL_LIKE_HEADER, TRIAL_LIKE_ROWS, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 5 * 10**6
+        assert peak < 4 * 2**20
