@@ -39,10 +39,12 @@ suite and README:
 
 from __future__ import annotations
 
+import ctypes
 import math
 import platform
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -727,16 +729,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return _RUNNERS[config.kind](config)
 
 
-def _environment() -> dict:
-    """Python, numpy and BLAS builds behind the bits; fixed per environment."""
+def _blas_kernel() -> str:
+    """The CPU kernel numpy's bundled OpenBLAS chose at load time (OPENBLAS_CORETYPE forces it); "?" if unknown."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):  # numpy < 1.26 has no dict mode
-        blas = {}
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "?"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _environment() -> dict:
+    """Python, numpy, BLAS build and kernel, and SIMD targets behind the bits; fixed per process."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 has no dict mode
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_kernel": _blas_kernel(),
+        "simd": ", ".join(config.get("SIMD Extensions", {}).get("found", ["?"])),
     }
 
 

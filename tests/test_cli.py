@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import platform
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -1095,3 +1097,14 @@ class TestProvenance:
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["blas"] and env["blas"] != "? ?"
+        assert env["blas_kernel"] and env["simd"]
+
+    def test_manifest_records_the_forced_blas_kernel(self, tmp_path):
+        """OpenBLAS reads OPENBLAS_CORETYPE once, at load, so a child process forces the kernel."""
+        if experiments._environment()["blas_kernel"] == "?":
+            pytest.skip("numpy has no bundled OpenBLAS whose kernel can be read")
+        out = tmp_path / "run"
+        argv = [sys.executable, "-m", "prefield.cli", "chsh", "--model", "singlet", "--seed", "1", "--out", str(out)]
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
+        assert json.loads((out / "manifest.json").read_text())["environment"]["blas_kernel"] == "Haswell"
