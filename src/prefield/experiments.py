@@ -101,6 +101,7 @@ from .random_field import (
     ensemble_from_pure_state,
     map_jobs,
 )
+from .serialize import operator_payload
 
 # The ExperimentConfig fields each kind's runner reads besides seed and
 # workers.  The Bell kinds read a model, and then the settings that
@@ -467,8 +468,8 @@ def run_hessian(config: ExperimentConfig) -> ExperimentResult:
     err = float(np.abs(extraction.operator.matrix - a_op.matrix).max())
     result.add_exact("recovery_error", err)
     result.add_exact("phase_defect", extraction.phase_defect)
-    result.add_info("true_operator", a_op.to_payload())
-    result.add_info("recovered_operator", extraction.operator.to_payload())
+    result.add_info("true_operator", operator_payload(a_op.matrix))
+    result.add_info("recovered_operator", operator_payload(extraction.operator.matrix))
     result.check_abs("operator_recovered", err, 1e-5)
     result.check_true("phase_invariant", extraction.representable, extraction.phase_defect)
 

@@ -115,11 +115,6 @@ class HermitianOperator:
             self._eig = (w, v)
         return self._eig
 
-    def to_payload(self) -> dict:
-        from .serialize import operator_payload
-
-        return operator_payload(self._matrix)
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
 

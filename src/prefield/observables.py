@@ -47,7 +47,7 @@ class QuadraticForm:
     def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
         """Values on an (N, dim) batch of field samples."""
         x = np.asarray(samples, dtype=np.complex128)
-        vals = np.einsum("ni,ij,nj->n", x.conj(), self._op.matrix, x)
+        vals = np.einsum("mi,mi->m", x.conj(), x @ self._op.matrix.T)
         scale = max(1.0, float(np.abs(vals.real).max(initial=0.0)))
         if vals.size and float(np.abs(vals.imag).max()) > EVAL_IMAG_TOL * scale:
             raise ArithmeticError("quadratic form batch has imaginary residue")
@@ -82,11 +82,7 @@ class FieldFunctional:
 
 def quadratic_functional(operator: HermitianOperator) -> FieldFunctional:
     """FieldFunctional of <A phi, phi>."""
-
-    def evaluator(phi):
-        return np.einsum("mi,mi->m", phi.conj(), phi @ operator.matrix.T).real
-
-    return FieldFunctional(evaluator, operator.dim)
+    return FieldFunctional(QuadraticForm(operator).evaluate_batch, operator.dim)
 
 
 def quartic_power_functional(dim: int) -> FieldFunctional:

@@ -19,15 +19,10 @@ import numpy as np
 from .random_field import CHUNK
 
 
-def complex_to_pairs(arr: np.ndarray):
-    """Nested lists of [re, im] pairs mirroring the array shape."""
-    a = np.asarray(arr, dtype=np.complex128)
-    stacked = np.stack([a.real, a.imag], axis=-1)
-    return stacked.tolist()
-
-
 def operator_payload(matrix: np.ndarray) -> dict:
-    return {"kind": "operator", "dim": int(matrix.shape[0]), "data": complex_to_pairs(matrix)}
+    """A square matrix as JSON: its dim and its rows of [re, im] pairs."""
+    a = np.asarray(matrix, dtype=np.complex128)
+    return {"kind": "operator", "dim": int(a.shape[0]), "data": np.stack([a.real, a.imag], axis=-1).tolist()}
 
 
 def _finite(value):

@@ -22,6 +22,7 @@ from prefield.detection import BipartiteEnsemble, run_trials
 from prefield.dynamics import SymplecticIntegrator
 from prefield.experiments import validate
 from prefield.hilbert import FieldVector
+from prefield.observables import QuadraticForm
 from prefield.random_field import BackgroundField, RandomSeed, sample_with_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -97,3 +98,18 @@ def test_dynamics_run_steps_once_per_step(monkeypatch, tmp_path):
     dt = 2e-4
     assert main(["dynamics", "--dt", str(dt), "--seed", "41", "--out", str(tmp_path / "run")]) == 0
     assert len(calls) == round(1.0 / dt) + round(10.0 / dt) == 55_000
+
+
+def test_hessian_run_evaluates_through_quadratic_form(monkeypatch, tmp_path):
+    # observables.evaluate_batch_s times QuadraticForm.evaluate_batch; exact_desk's
+    # hessian run reaches it through quadratic_functional at every stencil slice
+    calls = []
+    evaluate_batch = QuadraticForm.evaluate_batch
+
+    def counted(self, samples):
+        calls.append(len(samples))
+        return evaluate_batch(self, samples)
+
+    monkeypatch.setattr(QuadraticForm, "evaluate_batch", counted)
+    assert main(["hessian", "--dim", "6", "--seed", "41", "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) > 0

@@ -14,23 +14,18 @@ from hypothesis import strategies as st
 from prefield.cli import main
 from prefield.hilbert import HermitianOperator
 from prefield.random_field import CHUNK
-from prefield.serialize import (
-    complex_to_pairs,
-    operator_payload,
-    read_json,
-    write_csv,
-    write_json,
-)
+from prefield.serialize import operator_payload, read_json, write_csv, write_json
 
 
 class TestComplexPairs:
     def test_vector_pairs(self):
-        v = np.array([1 + 2j, -0.5j, 3.0])
-        assert complex_to_pairs(v) == [[1.0, 2.0], [0.0, -0.5], [3.0, 0.0]]
+        m = np.zeros((3, 3), dtype=complex)
+        m[0] = [1 + 2j, -0.5j, 3.0]
+        assert operator_payload(m)["data"][0] == [[1.0, 2.0], [0.0, -0.5], [3.0, 0.0]]
 
     def test_matrix_pairs_are_row_major(self):
         m = np.array([[1 + 1j, 0], [2, -1j]])
-        assert complex_to_pairs(m) == [[[1.0, 1.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, -1.0]]]
+        assert operator_payload(m)["data"] == [[[1.0, 1.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, -1.0]]]
 
     def test_operator_payload(self):
         op = operator_payload(np.eye(2, dtype=complex))
@@ -41,7 +36,7 @@ class TestTypePayloads:
     def test_operator_payload_via_json(self, tmp_path):
         h = HermitianOperator([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
         path = tmp_path / "op.json"
-        write_json(path, h.to_payload())
+        write_json(path, operator_payload(h.matrix))
         assert read_json(path) == {
             "kind": "operator",
             "dim": 2,
