@@ -217,8 +217,7 @@ def _dynamics_steps(t: float, dt: float) -> float:
 
     Rounded in floats, so a huge or non-finite ratio compares instead of raising.
     """
-    integrate_steps = max(1.0, np.rint(t / dt)) if t > 0.0 else 0.0
-    return float(integrate_steps + np.rint(DRIFT_HORIZON / dt))
+    return float(max(1.0, np.rint(t / dt)) + np.rint(DRIFT_HORIZON / dt))
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -263,6 +262,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append(f"unknown policy {config.policy!r}; expected one of {POLICIES}")
     if config.dt <= 0.0:
         problems.append("dt must be positive")
+    elif config.kind == "dynamics" and np.rint(DRIFT_HORIZON / config.dt) < 1.0:
+        problems.append(
+            f"dt too large: the drift table takes round({DRIFT_HORIZON:g} / dt) = 0 steps, "
+            f"so energy_conserved and norm_conserved would compare the initial state with itself"
+        )
     elif config.kind == "dynamics" and _dynamics_steps(config.time_horizon, config.dt) > DYNAMICS_MAX_STEPS:
         problems.append(
             f"dt too small for the horizon: dynamics takes round(time / dt) + "
@@ -270,8 +274,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         )
     if not 1e-150 <= config.step <= 1e75:  # step**2 stays a normal float, (2 step)**4 finite
         problems.append("step must lie in [1e-150, 1e75]: finite differences divide by step**2")
-    if config.time_horizon < 0.0:
-        problems.append("time must be non-negative")
+    if config.time_horizon <= 0.0:
+        problems.append("time must be positive: at time 0 integrate takes no step, so "
+                        "integrator_matches_propagator would compare the initial state with itself")
     if config.kind in BELL_KINDS:
         if config.model not in BELL_SOURCES:
             problems.append(f"{config.kind} model must be one of {tuple(BELL_SOURCES)}")
@@ -737,7 +742,7 @@ def _blas_kernel() -> str:
         corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
         return "?"
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
 

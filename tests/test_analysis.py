@@ -227,25 +227,6 @@ class TestFeasibility:
                 if margin > 0.05:
                     assert kolmogorov_feasible(sampled).feasible
 
-    def test_fine_criterion_equivalence_1000_random_tables(self):
-        rng = np.random.default_rng(12345)
-        n_done = 0
-        n_infeasible = 0
-        while n_done < 1000:
-            means_a = rng.uniform(-1, 1, size=2)
-            means_b = rng.uniform(-1, 1, size=2)
-            corr = rng.uniform(-1, 1, size=(2, 2))
-            freq = scalar_frequencies(corr, means_a, means_b)
-            if (freq < 0).any():
-                continue
-            table = CorrelationTable.from_frequencies((0, 1), (2, 3), freq)
-            verdict = kolmogorov_feasible(table)
-            fine_ok = all(abs(v) <= 2.0 + 1e-9 for v in fine_chsh_values(table).values())
-            assert verdict.feasible == fine_ok
-            n_done += 1
-            n_infeasible += not verdict.feasible
-        assert n_infeasible > 0  # the sample must exercise both verdicts
-
     def test_pr_box_maximally_infeasible(self):
         corr = np.array([[1.0, 1.0], [1.0, -1.0]])
         verdict = kolmogorov_feasible(table_from_correlations(corr))

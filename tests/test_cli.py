@@ -142,15 +142,29 @@ class TestValidate:
         cfg = ExperimentConfig(kind="banana", seed=7)
         assert any("kind" in p for p in validate(cfg))
 
+    @pytest.mark.parametrize(
+        "time_horizon, dt, reason",
+        [(0.0, 1e-3, "time must be positive"), (1.0, 20.0, "drift table takes round(10 / dt) = 0 steps")],
+    )
+    def test_dynamics_checks_must_be_able_to_fail(self, time_horizon, dt, reason):
+        """At time 0 no integrator step runs; at dt >= 20 the drift table has one row: each check would hold by construction."""
+        (problem,) = validate(ExperimentConfig(kind="dynamics", seed=3, dt=dt, time_horizon=time_horizon))
+        assert reason in problem
+        assert validate(ExperimentConfig(kind="dynamics", seed=3, dt=np.nextafter(20.0, 0.0))) == []
+
     def test_aggregated_diagnostics(self):
         cfg = ExperimentConfig(kind="born", epsilon=-1.0, trials=0, workers=0)
         assert len(validate(cfg)) >= 3
 
     def test_dynamics_cap_counts_both_loops(self):
         # run_dynamics takes round(time / dt) integrate steps plus
-        # round(10 / dt) drift-table steps; the cap bounds their sum
+        # round(10 / dt) drift-table steps; the cap bounds their sum.
+        # At dt = 11 / cap, time 1 takes 90,909 steps and the table 909,091: the cap exactly
+        at_cap = 11.0 / DYNAMICS_MAX_STEPS
+        assert validate(ExperimentConfig(kind="dynamics", seed=7, dt=at_cap, time_horizon=1.0)) == []
+        problems = validate(ExperimentConfig(kind="dynamics", seed=7, dt=at_cap, time_horizon=1.0 + at_cap))
+        assert any("dt too small" in p for p in problems)
         dt = 10.0 / DYNAMICS_MAX_STEPS
-        assert validate(ExperimentConfig(kind="dynamics", seed=7, dt=dt, time_horizon=0.0)) == []
         problems = validate(ExperimentConfig(kind="dynamics", seed=7, dt=dt, time_horizon=dt))
         assert any("dt too small" in p for p in problems)
         problems = validate(ExperimentConfig(kind="dynamics", seed=7, dt=1.5e-5, time_horizon=10.0))
@@ -655,6 +669,9 @@ class TestExitCodes:
             ["epr", "--trials", "1000", "--samples", "1000", "--policy", "bogus"],
             ["dynamics", "--dt", "nan"],
             ["dynamics", "--time", "inf"],
+            ["dynamics", "--time", "0"],
+            ["dynamics", "--dt", "20"],
+            ["dynamics", "--dt", "1e300"],
             ["hessian", "--step", "nan"],
             ["hessian", "--step", "1e-170"],
             ["hessian", "--step", "1e77"],
@@ -677,6 +694,7 @@ class TestExitCodes:
             "chsh-one-trial", "chsh-high-threshold", "epr-one-trial", "epr-one-sample",
             "chsh-nan-angle", "chsh-inf-angle", "born-one-sample",
             "chsh-unknown-policy", "epr-unknown-policy", "dynamics-nan-dt", "dynamics-inf-time",
+            "dynamics-zero-time", "dynamics-no-drift-step", "dynamics-huge-dt",
             "hessian-nan-step", "hessian-tiny-step", "hessian-huge-step", "chsh-lhv-one-trial",
             "kolmogorov-lhv-one-trial", "epr-high-threshold-two-workers", "epr-huge-epsilon",
             "hessian-dim-over-bound", "born-samples-over-bound", "born-huge-samples",

@@ -57,8 +57,9 @@ def test_value_path_tolerates_float_moves_within_tolerance_only(elsewhere, runs,
         lambda run: run["csv"]["trials_x0_y1.csv"]["shape"].__setitem__(0, 3999),
         lambda run: run["digests"].pop("trials_x1_y1.csv"),
         lambda run: run["results"]["values"]["S_clicks"].update(n=1),
+        lambda run: run["digests"].update({"manifest.json": "0" * 64}),
     ],
-    ids=["verdict", "exit", "click codes", "csv shape", "artifact set", "integer value"],
+    ids=["verdict", "exit", "click codes", "csv shape", "artifact set", "integer value", "manifest"],
 )
 def test_value_path_requires_everything_but_floats_to_be_equal(elsewhere, runs, edit):
     edit(elsewhere["runs"]["chsh-singlet-clicks-1"])
