@@ -1,16 +1,45 @@
 """Shared test helpers."""
 
+import functools
 import threading
 
 import numpy as np
 
+from prefield.analysis import CorrelationTable, kolmogorov_feasible
 from prefield.hilbert import HermitianOperator
 from prefield.random_field import for_each_chunk
+
 
 
 def diagonal_operator(values) -> HermitianOperator:
     """The Hermitian operator with the given real diagonal."""
     return HermitianOperator(np.diag(np.asarray(values, dtype=np.float64)))
+
+
+@functools.cache
+def random_no_signalling_tables(n=1000, seed=107):
+    """(table, simplex verdict) for n random no-signalling tables, solved once per test process.
+
+    Each table has uniform means and correlations in [-1, 1], redrawn until
+    every cell (1 + a m_a[x] + b m_b[y] + a b E[x, y]) / 4 is non-negative.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        means_a = rng.uniform(-1, 1, size=2)
+        means_b = rng.uniform(-1, 1, size=2)
+        corr = rng.uniform(-1, 1, size=(2, 2))
+        freq = np.empty((2, 2, 2, 2))
+        for x in range(2):
+            for y in range(2):
+                for i, av in enumerate((1, -1)):
+                    for j, bv in enumerate((1, -1)):
+                        freq[x, y, i, j] = (1 + av * means_a[x] + bv * means_b[y] + av * bv * corr[x, y]) / 4
+        if (freq < 0).any():
+            continue
+        table = CorrelationTable.from_frequencies((0, 1), (2, 3), freq)
+        out.append((table, kolmogorov_feasible(table)))
+    return tuple(out)
 
 
 def in_two_pieces(draw, cut, stop):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import random_no_signalling_tables
 from prefield.analysis import (
     CorrelationTable,
     chsh,
@@ -350,25 +351,13 @@ class TestCriterion7Kolmogorovness:
 
     def test_fine_criterion_agreement_1000_tables(self):
         """The simplex and Fine's eight CHSH inequalities agree on 1000 random no-signalling tables, both verdicts among them."""
-        rng = np.random.default_rng(107)
         feasible = []
-        while len(feasible) < 1000:
-            means_a = rng.uniform(-1, 1, size=2)
-            means_b = rng.uniform(-1, 1, size=2)
-            corr = rng.uniform(-1, 1, size=(2, 2))
-            freq = np.empty((2, 2, 2, 2))
-            for x in range(2):
-                for y in range(2):
-                    for i, av in enumerate((1, -1)):
-                        for j, bv in enumerate((1, -1)):
-                            freq[x, y, i, j] = (1 + av * means_a[x] + bv * means_b[y] + av * bv * corr[x, y]) / 4
-            if (freq < 0).any():
-                continue
-            table = CorrelationTable.from_frequencies((0, 1), (2, 3), freq)
-            lp = kolmogorov_feasible(table).feasible
+        for table, verdict in random_no_signalling_tables():
+            lp = verdict.feasible
             fine = all(abs(v) <= 2.0 + 1e-9 for v in fine_chsh_values(table).values())
             assert lp == fine, f"table {len(feasible)}: simplex feasible {lp}, Fine's inequalities hold {fine}"
             feasible.append(lp)
+        assert len(feasible) == 1000
         assert 0 < sum(feasible) < 1000
         report(
             "criterion 7c (Fine equivalence)",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_no_signalling_tables
 from prefield.analysis import (
     LHV_FLIP,
     CorrelationTable,
@@ -226,6 +227,19 @@ class TestFeasibility:
                 assert abs(s) <= 2.0 + 5.0 * se
                 if margin > 0.05:
                     assert kolmogorov_feasible(sampled).feasible
+
+    def test_fine_criterion_equivalence_1000_random_tables(self):
+        """The verdict on each of 1000 random no-signalling tables is Fine's, and each feasible witness reproduces its table."""
+        a = _assignment_matrix()
+        n_infeasible = 0
+        for table, verdict in random_no_signalling_tables():
+            fine_ok = all(abs(v) <= 2.0 + 1e-9 for v in fine_chsh_values(table).values())
+            assert verdict.feasible == fine_ok
+            if verdict.feasible:
+                assert (verdict.witness >= 0).all()
+                assert np.allclose(a @ verdict.witness, _canonical_frequencies(table).reshape(16), atol=1e-9)
+            n_infeasible += not verdict.feasible
+        assert n_infeasible > 0  # the sample must exercise both verdicts
 
     def test_pr_box_maximally_infeasible(self):
         corr = np.array([[1.0, 1.0], [1.0, -1.0]])
