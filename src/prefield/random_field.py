@@ -54,14 +54,17 @@ SAMPLE_BLOCK = 4096
 # thread.  A row's bits do not depend on m >= 2, so the split changes no sample.
 _COLOUR_ROWS = SAMPLE_BLOCK // 2
 
-# Samples per chunk, aligned to Philox blocks.  Eight blocks keep the
-# per-chunk interpreter work (one sampling call and the consumer's passes
-# over it) small against the draws, at about 5 MB of working memory per worker.
-CHUNK = 8 * SAMPLE_BLOCK
+# Samples per chunk, aligned to Philox blocks.  Two blocks keep a worker's
+# working set inside its share of an L2 that SMT siblings share: for four
+# coordinates, a 512 KiB coloured chunk and one 128-256 KiB block of draws,
+# or a CSV slice of about 0.5 MB.  The per-chunk interpreter work stays small
+# against the draws, and the size moves no bit: blocks are coloured whole.
+CHUNK = 2 * SAMPLE_BLOCK
 
-# Fewest chunks worth a thread of their own (32 Philox blocks, about 50 ms of
-# draws and colouring): a split costs a thread start, a join and hand-offs of
-# the interpreter lock, which on short runs are a large and erratic share.
+# Fewest chunks worth a thread of their own (8 Philox blocks, 4-7 ms of draws
+# and colouring at rank 2-4 on a 2-vCPU AVX-512 host): a split costs a thread
+# start, a join and hand-offs of the interpreter lock, which on short runs are
+# a large and erratic share.
 _WORKER_CHUNKS = 4
 
 # Version of the stream layout in the module docstring; manifest.json records it.
@@ -176,8 +179,8 @@ def sample_powers(factor, n_samples, seed, start_index, stream_label) -> np.ndar
     With a basis U^+ folded into the factor, the columns are channel powers
     in that basis, which thresholds and quadratic forms read.  They are
     formed in place, so a call allocates one array: separate temporaries
-    (about 5 MB per chunk, freed together) let malloc trim the heap after
-    each chunk and fault the pages in again, 15 % of the click kernel's time.
+    (several chunk-sized arrays, freed together) let malloc trim the heap
+    after each chunk and fault the pages in again.
     """
     parts = sample_with_factor(factor, n_samples, seed, start_index, stream_label).view(np.float64)
     np.square(parts, out=parts)

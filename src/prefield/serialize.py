@@ -57,23 +57,23 @@ def _cell(value):
 def write_csv(path, header, rows, index=None) -> None:
     """Write the header, then rows[i] for each i in index (every row in order when index is None).
 
-    Each row is formatted once, however often index names it, so a table of
-    few distinct rows, such as a trial CSV of 16 rows indexed by click
-    codes, costs a join instead of a csv.writer call per written row.  The
-    body is written CHUNK rows at a time, so memory is one slice of text,
-    not the whole file.
+    Each row is formatted and encoded once, however often index names it, so
+    a table of few distinct rows, such as a trial CSV of 16 rows indexed by
+    click codes, costs a join of bytes instead of a csv.writer call per
+    written row.  The body is written CHUNK rows at a time, so memory is one
+    slice of it, not the whole file.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     lines = []
     for row in [header, *rows]:
         writer.writerow([_cell(v) for v in row])
-        lines.append(buffer.getvalue())
+        lines.append(buffer.getvalue().encode())
         buffer.seek(0)
         buffer.truncate()
     body = np.array(lines[1:], dtype=object)
     index = range(len(body)) if index is None else index
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.write(lines[0])
         for lo in range(0, len(index), CHUNK):
-            fh.write("".join(body[np.asarray(index[lo : lo + CHUNK], dtype=np.intp)]))
+            fh.write(b"".join(body[np.asarray(index[lo : lo + CHUNK], dtype=np.intp)]))

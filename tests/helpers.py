@@ -7,8 +7,12 @@ import numpy as np
 
 from prefield.analysis import CorrelationTable, kolmogorov_feasible
 from prefield.hilbert import HermitianOperator
-from prefield.random_field import for_each_chunk
+from prefield.random_field import CHUNK, SAMPLE_BLOCK, for_each_chunk
 
+# Chunk lengths that boundary cases are written against: CHUNK, and eight
+# Philox blocks, a multiple of it, so each case meets a chunk edge both one
+# chunk and several chunks into a run.
+CHUNK_EDGES = sorted({CHUNK, 8 * SAMPLE_BLOCK})
 
 
 def diagonal_operator(values) -> HermitianOperator:

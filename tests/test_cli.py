@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import chunk_calls
+from helpers import CHUNK_EDGES, chunk_calls
 from prefield import detection, experiments
 from prefield.analysis import CorrelationTable, lhv_exact_table, singlet_exact_table
 from prefield.cli import main, parse_config_file
@@ -785,7 +785,7 @@ class TestDeterminism:
     @pytest.mark.usefixtures("split_every_chunk")
     def test_worker_count_invisible_in_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        args = ["born", "--seed", "42", "--samples", "100000"]  # four chunks
+        args = ["born", "--seed", "42", "--samples", "100000"]  # thirteen chunks
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "4", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
@@ -800,6 +800,33 @@ class TestDeterminism:
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "3", "--out", str(out2)]) == 0
         assert read_artifacts(out1) == read_artifacts(out2)
+
+    @pytest.mark.usefixtures("split_every_chunk")
+    def test_chunk_size_invisible_in_artifacts(self, tmp_path, monkeypatch):
+        """CHUNK sets memory, not bits: chunks of 1, 2 and 8 blocks at 1 and 2 workers write the same bytes.
+
+        Every run length is one more than a multiple of each chunk size, so
+        each run ends one row into a chunk, and the click runs write trial CSVs.
+        """
+        n = str(8 * SAMPLE_BLOCK + 1)
+        runs = {
+            "born": ["born", "--samples", n],
+            "epr": ["epr", "--trials", n, "--samples", n, "--angles", "0.0,0.4"],
+            **{kind: [kind, "--model", "singlet-clicks", "--trials", n] for kind in ("chsh", "kolmogorov")},
+        }
+        binders = [m for name, m in sys.modules.items() if name.startswith("prefield.") and hasattr(m, "CHUNK")]
+        names = {m.__name__.removeprefix("prefield.") for m in binders}
+        assert names >= {"random_field", "detection", "observables", "serialize"}
+        written = {}
+        for blocks in (1, 2, 8):
+            for module in binders:
+                monkeypatch.setattr(module, "CHUNK", blocks * SAMPLE_BLOCK)
+            for workers in (1, 2):
+                for kind, args in runs.items():
+                    out = tmp_path / f"{kind}-{blocks}-{workers}"
+                    assert main(args + ["--seed", "3", "--workers", str(workers), "--out", str(out)]) == 0
+                    assert read_artifacts(out) == written.setdefault(kind, read_artifacts(out)), (kind, blocks, workers)
+        assert "trials_x1_y1.csv" in written["chsh"] and "trials_x1_y1.csv" in written["kolmogorov"]
 
     def test_epr_estimates_worker_invariance(self, tmp_path):
         """Whole estimates on worker threads, none split: artifacts at 1, 2 and 3 workers agree.
@@ -823,14 +850,16 @@ class TestDeterminism:
     @pytest.mark.usefixtures("split_every_chunk")
     def test_click_trial_csvs_worker_invariance(self, tmp_path):
         out1, out3 = tmp_path / "c1", tmp_path / "c3"
-        args = ["chsh", "--model", "singlet-clicks", "--seed", "9", "--trials", "70000"]  # three chunks
+        args = ["chsh", "--model", "singlet-clicks", "--seed", "9", "--trials", "70000"]  # nine chunks
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
         assert main(args + ["--workers", "3", "--out", str(out3)]) == 0
         assert read_artifacts(out1) == read_artifacts(out3)
         assert "trials_x1_y1.csv" in read_artifacts(out1)
 
     @pytest.mark.usefixtures("split_every_chunk")
-    @pytest.mark.parametrize("total", [1, 4095, 4096, 4097, 50_000, 1_000_000, CHUNK + 1, 5 * CHUNK + 11])
+    @pytest.mark.parametrize(
+        "total", [1, 4095, 4096, 4097, 50_000, 1_000_000, *(c + 1 for c in CHUNK_EDGES), *(5 * c + 11 for c in CHUNK_EDGES)]
+    )
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_partition_cuts_at_block_edges(self, total, workers):
         """Every worker count makes the one-worker calls, [0, CHUNK), [CHUNK, 2 CHUNK), ...,
@@ -1030,20 +1059,35 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert result.values["mc_average"]["n"] == 1_000_000
-        assert peak < 10 * 2**20
+        assert peak < 8.6 * 2**20
 
     def test_trial_csvs_stream_their_rows(self, tmp_path):
         """The largest run that writes trial CSVs holds its click codes and one slice of CSV text, not a whole file."""
-        argv = ["chsh", "--model", "singlet-clicks", "--trials", str(TRIAL_CSV_LIMIT), "--seed", "7"]
+        argv = ["chsh", "--model", "singlet-clicks", "--seed", "7", "--trials"]
+        assert main(argv + ["2000", "--out", str(tmp_path / "warm")]) == 0  # lazy imports stay out of the peak
         tracemalloc.start()
         try:
-            code = main(argv + ["--out", str(tmp_path)])
+            code = main(argv + [str(TRIAL_CSV_LIMIT), "--out", str(tmp_path)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
         assert len(list(tmp_path.glob("trials_x*_y*.csv"))) == 4
-        assert peak < 8 * 2**20
+        assert peak < 3 * 2**20
+
+    def test_click_codes_stream_their_trials(self, tmp_path):
+        """A click run past the trial-CSV limit holds one byte per trial of its four batches and one chunk per worker."""
+        n = 10**6
+        argv = ["chsh", "--model", "singlet-clicks", "--seed", "7", "--trials"]
+        assert main(argv + ["2000", "--out", str(tmp_path / "warm")]) == 0  # lazy imports stay out of the peak
+        tracemalloc.start()
+        try:
+            code = main(argv + [str(n), "--out", str(tmp_path / "run")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * n + 1.25 * 2**20
 
 
 class TestProvenance:

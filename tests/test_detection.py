@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import diagonal_operator, in_two_pieces, pairs_in_two_pieces
+from helpers import CHUNK_EDGES, diagonal_operator, in_two_pieces, pairs_in_two_pieces
 from prefield import detection, experiments, random_field
 from prefield.cli import main
 from prefield.detection import (
@@ -280,7 +280,7 @@ class TestPowerKernel:
         reference = form.evaluate_batch(np.concatenate(pieces))
         assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
 
-    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("n", [k * c + 1 for c in CHUNK_EDGES for k in (1, 2)])
     def test_born_values_do_not_depend_on_where_the_run_stops(self, n):
         """A run of n samples ends one row into a chunk: its last value equals that of a longer run."""
         for k in range(50):
@@ -291,7 +291,7 @@ class TestPowerKernel:
             longer = quadratic_form_values(ens, form, n + 1, seed)
             np.testing.assert_array_equal(quadratic_form_values(ens, form, n, seed), longer[:n])
 
-    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("n", [k * c + 1 for c in CHUNK_EDGES for k in (1, 2)])
     def test_correlation_forms_do_not_depend_on_where_the_run_stops(self, n, monkeypatch):
         """Both parties' form values of a run ending one row into a chunk equal those of a longer run."""
         values = []
@@ -340,10 +340,10 @@ class TestPowerKernel:
     def test_epr_field_monte_carlo_worker_invariance(self, tmp_path, monkeypatch):
         """At two workers the field Monte Carlo estimates run side by side, bits unchanged.
 
-        Each call covers 4 chunks, too few for a split of its own, so only
-        running whole estimates concurrently lets the first two meet.
+        Each call covers _WORKER_CHUNKS chunks, too few for a split of its
+        own, so only running whole estimates concurrently lets the first two meet.
         """
-        samples = 100_000
+        samples = random_field._WORKER_CHUNKS * CHUNK
         assert -(-samples // CHUNK) < 2 * random_field._WORKER_CHUNKS
         args = ["epr", "--seed", "5", "--trials", "2000", "--samples", str(samples), "--angles", "0.0,0.4"]
         assert main(args + ["--workers", "1", "--out", str(tmp_path / "1")]) == 0
@@ -365,6 +365,7 @@ class TestPowerKernel:
         """Memory is two floats per sample plus one chunk of four-channel samples: the SE makes no copy."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         n = 1_000_000
+        quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), 2, SEED)  # lazy imports stay out of the peak
         tracemalloc.start()
         try:
             est = quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), n, SEED)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import diagonal_operator
+from helpers import CHUNK_EDGES, diagonal_operator
 from prefield import observables
 from prefield.hilbert import FieldVector, HermitianOperator, state_average
 from prefield.observables import (
@@ -22,7 +22,6 @@ from prefield.observables import (
     standard_error_in_place,
 )
 from prefield.random_field import (
-    CHUNK,
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
@@ -152,7 +151,7 @@ class TestMCAverages:
             assert abs(mean - classical_average_exact(ens, form)) <= 5.0 * se
 
 
-REDUCTION_SIZES = [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+REDUCTION_SIZES = [2, *(c + d for c in CHUNK_EDGES for d in (-1, 0, 1)), *(3 * c + 5 for c in CHUNK_EDGES)]
 
 
 def bits(values) -> np.ndarray:

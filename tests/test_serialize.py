@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import CHUNK_EDGES
 from prefield.cli import main
 from prefield.hilbert import HermitianOperator
 from prefield.random_field import CHUNK
@@ -157,7 +158,7 @@ TRIAL_LIKE_HEADER = ["theta1", "theta2", "click", "flag", "accepted", "class"]
 class TestCsvSlices:
     """The body is written CHUNK rows at a time; the bytes never show where a slice ends."""
 
-    @pytest.mark.parametrize("n", [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("n", [0, *(c + d for c in CHUNK_EDGES for d in (-1, 0, 1)), *(2 * c + 3 for c in CHUNK_EDGES)])
     def test_indexed_body_matches_reference_across_slices(self, n, tmp_path):
         index = np.random.default_rng(n).integers(0, 16, n).astype(np.uint8)  # as trial click codes are stored
         write_csv(tmp_path / "got.csv", TRIAL_LIKE_HEADER, TRIAL_LIKE_ROWS, index)

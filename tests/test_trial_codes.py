@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import pairs_in_two_pieces
+from helpers import CHUNK_EDGES, pairs_in_two_pieces
 from prefield.analysis import CorrelationTable
 from prefield.detection import (
     BipartiteEnsemble,
@@ -127,8 +127,8 @@ class TestKernel:
             (1_000, 5_000),
             (2 * SAMPLE_BLOCK + 17, 100),
             (SAMPLE_BLOCK - 300, 600),
-            (CHUNK - 300, 600),
-            (123, 2 * CHUNK + 5_000),
+            *((c - 300, 600) for c in CHUNK_EDGES),
+            *((123, 2 * c + 5_000) for c in CHUNK_EDGES),
         ],
     )
     def test_codes_match_projector_powers(self, theta1, theta2, threshold, eps, cut, n):
@@ -155,7 +155,10 @@ class TestKernel:
         np.testing.assert_array_equal(batch.codes, expected)
 
     @pytest.mark.parametrize("theta, threshold", [(0.0, 0.0202), (0.6, 0.3), (-1.2, 0.05)])
-    @pytest.mark.parametrize("cut, n", [(0, 5_000), (SAMPLE_BLOCK - 7, CHUNK + 9), (123, 2 * CHUNK + 5_000)])
+    @pytest.mark.parametrize(
+        "cut, n",
+        [(0, 5_000), *((SAMPLE_BLOCK - 7, c + 9) for c in CHUNK_EDGES), *((123, 2 * c + 5_000) for c in CHUNK_EDGES)],
+    )
     def test_single_party_codes_match_projector_powers(self, theta, threshold, cut, n):
         """A single party is party 1 of the product state psi x e_0; its codes are the low two bits."""
         psi = FieldVector([math.cos(0.4), math.sin(0.4) * 1j])
