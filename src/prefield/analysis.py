@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import NoCoincidencesError, _correlations, sign_standard_error
 from .random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
 from .serialize import read_json
 
@@ -46,6 +45,36 @@ class InconsistentTableError(ValueError):
 
 class TableFileError(ValueError):
     """A correlation-table file is missing or malformed."""
+
+
+class NoCoincidencesError(ValueError):
+    """No trial passed the post-selection, so no correlation can be estimated."""
+
+
+def _correlations(freq: np.ndarray) -> np.ndarray:
+    """E = P++ + P-- - P+- - P-+ of every setting pair of a (..., 2, 2) table of +-1 outcome frequencies."""
+    return freq[..., 0, 0] + freq[..., 1, 1] - freq[..., 0, 1] - freq[..., 1, 0]
+
+
+def sign_standard_error(corr, n):
+    """Standard error of the mean E of n products of +-1 outcomes.
+
+    A sample whose n products all agree has variance 0; the variance is
+    floored at 1/n so that its standard error is not 0.
+    """
+    return np.sqrt(np.maximum(1.0 / n, 1.0 - corr * corr) / n)
+
+
+def coincidence_frequencies(batch) -> tuple[np.ndarray, int]:
+    """A trial batch's 2x2 frequencies of +-1 outcome pairs over its accepted coincidences, and their count.
+
+    Raises NoCoincidencesError, naming the batch's angles, when its policy accepts no trial.
+    """
+    cells = batch.coincidences()
+    n_acc = int(cells.sum())
+    if n_acc == 0:
+        raise NoCoincidencesError(f"no accepted coincidences at angles ({batch.theta1:.6g}, {batch.theta2:.6g})")
+    return cells / n_acc, n_acc
 
 
 def _numbers(values, kinds: str, name: str) -> np.ndarray:
@@ -138,18 +167,13 @@ class CorrelationTable:
     def from_trial_batches(cls, a_settings, b_settings, batches) -> "CorrelationTable":
         """Build from detection trial batches keyed by setting indices (x, y).
 
-        Frequencies are over the trials each batch's policy accepts (single-click
-        coincidences by default): the batch's masked raw table mapped to +-1 outcomes.
+        Frequencies are over the trials each batch's policy accepts
+        (single-click coincidences by default): `coincidence_frequencies`.
         """
         freq = np.zeros((2, 2, 2, 2))
         counts = np.zeros((2, 2), dtype=np.int64)
         for (x, y), batch in batches.items():
-            cells = batch.coincidences()
-            n_acc = int(cells.sum())
-            if n_acc == 0:
-                raise NoCoincidencesError(f"no accepted coincidences for settings {(x, y)}")
-            freq[x, y] = cells / n_acc
-            counts[x, y] = n_acc
+            freq[x, y], counts[x, y] = coincidence_frequencies(batch)
         return cls.from_frequencies(a_settings, b_settings, freq, counts)
 
 

@@ -2,9 +2,9 @@
 
 One subcommand per experiment kind.  Each takes --config, --seed, --out and
 --workers, plus one flag for every setting its runner reads
-(`experiments.KIND_SETTINGS`; flag names and parsers in `SETTINGS`).  The
-Bell kinds, chsh and kolmogorov, take the flags of every --model in
-`experiments.BELL_SOURCES`, and a run reads only its model's.  A flag or
+(`experiments.SOURCES`; flag names and parsers in `SETTINGS`).  The Bell
+kinds, chsh and kolmogorov, take the flags of every --model that
+`experiments.SOURCES` lists, and a run reads only its model's.  A flag or
 config-file key the run does not read (`experiments.settings_read`) is a
 configuration error.  Every run writes a results file with
 provenance-tagged values and pass/fail checks, CSV plot data, and a run
@@ -25,14 +25,13 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .analysis import InconsistentTableError, SignallingDataError, TableFileError
-from .detection import NoCoincidencesError
+from .analysis import InconsistentTableError, NoCoincidencesError, SignallingDataError, TableFileError
 from .experiments import (
     BELL_KINDS,
+    BELL_MODELS,
     BELL_SETTINGS,
-    BELL_SOURCES,
     EXPERIMENT_KINDS,
-    KIND_SETTINGS,
+    SOURCES,
     ExperimentConfig,
     manifest_payload,
     run_experiment,
@@ -72,7 +71,7 @@ SETTINGS = {
     "threshold": ("--threshold", float, "detector power threshold"),
     "angles": ("--angles", _parse_angles, "comma-separated angles in radians"),
     "policy": ("--policy", str, "post-selection policy (keep-singles | keep-all)"),
-    "model": ("--model", str, "Bell table source (" + " | ".join(BELL_SOURCES) + ")"),
+    "model": ("--model", str, "Bell table source (" + " | ".join(BELL_MODELS) + ")"),
     "table_path": ("--table", str, "correlation table JSON file"),
     "time_horizon": ("--time", float, "integration horizon"),
     "dt": ("--dt", float, "integrator step"),
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", help="key=value config file applied before flags")
         bell = BELL_SETTINGS if kind in BELL_KINDS else ()
-        for name in (*_EVERY_KIND, *KIND_SETTINGS[kind], *bell):
+        for name in (*_EVERY_KIND, *SOURCES[kind], *bell):
             flag, _, text = SETTINGS[name]
             p.add_argument(flag, dest=name, help=text)
     return parser

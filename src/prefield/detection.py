@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _correlations, coincidence_frequencies, sign_standard_error
 from .hilbert import FieldVector, HermitianOperator
 from .observables import MCEstimate, standard_error_in_place
 from .random_field import (
@@ -258,24 +259,6 @@ def quadratic_correlation_mc(
     return MCEstimate(mean, se, n_samples)
 
 
-class NoCoincidencesError(ValueError):
-    """No trial passed the post-selection, so no correlation can be estimated."""
-
-
-def _correlations(freq: np.ndarray) -> np.ndarray:
-    """E = P++ + P-- - P+- - P-+ of every setting pair of a (..., 2, 2) table of +-1 outcome frequencies."""
-    return freq[..., 0, 0] + freq[..., 1, 1] - freq[..., 0, 1] - freq[..., 1, 0]
-
-
-def sign_standard_error(corr, n):
-    """Standard error of the mean E of n products of +-1 outcomes.
-
-    A sample whose n products all agree has variance 0; the variance is
-    floored at 1/n so that its standard error is not 0.
-    """
-    return np.sqrt(np.maximum(1.0 / n, 1.0 - corr * corr) / n)
-
-
 # One uint8 click code per trial: bit 0 party 1 "+", bit 1 party 1 "-",
 # bit 2 party 2 "+", bit 3 party 2 "-".  A party's code (bits 0-1 or 2-3)
 # is 0 none, 1 "+" only, 2 "-" only, 3 both.
@@ -450,13 +433,10 @@ def click_statistics(batch: TrialBatch) -> ClickStatistics:
 def correlation_from_clicks(batch: TrialBatch) -> tuple[float, float]:
     """E over the policy's coincidences, and its SE.
 
-    E is the frequency sum `_correlations` of the coincidence counts over
-    their total, as `CorrelationTable.from_trial_batches` forms it, so one
-    batch gives one E and SE to the last bit on either path.
+    E is the frequency sum `_correlations` of `coincidence_frequencies`, as
+    `CorrelationTable.from_trial_batches` forms it, so one batch gives one
+    E and SE to the last bit on either path.
     """
-    cells = batch.coincidences()
-    n_acc = int(cells.sum())
-    if n_acc == 0:
-        raise NoCoincidencesError("no accepted coincidences")
-    e = float(_correlations(cells / n_acc))
+    freq, n_acc = coincidence_frequencies(batch)
+    e = float(_correlations(freq))
     return e, float(sign_standard_error(e, n_acc))

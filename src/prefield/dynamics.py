@@ -111,29 +111,25 @@ class SymplecticIntegrator:
         return self.matrix.dot(x)
 
 
-def _step_count(t: float, dt: float) -> tuple[int, float]:
-    """Number of uniform steps covering t, and the adjusted step size."""
+def step_count(t: float, dt: float) -> float:
+    """Uniform steps covering t at a step size near dt: max(1, round(t / dt)).
+
+    Rounded in floats, so a huge or non-finite ratio compares instead of raising.
+    """
+    return float(max(1.0, np.rint(t / dt)))
+
+
+def integrate(system: HamiltonianSystem, x: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """March the Hamilton flow of x = (q, p) to exactly t in uniform (hence symplectic) steps of t / step_count."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t < 0.0:
         raise ValueError("t must be non-negative")
     if t == 0.0:
-        return 0, dt
-    steps = max(1, int(round(t / dt)))
-    return steps, t / steps
-
-
-def integrate(system: HamiltonianSystem, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """March the Hamilton flow of x = (q, p) to time t in uniform steps of size ~dt.
-
-    The step size is adjusted to t / round(t / dt) so the horizon is hit
-    exactly with a uniform (hence symplectic) step sequence.
-    """
-    steps, dt_eff = _step_count(t, dt)
-    if steps == 0:
         return x
-    integrator = SymplecticIntegrator(system, dt_eff)
-    for _ in range(steps):
+    steps = step_count(t, dt)
+    integrator = SymplecticIntegrator(system, t / steps)
+    for _ in range(int(steps)):
         x = integrator.step(x)
     return x
 

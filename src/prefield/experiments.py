@@ -9,8 +9,8 @@ plot tables.  All randomness flows through the counter-based streams of
 which estimate or block, never the numbers.
 
 chsh and kolmogorov share one table layer, `_bell_table`: each --model in
-BELL_SOURCES builds its table, declares its S and checks, and reads only its
-listed settings.  chsh is that layer; kolmogorov adds the feasibility verdict.
+BELL_MODELS builds its table, declares its S and checks, and reads only the
+settings its SOURCES entry lists.  chsh is that layer; kolmogorov adds the feasibility verdict.
 
 Detection operating points
 --------------------------
@@ -79,6 +79,7 @@ from .dynamics import (
     evolve_ensemble,
     exact_propagator,
     integrate,
+    step_count,
 )
 from .hilbert import FieldVector, HermitianOperator, kron_vector, state_average
 from .observables import (
@@ -103,27 +104,6 @@ from .random_field import (
 )
 from .serialize import operator_payload
 
-# The ExperimentConfig fields each kind's runner reads besides seed and
-# workers.  The Bell kinds read a model, and then the settings that
-# BELL_SOURCES lists for it; `settings_read` gives a run's whole list.
-KIND_SETTINGS = {
-    "born": ("dim", "epsilon", "samples"),
-    "dynamics": ("dim", "epsilon", "time_horizon", "dt"),
-    "hessian": ("dim", "step"),
-    "epr": ("epsilon", "threshold", "angles", "trials", "samples", "policy"),
-    "chsh": ("model",),
-    "kolmogorov": ("model",),
-}
-EXPERIMENT_KINDS = tuple(KIND_SETTINGS)
-BELL_KINDS = ("chsh", "kolmogorov")
-BELL_SOURCES = {
-    "lhv": ("angles", "trials"),
-    "singlet": ("angles",),
-    "singlet-clicks": ("epsilon", "threshold", "angles", "trials", "policy"),
-    "file": ("table_path",),
-}
-BELL_SETTINGS = tuple(dict.fromkeys(name for names in BELL_SOURCES.values() for name in names))
-
 SINGLET_EPS_MIN = math.sqrt(0.5) - 0.5
 
 # frozen calibration constants (see module docstring)
@@ -140,16 +120,29 @@ CHSH_TARGET = 2.6
 
 DEFAULT_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
 
-# A run's value of each setting left unset, by kind or, for a Bell kind, by model.
-CALIBRATED = {
-    "born": {"epsilon": 0.05},
-    "dynamics": {"epsilon": 0.05},
+# Each kind, then each Bell model, maps the ExperimentConfig fields its run reads
+# besides seed and workers to the value read when the field is unset: a calibrated
+# value, or None for the field's own default.  A Bell kind reads its model, then
+# that model's fields; `settings_read` gives a run's whole list.
+SOURCES = {
+    "born": {"dim": None, "epsilon": 0.05, "samples": None},
+    "dynamics": {"dim": None, "epsilon": 0.05, "time_horizon": None, "dt": None},
+    "hessian": {"dim": None, "step": None},
     "epr": {"epsilon": CURVE_EPSILON, "threshold": CURVE_THRESHOLD,
-            "angles": tuple(np.linspace(0.0, math.pi, 16, endpoint=False).tolist())},
-    "lhv": {"angles": DEFAULT_CHSH_ANGLES},
+            "angles": tuple(np.linspace(0.0, math.pi, 16, endpoint=False).tolist()),
+            "trials": None, "samples": None, "policy": None},
+    "chsh": {"model": None},
+    "kolmogorov": {"model": None},
+    "lhv": {"angles": DEFAULT_CHSH_ANGLES, "trials": None},
     "singlet": {"angles": DEFAULT_CHSH_ANGLES},
-    "singlet-clicks": {"epsilon": CHSH_CLICK_EPSILON, "threshold": CHSH_CLICK_THRESHOLD, "angles": DEFAULT_CHSH_ANGLES},
+    "singlet-clicks": {"epsilon": CHSH_CLICK_EPSILON, "threshold": CHSH_CLICK_THRESHOLD,
+                       "angles": DEFAULT_CHSH_ANGLES, "trials": None, "policy": None},
+    "file": {"table_path": None},
 }
+BELL_KINDS = ("chsh", "kolmogorov")
+EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", *BELL_KINDS)
+BELL_MODELS = tuple(name for name in SOURCES if name not in EXPERIMENT_KINDS)
+BELL_SETTINGS = tuple(dict.fromkeys(name for model in BELL_MODELS for name in SOURCES[model]))
 
 # Sub-keys of STREAM_PAIRS.  chsh draws setting pair (x, y) from
 # (STREAM_PAIRS, x, y) with x, y in {0, 1}; epr's estimates draw from
@@ -173,7 +166,7 @@ class ExperimentConfig:
 
     kind: str
     dim: int = 2
-    epsilon: float | None = None  # None, as for threshold and angles: the run's CALIBRATED value
+    epsilon: float | None = None  # None, as for threshold and angles: the run's SOURCES value
     threshold: float | None = None
     angles: tuple[float, ...] | None = None
     trials: int = 100_000
@@ -199,25 +192,17 @@ class ExperimentConfig:
         return {name: self.setting(name) for name in ("kind", "seed", *settings_read(self))}
 
     def setting(self, name: str):
-        """The value the run reads for field `name`: the config's, else its CALIBRATED one."""
+        """The value the run reads for field `name`: the config's, else its SOURCES one."""
         value = getattr(self, name)
         source = self.model if self.kind in BELL_KINDS else self.kind
-        return CALIBRATED.get(source, {}).get(name) if value is None else value
+        return SOURCES.get(source, {}).get(name) if value is None else value
 
 
 def settings_read(config: ExperimentConfig) -> tuple[str, ...]:
-    """A run's settings besides seed and workers: its kind's, then its Bell source's
+    """A run's settings besides seed and workers: its kind's, then its Bell model's
     (any Bell setting for an unknown model, so that `validate` names the model)."""
-    own = KIND_SETTINGS[config.kind]
-    return own + BELL_SOURCES.get(config.model, BELL_SETTINGS) if config.kind in BELL_KINDS else own
-
-
-def _dynamics_steps(t: float, dt: float) -> float:
-    """Steps run_dynamics takes: `integrate` to t, then the drift table to DRIFT_HORIZON.
-
-    Rounded in floats, so a huge or non-finite ratio compares instead of raising.
-    """
-    return float(max(1.0, np.rint(t / dt)) + np.rint(DRIFT_HORIZON / dt))
+    bell = SOURCES[config.model] if config.model in BELL_MODELS else BELL_SETTINGS
+    return (*SOURCES[config.kind], *(bell if config.kind in BELL_KINDS else ()))
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -267,7 +252,9 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"dt too large: the drift table takes round({DRIFT_HORIZON:g} / dt) = 0 steps, "
             f"so energy_conserved and norm_conserved would compare the initial state with itself"
         )
-    elif config.kind == "dynamics" and _dynamics_steps(config.time_horizon, config.dt) > DYNAMICS_MAX_STEPS:
+    elif config.kind == "dynamics" and (
+        step_count(config.time_horizon, config.dt) + step_count(DRIFT_HORIZON, config.dt) > DYNAMICS_MAX_STEPS
+    ):
         problems.append(
             f"dt too small for the horizon: dynamics takes round(time / dt) + "
             f"round({DRIFT_HORIZON:g} / dt) steps, at most {DYNAMICS_MAX_STEPS}"
@@ -278,8 +265,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append("time must be positive: at time 0 integrate takes no step, so "
                         "integrator_matches_propagator would compare the initial state with itself")
     if config.kind in BELL_KINDS:
-        if config.model not in BELL_SOURCES:
-            problems.append(f"{config.kind} model must be one of {tuple(BELL_SOURCES)}")
+        if config.model not in BELL_MODELS:
+            problems.append(f"{config.kind} model must be one of {BELL_MODELS}")
         if config.model == "file" and not config.table_path:
             problems.append("model 'file' needs --table")
         if config.model == "lhv" and config.trials < 2:
@@ -423,7 +410,7 @@ def run_dynamics(config: ExperimentConfig) -> ExperimentResult:
     x = x0
     e0 = system.hamilton_function(x)
     n0 = float(x @ x)
-    steps = int(round(DRIFT_HORIZON / dt))
+    steps = int(step_count(DRIFT_HORIZON, dt))
     stride = max(1, steps // 1000)
     header = ["t"] + [f"re_{k}" for k in range(dim)] + [f"im_{k}" for k in range(dim)] + ["energy", "power"]
     rows = []
@@ -601,7 +588,7 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> CorrelationTable:
-    """The table of config.model (BELL_SOURCES), written as chsh_table.csv.
+    """The table of config.model (BELL_MODELS), written as chsh_table.csv.
 
     Declares the source's S, with its provenance, and the source's checks.
     """

@@ -143,7 +143,7 @@ def standard_error_in_place(values: np.ndarray) -> float:
 
 
 def running_sums(values: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """np.cumsum(values)[stops - 1], bit for bit, from a cumsum taken one CHUNK at a time.
+    """np.cumsum(values)[stops - 1] at ascending stops, bit for bit, from a cumsum taken one CHUNK at a time.
 
     np.cumsum adds strictly left to right, so carrying the running total into
     each chunk's first element reproduces it; the total starts at -0.0, the
@@ -155,7 +155,8 @@ def running_sums(values: np.ndarray, stops: np.ndarray) -> np.ndarray:
         part[0] += total
         np.cumsum(part, out=part)
         total = part[-1]
-        sums.append(part[stops[(stops > lo) & (stops <= lo + part.size)] - 1 - lo])
+        first, last = np.searchsorted(stops, (lo, lo + part.size), side="right")  # the stops in (lo, lo + size]
+        sums.append(part[stops[first:last] - 1 - lo])
     return np.concatenate(sums)
 
 

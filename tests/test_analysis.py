@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_no_signalling_tables
+from prefield import analysis
 from prefield.analysis import (
     LHV_FLIP,
     CorrelationTable,
@@ -393,3 +396,13 @@ class TestDetectionBridge:
         assert abs(s) > 2.0 + 5.0 * se  # post-selected clicks break the bound
         verdict = kolmogorov_feasible(table)
         assert not verdict.feasible
+
+    def test_analysis_imports_nothing_from_detection(self):
+        """analysis owns the coincidence table that detection's E reads, so the import runs one way only."""
+        modules = set()
+        for node in ast.walk(ast.parse(Path(analysis.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules |= {node.module or "", *(f"{node.module or ''}.{alias.name}" for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+        assert not [m for m in modules if "detection" in m.split(".")], sorted(modules)

@@ -27,8 +27,8 @@ from prefield.experiments import (
     CURVE_EPSILON,
     DEFAULT_CHSH_ANGLES,
     DYNAMICS_MAX_STEPS,
-    KIND_SETTINGS,
     MAX_DRAWS,
+    SOURCES,
     TRIAL_CSV_LIMIT,
     ExperimentConfig,
     run_born,
@@ -40,6 +40,17 @@ from prefield.random_field import CHUNK, SAMPLE_BLOCK
 
 
 EPR_SMALL = ["epr", "--trials", "4000", "--samples", "2000", "--angles", "0.3"]
+# every SOURCES value that is not a field default, and a small run of its kind or Bell model that leaves it unset
+SOURCE_VALUES = [(source, name, value) for source, fields in SOURCES.items() for name, value in fields.items()
+                 if value is not None]
+SOURCE_RUNS = {
+    "born": ["born", "--samples", "2000"],
+    "dynamics": ["dynamics", "--time", "0.1", "--dt", "0.01"],
+    "epr": ["epr", "--trials", "2000", "--samples", "2000"],
+    "lhv": ["chsh", "--model", "lhv", "--trials", "1000"],
+    "singlet": ["chsh", "--model", "singlet"],
+    "singlet-clicks": ["chsh", "--model", "singlet-clicks", "--trials", "2000"],
+}
 
 
 def nan_field_mc(ensemble, a, b, n_samples, *rest, **kwargs):
@@ -157,8 +168,8 @@ class TestValidate:
         assert len(validate(cfg)) >= 3
 
     def test_dynamics_cap_counts_both_loops(self):
-        # run_dynamics takes round(time / dt) integrate steps plus
-        # round(10 / dt) drift-table steps; the cap bounds their sum.
+        # run_dynamics takes step_count(time, dt) integrate steps plus
+        # step_count(10, dt) drift-table steps; the cap bounds their sum.
         # At dt = 11 / cap, time 1 takes 90,909 steps and the table 909,091: the cap exactly
         at_cap = 11.0 / DYNAMICS_MAX_STEPS
         assert validate(ExperimentConfig(kind="dynamics", seed=7, dt=at_cap, time_horizon=1.0)) == []
@@ -326,8 +337,8 @@ class TestKindSettings:
             assert not outside, f"{kind} {settings} reads {outside}, which settings_read does not list"
             assert listed <= read, f"settings_read lists {listed - read} for {kind} {settings}, which it does not read"
             seen |= read
-        unread = set(KIND_SETTINGS[kind]) - seen
-        assert not unread, f"KIND_SETTINGS lists {unread} for {kind}, which no run reads"
+        unread = set(SOURCES[kind]) - seen
+        assert not unread, f"SOURCES lists {unread} for {kind}, which no run reads"
 
     @pytest.mark.parametrize("kind, model", BELL_RUNS, ids=[f"{k}-{m}" for k, m in BELL_RUNS])
     def test_unread_model_flag_is_a_config_error(self, kind, model, capsys, tmp_path):
@@ -711,20 +722,23 @@ class TestExitCodes:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, angles",
         [
-            ["epr", "--trials", "2000", "--samples", "2000", "--threshold", "0"],
-            ["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "0"],
-            ["epr", "--trials", "2000", "--samples", "2000", "--threshold", "50"],
-            ["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "50"],
+            (["epr", "--trials", "2000", "--samples", "2000", "--angles", "0.3", "--threshold", "0"], "(0, 0.3)"),
+            (["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "0"], "(0, 0.392699)"),
+            (["epr", "--trials", "2000", "--samples", "2000", "--threshold", "50"], "(0, 0)"),
+            (["chsh", "--model", "singlet-clicks", "--trials", "2000", "--threshold", "50"], "(0, 0.392699)"),
         ],
         ids=["epr-zero", "chsh-zero", "epr-high", "chsh-high"],
     )
-    def test_no_coincidences_hint_names_both_threshold_ends(self, argv, capsys, tmp_path):
-        """At threshold 0 every trial is a double click; far above it no channel fires: the hint names both."""
+    def test_no_coincidences_hint_names_both_threshold_ends(self, argv, angles, capsys, tmp_path):
+        """At threshold 0 every trial is a double click; far above it no channel fires: the hint names both.
+
+        The error names the splitter angles of the first batch without a coincidence.
+        """
         assert main(argv + ["--seed", "7", "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "no accepted coincidences" in err
+        assert f"no accepted coincidences at angles {angles};" in err
         assert "so high that no channel fires" in err and "every trial is a double click" in err
 
     def test_out_naming_a_file_is_a_config_error(self, capsys, tmp_path):
@@ -1120,6 +1134,14 @@ class TestProvenance:
         values = json.loads((out / "results.json").read_text())["values"]
         if "epsilon" in values:
             assert values["epsilon"]["value"] == epsilon
+
+    @pytest.mark.parametrize("source, name, value", SOURCE_VALUES, ids=[f"{s}-{n}" for s, n, _ in SOURCE_VALUES])
+    def test_unset_setting_records_its_sources_value(self, source, name, value, tmp_path):
+        """A run that leaves a setting unset records in manifest.json exactly its SOURCES value."""
+        out = tmp_path / "run"
+        assert main(SOURCE_RUNS[source] + ["--seed", "1", "--out", str(out)]) in (0, 1)
+        recorded = strict_json(out / "manifest.json")["config"][name]
+        assert recorded == (list(value) if isinstance(value, tuple) else value)
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,6 +13,7 @@ from prefield.dynamics import (
     evolve_ensemble,
     exact_propagator,
     integrate,
+    step_count,
 )
 from prefield.experiments import (
     DRIFT_HORIZON,
@@ -98,6 +99,18 @@ class TestHamiltonStructure:
 
 
 class TestSymplecticIntegrator:
+    def test_step_count_rounds_to_at_least_one_step(self):
+        assert step_count(1.0, 1e-3) == 1000.0
+        assert (step_count(0.0015, 1e-3), step_count(0.0025, 1e-3)) == (2.0, 2.0)  # half to even
+        assert step_count(1e-4, 1e-3) == 1.0
+        assert step_count(1.0, 1e-320) == float("inf")  # a huge ratio compares instead of raising
+
+    @pytest.mark.parametrize("t, dt", [(1.0, 0.0), (1.0, -1e-3), (-1.0, 1e-3)])
+    def test_integrate_rejects_bad_arguments(self, t, dt):
+        system = HamiltonianSystem(HermitianOperator(np.eye(2)))
+        with pytest.raises(ValueError):
+            integrate(system, np.ones(4), t, dt)
+
     def test_zero_hamiltonian_is_identity(self):
         system = HamiltonianSystem(HermitianOperator(np.zeros((2, 2))))
         x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from helpers import CHUNK_EDGES, pairs_in_two_pieces
-from prefield.analysis import CorrelationTable
+from prefield.analysis import CorrelationTable, NoCoincidencesError
 from prefield.detection import (
     BipartiteEnsemble,
-    NoCoincidencesError,
     TrialBatch,
     click_statistics,
     correlation_from_clicks,
