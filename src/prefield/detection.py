@@ -42,16 +42,16 @@ default post-selection policy keeps trials where each party produced
 exactly one click, mirroring the time-window discard of coincidence
 experiments; raw counts are always retained so the selection is auditable.
 
-A trial is stored as one byte, the click code of its four channels, and a
-batch of trials as its codes plus their 16-bin histogram.  A party's code
-is 0 none, 1 "+" only, 2 "-" only, 3 both, and the histogram read as a
-4x4 raw table counts trials by (party 1 code, party 2 code).  A policy is
-a 4x4 mask over that table, and the 2x2 counts of +-1 outcomes are
-_OUTCOME^T (raw * mask) _OUTCOME, with _OUTCOME mapping a party code to
-"+" when its + channel fired.  Every rate, coincidence count and
-correlation is read from the raw table.  A single party's clicks are
-party 1's marginal of a product state psi x e_0, whose party-1 covariance
-is psi psi^+ + eps I.
+A trial is stored as one byte, the click code of its four channels.  A
+batch of trials is its codes plus their 16-bin histogram, and its tally
+the histogram alone.  A party's code is 0 none, 1 "+" only, 2 "-" only,
+3 both, and the histogram read as a 4x4 raw table counts trials by
+(party 1 code, party 2 code).  A policy is a 4x4 mask over that table,
+and the 2x2 counts of +-1 outcomes are _OUTCOME^T (raw * mask) _OUTCOME,
+with _OUTCOME mapping a party code to "+" when its + channel fired.
+Every rate, coincidence count and correlation is read from the raw
+table.  A single party's clicks are party 1's marginal of a product
+state psi x e_0, whose party-1 covariance is psi psi^+ + eps I.
 """
 
 from __future__ import annotations
@@ -297,36 +297,20 @@ def _click_codes(factor, threshold, n_trials, seed, stream, workers) -> np.ndarr
     return codes
 
 
-class TrialBatch:
-    """Detection trials for one setting pair, one click code per trial.
+class TrialTally:
+    """A setting pair's 16-bin code histogram and policy: what every statistic of its trials reads."""
 
-    The 16-bin code histogram is computed once; read as the 4x4 raw table
-    of trials by (party 1 code, party 2 code), it is what every statistic
-    of the batch reads.  The policy is a 4x4 mask over that table.
-    """
+    __slots__ = ("theta1", "theta2", "histogram", "policy")
 
-    __slots__ = ("theta1", "theta2", "codes", "histogram", "policy")
-
-    def __init__(self, theta1, theta2, codes, policy=POLICY_KEEP_SINGLES):
+    def __init__(self, theta1, theta2, histogram, policy):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-        self.theta1 = float(theta1)
-        self.theta2 = float(theta2)
-        self.policy = policy
-        codes = np.asarray(codes, dtype=np.uint8)
-        if codes.ndim != 1:
-            raise ValueError("codes must be one-dimensional")
-        if codes.size and int(codes.max()) >= _N_CODES:
-            raise ValueError(f"click codes must lie below {_N_CODES}")
-        self.codes = codes
-        # bincount widens its input to intp (8 bytes per trial), so count by chunks
-        self.histogram = np.zeros(_N_CODES, dtype=np.int64)
-        for lo in range(0, codes.size, CHUNK):
-            self.histogram += np.bincount(codes[lo : lo + CHUNK], minlength=_N_CODES)
+        self.theta1, self.theta2 = float(theta1), float(theta2)
+        self.histogram, self.policy = histogram, policy
 
     @property
     def n_trials(self) -> int:
-        return self.codes.size
+        return int(self.histogram.sum())
 
     @property
     def raw(self) -> np.ndarray:
@@ -338,14 +322,40 @@ class TrialBatch:
         """4x4 mask of the (party 1 code, party 2 code) cells the policy keeps."""
         return _POLICY_MASKS[self.policy]
 
+    def coincidences(self) -> np.ndarray:
+        """2x2 accepted-trial counts by (party 1, party 2) outcome, "+" first."""
+        return _OUTCOME.T @ (self.raw * self.mask) @ _OUTCOME
+
+
+class TrialBatch(TrialTally):
+    """A setting pair's tally and its trials' click codes, one byte per trial.
+
+    The codes live as long as the batch: `tally()` drops them once no trial is read.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, theta1, theta2, codes, policy=POLICY_KEEP_SINGLES):
+        codes = np.asarray(codes, dtype=np.uint8)
+        if codes.ndim != 1:
+            raise ValueError("codes must be one-dimensional")
+        if codes.size and int(codes.max()) >= _N_CODES:
+            raise ValueError(f"click codes must lie below {_N_CODES}")
+        # bincount widens its input to intp (8 bytes per trial), so count by chunks
+        histogram = np.zeros(_N_CODES, dtype=np.int64)
+        for lo in range(0, codes.size, CHUNK):
+            histogram += np.bincount(codes[lo : lo + CHUNK], minlength=_N_CODES)
+        super().__init__(theta1, theta2, histogram, policy)
+        self.codes = codes
+
     @property
     def accepted(self) -> np.ndarray:
         """Per-trial flag: the policy keeps the trial."""
         return self.mask.T.ravel()[self.codes]
 
-    def coincidences(self) -> np.ndarray:
-        """2x2 accepted-trial counts by (party 1, party 2) outcome, "+" first."""
-        return _OUTCOME.T @ (self.raw * self.mask) @ _OUTCOME
+    def tally(self) -> TrialTally:
+        """The batch without its codes."""
+        return TrialTally(self.theta1, self.theta2, self.histogram, self.policy)
 
     def csv_table(self):
         """(header, rows, index) of the trial CSV, the arguments of `serialize.write_csv` after the path.
@@ -381,9 +391,10 @@ def run_trials(
     channel clicks when its power exceeds `threshold`.  Both splitter bases
     are folded into the sampling factor, so one product per chunk gives all
     four channel amplitudes (`_click_codes`); memory is one chunk per worker
-    plus one byte per trial.  Party 2's field is the conjugate of the
-    sampled coordinates, which leaves |R^T z|^2 unchanged for the real
-    splitter basis R, so the conjugate is never formed.
+    plus the batch's codes, one byte per trial, which live as long as the
+    batch (`TrialBatch.tally` drops them).  Party 2's field is the conjugate
+    of the sampled coordinates, which leaves |R^T z|^2 unchanged for the
+    real splitter basis R, so the conjugate is never formed.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -418,7 +429,7 @@ class ClickStatistics:
         return np.array(self.party_counts) / self.n_trials
 
 
-def click_statistics(batch: TrialBatch) -> ClickStatistics:
+def click_statistics(batch: TrialTally) -> ClickStatistics:
     """Trial, accepted and per-party code counts, read from the raw table."""
     if batch.n_trials < 1:
         raise ValueError("empty batch")
@@ -430,7 +441,7 @@ def click_statistics(batch: TrialBatch) -> ClickStatistics:
     )
 
 
-def correlation_from_clicks(batch: TrialBatch) -> tuple[float, float]:
+def correlation_from_clicks(batch: TrialTally) -> tuple[float, float]:
     """E over the policy's coincidences, and its SE.
 
     E is the frequency sum `_correlations` of `coincidence_frequencies`, as

@@ -153,7 +153,8 @@ EPR_CURVE = 3
 EPR_GRID = 4
 EPR_NO_SIGNALLING = 5
 
-TRIAL_CSV_LIMIT = 200_000  # avoid multi-hundred-MB artifacts
+# avoid multi-hundred-MB artifacts; a click run up to it keeps each pair's codes for its trial CSV
+TRIAL_CSV_LIMIT = 200_000
 DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
 DYNAMICS_MAX_STEPS = 1_000_000  # integrate plus drift-table steps; about 2 s of stepping on one core
 MAX_DIM = 64  # hessian evaluates 16 dim**2 stencil points: about 2.6 s at dim 64 on one core
@@ -591,6 +592,8 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
     """The table of config.model (BELL_MODELS), written as chsh_table.csv.
 
     Declares the source's S, with its provenance, and the source's checks.
+    A click run draws its setting pairs one after another and keeps each
+    one's tally; its codes outlive the pair only in its trial CSV.
     """
     if config.model != "file":
         a1, a2, b1, b2 = config.setting("angles")
@@ -616,33 +619,33 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
         seed = RandomSeed(config.seed)
         result.add_info("epsilon", eps)
         result.add_info("threshold", threshold)
-        batches = {
-            (x, y): run_trials(
+
+        def pair_tally(x, y):
+            batch = run_trials(
                 ensemble, a_settings[x], b_settings[y], threshold, config.trials, seed,
                 policy=config.policy, workers=config.workers, stream=(STREAM_PAIRS, x, y),
             )
-            for x in range(2)
-            for y in range(2)
-        }
+            if config.trials <= TRIAL_CSV_LIMIT:
+                result.tables[f"trials_x{x}_y{y}"] = batch.csv_table()
+            return batch.tally()
+
+        tallies = {(x, y): pair_tally(x, y) for x in range(2) for y in range(2)}
         # each party's field is circular with covariance (1/2 + eps) I, so its two
         # channel powers are independent exponentials with mean 1/2 + eps: each
         # channel fires with probability q, independently of the other
         q = math.exp(-threshold / (0.5 + eps))
         exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
         rate_se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
-        stats = {key: click_statistics(batch) for key, batch in batches.items()}
+        stats = {key: click_statistics(tally) for key, tally in tallies.items()}
         pulls = [np.abs(batch_stats.party_frequencies - exact) / rate_se for batch_stats in stats.values()]
         result.add_exact("channel_click_probability", q)
         result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
-        table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
+        table = CorrelationTable.from_trial_batches(a_settings, b_settings, tallies)
         s, se = chsh(table)
         result.add_mc("S_clicks", s, se, int(table.counts.sum()))
         result.add_info("violation_target", CHSH_TARGET)
         result.add_info("violation_reproduced", bool(abs(s) >= CHSH_TARGET))
         result.add_info("accepted_fractions", {f"{k}": v.accepted_fraction for k, v in stats.items()})
-        if config.trials <= TRIAL_CSV_LIMIT:
-            for (x, y), batch in batches.items():
-                result.tables[f"trials_x{x}_y{y}"] = batch.csv_table()
     else:  # file
         table = table_from_json(config.table_path)
         s, se = chsh(table)

@@ -1,6 +1,6 @@
 """Golden artifacts: the digests and values of a fixed run set, and their comparison.
 
-`RUN_SET` is nine CLI configurations, one per kind and, for chsh and
+`RUN_SET` is ten CLI configurations, one per kind and, for chsh and
 kolmogorov, per model with a seed-driven table, each run at seeds 1, 41 and
 9173 at one worker.  `tests/golden_artifacts.json` records, for every run,
 its exit status, the SHA-256 of every artifact it wrote, and the values a
@@ -63,6 +63,8 @@ RUN_SET = {
     "chsh-singlet-clicks": ["chsh", "--model", "singlet-clicks", "--trials", "4000"],
     "kolmogorov-lhv": ["kolmogorov", "--model", "lhv", "--trials", "5000"],
     "kolmogorov-singlet": ["kolmogorov", "--model", "singlet"],
+    # one trial past TRIAL_CSV_LIMIT: the click run that writes no trial CSVs
+    "kolmogorov-singlet-clicks": ["kolmogorov", "--model", "singlet-clicks", "--trials", "200001"],
 }
 # Absolute.  The largest measured move is 5.6e-13: von_neumann_residual, a
 # central difference over 2e-4 that multiplies last-bit moves by 5,000, at

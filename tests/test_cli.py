@@ -861,6 +861,26 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         assert read_artifacts(outs[0]) == read_artifacts(outs[1]) == read_artifacts(outs[2])
 
+    @pytest.mark.parametrize("policy", ["keep-singles", "keep-all"])
+    def test_click_numbers_do_not_depend_on_keeping_codes(self, policy, tmp_path, monkeypatch):
+        """A click run past TRIAL_CSV_LIMIT, which keeps no pair's codes, writes the numbers of one that does.
+
+        Each table count is the number of accepted rows in its pair's trial
+        CSV, so a tally that lost its batch's policy fails under keep-all.
+        """
+        args = ["chsh", "--model", "singlet-clicks", "--seed", "5", "--trials", "4000", "--policy", policy]
+        assert main(args + ["--out", str(tmp_path / "codes")]) == 0
+        monkeypatch.setattr(experiments, "TRIAL_CSV_LIMIT", 3999)
+        assert main(args + ["--out", str(tmp_path / "tallies")]) == 0
+        kept, tallied = read_artifacts(tmp_path / "codes"), read_artifacts(tmp_path / "tallies")
+        assert sorted(tallied) == ["chsh_table.csv", "manifest.json", "results.json"]
+        assert kept["results.json"] == tallied["results.json"]
+        assert kept["chsh_table.csv"] == tallied["chsh_table.csv"]
+        for row in tallied["chsh_table.csv"].decode().splitlines()[1:]:
+            x, y, *_, n = row.split(",")
+            trials = kept[f"trials_x{x}_y{y}.csv"].decode().splitlines()[1:]
+            assert int(n) == sum(line.endswith(",1") for line in trials)
+
     @pytest.mark.usefixtures("split_every_chunk")
     def test_click_trial_csvs_worker_invariance(self, tmp_path):
         out1, out3 = tmp_path / "c1", tmp_path / "c3"
@@ -1090,18 +1110,24 @@ class TestMemory:
         assert peak < 3 * 2**20
 
     def test_click_codes_stream_their_trials(self, tmp_path):
-        """A click run past the trial-CSV limit holds one byte per trial of its four batches and one chunk per worker."""
+        """A click run past the trial-CSV limit holds one setting pair's codes and one chunk per worker.
+
+        Holding every pair's codes, one byte per trial each, would peak at
+        about n + 3.7 MiB at one worker and n + 4.5 MiB at two.
+        """
         n = 10**6
-        argv = ["chsh", "--model", "singlet-clicks", "--seed", "7", "--trials"]
-        assert main(argv + ["2000", "--out", str(tmp_path / "warm")]) == 0  # lazy imports stay out of the peak
-        tracemalloc.start()
-        try:
-            code = main(argv + [str(n), "--out", str(tmp_path / "run")])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 4 * n + 1.25 * 2**20
+        for kind in ("chsh", "kolmogorov"):
+            for workers, slack_mib in ((1, 1.25), (2, 2.0)):
+                argv = [kind, "--model", "singlet-clicks", "--seed", "7", "--workers", str(workers), "--trials"]
+                assert main(argv + ["2000", "--out", str(tmp_path / "warm")]) == 0  # lazy imports stay out of the peak
+                tracemalloc.start()
+                try:
+                    code = main(argv + [str(n), "--out", str(tmp_path / "run")])
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+                assert peak < n + slack_mib * 2**20, (kind, workers, (peak - n) / 2**20)
 
 
 class TestProvenance:
