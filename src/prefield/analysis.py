@@ -65,15 +65,15 @@ def sign_standard_error(corr, n):
     return np.sqrt(np.maximum(1.0 / n, 1.0 - corr * corr) / n)
 
 
-def coincidence_frequencies(batch) -> tuple[np.ndarray, int]:
-    """A trial batch's 2x2 frequencies of +-1 outcome pairs over its accepted coincidences, and their count.
+def coincidence_frequencies(tally) -> tuple[np.ndarray, int]:
+    """A tally's 2x2 frequencies of +-1 outcome pairs over its accepted coincidences, and their count.
 
-    Raises NoCoincidencesError, naming the batch's angles, when its policy accepts no trial.
+    Raises NoCoincidencesError, naming the tally's angles, when its policy accepts no trial.
     """
-    cells = batch.coincidences()
+    cells = tally.coincidences()
     n_acc = int(cells.sum())
     if n_acc == 0:
-        raise NoCoincidencesError(f"no accepted coincidences at angles ({batch.theta1:.6g}, {batch.theta2:.6g})")
+        raise NoCoincidencesError(f"no accepted coincidences at angles ({tally.theta1:.6g}, {tally.theta2:.6g})")
     return cells / n_acc, n_acc
 
 
@@ -165,9 +165,9 @@ class CorrelationTable:
 
     @classmethod
     def from_trial_batches(cls, a_settings, b_settings, batches) -> "CorrelationTable":
-        """Build from detection trial batches keyed by setting indices (x, y).
+        """Build from detection tallies keyed by setting indices (x, y).
 
-        Frequencies are over the trials each batch's policy accepts
+        Frequencies are over the trials each tally's policy accepts
         (single-click coincidences by default): `coincidence_frequencies`.
         """
         freq = np.zeros((2, 2, 2, 2))
@@ -368,12 +368,11 @@ def kolmogorov_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     )
     if feasible:
         return FeasibilityVerdict(True, x, residual, None, (), assignments)
-    if farkas is not None:
-        # certificate sanity: y^T A <= 0 on every assignment, y^T b > 0
-        slack = float((farkas @ a).max())
-        gain = float(farkas @ b)
-        if slack > FEASIBILITY_TOL or gain <= 0.0:
-            raise ArithmeticError("invalid Farkas certificate from simplex")
+    # certificate sanity: y^T A <= 0 on every assignment, y^T b > 0
+    slack = float((farkas @ a).max())
+    gain = float(farkas @ b)
+    if slack > FEASIBILITY_TOL or gain <= 0.0:
+        raise ArithmeticError("invalid Farkas certificate from simplex")
     if not violated:
         raise ArithmeticError(
             "simplex reports infeasible but no CHSH inequality is violated; "

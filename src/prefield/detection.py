@@ -49,9 +49,11 @@ the histogram alone.  A party's code is 0 none, 1 "+" only, 2 "-" only,
 (party 1 code, party 2 code).  A policy is a 4x4 mask over that table,
 and the 2x2 counts of +-1 outcomes are _OUTCOME^T (raw * mask) _OUTCOME,
 with _OUTCOME mapping a party code to "+" when its + channel fired.
-Every rate, coincidence count and correlation is read from the raw
+Every rate, coincidence count and correlation is read from a tally's raw
 table.  A single party's clicks are party 1's marginal of a product
-state psi x e_0, whose party-1 covariance is psi psi^+ + eps I.
+state psi x e_0, whose party-1 covariance is psi psi^+ + eps I.  A singlet
+party's is (1/2 + eps) I, so each of its channels fires independently with
+q = exp(-d / (1/2 + eps)): the closed form `party_code_probabilities`.
 """
 
 from __future__ import annotations
@@ -265,12 +267,24 @@ def quadratic_correlation_mc(
 _N_CODES = 16
 _CODE_CLICKS = ((np.arange(_N_CODES)[:, None] >> np.arange(4)) & 1).astype(bool)
 _CODE_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
+CODE_BOTH = 3  # a party's code for a double click
 _PARTY_CLASS = ("none", "single", "single", "double")
 # outcome of a party code: "+" (column 0) when its + channel fired, "-" (column 1) otherwise
 _OUTCOME = np.array([[0, 1], [1, 0], [0, 1], [1, 0]], dtype=np.int64)
 _SINGLE = np.array([False, True, True, False])
 # post-selection policy: a 4x4 mask over (party 1 code, party 2 code)
 _POLICY_MASKS = {POLICY_KEEP_SINGLES: np.outer(_SINGLE, _SINGLE), POLICY_KEEP_ALL: np.ones((4, 4), dtype=bool)}
+
+
+def channel_click_probability(threshold: float, epsilon: float) -> float:
+    """q = exp(-d / (1/2 + eps)): the probability that a singlet party's channel fires."""
+    return math.exp(-threshold / (0.5 + epsilon))
+
+
+def party_code_probabilities(threshold: float, epsilon: float) -> np.ndarray:
+    """A singlet party's code probabilities (none, + only, - only, both): each channel fires with q, independently."""
+    q = channel_click_probability(threshold, epsilon)
+    return np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
 
 
 def _pack_codes(clicks: np.ndarray) -> np.ndarray:
@@ -298,7 +312,7 @@ def _click_codes(factor, threshold, n_trials, seed, stream, workers) -> np.ndarr
 
 
 class TrialTally:
-    """A setting pair's 16-bin code histogram and policy: what every statistic of its trials reads."""
+    """A setting pair's 16-bin code histogram and policy: every count of its trials."""
 
     __slots__ = ("theta1", "theta2", "histogram", "policy")
 
@@ -326,11 +340,31 @@ class TrialTally:
         """2x2 accepted-trial counts by (party 1, party 2) outcome, "+" first."""
         return _OUTCOME.T @ (self.raw * self.mask) @ _OUTCOME
 
+    @property
+    def accepted_fraction(self) -> float:
+        """Share of the trials that the policy keeps."""
+        return int(self.raw[self.mask].sum()) / self.n_trials
+
+    @property
+    def party_counts(self) -> np.ndarray:
+        """(2, 4) trial counts of each party's code: (none, + only, - only, both)."""
+        return np.array([self.raw.sum(axis=1), self.raw.sum(axis=0)])
+
+    @property
+    def party_frequencies(self) -> np.ndarray:
+        """(2, 4) frequencies of each party's code over all trials."""
+        return self.party_counts / self.n_trials
+
+    @property
+    def channel_rates(self) -> np.ndarray:
+        """(2, 2) frequency of each party's + and - channel firing, alone or in a double click."""
+        return (self.histogram @ _CODE_CLICKS).reshape(2, 2) / self.n_trials
+
 
 class TrialBatch(TrialTally):
     """A setting pair's tally and its trials' click codes, one byte per trial.
 
-    The codes live as long as the batch: `tally()` drops them once no trial is read.
+    The codes live as long as the batch: `click_statistics` drops them once no trial is read.
     """
 
     __slots__ = ("codes",)
@@ -352,10 +386,6 @@ class TrialBatch(TrialTally):
     def accepted(self) -> np.ndarray:
         """Per-trial flag: the policy keeps the trial."""
         return self.mask.T.ravel()[self.codes]
-
-    def tally(self) -> TrialTally:
-        """The batch without its codes."""
-        return TrialTally(self.theta1, self.theta2, self.histogram, self.policy)
 
     def csv_table(self):
         """(header, rows, index) of the trial CSV, the arguments of `serialize.write_csv` after the path.
@@ -392,7 +422,7 @@ def run_trials(
     are folded into the sampling factor, so one product per chunk gives all
     four channel amplitudes (`_click_codes`); memory is one chunk per worker
     plus the batch's codes, one byte per trial, which live as long as the
-    batch (`TrialBatch.tally` drops them).  Party 2's field is the conjugate
+    batch (`click_statistics` drops them).  Party 2's field is the conjugate
     of the sampled coordinates, which leaves |R^T z|^2 unchanged for the
     real splitter basis R, so the conjugate is never formed.
     """
@@ -411,34 +441,11 @@ def run_trials(
     return TrialBatch(theta1, theta2, codes, policy)
 
 
-@dataclass(frozen=True)
-class ClickStatistics:
-    """Trial counts of one batch; `party_counts[p]` is party p's (none, + only, - only, both)."""
-
-    n_trials: int
-    n_accepted: int
-    party_counts: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
-
-    @property
-    def accepted_fraction(self) -> float:
-        return self.n_accepted / self.n_trials
-
-    @property
-    def party_frequencies(self) -> np.ndarray:
-        """(2, 4) frequencies of each party's (none, + only, - only, both) over all trials."""
-        return np.array(self.party_counts) / self.n_trials
-
-
-def click_statistics(batch: TrialTally) -> ClickStatistics:
-    """Trial, accepted and per-party code counts, read from the raw table."""
+def click_statistics(batch: TrialTally) -> TrialTally:
+    """The batch's tally without its codes: every count its statistics read."""
     if batch.n_trials < 1:
         raise ValueError("empty batch")
-    raw = batch.raw
-    return ClickStatistics(
-        n_trials=batch.n_trials,
-        n_accepted=int(raw[batch.mask].sum()),
-        party_counts=(tuple(map(int, raw.sum(axis=1))), tuple(map(int, raw.sum(axis=0)))),
-    )
+    return TrialTally(batch.theta1, batch.theta2, batch.histogram, batch.policy)
 
 
 def correlation_from_clicks(batch: TrialTally) -> tuple[float, float]:

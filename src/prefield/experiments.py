@@ -62,11 +62,14 @@ from .analysis import (
     table_from_json,
 )
 from .detection import (
+    CODE_BOTH,
     POLICIES,
     POLICY_KEEP_SINGLES,
     BipartiteEnsemble,
+    channel_click_probability,
     click_statistics,
     correlation_from_clicks,
+    party_code_probabilities,
     pbs_projectors,
     quadratic_correlation_mc,
     quadratic_correlation_renormalized,
@@ -83,6 +86,7 @@ from .dynamics import (
 )
 from .hilbert import FieldVector, HermitianOperator, kron_vector, state_average
 from .observables import (
+    DEFAULT_FD_STEP,
     QuadraticForm,
     classical_average_exact,
     hessian_extract,
@@ -179,7 +183,7 @@ class ExperimentConfig:
     model: str = "lhv"
     time_horizon: float = 1.0
     dt: float = 1e-3
-    step: float = 1e-3
+    step: float = DEFAULT_FD_STEP
     table_path: str | None = None
 
     def as_manifest_dict(self) -> dict:
@@ -320,7 +324,7 @@ class ExperimentResult:
     def check_abs(self, name: str, observed: float, tolerance: float) -> None:
         self.checks.append(Check(name, bool(abs(observed) <= tolerance), float(observed), float(tolerance)))
 
-    def check_true(self, name: str, condition: bool, observed: float = 1.0) -> None:
+    def check_true(self, name: str, condition: bool, observed: float) -> None:
         self.checks.append(Check(name, bool(condition), float(observed), 0.0, comparator="bool"))
 
 
@@ -519,11 +523,8 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
         return quadratic_correlation_mc(ensemble, a0, b_ops[idx], config.samples, seed, stream=stream)
 
     def clicks(purpose, idx, theta2, d, n):
-        batch = run_trials(
-            ensemble, 0.0, float(theta2), float(d), n, seed,
-            policy=config.policy, stream=(STREAM_PAIRS, purpose, idx),
-        )
-        return correlation_from_clicks(batch) if purpose == EPR_CURVE else None, click_statistics(batch)
+        stream = (STREAM_PAIRS, purpose, idx)
+        return click_statistics(run_trials(ensemble, 0.0, theta2, d, n, seed, config.policy, stream=stream))
 
     jobs = [
         job
@@ -541,11 +542,11 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     header = ["delta", "reference", "exact_renormalized", "mc_renormalized", "mc_se",
               "clicks_E", "clicks_se", "accepted_fraction"]
     rows = []
-    for delta, b_op, mc, ((e_clicks, se_clicks), stats) in zip(deltas, b_ops, curve[0::2], curve[1::2]):
+    for delta, b_op, mc, tally in zip(deltas, b_ops, curve[0::2], curve[1::2]):
         reference = -math.cos(2.0 * float(delta))
         exact = quadratic_correlation_renormalized(ensemble, a0, b_op)
         rows.append([float(delta), reference, exact, mc.mean, mc.standard_error,
-                     e_clicks, se_clicks, stats.accepted_fraction])
+                     *correlation_from_clicks(tally), tally.accepted_fraction])
     result.tables["correlation_curve"] = (header, rows)
     _, reference, exact, mc_mean, mc_se, e_clicks, se_clicks, _ = np.array(rows).T
     worst_exact = _worst(np.abs(exact - reference))
@@ -559,28 +560,24 @@ def run_epr(config: ExperimentConfig) -> ExperimentResult:
     result.add_exact("max_clicks_deviation", worst_clicks)
     result.check_abs("clicks_near_qm_curve", worst_clicks, 0.05 + 5.0 * max_click_se)
 
-    # double-click rate against its closed form: each party's channel powers
-    # are independent exponentials with mean 1/2 + eps, so both exceed d
-    # with probability exp(-2 d / (1/2 + eps))
+    # double-click rate against its closed form: each party's two channels fire
+    # independently with q(d), so both with q(d)^2, written as q(2 d) for its bits
     header = ["threshold", "double_rate_1", "double_rate_2", "accepted_fraction", "exact"]
     rows, pulls = [], []
-    for d, (_, stats) in zip(grid, grid_runs):
-        exact = math.exp(-2.0 * d / (0.5 + eps))
+    for d, tally in zip(grid, grid_runs):
+        exact = channel_click_probability(2.0 * d, eps)
         se = max(math.sqrt(exact * (1.0 - exact) / n_grid), 1.0 / n_grid)
-        double_rates = stats.party_frequencies[:, 3]
+        double_rates = tally.party_frequencies[:, CODE_BOTH]
         pulls += list(np.abs(double_rates - exact) / se)
-        rows.append([float(d), *map(float, double_rates), stats.accepted_fraction, exact])
+        rows.append([float(d), *map(float, double_rates), tally.accepted_fraction, exact])
     result.tables["double_click_rate"] = (header, rows)
     result.check_abs("double_rate_vs_exact_5se", _worst(pulls), 5.0)
 
-    # no-signalling: party 1's + and - channel rates (the channel fired alone
-    # or in a double click) cannot see party 2's setting; each run draws its
-    # own fields (reusing the same samples for both settings would make the
-    # comparison exactly zero and test nothing).  Each channel fires with
-    # probability q, so a rate difference has variance 2 q (1 - q) / n.
-    fired = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # (none, + only, - only, both) -> (+, -)
-    r1, r2 = (np.array(stats.party_counts[0]) @ fired / stats.n_trials for _, stats in no_signalling)
-    q = math.exp(-threshold / (0.5 + eps))
+    # no-signalling: party 1's + and - channel rates cannot see party 2's setting;
+    # each run draws its own fields (shared samples would make the gap exactly
+    # zero and test nothing).  A rate difference has variance 2 q (1 - q) / n.
+    r1, r2 = (tally.channel_rates[0] for tally in no_signalling)
+    q = channel_click_probability(threshold, eps)
     se = max(math.sqrt(2.0 * q * (1.0 - q) / config.trials), 1.0 / config.trials)
     gap = float(np.abs(r1 - r2).max())
     result.add_mc("no_signalling_gap", gap, se, 2 * config.trials)
@@ -627,25 +624,20 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
             )
             if config.trials <= TRIAL_CSV_LIMIT:
                 result.tables[f"trials_x{x}_y{y}"] = batch.csv_table()
-            return batch.tally()
+            return click_statistics(batch)
 
         tallies = {(x, y): pair_tally(x, y) for x in range(2) for y in range(2)}
-        # each party's field is circular with covariance (1/2 + eps) I, so its two
-        # channel powers are independent exponentials with mean 1/2 + eps: each
-        # channel fires with probability q, independently of the other
-        q = math.exp(-threshold / (0.5 + eps))
-        exact = np.array([(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q])
+        exact = party_code_probabilities(threshold, eps)
         rate_se = np.maximum(np.sqrt(exact * (1.0 - exact) / config.trials), 1.0 / config.trials)
-        stats = {key: click_statistics(tally) for key, tally in tallies.items()}
-        pulls = [np.abs(batch_stats.party_frequencies - exact) / rate_se for batch_stats in stats.values()]
-        result.add_exact("channel_click_probability", q)
+        pulls = [np.abs(tally.party_frequencies - exact) / rate_se for tally in tallies.values()]
+        result.add_exact("channel_click_probability", channel_click_probability(threshold, eps))
         result.check_abs("party_rates_vs_exact_5se", _worst(pulls), 5.0)
         table = CorrelationTable.from_trial_batches(a_settings, b_settings, tallies)
         s, se = chsh(table)
         result.add_mc("S_clicks", s, se, int(table.counts.sum()))
         result.add_info("violation_target", CHSH_TARGET)
         result.add_info("violation_reproduced", bool(abs(s) >= CHSH_TARGET))
-        result.add_info("accepted_fractions", {f"{k}": v.accepted_fraction for k, v in stats.items()})
+        result.add_info("accepted_fractions", {f"{k}": v.accepted_fraction for k, v in tallies.items()})
     else:  # file
         table = table_from_json(config.table_path)
         s, se = chsh(table)

@@ -57,9 +57,14 @@ def nan_field_mc(ensemble, a, b, n_samples, *rest, **kwargs):
     return MCEstimate(math.nan, math.nan, n_samples)
 
 
+class NanPartyCounts(detection.TrialTally):
+    """A tally whose per-party code counts are NaN."""
+
+    party_counts = np.full((2, 4), math.nan)
+
+
 def nan_party_counts(batch):
-    stats = detection.click_statistics(batch)
-    return dataclasses.replace(stats, party_counts=((math.nan,) * 4,) * 2)
+    return NanPartyCounts(batch.theta1, batch.theta2, batch.histogram, batch.policy)
 
 
 def nan_energy(system, x):

@@ -59,9 +59,11 @@ def reference_accepted(clicks1, clicks2, policy):
 
 
 def reference_statistics(clicks1, clicks2, policy):
-    """Raw table, accepted count and 2x2 outcome counts from boolean click tables.
+    """Raw table, accepted count, 2x2 outcome counts and channel rates from boolean click tables.
 
-    A party's outcome is "+" when its + channel fired, "-" otherwise.
+    A party's outcome is "+" when its + channel fired, "-" otherwise.  Its
+    + and - channel rates count the trials in which that channel fired,
+    alone or in a double click.
     """
     # each party's trials by code: none, + only, - only, both
     party_codes = [[~p & ~m, p & ~m, ~p & m, p & m] for p, m in (clicks1.T, clicks2.T)]
@@ -69,7 +71,8 @@ def reference_statistics(clicks1, clicks2, policy):
     acc = reference_accepted(clicks1, clicks2, policy)
     plus1, plus2 = clicks1[acc, 0], clicks2[acc, 0]
     cells = np.array([[int((a1 & a2).sum()) for a2 in (plus2, ~plus2)] for a1 in (plus1, ~plus1)])
-    return raw, int(acc.sum()), cells
+    rates = np.array([clicks1.sum(axis=0), clicks2.sum(axis=0)]) / clicks1.shape[0]
+    return raw, int(acc.sum()), cells, rates
 
 
 def reference_correlation(clicks1, clicks2, policy):
@@ -200,12 +203,13 @@ class TestHistogramStatistics:
     def test_bipartite_statistics_match_boolean_reference(self, policy, p):
         clicks1, clicks2 = random_clicks(int(p * 100), 20_011, p)
         batch = TrialBatch(0.1, 0.2, codes_of(clicks1, clicks2), policy)
-        raw, n_accepted, cells = reference_statistics(clicks1, clicks2, policy)
+        raw, n_accepted, cells, rates = reference_statistics(clicks1, clicks2, policy)
         np.testing.assert_array_equal(batch.raw, raw)
         np.testing.assert_array_equal(batch.coincidences(), cells)
         stats = click_statistics(batch)
-        assert (stats.n_trials, stats.n_accepted) == (20_011, n_accepted)
-        assert stats.party_counts == (tuple(raw.sum(axis=1)), tuple(raw.sum(axis=0)))
+        assert (stats.n_trials, int(stats.raw[stats.mask].sum())) == (20_011, n_accepted)
+        np.testing.assert_array_equal(stats.party_counts, [raw.sum(axis=1), raw.sum(axis=0)])
+        np.testing.assert_array_equal(stats.channel_rates, rates)
         assert stats.accepted_fraction == reference_accepted(clicks1, clicks2, policy).mean()
         assert correlation_from_clicks(batch) == reference_correlation(clicks1, clicks2, policy)
         np.testing.assert_array_equal(batch.accepted, reference_accepted(clicks1, clicks2, policy))
@@ -216,12 +220,13 @@ class TestHistogramStatistics:
         clicks1, _ = random_clicks(5, 9_999, 0.4)
         silent = np.zeros_like(clicks1)
         batch = TrialBatch(0.0, 0.0, codes_of(clicks1, silent), policy)
-        raw, n_accepted, cells = reference_statistics(clicks1, silent, policy)
+        raw, n_accepted, cells, rates = reference_statistics(clicks1, silent, policy)
         np.testing.assert_array_equal(batch.raw, raw)
         np.testing.assert_array_equal(batch.coincidences(), cells)
         stats = click_statistics(batch)
-        assert stats.party_counts == (tuple(raw[:, 0]), (9_999, 0, 0, 0))
-        assert stats.n_accepted == n_accepted == (9_999 if policy == "keep-all" else 0)
+        np.testing.assert_array_equal(stats.party_counts, [raw[:, 0], (9_999, 0, 0, 0)])
+        np.testing.assert_array_equal(stats.channel_rates, rates)
+        assert int(stats.raw[stats.mask].sum()) == n_accepted == (9_999 if policy == "keep-all" else 0)
 
     def test_one_e_formula_on_2000_batches(self):
         """correlation_from_clicks and from_trial_batches give E and SE bit for bit."""
@@ -253,7 +258,8 @@ class TestHistogramStatistics:
         batch = TrialBatch(0.0, 0.0, codes_of(np.ones((5, 2), bool), np.zeros((5, 2), bool)))
         with pytest.raises(NoCoincidencesError):
             correlation_from_clicks(batch)
-        assert click_statistics(batch).n_accepted == 0
+        tally = click_statistics(batch)
+        assert int(tally.raw[tally.mask].sum()) == 0
 
     def test_rejects_codes_outside_the_party_layout(self):
         with pytest.raises(ValueError, match="below 16"):
