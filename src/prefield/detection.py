@@ -65,9 +65,10 @@ import numpy as np
 
 from .analysis import _correlations, coincidence_frequencies, sign_standard_error
 from .hilbert import FieldVector, HermitianOperator
-from .observables import MCEstimate, standard_error_in_place
+from .observables import MCEstimate
 from .random_field import (
     CHUNK,
+    SAMPLE_BLOCK,
     STREAM_PAIRS,
     BackgroundField,
     RandomSeed,
@@ -236,29 +237,34 @@ def quadratic_correlation_mc(
     sum_k a_k |(V^+ phi1)_k|^2 and, party 2 being sampled as z2 = conj(phi2),
     f_B(phi2) is sum_k b_k |(W^T z2)_k|^2.  Both bases are folded into the
     sampling factor, so each chunk's channel powers (`sample_powers`) give
-    the two forms; memory is one chunk plus two floats per sample.  It runs
-    on the calling thread: `epr` runs its estimates side by side instead.
+    the two forms, shifted by their exact means Tr(D1 A) and Tr(D2 B) to u
+    and v.  Each Philox block is reduced to the co-moments M[i, j] = sum u^i v^j
+    (i, j <= 2), the blocks are added in block order, and the covariance and
+    its SE follow in closed form; memory is one chunk.  It runs on the
+    calling thread: `epr` runs its estimates side by side instead.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     n, s = ensemble.dim, ensemble.sampler_factor
     (wa, va), (wb, vb) = a.eig(), b.eig()
     factor = np.vstack((va.conj().T @ s[:n], vb.T @ s[n:]))
-    fa, fb = np.empty(n_samples), np.empty(n_samples)
+    power_means = np.square(np.abs(factor)).sum(axis=1)  # the diagonal of the folded covariance
+    shift_a, shift_b = power_means[:n] @ wa, power_means[n:] @ wb
 
-    def fill(lo: int, hi: int) -> None:
+    def reduce(lo: int, hi: int) -> list:
         powers = sample_powers(factor, hi - lo, seed, lo, stream)
-        fa[lo:hi] = powers[:, :n] @ wa
-        fb[lo:hi] = powers[:, n:] @ wb
+        u, v = powers[:, :n] @ wa - shift_a, powers[:, n:] @ wb - shift_b
+        pu, pv = np.array([np.ones_like(u), u, u * u]), np.array([np.ones_like(v), v, v * v])
+        return [pu[:, k : k + SAMPLE_BLOCK] @ pv[:, k : k + SAMPLE_BLOCK].T for k in range(0, hi - lo, SAMPLE_BLOCK)]
 
-    for_each_chunk(fill, n_samples, 1)
-    # deviation products, in place; bias-corrected covariance and its SE
-    fa -= fa.mean()
-    fb -= fb.mean()
-    fa *= fb
-    mean = float(fa.sum() / (n_samples - 1))
-    se = standard_error_in_place(fa)
-    return MCEstimate(mean, se, n_samples)
+    m = sum(block for chunk in for_each_chunk(reduce, n_samples, 1) for block in chunk)
+    # p = (u - u_bar)(v - v_bar): sum p = M[1, 1] - M[1, 0] M[0, 1] / n, and sum p^2 = alpha^T M beta
+    # with (u - u_bar)^2 = sum_i alpha_i u^i and (v - v_bar)^2 = sum_j beta_j v^j
+    u_bar, v_bar = m[1, 0] / n_samples, m[0, 1] / n_samples
+    products = m[1, 1] - m[1, 0] * m[0, 1] / n_samples
+    squares = np.array([u_bar * u_bar, -2.0 * u_bar, 1.0]) @ m @ np.array([v_bar * v_bar, -2.0 * v_bar, 1.0])
+    variance = max(float(squares - products * products / n_samples), 0.0) / (n_samples - 1)
+    return MCEstimate(float(products / (n_samples - 1)), math.sqrt(variance / n_samples), n_samples)
 
 
 # One uint8 click code per trial: bit 0 party 1 "+", bit 1 party 1 "-",

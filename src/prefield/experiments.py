@@ -90,12 +90,10 @@ from .observables import (
     QuadraticForm,
     classical_average_exact,
     hessian_extract,
-    quadratic_form_values,
+    quadratic_form_mc,
     quadratic_plus_quartic,
     quartic_power_functional,
     renormalize,
-    running_sums,
-    standard_error_in_place,
 )
 from .random_field import (
     RNG_CONTRACT,
@@ -162,7 +160,8 @@ TRIAL_CSV_LIMIT = 200_000
 DRIFT_HORIZON = 10.0  # energy and norm are tracked along t in [0, DRIFT_HORIZON]
 DYNAMICS_MAX_STEPS = 1_000_000  # integrate plus drift-table steps; about 2 s of stepping on one core
 MAX_DIM = 64  # hessian evaluates 16 dim**2 stencil points: about 2.6 s at dim 64 on one core
-MAX_DRAWS = 10**7  # trials or samples: born holds 8 bytes per sample; README gives peak RSS at the bound
+MAX_DRAWS = 10**7  # trials or samples; born and epr hold no per-sample array; README gives peak RSS at the bound
+MAX_WORKERS = 64  # every pool has min(workers, items) threads, so this bounds map_jobs and for_each_chunk
 
 
 @dataclass
@@ -246,8 +245,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         problems.append(f"samples must lie in [1, {MAX_DRAWS:,}]")
     elif config.kind in ("born", "epr") and config.samples < 2:
         problems.append(f"{config.kind} needs samples >= 2 for a Monte Carlo standard error")
-    if config.workers < 1:
-        problems.append("workers must be >= 1")
+    if not 1 <= config.workers <= MAX_WORKERS:
+        problems.append(f"workers must lie in [1, {MAX_WORKERS}]")
     if config.policy not in POLICIES:
         problems.append(f"unknown policy {config.policy!r}; expected one of {POLICIES}")
     if config.dt <= 0.0:
@@ -381,13 +380,11 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
     result.check_abs("born_exact_identity", born - oracle, 1e-10)
 
     seed = RandomSeed(config.seed)
-    vals = quadratic_form_values(ensemble, form, config.samples, seed, workers=config.workers)
-    mean = float(vals.mean())
     checkpoints = np.unique(np.clip(np.geomspace(1, config.samples, 40).astype(int), 1, config.samples))
-    rows = [[int(k), float(s / k), exact] for k, s in zip(checkpoints, running_sums(vals, checkpoints))]
-    se = standard_error_in_place(vals)
-    result.add_mc("mc_average", mean, se, config.samples)
-    result.check_abs("born_mc_within_5se", mean - exact, 5.0 * se)
+    mc, running = quadratic_form_mc(ensemble, form, config.samples, seed, checkpoints, config.workers)
+    rows = [[int(k), float(mean), exact] for k, mean in zip(checkpoints, running)]
+    result.add_mc("mc_average", mc.mean, mc.standard_error, config.samples)
+    result.check_abs("born_mc_within_5se", mc.mean - exact, 5.0 * mc.standard_error)
     result.tables["born_convergence"] = (["n", "running_mean", "exact"], rows)
     return result
 

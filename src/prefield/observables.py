@@ -10,13 +10,14 @@ central differences in the 2n real phase-space coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .hilbert import HermitianOperator, trace_product
-from .random_field import CHUNK, STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
+from .random_field import SAMPLE_BLOCK, STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
 
 EVAL_IMAG_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-3
@@ -110,54 +111,39 @@ def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm
     return trace_product(ensemble.covariance, form.operator)
 
 
-def quadratic_form_values(
-    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed, workers: int = 1
-) -> np.ndarray:
-    """f_A on the field samples [0, n_samples) of `ensemble`.
+def quadratic_form_mc(
+    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed, stops, workers: int
+) -> tuple[MCEstimate, np.ndarray]:
+    """Mean and SE of f_A over the field samples [0, n_samples), and its running means at ascending `stops`.
 
     With A = V diag(a) V^+, f_A(phi) = sum_k a_k |(V^+ phi)_k|^2: V^+ is folded
     into the sampling factor and each chunk's channel powers (`sample_powers`)
-    give the values, so memory is one chunk per worker plus the values.
+    give the values.  Shifted by the exact mean Tr(DA), so that the sum of
+    squares cancels benignly, each Philox block is reduced to its sum, its
+    sum of squares and its cumsum at the stops it holds, and the blocks are
+    added in block order; memory is one chunk per worker.
     One sample is refused: a one-row `powers @ weights` rounds differently.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    exact = classical_average_exact(ensemble, form)
     weights, basis = form.operator.eig()
     factor = basis.conj().T @ ensemble.sampler_factor
-    vals = np.empty(n_samples)
 
-    def fill(lo: int, hi: int) -> None:
-        powers = sample_powers(factor, hi - lo, seed, lo, STREAM_FIELD)
-        vals[lo:hi] = powers @ weights
+    def reduce(lo: int, hi: int) -> list:
+        shifted = sample_powers(factor, hi - lo, seed, lo, STREAM_FIELD) @ weights - exact
+        blocks = []
+        for start in range(lo, hi, SAMPLE_BLOCK):
+            u = shifted[start - lo : start - lo + SAMPLE_BLOCK]
+            first, last = np.searchsorted(stops, (start, start + u.size), side="right")  # the stops in (start, end]
+            blocks.append((u.sum(), np.square(u).sum(), np.cumsum(u)[stops[first:last] - 1 - start]))
+        return blocks
 
-    for_each_chunk(fill, n_samples, workers)
-    return vals
-
-
-def standard_error_in_place(values: np.ndarray) -> float:
-    """values.std(ddof=1) / sqrt(n) by numpy's own steps, bit for bit, with no copy: values is overwritten."""
-    n = values.size
-    values -= values.sum() / n
-    np.square(values, out=values)
-    return float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n))
-
-
-def running_sums(values: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """np.cumsum(values)[stops - 1] at ascending stops, bit for bit, from a cumsum taken one CHUNK at a time.
-
-    np.cumsum adds strictly left to right, so carrying the running total into
-    each chunk's first element reproduces it; the total starts at -0.0, the
-    one value whose addition changes nothing, -0.0 included.
-    """
-    sums, total = [], -0.0
-    for lo in range(0, values.size, CHUNK):
-        part = values[lo : lo + CHUNK].copy()
-        part[0] += total
-        np.cumsum(part, out=part)
-        total = part[-1]
-        first, last = np.searchsorted(stops, (lo, lo + part.size), side="right")  # the stops in (lo, lo + size]
-        sums.append(part[stops[first:last] - 1 - lo])
-    return np.concatenate(sums)
+    sums, squares, local = zip(*(block for chunk in for_each_chunk(reduce, n_samples, workers) for block in chunk))
+    before = np.cumsum((0.0, *sums))  # the shifted sum before each block, added in block order
+    variance = max(float(sum(squares) - before[-1] ** 2 / n_samples), 0.0) / (n_samples - 1)
+    running = exact + np.concatenate([total + block for total, block in zip(before, local)]) / stops
+    return MCEstimate(float(exact + before[-1] / n_samples), math.sqrt(variance / n_samples), n_samples), running
 
 
 def renormalize(average: float, operator: HermitianOperator, epsilon: float) -> float:

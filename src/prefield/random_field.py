@@ -12,10 +12,11 @@ covariance, such as rho + eps I for a density matrix rho, is handed to
 Sampling draws phi = S xi with S = V sqrt(Lambda) from the
 eigendecomposition D = V Lambda V^+ (robust to the rank deficiency of
 pure-state covariances, unlike Cholesky) and xi a standard circular
-complex Gaussian.  `for_each_chunk` is the one streaming loop: every
-sampling consumer fills a preallocated array from the channel powers
-(`sample_powers`) of one fixed list of chunks, which worker threads may
-share out.  `map_jobs` runs independent calls on worker threads.
+complex Gaussian.  `for_each_chunk` is the one streaming loop: it returns,
+in chunk order, a consumer's result for each of one fixed list of chunks,
+which worker threads may share out, and Monte Carlo sums of the channel
+powers (`sample_powers`) are reduced per block, in block order.  `map_jobs`
+runs independent calls on worker threads.
 
 RNG contract (version RNG_CONTRACT = 2).  Every random bit is a function
 of (master seed, stream label, block index):
@@ -204,12 +205,14 @@ def map_jobs(fn, items, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def for_each_chunk(fn, stop: int, workers: int) -> None:
-    """fn(lo, hi) on the chunks [0, CHUNK), [CHUNK, 2 CHUNK), ..., [k CHUNK, stop).
+def for_each_chunk(fn, stop: int, workers: int) -> list:
+    """[fn(lo, hi)] over the chunks [0, CHUNK), [CHUNK, 2 CHUNK), ..., [k CHUNK, stop), in chunk order.
 
-    Callers fill arrays they allocated up front.  A last chunk one row long
-    joins the one before: numpy takes a one-row product (`powers @ weights`)
-    by its dot path, whose rounding differs from a longer product's rows.
+    Every chunk starts on a Philox block, and Monte Carlo sums are reduced per
+    block, in block order, so CHUNK moves none of their bits; `_click_codes`
+    fills one code array instead.  A last chunk one row long joins the one
+    before: numpy takes a one-row product (`powers @ weights`) by its dot
+    path, whose rounding differs from a longer product's rows.
     Threads share the list out in contiguous parts of at least _WORKER_CHUNKS
     chunks (`map_jobs`; the draws and products inside release the interpreter
     lock), so every worker count makes the same calls; shorter runs stay on
@@ -220,7 +223,7 @@ def for_each_chunk(fn, stop: int, workers: int) -> None:
     threads = max(1, min(workers, len(chunks) // _WORKER_CHUNKS))
     shares = [-(-len(chunks) * k // threads) for k in range(threads + 1)]
     parts = [chunks[a:b] for a, b in zip(shares, shares[1:])]
-    map_jobs(lambda part: [fn(lo, hi) for lo, hi in part], parts, threads)
+    return [r for part in map_jobs(lambda part: [fn(lo, hi) for lo, hi in part], parts, threads) for r in part]
 
 
 class GaussianFieldEnsemble:

@@ -51,7 +51,7 @@ from prefield.observables import (
     QuadraticForm,
     classical_average_exact,
     hessian_extract,
-    quadratic_form_values,
+    quadratic_form_mc,
     quadratic_plus_quartic,
     quartic_power_functional,
     renormalize,
@@ -116,8 +116,8 @@ def test_criterion_2_born_monte_carlo():
     ens = ensemble_from_pure_state(psi, BackgroundField(0.1))
     form = QuadraticForm(a)
     t0 = time.perf_counter()
-    vals = quadratic_form_values(ens, form, 100_000, SEED)
-    mean, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
+    est, _ = quadratic_form_mc(ens, form, 100_000, SEED, np.array([100_000]), 1)
+    mean, se = est.mean, est.standard_error
     elapsed = time.perf_counter() - t0
     exact = classical_average_exact(ens, form)
     gap = abs(mean - exact)

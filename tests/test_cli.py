@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CHUNK_EDGES, chunk_calls
-from prefield import detection, experiments
+from prefield import detection, experiments, observables, random_field
 from prefield.analysis import CorrelationTable, lhv_exact_table, singlet_exact_table
 from prefield.cli import main, parse_config_file
 from prefield.dynamics import HamiltonianSystem
@@ -28,6 +28,7 @@ from prefield.experiments import (
     DEFAULT_CHSH_ANGLES,
     DYNAMICS_MAX_STEPS,
     MAX_DRAWS,
+    MAX_WORKERS,
     SOURCES,
     TRIAL_CSV_LIMIT,
     ExperimentConfig,
@@ -149,6 +150,16 @@ class TestValidate:
         # MAX_DRAWS + 1 is among test_degenerate_click_runs_are_config_errors
         cfg = ExperimentConfig(kind="epr", seed=7, trials=MAX_DRAWS, samples=MAX_DRAWS)
         assert validate(cfg) == []
+
+    def test_worker_bound_is_inclusive(self):
+        """No input asks for more than MAX_WORKERS threads: every pool has min(workers, items) of them.
+
+        validate is called directly, so that a missing cap fails here without starting a thread.
+        """
+        assert MAX_WORKERS == 64
+        for kind in ("born", "epr", "chsh"):
+            assert validate(ExperimentConfig(kind=kind, seed=7, workers=MAX_WORKERS)) == []
+            assert validate(ExperimentConfig(kind=kind, seed=7, workers=MAX_WORKERS + 1)) == ["workers must lie in [1, 64]"]
 
     def test_missing_seed(self):
         cfg = ExperimentConfig(kind="born")
@@ -835,7 +846,7 @@ class TestDeterminism:
         }
         binders = [m for name, m in sys.modules.items() if name.startswith("prefield.") and hasattr(m, "CHUNK")]
         names = {m.__name__.removeprefix("prefield.") for m in binders}
-        assert names >= {"random_field", "detection", "observables", "serialize"}
+        assert names >= {"random_field", "detection", "serialize"}
         written = {}
         for blocks in (1, 2, 8):
             for module in binders:
@@ -846,6 +857,33 @@ class TestDeterminism:
                     assert main(args + ["--seed", "3", "--workers", str(workers), "--out", str(out)]) == 0
                     assert read_artifacts(out) == written.setdefault(kind, read_artifacts(out)), (kind, blocks, workers)
         assert "trials_x1_y1.csv" in written["chsh"] and "trials_x1_y1.csv" in written["kolmogorov"]
+
+    def test_block_order_reaches_the_bytes(self, tmp_path, monkeypatch):
+        """Chunk results reduced out of chunk order move born's and epr's bytes, so the order is checked.
+
+        The mutant returns for_each_chunk's results reversed, as a pool that
+        collected them in completion order might.
+        """
+        n = str(8 * SAMPLE_BLOCK + 1)
+        runs = {
+            "born": (["born", "--samples", n], "born_convergence.csv"),
+            "epr": (["epr", "--trials", "2000", "--samples", n, "--angles", "0.0,0.4"], "correlation_curve.csv"),
+        }
+
+        def reversed_chunks(fn, stop, workers):
+            return random_field.for_each_chunk(fn, stop, workers)[::-1]
+
+        written = {}
+        for order in ("chunk", "reversed"):
+            if order == "reversed":
+                monkeypatch.setattr(observables, "for_each_chunk", reversed_chunks)
+                monkeypatch.setattr(detection, "for_each_chunk", reversed_chunks)
+            for kind, (args, table) in runs.items():
+                out = tmp_path / f"{kind}-{order}"
+                assert main(args + ["--seed", "3", "--out", str(out)]) in (0, 1)
+                written[kind, order] = read_artifacts(out)[table]
+        for kind in runs:
+            assert written[kind, "chunk"] != written[kind, "reversed"], kind
 
     def test_epr_estimates_worker_invariance(self, tmp_path):
         """Whole estimates on worker threads, none split: artifacts at 1, 2 and 3 workers agree.
@@ -1089,7 +1127,7 @@ class TestExitContractFuzz:
 
 class TestMemory:
     def test_born_streams_its_samples(self):
-        """run_born holds its 8 MB of values and one chunk: no running-sum array, no deviation copy."""
+        """run_born holds one chunk of samples, whatever the sample count: no array of values (8 MB here)."""
         run_born(ExperimentConfig(kind="born", seed=7, samples=2_000))  # one-time lazy imports stay out of the peak
         tracemalloc.start()
         try:
@@ -1098,7 +1136,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert result.values["mc_average"]["n"] == 1_000_000
-        assert peak < 8.6 * 2**20
+        assert peak < CHUNK * 2 * 16 + 2**20
 
     def test_trial_csvs_stream_their_rows(self, tmp_path):
         """The largest run that writes trial CSVs holds its click codes and one slice of CSV text, not a whole file."""

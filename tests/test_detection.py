@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import CHUNK_EDGES, diagonal_operator, in_two_pieces, pairs_in_two_pieces
-from prefield import detection, experiments, random_field
+from prefield import detection, experiments, observables, random_field
 from prefield.cli import main
 from prefield.detection import (
     BackgroundTooSmallError,
@@ -28,7 +28,7 @@ from prefield.experiments import (
     BORN_SINGLE_FRACTION_TARGET,
 )
 from prefield.hilbert import FieldVector, HermitianOperator, kron_vector, state_average
-from prefield.observables import QuadraticForm, quadratic_form_values
+from prefield.observables import QuadraticForm, quadratic_form_mc
 from prefield.random_field import (
     CHUNK,
     SAMPLE_BLOCK,
@@ -245,6 +245,29 @@ def reference_correlation(ens, a, b, seed, cut, stop):
     return prod.sum() / (stop - 1), prod.std(ddof=1) / np.sqrt(stop)
 
 
+def record_forms(monkeypatch, module) -> list:
+    """Every `powers @ weights` product of the channel powers that `module` draws, in call order."""
+    values = []
+
+    class Recorded(np.ndarray):
+        """Channel powers whose products with the form weights are kept in `values`."""
+
+        def __matmul__(self, weights):
+            values.append(np.asarray(np.ndarray.__matmul__(self, weights)))
+            return values[-1]
+
+    sample_powers = module.sample_powers
+    monkeypatch.setattr(module, "sample_powers", lambda *args: sample_powers(*args).view(Recorded))
+    return values
+
+
+def born_values(values, ens, form, n_samples, seed):
+    """The f_A values that `quadratic_form_mc` reduces, recorded by `record_forms` on observables."""
+    values.clear()
+    quadratic_form_mc(ens, form, n_samples, seed, np.array([n_samples]), 1)
+    return np.concatenate(values)
+
+
 # (cut, stop): the kernels run [0, stop), which ends one row into a block,
 # the longest across a chunk edge; the references draw their samples in two
 # pieces cut at a block edge, one row before it and one row after it
@@ -271,40 +294,31 @@ class TestPowerKernel:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("cut,stop", KERNEL_RANGES)
-    def test_born_values_match_evaluate_batch(self, dim, cut, stop):
+    def test_born_values_match_evaluate_batch(self, dim, cut, stop, monkeypatch):
         rng = np.random.default_rng(20 * dim + cut % 7)
         ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, dim))
-        values = quadratic_form_values(ens, form, stop, SEED)
+        values = born_values(record_forms(monkeypatch, observables), ens, form, stop, SEED)
         pieces = in_two_pieces(lambda n, lo: sample_with_factor(ens.sampler_factor, n, SEED, lo), cut, stop)
         reference = form.evaluate_batch(np.concatenate(pieces))
         assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
 
     @pytest.mark.parametrize("n", [k * c + 1 for c in CHUNK_EDGES for k in (1, 2)])
-    def test_born_values_do_not_depend_on_where_the_run_stops(self, n):
+    def test_born_values_do_not_depend_on_where_the_run_stops(self, n, monkeypatch):
         """A run of n samples ends one row into a chunk: its last value equals that of a longer run."""
+        values = record_forms(monkeypatch, observables)
         for k in range(50):
             rng = np.random.default_rng(k)
             ens = ensemble_from_pure_state(rand_unit(rng, 2), BackgroundField(0.05))
             form = QuadraticForm(rand_hermitian(rng, 2))
             seed = RandomSeed(k)
-            longer = quadratic_form_values(ens, form, n + 1, seed)
-            np.testing.assert_array_equal(quadratic_form_values(ens, form, n, seed), longer[:n])
+            longer = born_values(values, ens, form, n + 1, seed)
+            np.testing.assert_array_equal(born_values(values, ens, form, n, seed), longer[:n])
 
     @pytest.mark.parametrize("n", [k * c + 1 for c in CHUNK_EDGES for k in (1, 2)])
     def test_correlation_forms_do_not_depend_on_where_the_run_stops(self, n, monkeypatch):
         """Both parties' form values of a run ending one row into a chunk equal those of a longer run."""
-        values = []
-
-        class Recorded(np.ndarray):
-            """Channel powers whose products with the form weights are kept in `values`."""
-
-            def __matmul__(self, weights):
-                values.append(np.asarray(np.ndarray.__matmul__(self, weights)))
-                return values[-1]
-
-        sample_powers = detection.sample_powers
-        monkeypatch.setattr(detection, "sample_powers", lambda *args: sample_powers(*args).view(Recorded))
+        values = record_forms(monkeypatch, detection)
 
         def forms(ens, a, b, n_samples, seed):
             values.clear()
@@ -323,19 +337,21 @@ class TestPowerKernel:
 
     @pytest.mark.usefixtures("split_every_chunk")
     def test_worker_threads_fill_disjoint_slices(self):
-        # more threads than cores and a short switch interval: a chunk written
-        # to the wrong slice or lost would change the bits
+        # more threads than cores and a short switch interval: a chunk reduced
+        # twice, lost or collected out of order would change the bits
         rng = np.random.default_rng(31)
         single = ensemble_from_pure_state(rand_unit(rng, 3), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, 3))
         n = 6 * CHUNK + 1  # six chunks, the last CHUNK + 1 rows long
+        stops = np.arange(1, n + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [quadratic_form_values(single, form, n, SEED, workers=w) for w in (1, 5)]
+            runs = [quadratic_form_mc(single, form, n, SEED, stops, w) for w in (1, 5)]
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(runs[0], runs[1])
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     def test_epr_field_monte_carlo_worker_invariance(self, tmp_path, monkeypatch):
         """At two workers the field Monte Carlo estimates run side by side, bits unchanged.
@@ -362,7 +378,7 @@ class TestPowerKernel:
         assert outputs[0] == outputs[1]
 
     def test_correlation_streams_its_samples(self):
-        """Memory is two floats per sample plus one chunk of four-channel samples: the SE makes no copy."""
+        """Memory is one chunk of four-channel samples, whatever the sample count: no array of form values."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         n = 1_000_000
         quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), 2, SEED)  # lazy imports stay out of the peak
@@ -373,7 +389,7 @@ class TestPowerKernel:
         finally:
             tracemalloc.stop()
         assert est.n_samples == n
-        assert peak < 2 * 8 * n + CHUNK * 4 * 16 + 2**20
+        assert peak < CHUNK * 4 * 16 + 2**20
 
 
 class TestTrials:

@@ -9,7 +9,7 @@ from prefield.cli import build_parser
 SRC = Path(__file__).resolve().parents[1] / "src" / "prefield"
 LINE_BUDGET = 3150
 FLAG_BUDGET = 53
-KNOB_BUDGET = 18
+KNOB_BUDGET = 17
 
 
 def test_src_within_line_budget():

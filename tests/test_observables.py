@@ -13,19 +13,18 @@ from prefield.observables import (
     _fd_hessians,
     classical_average_exact,
     hessian_extract,
-    quadratic_form_values,
+    quadratic_form_mc,
     quadratic_functional,
     quadratic_plus_quartic,
     quartic_power_functional,
     renormalize,
-    running_sums,
-    standard_error_in_place,
 )
 from prefield.random_field import (
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
     ensemble_from_pure_state,
+    sample_with_factor,
 )
 
 SEED = RandomSeed(515001)
@@ -117,8 +116,8 @@ class TestRenormalize:
 
 def mc_average(ens, form, n):
     """Mean and standard error of f_A over the first n samples of the ensemble."""
-    vals = quadratic_form_values(ens, form, n, SEED)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+    est, _ = quadratic_form_mc(ens, form, n, SEED, np.array([n]), 1)
+    return est.mean, est.standard_error
 
 
 class TestMCAverages:
@@ -138,7 +137,7 @@ class TestMCAverages:
         ens = GaussianFieldEnsemble(HermitianOperator(np.eye(2) / 2))
         form = QuadraticForm(HermitianOperator(np.diag([1.0, -0.5])))
         with pytest.raises(ValueError, match="n_samples must be >= 2"):
-            quadratic_form_values(ens, form, 1, SEED)
+            quadratic_form_mc(ens, form, 1, SEED, np.array([1]), 1)
 
     def test_mc_matches_exact_for_quadratic(self):
         rng = np.random.default_rng(3)
@@ -154,38 +153,38 @@ class TestMCAverages:
 REDUCTION_SIZES = [2, *(c + d for c in CHUNK_EDGES for d in (-1, 0, 1)), *(3 * c + 5 for c in CHUNK_EDGES)]
 
 
-def bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
 class TestReductions:
-    """The chunked and in-place reductions give numpy's whole-array results bit for bit."""
+    """The per-block reduction against numpy on the materialised values: running sums, mean and SE within 1e-12."""
 
     @staticmethod
-    def values(n, seed):
-        # an offset and mixed scales make every rounding step matter; seed 0 starts at -0.0
+    def run(n, seed):
+        """(streamed estimate, streamed running means at every stop, the materialised f_A values)."""
         rng = np.random.default_rng(seed)
-        v = 3.0 + rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
-        if seed == 0:
-            v[0] = -0.0
-        return v
+        dim = 2 + seed % 2
+        ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
+        form = QuadraticForm(rand_hermitian(rng, dim))
+        est, running = quadratic_form_mc(ens, form, n, RandomSeed(seed), np.arange(1, n + 1), 1)
+        return est, running, form.evaluate_batch(sample_with_factor(ens.sampler_factor, n, RandomSeed(seed)))
+
+    @staticmethod
+    def assert_close(got, want):
+        want = np.asarray(want)
+        assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
     @pytest.mark.parametrize("n", REDUCTION_SIZES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_running_sums_equal_cumsum_at_every_stop(self, n, seed):
-        v = self.values(n, seed)
-        stops = np.arange(1, n + 1)
-        assert np.array_equal(bits(running_sums(v, stops)), bits(np.cumsum(v)))
-        born_stops = np.unique(np.clip(np.geomspace(1, n, 40).astype(int), 1, n))
-        assert np.array_equal(bits(running_sums(v, born_stops)), bits(np.cumsum(v)[born_stops - 1]))
-        assert np.array_equal(bits(v), bits(self.values(n, seed)))  # the values are left as they were
+        _, running, values = self.run(n, seed)
+        self.assert_close(running * np.arange(1, n + 1), np.cumsum(values))
 
     @pytest.mark.parametrize("n", REDUCTION_SIZES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_standard_error_in_place_equals_numpy(self, n, seed):
-        v = self.values(n, seed)
-        want = float(np.std(v, ddof=1) / np.sqrt(n))
-        assert bits(standard_error_in_place(v)) == bits(want)
+        """The mean and SE come from per-block sums, with no array of values, and equal numpy's."""
+        est, _, values = self.run(n, seed)
+        assert est.n_samples == n
+        self.assert_close(est.mean, values.mean())
+        self.assert_close(est.standard_error, values.std(ddof=1) / np.sqrt(n))
 
 
 class TestFunctionalRegistration:
