@@ -136,7 +136,8 @@ def quadratic_form_mc(
         for start in range(lo, hi, SAMPLE_BLOCK):
             u = shifted[start - lo : start - lo + SAMPLE_BLOCK]
             first, last = np.searchsorted(stops, (start, start + u.size), side="right")  # the stops in (start, end]
-            blocks.append((u.sum(), np.square(u).sum(), np.cumsum(u)[stops[first:last] - 1 - start]))
+            local = np.cumsum(u)[stops[first:last] - 1 - start] if first < last else np.empty(0)
+            blocks.append((u.sum(), np.square(u).sum(), local))
         return blocks
 
     sums, squares, local = zip(*(block for chunk in for_each_chunk(reduce, n_samples, workers) for block in chunk))

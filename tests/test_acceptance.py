@@ -145,7 +145,7 @@ def test_criterion_3_dynamics_equivalence():
     state_error = float(np.linalg.norm((final[:4] + 1j * final[4:]) - target))
     assert state_error <= 1e-4
 
-    integrator = SymplecticIntegrator(system, 1e-3)
+    integrator = SymplecticIntegrator(system, 1e-3, 1)
     x = x0
     e0 = system.hamilton_function(x)
     n0 = float(x @ x)

@@ -21,7 +21,7 @@ from helpers import CHUNK_EDGES, chunk_calls
 from prefield import detection, experiments, observables, random_field
 from prefield.analysis import CorrelationTable, lhv_exact_table, singlet_exact_table
 from prefield.cli import main, parse_config_file
-from prefield.dynamics import HamiltonianSystem
+from prefield.dynamics import HamiltonianSystem, SymplecticIntegrator
 from prefield.experiments import (
     CHSH_CLICK_EPSILON,
     CURVE_EPSILON,
@@ -70,6 +70,21 @@ def nan_party_counts(batch):
 
 def nan_energy(system, x):
     return math.nan
+
+
+def forward_euler(integrator, system, dt, steps):
+    """Forward Euler, (I + dt A)^steps for the flow dx/dt = A x: not symplectic, so energy and norm grow."""
+    r, j = system.r_block, system.j_block
+    a = np.block([[j, r], [-r, j]])
+    integrator.matrix = np.linalg.matrix_power(np.eye(len(a)) + dt * a, steps)
+
+
+strang_init = SymplecticIntegrator.__init__
+
+
+def stretched_step(integrator, system, dt, steps):
+    """The Strang step built at 1.01 dt: still symplectic, but it runs 1 % past the time asked for."""
+    strang_init(integrator, system, 1.01 * dt, steps)
 
 
 def signalling_threshold(monkeypatch):
@@ -573,6 +588,28 @@ class TestExitCodes:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,re_0,im_0,energy,power"
         assert json.loads((out / "manifest.json").read_text())["config"]["dim"] == 1
+
+    def test_dynamics_at_the_step_cap_passes(self, tmp_path):
+        """dt = 11 / DYNAMICS_MAX_STEPS at time 1 takes the cap's 10**6 steps; rounding stays inside the checks."""
+        dt = 11.0 / DYNAMICS_MAX_STEPS
+        assert main(["dynamics", "--seed", "41", "--dt", repr(dt), "--time", "1", "--out", str(tmp_path)]) == 0
+        assert failed_checks(tmp_path) == {}
+
+    @pytest.mark.parametrize(
+        "mutant, checks",
+        [
+            (forward_euler, {"energy_conserved", "norm_conserved", "integrator_matches_propagator"}),
+            (stretched_step, {"integrator_matches_propagator"}),
+        ],
+        ids=["forward-euler", "dt-times-1.01"],
+    )
+    def test_dynamics_checks_fail_their_mutants(self, mutant, checks, tmp_path, monkeypatch):
+        """A non-symplectic step fails the conservation checks; a step of the wrong size fails the propagator check."""
+        args = ["dynamics", "--seed", "41"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        monkeypatch.setattr(SymplecticIntegrator, "__init__", mutant)
+        assert main(args + ["--out", str(tmp_path / "mutant")]) == 1
+        assert set(failed_checks(tmp_path / "mutant")) == checks
 
     def test_hessian_dim_one(self, tmp_path):
         out = tmp_path / "hess1"

@@ -114,7 +114,7 @@ class TestSymplecticIntegrator:
     def test_zero_hamiltonian_is_identity(self):
         system = HamiltonianSystem(HermitianOperator(np.zeros((2, 2))))
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = SymplecticIntegrator(system, 0.1).step(x)
+        out = SymplecticIntegrator(system, 0.1, 1).step(x)
         np.testing.assert_array_equal(out[:2], x[:2])
         np.testing.assert_array_equal(out[2:], x[2:])
 
@@ -123,11 +123,22 @@ class TestSymplecticIntegrator:
         rng = np.random.default_rng(20 + dim)
         system = HamiltonianSystem(rand_hermitian(rng, dim))
         for dt in (1e-3, 0.1, 0.7):
-            matrix = SymplecticIntegrator(system, dt).matrix
+            matrix = SymplecticIntegrator(system, dt, 1).matrix
             assert matrix.shape == (2 * dim, 2 * dim)
             # column k is the old step applied to the k-th basis vector
             columns = [np.concatenate(strang_step(system, dt, e[:dim], e[dim:])) for e in np.eye(2 * dim)]
             assert np.abs(matrix - np.column_stack(columns)).max() <= 1e-14
+
+    def test_matrix_is_the_power_of_one_step(self):
+        rng = np.random.default_rng(40)
+        system = HamiltonianSystem(rand_hermitian(rng, 3))
+        one = SymplecticIntegrator(system, 1e-2, 1).matrix
+        product = np.eye(6)
+        for k in range(1, 1001):
+            product = one @ product
+            if k in (1, 2, 7, 1000):
+                assert np.abs(SymplecticIntegrator(system, 1e-2, k).matrix - product).max() <= 1e-12
+        np.testing.assert_array_equal(SymplecticIntegrator(system, 1e-2, 0).matrix, np.eye(6))
 
     @pytest.mark.parametrize("dim", [1, 4, 6])
     def test_matrix_is_symplectic(self, dim):
@@ -136,7 +147,7 @@ class TestSymplecticIntegrator:
         eye, zero = np.eye(dim), np.zeros((dim, dim))
         omega = np.block([[zero, eye], [-eye, zero]])
         for dt in (1e-3, 0.1, 0.7):
-            m = SymplecticIntegrator(system, dt).matrix
+            m = SymplecticIntegrator(system, dt, 1).matrix
             assert np.abs(m.T @ omega @ m - omega).max() <= 1e-13
 
     def test_harmonic_circle_bounded_and_driftless(self):
@@ -145,7 +156,7 @@ class TestSymplecticIntegrator:
         # with no secular drift across periods
         system = HamiltonianSystem(HermitianOperator([[1.0]]))
         dt, steps = 1e-3, 10_000
-        integrator = SymplecticIntegrator(system, dt)
+        integrator = SymplecticIntegrator(system, dt, 1)
         x = np.array([1.0, 0.0])
         radii = np.empty(steps + 1)
         radii[0] = 1.0
@@ -179,7 +190,7 @@ class TestSymplecticIntegrator:
         rng = np.random.default_rng(6)
         h = rand_hermitian(rng, 4)
         system = HamiltonianSystem(h)
-        integrator = SymplecticIntegrator(system, 1e-3)
+        integrator = SymplecticIntegrator(system, 1e-3, 1)
         x = phase(rand_unit(rng, 4))
         e0 = system.hamilton_function(x)
         n0 = float(x @ x)
@@ -231,29 +242,63 @@ class TestEnsembleEvolution:
         assert np.abs(fd - covariance_derivative(ens, h)).max() <= 1e-6
 
 
-class TestDriftTable:
-    def test_trajectory_matches_per_step_loop(self, tmp_path):
-        # 33,333 steps at dt = 3e-4, not a multiple of the stride 33: the last
-        # row is an extra one at t = steps * dt
-        seed, dt = 23, 3e-4
-        assert main(["dynamics", "--seed", str(seed), "--dt", repr(dt), "--out", str(tmp_path)]) == 0
-        config = ExperimentConfig(kind="dynamics", seed=seed, dt=dt)
-        rng = _rng_for(config)
-        system = HamiltonianSystem(_random_hermitian(rng, config.dim, spectral_radius=1.0))
-        phi0 = _random_state(rng, config.dim).components
-        integrator = SymplecticIntegrator(system, dt)
-        x = np.concatenate((phi0.real, phi0.imag))
-        steps = int(round(DRIFT_HORIZON / dt))
-        stride = max(1, steps // 1000)
-        assert (steps, stride) == (33_333, 33)
-        rows = []
-        for k in range(steps + 1):
-            if k % stride == 0 or k == steps:
-                rows.append([k * dt] + x.tolist() + [system.hamilton_function(x), float(x @ x)])
-            if k < steps:
-                x = integrator.step(x)
+# the drift table's states, energies and powers against a per-step loop: the table
+# applies M^stride by repeated squaring, whose rounding grows with the step count;
+# at the seed and dt below, 33,333 steps move them by 1.2e-12
+DRIFT_TABLE_TOLERANCE = 1e-11
 
-        with open(tmp_path / "trajectory.csv", newline="") as fh:
-            written = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
-        assert written == rows
-        assert written[-1][0] == steps * dt
+
+def per_step_rows(seed, dt):
+    """The drift table of a dynamics run, computed one Strang step at a time."""
+    config = ExperimentConfig(kind="dynamics", seed=seed, dt=dt)
+    rng = _rng_for(config)
+    system = HamiltonianSystem(_random_hermitian(rng, config.dim, spectral_radius=1.0))
+    phi0 = _random_state(rng, config.dim).components
+    integrator = SymplecticIntegrator(system, dt, 1)
+    x = np.concatenate((phi0.real, phi0.imag))
+    steps = int(round(DRIFT_HORIZON / dt))
+    stride = max(1, steps // 1000)
+    rows = []
+    for k in range(steps + 1):
+        if k % stride == 0 or k == steps:
+            rows.append([k * dt] + x.tolist() + [system.hamilton_function(x), float(x @ x)])
+        if k < steps:
+            x = integrator.step(x)
+    return np.array(rows)
+
+
+def drift_table_deviation(out, rows):
+    """The written trajectory.csv's largest move from `rows`; its shape and t column must be equal."""
+    with open(out / "trajectory.csv", newline="") as fh:
+        written = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+    assert written.shape == rows.shape
+    np.testing.assert_array_equal(written[:, 0], rows[:, 0])
+    return float(np.abs(written[:, 1:] - rows[:, 1:]).max())
+
+
+class TestDriftTable:
+    # 33,333 steps at dt = 3e-4, not a multiple of the stride 33: the last
+    # row is an extra one at t = steps * dt
+    SEED, DT = 23, 3e-4
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return per_step_rows(self.SEED, self.DT)
+
+    def run(self, out):
+        return main(["dynamics", "--seed", str(self.SEED), "--dt", repr(self.DT), "--out", str(out)])
+
+    def test_trajectory_matches_per_step_loop(self, rows, tmp_path):
+        assert (rows[1, 0], rows[-2, 0], rows[-1, 0]) == (33 * self.DT, 33_330 * self.DT, 33_333 * self.DT)
+        assert self.run(tmp_path) == 0
+        assert drift_table_deviation(tmp_path, rows) <= DRIFT_TABLE_TOLERANCE
+
+    def test_off_by_one_power_fails_the_comparison(self, rows, tmp_path, monkeypatch):
+        init = SymplecticIntegrator.__init__
+
+        def one_step_more_per_row(self, system, dt, steps):
+            init(self, system, dt, steps + 1 if steps == 33 else steps)
+
+        monkeypatch.setattr(SymplecticIntegrator, "__init__", one_step_more_per_row)
+        self.run(tmp_path)
+        assert drift_table_deviation(tmp_path, rows) > 1e3 * DRIFT_TABLE_TOLERANCE

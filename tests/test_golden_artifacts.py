@@ -39,6 +39,15 @@ def test_value_path_accepts_the_same_runs(elsewhere, runs):
     assert golden.compare(elsewhere, runs) == ("values", [])
 
 
+def test_value_path_can_be_forced_and_reports_the_largest_move(record, runs):
+    moved = copy.deepcopy(record)
+    want = moved["runs"]["born-41"]
+    want["results"]["values"]["mc_average"]["value"] += 0.5 * golden.TOLERANCE
+    assert golden.compare(moved, runs, True) == ("values", [])
+    assert golden.largest_move(want["results"], runs["born-41"]["results"]) == pytest.approx(0.5 * golden.TOLERANCE)
+    assert golden.largest_move(record["runs"]["born-41"], runs["born-41"]) == 0.0
+
+
 @pytest.mark.parametrize("factor, moved", [(0.5, False), (2.0, True)])
 def test_value_path_tolerates_float_moves_within_tolerance_only(elsewhere, runs, factor, moved):
     born = elsewhere["runs"]["born-41"]

@@ -85,8 +85,10 @@ def test_run_trials_result_has_counted_fields():
 
 
 def test_dynamics_run_steps_once_per_step(monkeypatch, tmp_path):
-    # dynamics.steps counts calls of SymplecticIntegrator.step; exact_desk's
-    # dynamics run must make one per step: integrate to t = 1, then t = 10
+    # dynamics.steps counts calls of SymplecticIntegrator.step, each one product
+    # with a power of the one-step matrix: exact_desk's dynamics run makes one to
+    # integrate to t = 1 and one per drift-table row after the first (50,000
+    # steps to t = 10 in 1,000 products), as many as the table has rows
     calls = []
     step = SymplecticIntegrator.step
 
@@ -95,9 +97,9 @@ def test_dynamics_run_steps_once_per_step(monkeypatch, tmp_path):
         return step(self, x)
 
     monkeypatch.setattr(SymplecticIntegrator, "step", counted)
-    dt = 2e-4
-    assert main(["dynamics", "--dt", str(dt), "--seed", "41", "--out", str(tmp_path / "run")]) == 0
-    assert len(calls) == round(1.0 / dt) + round(10.0 / dt) == 55_000
+    assert main(["dynamics", "--dt", "2e-4", "--seed", "41", "--out", str(tmp_path / "run")]) == 0
+    rows = len((tmp_path / "run" / "trajectory.csv").read_text().splitlines()) - 1
+    assert len(calls) == rows == 1_001
 
 
 def test_hessian_run_evaluates_through_quadratic_form(monkeypatch, tmp_path):
