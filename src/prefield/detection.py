@@ -236,9 +236,10 @@ def quadratic_correlation_mc(
     With A = V diag(a) V^+ and B = W diag(b) W^+, f_A(phi1) is
     sum_k a_k |(V^+ phi1)_k|^2 and, party 2 being sampled as z2 = conj(phi2),
     f_B(phi2) is sum_k b_k |(W^T z2)_k|^2.  Both bases are folded into the
-    sampling factor, so each chunk's channel powers (`sample_powers`) give
-    the two forms, shifted by their exact means Tr(D1 A) and Tr(D2 B) to u
-    and v.  Each Philox block is reduced to the co-moments M[i, j] = sum u^i v^j
+    sampling factor, so one product of each chunk's channel powers
+    (`sample_powers`) with block-diagonal weights gives the two forms,
+    shifted by their exact means Tr(D1 A) and Tr(D2 B) to u and v.  Each
+    Philox block is reduced to the co-moments M[i, j] = sum u^i v^j
     (i, j <= 2), the blocks are added in block order, and the covariance and
     its SE follow in closed form; memory is one chunk.  It runs on the
     calling thread: `epr` runs its estimates side by side instead.
@@ -249,12 +250,15 @@ def quadratic_correlation_mc(
     (wa, va), (wb, vb) = a.eig(), b.eig()
     factor = np.vstack((va.conj().T @ s[:n], vb.T @ s[n:]))
     power_means = np.square(np.abs(factor)).sum(axis=1)  # the diagonal of the folded covariance
-    shift_a, shift_b = power_means[:n] @ wa, power_means[n:] @ wb
+    weights = np.zeros((2 * n, 2))  # block-diagonal: u from party 1's powers, v from party 2's
+    weights[:n, 0], weights[n:, 1] = wa, wb
+    shift = power_means @ weights
 
     def reduce(lo: int, hi: int) -> list:
-        powers = sample_powers(factor, hi - lo, seed, lo, stream)
-        u, v = powers[:, :n] @ wa - shift_a, powers[:, n:] @ wb - shift_b
-        pu, pv = np.array([np.ones_like(u), u, u * u]), np.array([np.ones_like(v), v, v * v])
+        rows = np.ones((3, 2, hi - lo))  # (1, x, x^2) for x = u, v
+        rows[1] = (sample_powers(factor, hi - lo, seed, lo, stream) @ weights - shift).T
+        np.square(rows[1], out=rows[2])
+        pu, pv = rows[:, 0], rows[:, 1]
         return [pu[:, k : k + SAMPLE_BLOCK] @ pv[:, k : k + SAMPLE_BLOCK].T for k in range(0, hi - lo, SAMPLE_BLOCK)]
 
     m = sum(block for chunk in for_each_chunk(reduce, n_samples, 1) for block in chunk)
@@ -272,7 +276,6 @@ def quadratic_correlation_mc(
 # is 0 none, 1 "+" only, 2 "-" only, 3 both.
 _N_CODES = 16
 _CODE_CLICKS = ((np.arange(_N_CODES)[:, None] >> np.arange(4)) & 1).astype(bool)
-_CODE_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
 CODE_BOTH = 3  # a party's code for a double click
 _PARTY_CLASS = ("none", "single", "single", "double")
 # outcome of a party code: "+" (column 0) when its + channel fired, "-" (column 1) otherwise
@@ -295,10 +298,13 @@ def party_code_probabilities(threshold: float, epsilon: float) -> np.ndarray:
 
 def _pack_codes(clicks: np.ndarray) -> np.ndarray:
     """Code of each row of an (n, 4) boolean click table: column c sets bit c."""
-    # np.packbits along rows of four would do the same, but it holds the
-    # interpreter lock for the whole call (about 0.8 ms per chunk), so the
-    # other worker threads stall; this uint8 product runs without the lock
-    return clicks.view(np.uint8) @ _CODE_BITS
+    # each row's four click bytes, read as one little-endian ('<u4') word, hold
+    # column c's flag at bit 8 c; times 0x01020408 it moves to bit 24 + c, and no
+    # other partial product carries into the top byte, so >> 24 is the code in
+    # exact integer arithmetic.  np.packbits along rows of four would do the same,
+    # but it holds the interpreter lock for the whole call (about 0.8 ms per
+    # chunk), so the other worker threads stall; integer ufuncs run without it
+    return (clicks.view("<u4")[:, 0] * 0x01020408) >> 24
 
 
 def _click_codes(factor, threshold, n_trials, seed, stream, workers) -> np.ndarray:

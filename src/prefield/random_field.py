@@ -31,9 +31,12 @@ of (master seed, stream label, block index):
   chunk that holds it, the thread that draws it or where the run stops;
 * a block holds SAMPLE_BLOCK draws of r standard circular normals, r the
   rank of D (eigenvalues above PSD_TOL): one standard_normal draw of shape
-  (SAMPLE_BLOCK, 2 r) whose column pairs are the real and imaginary parts,
-  scaled by sqrt(1/2), then coloured by the dim x r factor in two products
-  of SAMPLE_BLOCK / 2 rows.  Rank 0 draws nothing.
+  (SAMPLE_BLOCK, 2 r) whose column pairs, times sqrt(1/2), are the real
+  and imaginary parts.  These normals are the contract's random bits.
+  Colouring multiplies the draw, as drawn, by the (2 r x 2 dim) real form
+  of sqrt(1/2) factor^T, so the scaling is folded in: one real product,
+  done as two products of SAMPLE_BLOCK / 2 rows, whose float output is
+  read as the (SAMPLE_BLOCK, dim) complex samples.  Rank 0 draws nothing.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ from .hilbert import FieldVector, HermitianOperator, PSD_TOL
 SAMPLE_BLOCK = 4096
 
 # Rows per colouring product: each block is coloured as two.  OpenBLAS hands a
-# complex (m x dim) @ (dim x dim) product to its thread pool from m ~ 4096 rows
-# up, and the pool's spinning threads then compete with the caller's other
-# workers for the cores; at half a block the product stays on the calling
-# thread.  A row's bits do not depend on m >= 2, so the split changes no sample.
+# whole-block product with a 16 x 16 real form (dim 8 at full rank) to its
+# thread pool, whose spinning threads then compete with the caller's other
+# workers for the cores; at half a block it stays on the calling thread, as
+# the singlet's 4 x 8 and 8 x 8 forms do at either size.  A row's bits do not
+# depend on m >= 2, so the split changes no sample.
 _COLOUR_ROWS = SAMPLE_BLOCK // 2
 
 # Samples per chunk, aligned to Philox blocks.  Two blocks keep a worker's
@@ -118,16 +122,6 @@ class BackgroundField:
         object.__setattr__(self, "epsilon", eps)
 
 
-def _standard_circular(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """(n, dim) complex normals with E[xi xi^+] = I and E[xi xi^T] = 0.
-
-    One draw of 2 n dim normals, read as interleaved real and imaginary parts.
-    """
-    z = rng.standard_normal((n, 2 * dim))
-    z *= np.sqrt(0.5)
-    return z.view(np.complex128)
-
-
 def sampling_factor(covariance: HermitianOperator) -> np.ndarray:
     """dim x r matrix S with S S^+ = D, r the number of eigenvalues above PSD_TOL.
 
@@ -154,10 +148,10 @@ def sample_with_factor(
     """Samples with absolute indices [start_index, start_index + n_samples).
 
     `factor` is dim x r.  Every block of SAMPLE_BLOCK draws that the range
-    touches is drawn and coloured whole, as two _COLOUR_ROWS-row products
-    into a block-aligned buffer, and the requested rows are sliced out of
-    it, so a sample's bits depend only on its absolute index, never on
-    where a request starts or stops or how a run was partitioned.
+    touches is drawn and coloured whole, as two _COLOUR_ROWS-row real
+    products into a block-aligned buffer, and the requested rows are sliced
+    out of it, so a sample's bits depend only on its absolute index, never
+    on where a request starts or stops or how a run was partitioned.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -166,12 +160,16 @@ def sample_with_factor(
     dim, rank = factor.shape
     if rank == 0:
         return np.zeros((n_samples, dim), dtype=np.complex128)
+    # real form of g = sqrt(1/2) factor^T: rows 2 k and 2 k + 1 are g[k] and i g[k] read as (Re, Im)
+    # pairs, i.e. [[Re, Im], [-Im, Re]] blocks, so draw pair (x, y) of column k adds (x + i y) g[k]
+    g = np.sqrt(0.5) * factor.T
+    real = np.ascontiguousarray(np.stack((g, 1j * g), 1)).view(np.float64).reshape(2 * rank, 2 * dim)
     blocks = range(start_index // SAMPLE_BLOCK, (start_index + n_samples - 1) // SAMPLE_BLOCK + 1)
-    out = np.empty((len(blocks), SAMPLE_BLOCK // _COLOUR_ROWS, _COLOUR_ROWS, dim), dtype=np.complex128)
+    halves = (SAMPLE_BLOCK // _COLOUR_ROWS, _COLOUR_ROWS)
+    out = np.empty((len(blocks), *halves, 2 * dim))
     for k, block in enumerate(blocks):
-        xi = _standard_circular(seed.stream(stream_label, block), SAMPLE_BLOCK, rank)
-        np.matmul(xi.reshape(-1, _COLOUR_ROWS, rank), factor.T, out=out[k])
-    return out.reshape(-1, dim)[start_index % SAMPLE_BLOCK :][:n_samples]
+        np.matmul(seed.stream(stream_label, block).standard_normal((*halves, 2 * rank)), real, out=out[k])
+    return out.reshape(-1, 2 * dim).view(np.complex128)[start_index % SAMPLE_BLOCK :][:n_samples]
 
 
 def sample_powers(factor, n_samples, seed, start_index, stream_label) -> np.ndarray:
@@ -218,7 +216,7 @@ def for_each_chunk(fn, stop: int, workers: int) -> list:
     lock), so every worker count makes the same calls; shorter runs stay on
     the calling thread, and `epr` runs its short estimates side by side.
     """
-    cuts = [*range(0, stop - 1 or 1, CHUNK), stop]  # one row only at stop 1: _click_codes' exact uint8 product
+    cuts = [*range(0, stop - 1 or 1, CHUNK), stop]  # one row only at stop 1: _click_codes' exact integer packing
     chunks = list(zip(cuts, cuts[1:]))
     threads = max(1, min(workers, len(chunks) // _WORKER_CHUNKS))
     shares = [-(-len(chunks) * k // threads) for k in range(threads + 1)]

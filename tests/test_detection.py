@@ -323,7 +323,8 @@ class TestPowerKernel:
         def forms(ens, a, b, n_samples, seed):
             values.clear()
             quadratic_correlation_mc(ens, a, b, n_samples, seed)
-            return np.concatenate(values[0::2]), np.concatenate(values[1::2])
+            both = np.concatenate(values)  # one product per chunk: party 1's column, then party 2's
+            return both[:, 0], both[:, 1]
 
         for k in range(50):
             rng = np.random.default_rng(k)

@@ -19,7 +19,6 @@ from prefield.random_field import (
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
-    _standard_circular,
     ensemble_from_pure_state,
     for_each_chunk,
     map_jobs,
@@ -43,6 +42,30 @@ def rand_density(rng, dim):
 def mixed_ensemble(rho, eps=0.0):
     """Ensemble with covariance rho + eps I for a density matrix rho."""
     return GaussianFieldEnsemble(HermitianOperator.symmetrized(rho + eps * np.eye(len(rho))))
+
+
+def colouring_factor(kind):
+    """The singlet pair's factor at eps* (4 x 2) or a complex full-rank dim-3 factor."""
+    if kind == "singlet-pair":
+        singlet = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
+        return BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5)).sampler_factor
+    return mixed_ensemble(rand_density(np.random.default_rng(5), 3), 0.1).sampler_factor
+
+
+def block_normals(seed, block, rank):
+    """A Philox block's (SAMPLE_BLOCK, 2 rank) standard normals, as drawn."""
+    return seed.stream(STREAM_FIELD, block).standard_normal((SAMPLE_BLOCK, 2 * rank))
+
+
+def real_form(factor):
+    """(2 r, 2 dim) real matrix of sqrt(1/2) factor^T, built block by block."""
+    dim, rank = factor.shape
+    real = np.zeros((2 * rank, 2 * dim))
+    for k in range(rank):
+        for c in range(dim):
+            g = np.sqrt(0.5) * factor[c, k]
+            real[2 * k : 2 * k + 2, 2 * c : 2 * c + 2] = [[g.real, g.imag], [-g.imag, g.real]]
+    return real
 
 
 def sample(ens, n, seed=SEED, start=0):
@@ -158,22 +181,24 @@ class TestDeterminism:
     )
     @pytest.mark.parametrize("kind", ["singlet-pair", "dim3"])
     def test_sliced_colouring_matches_one_product(self, kind, start, n):
-        """Block-by-block colouring equals one product over the whole blocks, lone rows included."""
-        if kind == "singlet-pair":
-            singlet = FieldVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
-            factor = BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5)).sampler_factor
-        else:
-            rho = rand_density(np.random.default_rng(5), 3)
-            factor = mixed_ensemble(rho, 0.1).sampler_factor
+        """Block-by-block colouring equals one real-form product over the whole blocks, lone rows included."""
+        factor = colouring_factor(kind)
         first, last = start // SAMPLE_BLOCK, (start + n - 1) // SAMPLE_BLOCK
         offset = start - first * SAMPLE_BLOCK
         for seed in (SEED, *map(RandomSeed, range(1, 6))):
-            blocks = [
-                _standard_circular(seed.stream(STREAM_FIELD, b), SAMPLE_BLOCK, factor.shape[1])
-                for b in range(first, last + 1)
-            ]
-            expected = (np.concatenate(blocks) @ factor.T)[offset : offset + n]
+            normals = np.concatenate([block_normals(seed, b, factor.shape[1]) for b in range(first, last + 1)])
+            expected = (normals @ real_form(factor)).view(np.complex128)[offset : offset + n]
             np.testing.assert_array_equal(sample_with_factor(factor, n, seed, start), expected)
+
+    @pytest.mark.parametrize("kind", ["singlet-pair", "dim3"])
+    def test_real_form_matches_the_complex_product(self, kind):
+        """The real-form product colours like xi @ factor^T on the circular normals xi."""
+        factor = colouring_factor(kind)
+        for seed in (SEED, *map(RandomSeed, range(1, 6))):
+            normals = np.concatenate([block_normals(seed, b, factor.shape[1]) for b in (0, 1)])
+            expected = (np.sqrt(0.5) * normals).view(np.complex128) @ factor.T
+            error = np.abs(sample_with_factor(factor, 2 * SAMPLE_BLOCK, seed) - expected).max()
+            assert error <= 1e-15 * np.abs(expected).max()
 
     def test_short_ranges_stay_on_the_calling_thread(self):
         """A range splits only when every thread gets _WORKER_CHUNKS chunks."""

@@ -18,6 +18,7 @@ from prefield.analysis import CorrelationTable, NoCoincidencesError
 from prefield.detection import (
     BipartiteEnsemble,
     TrialBatch,
+    _pack_codes,
     click_statistics,
     correlation_from_clicks,
     pbs_projectors,
@@ -30,6 +31,7 @@ from prefield.random_field import (
     STREAM_PAIRS,
     BackgroundField,
     RandomSeed,
+    sample_powers,
     sample_with_factor,
 )
 from prefield.serialize import _cell, write_csv
@@ -195,6 +197,36 @@ class TestKernel:
         assert peak < 16 * 2**20
         single = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED)
         np.testing.assert_array_equal(batch.codes, single.codes)
+
+
+class TestPackCodes:
+    """The word-wise packing against the uint8 product it replaced."""
+
+    @staticmethod
+    def reference(clicks):
+        return clicks.view(np.uint8) @ np.array([1, 2, 4, 8], dtype=np.uint8)
+
+    def test_every_code(self):
+        clicks = ((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(bool)
+        np.testing.assert_array_equal(_pack_codes(clicks), np.arange(16))
+        np.testing.assert_array_equal(_pack_codes(clicks), self.reference(clicks))
+
+    def test_random_table(self):
+        clicks = np.random.default_rng(11).random((100_000, 4)) < 0.5
+        np.testing.assert_array_equal(_pack_codes(clicks), self.reference(clicks))
+
+    def test_table_from_strided_powers(self):
+        """sample_powers returns every other column of its buffer, as _click_codes thresholds it.
+
+        Above eps* the law has full rank, so every code occurs."""
+        ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN + 0.03))
+        basis = np.zeros((4, 4))
+        basis[:2, :2], basis[2:, 2:] = splitter(0.0), splitter(math.pi / 8)
+        powers = sample_powers(basis.T @ ens.sampler_factor, 3 * SAMPLE_BLOCK + 5, SEED, 17, STREAM_PAIRS)
+        assert not powers.flags.c_contiguous
+        clicks = powers > 0.2
+        assert np.unique(self.reference(clicks)).size == 16
+        np.testing.assert_array_equal(_pack_codes(clicks), self.reference(clicks))
 
 
 class TestHistogramStatistics:
