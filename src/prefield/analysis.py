@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .random_field import STREAM_HIDDEN_VARIABLE, RandomSeed
+from .random_field import RandomSeed
 from .serialize import read_json
 
 NORMALIZATION_TOL = 1e-9
@@ -416,12 +416,12 @@ def lhv_exact_table(a_settings, b_settings) -> CorrelationTable:
     return CorrelationTable.from_frequencies(tuple(a_settings), tuple(b_settings), _frequencies(corr))
 
 
-def lhv_sampled_table(a_settings, b_settings, n_per_pair: int, seed: RandomSeed) -> CorrelationTable:
+def lhv_sampled_table(a_settings, b_settings, n_per_pair: int, seed: RandomSeed, stream: int) -> CorrelationTable:
     """Finite-sample table from the flip model (fresh hidden variable per trial).
 
     The four outcome counts of n independent trials are multinomial with
     the cell probabilities of `lhv_exact_table`, so they are drawn as such,
-    one draw per setting pair from stream (STREAM_HIDDEN_VARIABLE, x, y),
+    one draw per setting pair from stream label (stream, x, y),
     without forming the trials.
     """
     if n_per_pair < 2:
@@ -430,7 +430,7 @@ def lhv_sampled_table(a_settings, b_settings, n_per_pair: int, seed: RandomSeed)
     freq = np.empty((2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
-            rng = seed.stream((STREAM_HIDDEN_VARIABLE, x, y), 0)
+            rng = seed.stream((stream, x, y), 0)
             drawn = rng.multinomial(n_per_pair, cells[x, y].ravel())
             freq[x, y] = (drawn / n_per_pair).reshape(2, 2)
     counts = np.full((2, 2), n_per_pair, dtype=np.int64)
@@ -465,5 +465,5 @@ def table_from_json(path) -> CorrelationTable:
             payload.get("frequencies"),
             payload.get("counts"),
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # nesting too deep for the decoder
         raise TableFileError(f"cannot read correlation table {path}: {exc}") from exc

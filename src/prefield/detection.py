@@ -229,7 +229,7 @@ def quadratic_correlation_mc(
     b: HermitianOperator,
     n_samples: int,
     seed: RandomSeed,
-    stream=STREAM_PAIRS,
+    stream,
 ) -> MCEstimate:
     """Monte Carlo counterpart of `quadratic_correlation_renormalized`.
 
@@ -423,9 +423,9 @@ def run_trials(
     threshold: float,
     n_trials: int,
     seed: RandomSeed,
-    policy: str = POLICY_KEEP_SINGLES,
+    policy: str,
+    stream,
     workers: int = 1,
-    stream=STREAM_PAIRS,
 ) -> TrialBatch:
     """Coincidence run: one sampled field pair per time window, drawn from `stream`.
 

@@ -74,12 +74,6 @@ def exact_propagator(h_op: HermitianOperator, t: float) -> np.ndarray:
     return u
 
 
-def _expm_antisymmetric(j: np.ndarray, t: float) -> np.ndarray:
-    """exp(t J) for real antisymmetric J, via the Hermitian matrix iJ."""
-    w, v = np.linalg.eigh(1j * j)
-    return ((v * np.exp(-1j * t * w)) @ v.conj().T).real
-
-
 class SymplecticIntegrator:
     """`steps` Strang steps of size dt: exact half-rotations of J around a Verlet step of R.
 
@@ -101,7 +95,8 @@ class SymplecticIntegrator:
             raise ValueError("dt must be positive")
         r = system.r_block
         eye, zero = np.eye(len(r)), np.zeros_like(r)
-        half_j = _expm_antisymmetric(system.j_block, dt / 2.0)
+        # exp(dt J / 2) = exp(-i (dt / 2) iJ), and iJ is exactly Hermitian: J is antisymmetrised exactly
+        half_j = exact_propagator(HermitianOperator(1j * system.j_block), dt / 2.0).real
         rot = np.block([[half_j, zero], [zero, half_j]])
         kick = np.block([[eye, zero], [-(dt / 2.0) * r, eye]])
         drift = np.block([[eye, dt * r], [zero, eye]])

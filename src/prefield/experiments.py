@@ -98,6 +98,8 @@ from .observables import (
 from .random_field import (
     RNG_CONTRACT,
     STREAM_EXPERIMENT,
+    STREAM_FIELD,
+    STREAM_HIDDEN_VARIABLE,
     STREAM_PAIRS,
     BackgroundField,
     RandomSeed,
@@ -146,10 +148,11 @@ EXPERIMENT_KINDS = ("born", "dynamics", "hessian", "epr", *BELL_KINDS)
 BELL_MODELS = tuple(name for name in SOURCES if name not in EXPERIMENT_KINDS)
 BELL_SETTINGS = tuple(dict.fromkeys(name for model in BELL_MODELS for name in SOURCES[model]))
 
-# Sub-keys of STREAM_PAIRS.  chsh draws setting pair (x, y) from
-# (STREAM_PAIRS, x, y) with x, y in {0, 1}; epr's estimates draw from
-# (STREAM_PAIRS, purpose, index) with the purposes below, so no two
-# estimates of one run, nor an epr and a chsh run of one seed, share a field.
+# The runners here assign every stream label: random states and operators draw
+# STREAM_EXPERIMENT, born STREAM_FIELD, lhv's setting pair (x, y) (STREAM_HIDDEN_VARIABLE,
+# x, y), chsh's (STREAM_PAIRS, x, y) with x, y in {0, 1}, and epr's estimates
+# (STREAM_PAIRS, purpose, index) with the purposes below, so no two estimates of
+# one run, nor an epr and a chsh run of one seed, share a field.
 EPR_FIELD_MC = 2
 EPR_CURVE = 3
 EPR_GRID = 4
@@ -382,7 +385,7 @@ def run_born(config: ExperimentConfig) -> ExperimentResult:
 
     seed = RandomSeed(config.seed)
     checkpoints = np.unique(np.clip(np.geomspace(1, config.samples, 40).astype(int), 1, config.samples))
-    mc, running = quadratic_form_mc(ensemble, form, config.samples, seed, checkpoints, config.workers)
+    mc, running = quadratic_form_mc(ensemble, form, config.samples, seed, STREAM_FIELD, checkpoints, config.workers)
     rows = [[int(k), float(mean), exact] for k, mean in zip(checkpoints, running)]
     result.add_mc("mc_average", mc.mean, mc.standard_error, config.samples)
     result.check_abs("born_mc_within_5se", mc.mean - exact, 5.0 * mc.standard_error)
@@ -592,11 +595,12 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
     if config.model != "file":
         a1, a2, b1, b2 = config.setting("angles")
         a_settings, b_settings = (a1, a2), (b1, b2)
+    seed = RandomSeed(config.seed)
     if config.model == "lhv":
         s_exact, _ = chsh(lhv_exact_table(a_settings, b_settings))
         result.add_exact("S_exact", s_exact)
         result.check_abs("lhv_bound_exact", s_exact, 2.0 + 1e-9)
-        table = lhv_sampled_table(a_settings, b_settings, config.trials, RandomSeed(config.seed))
+        table = lhv_sampled_table(a_settings, b_settings, config.trials, seed, STREAM_HIDDEN_VARIABLE)
         s, se = chsh(table)
         result.add_mc("S_sampled", s, se, int(4 * config.trials))
         result.check_abs("lhv_bound_sampled_5se", s, 2.0 + 5.0 * max(se, 1e-12))
@@ -610,7 +614,6 @@ def _bell_table(config: ExperimentConfig, result: ExperimentResult) -> Correlati
     elif config.model == "singlet-clicks":
         eps, threshold = config.setting("epsilon"), config.setting("threshold")
         ensemble = BipartiteEnsemble(_singlet(), BackgroundField(eps))
-        seed = RandomSeed(config.seed)
         result.add_info("epsilon", eps)
         result.add_info("threshold", threshold)
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import HermitianOperator, trace_product
-from .random_field import SAMPLE_BLOCK, STREAM_FIELD, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
+from .random_field import SAMPLE_BLOCK, GaussianFieldEnsemble, RandomSeed, for_each_chunk, sample_powers
 
 EVAL_IMAG_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-3
@@ -112,9 +112,9 @@ def classical_average_exact(ensemble: GaussianFieldEnsemble, form: QuadraticForm
 
 
 def quadratic_form_mc(
-    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed, stops, workers: int
+    ensemble: GaussianFieldEnsemble, form: QuadraticForm, n_samples: int, seed: RandomSeed, stream, stops, workers: int
 ) -> tuple[MCEstimate, np.ndarray]:
-    """Mean and SE of f_A over the field samples [0, n_samples), and its running means at ascending `stops`.
+    """Mean and SE of f_A over the field samples [0, n_samples) of `stream`, and its running means at ascending `stops`.
 
     With A = V diag(a) V^+, f_A(phi) = sum_k a_k |(V^+ phi)_k|^2: V^+ is folded
     into the sampling factor and each chunk's channel powers (`sample_powers`)
@@ -131,7 +131,7 @@ def quadratic_form_mc(
     factor = basis.conj().T @ ensemble.sampler_factor
 
     def reduce(lo: int, hi: int) -> list:
-        shifted = sample_powers(factor, hi - lo, seed, lo, STREAM_FIELD) @ weights - exact
+        shifted = sample_powers(factor, hi - lo, seed, lo, stream) @ weights - exact
         blocks = []
         for start in range(lo, hi, SAMPLE_BLOCK):
             u = shifted[start - lo : start - lo + SAMPLE_BLOCK]

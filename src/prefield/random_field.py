@@ -21,9 +21,10 @@ runs independent calls on worker threads.
 RNG contract (version RNG_CONTRACT = 2).  Every random bit is a function
 of (master seed, stream label, block index):
 
-* a label is an int or a tuple of ints (sub-keys, such as a setting pair);
-  its Philox key is derived once per (seed, label) from
-  SeedSequence(entropy=seed, spawn_key=label) and cached;
+* a label is an int or a tuple of ints (sub-keys, such as a setting pair),
+  assigned only by the runners in `experiments`: every sampling function
+  takes its label as an argument.  Its Philox key is derived once per
+  (seed, label) from SeedSequence(entropy=seed, spawn_key=label) and cached;
 * block b of that label is Philox(key, counter=[0, 0, 0, b]): the block
   index sits in the counter's high word, so blocks never overlap;
 * sample i of a run lives in block i // SAMPLE_BLOCK, which is drawn and
@@ -52,11 +53,12 @@ from .hilbert import FieldVector, HermitianOperator, PSD_TOL
 SAMPLE_BLOCK = 4096
 
 # Rows per colouring product: each block is coloured as two.  OpenBLAS hands a
-# whole-block product with a 16 x 16 real form (dim 8 at full rank) to its
-# thread pool, whose spinning threads then compete with the caller's other
-# workers for the cores; at half a block it stays on the calling thread, as
-# the singlet's 4 x 8 and 8 x 8 forms do at either size.  A row's bits do not
-# depend on m >= 2, so the split changes no sample.
+# whole-block product with a 16 x 16 real form (dim 8 at full rank) to its thread
+# pool, whose spinning threads then compete with the caller's other workers; at
+# half a block it stays on the calling thread, as the singlet's 4 x 8 and 8 x 8
+# forms do at either size.  No benchmark workload runs such a form, but `born --dim 8
+# --samples 1000000 --workers 2` takes 0.23 s split and 0.43-0.47 s whole (medians of
+# 7, 2 vCPUs).  A row's bits do not depend on m >= 2, so the split changes no sample.
 _COLOUR_ROWS = SAMPLE_BLOCK // 2
 
 # Samples per chunk, aligned to Philox blocks.  Two blocks keep a worker's
@@ -75,8 +77,8 @@ _WORKER_CHUNKS = 4
 # Version of the stream layout in the module docstring; manifest.json records it.
 RNG_CONTRACT = 2
 
-# Stream labels keep independent uses of one master seed decorrelated; a
-# tuple label such as (STREAM_PAIRS, x, y) sub-keys one use.
+# Stream labels, which `experiments` assigns, keep independent uses of one master
+# seed decorrelated; a tuple label such as (STREAM_PAIRS, x, y) sub-keys one use.
 STREAM_FIELD = 1
 STREAM_PAIRS = 3
 STREAM_HIDDEN_VARIABLE = 6
@@ -142,8 +144,8 @@ def sample_with_factor(
     factor: np.ndarray,
     n_samples: int,
     seed: RandomSeed,
-    start_index: int = 0,
-    stream_label: int | tuple[int, ...] = STREAM_FIELD,
+    start_index: int,
+    stream_label: int | tuple[int, ...],
 ) -> np.ndarray:
     """Samples with absolute indices [start_index, start_index + n_samples).
 

@@ -24,6 +24,7 @@ from prefield.analysis import (
 from prefield.cli import main as cli_main
 from prefield.detection import (
     BipartiteEnsemble,
+    POLICY_KEEP_SINGLES,
     click_statistics,
     pbs_projectors,
     quadratic_correlation_mc,
@@ -56,7 +57,14 @@ from prefield.observables import (
     quartic_power_functional,
     renormalize,
 )
-from prefield.random_field import STREAM_PAIRS, BackgroundField, RandomSeed, ensemble_from_pure_state
+from prefield.random_field import (
+    STREAM_FIELD,
+    STREAM_HIDDEN_VARIABLE,
+    STREAM_PAIRS,
+    BackgroundField,
+    RandomSeed,
+    ensemble_from_pure_state,
+)
 
 SEED = RandomSeed(1234567)
 
@@ -116,7 +124,7 @@ def test_criterion_2_born_monte_carlo():
     ens = ensemble_from_pure_state(psi, BackgroundField(0.1))
     form = QuadraticForm(a)
     t0 = time.perf_counter()
-    est, _ = quadratic_form_mc(ens, form, 100_000, SEED, np.array([100_000]), 1)
+    est, _ = quadratic_form_mc(ens, form, 100_000, SEED, STREAM_FIELD, np.array([100_000]), 1)
     mean, se = est.mean, est.standard_error
     elapsed = time.perf_counter() - t0
     exact = classical_average_exact(ens, form)
@@ -239,7 +247,7 @@ class TestCriterion6ThresholdDetection:
             psi = FieldVector([math.cos(alpha), math.sin(alpha)])
             product = kron_vector(psi, FieldVector([1.0, 0.0]))
             ens = BipartiteEnsemble(product, BackgroundField(BORN_CLICK_EPSILON))
-            batch = run_trials(ens, 0.0, 0.0, BORN_CLICK_THRESHOLD, 1_000_000, SEED)
+            batch = run_trials(ens, 0.0, 0.0, BORN_CLICK_THRESHOLD, 1_000_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
             _, plus, minus, _ = batch.raw.sum(axis=1)
             f_plus = plus / (plus + minus)
             born = math.cos(alpha) ** 2
@@ -262,7 +270,7 @@ class TestCriterion6ThresholdDetection:
         n = 100_000
         worst = 0.0
         for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
-            batch = run_trials(ens, 0.0, math.pi / 8, float(d), n, SEED, stream=(STREAM_PAIRS, k))
+            batch = run_trials(ens, 0.0, math.pi / 8, float(d), n, SEED, POLICY_KEEP_SINGLES, (STREAM_PAIRS, k))
             exact = math.exp(-2.0 * d / (0.5 + CHSH_CLICK_EPSILON))
             se = max(math.sqrt(exact * (1.0 - exact) / n), 1.0 / n)
             for _, _, _, both in click_statistics(batch).party_counts:
@@ -278,8 +286,10 @@ class TestCriterion6ThresholdDetection:
         """Party 1 click marginals independent of party 2's setting (5 se)."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(CHSH_CLICK_EPSILON))
         n = 1_000_000
-        b1 = run_trials(ens, 0.0, math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(61))
-        b2 = run_trials(ens, 0.0, 3 * math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(62))
+        b1 = run_trials(ens, 0.0, math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(61), POLICY_KEEP_SINGLES,
+                        STREAM_PAIRS)
+        b2 = run_trials(ens, 0.0, 3 * math.pi / 8, CHSH_CLICK_THRESHOLD, n, RandomSeed(62), POLICY_KEEP_SINGLES,
+                        STREAM_PAIRS)
         # party 1's + and - channel rates: the channel fired alone or in a double click
         r1, r2 = (batch.raw.sum(axis=1) @ [[0, 0], [1, 0], [0, 1], [1, 1]] / n for batch in (b1, b2))
         gap = float(np.abs(r1 - r2).max())
@@ -300,7 +310,7 @@ class TestCriterion6ThresholdDetection:
             for y in range(2):
                 batches[(x, y)] = run_trials(
                     ens, a_settings[x], b_settings[y], CHSH_CLICK_THRESHOLD, 1_000_000,
-                    RandomSeed(70 + 2 * x + y),
+                    RandomSeed(70 + 2 * x + y), POLICY_KEEP_SINGLES, STREAM_PAIRS,
                 )
         table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
         s, se = chsh(table)
@@ -325,7 +335,7 @@ class TestCriterion6ThresholdDetection:
 class TestCriterion7Kolmogorovness:
     def test_lhv_feasible_and_bounded(self):
         angles = DEFAULT_CHSH_ANGLES
-        table = lhv_sampled_table(angles[:2], angles[2:], 100_000, SEED)
+        table = lhv_sampled_table(angles[:2], angles[2:], 100_000, SEED, STREAM_HIDDEN_VARIABLE)
         s, se = chsh(table)
         assert abs(s) <= 2.0 + 5.0 * se
         verdict = kolmogorov_feasible(table)

@@ -225,7 +225,7 @@ class TestFeasibility:
             assert abs(s) <= 2.0 + 1e-12
             margin = 2.0 - max(abs(v) for v in fine_chsh_values(exact).values())
             for seed in seeds:
-                sampled = lhv_sampled_table(angles[:2], angles[2:], 40_000, seed)
+                sampled = lhv_sampled_table(angles[:2], angles[2:], 40_000, seed, STREAM_HIDDEN_VARIABLE)
                 s, se = chsh(sampled)
                 assert abs(s) <= 2.0 + 5.0 * se
                 if margin > 0.05:
@@ -265,7 +265,10 @@ class TestTableBuilders:
     # 99991 trials leave k / 99991 frequencies with full mantissas, so a cell
     # formula summed in another order or a rearranged standard error changes
     # some bits of at least one of these eight tables
-    SAMPLED = [lhv_sampled_table((0.3, 1.1), (-0.4, 0.7), 99_991, RandomSeed(seed)) for seed in range(8)]
+    SAMPLED = [
+        lhv_sampled_table((0.3, 1.1), (-0.4, 0.7), 99_991, RandomSeed(seed), STREAM_HIDDEN_VARIABLE)
+        for seed in range(8)
+    ]
 
     @pytest.mark.parametrize("table", SAMPLED, ids=[f"seed-{k}" for k in range(8)])
     def test_canonical_frequencies_match_scalar_cells(self, table):
@@ -299,7 +302,7 @@ class TestLhvSampledTable:
     @pytest.mark.parametrize("seed", [41, 9173])
     @pytest.mark.parametrize("angles", [CHSH_ANGLES, (0.1, 0.9, 0.4, 1.3), HUGE_ANGLES])
     def test_bit_identical_to_mask_means(self, angles, seed, n_per_pair):
-        table = lhv_sampled_table(angles[:2], angles[2:], n_per_pair, RandomSeed(seed))
+        table = lhv_sampled_table(angles[:2], angles[2:], n_per_pair, RandomSeed(seed), STREAM_HIDDEN_VARIABLE)
         reference = lhv_sampled_table_by_masks(angles[:2], angles[2:], n_per_pair, RandomSeed(seed))
         assert np.array_equal(table.frequencies, reference.frequencies)
         assert np.array_equal(table.correlations, reference.correlations)
@@ -367,7 +370,7 @@ class TestTableValidation:
             CorrelationTable.from_frequencies((0, 1), (2, 3), freq)
 
     def test_json_roundtrip(self, tmp_path):
-        table = lhv_sampled_table((0.0, 0.8), (0.3, 1.1), 5_000, RandomSeed(3))
+        table = lhv_sampled_table((0.0, 0.8), (0.3, 1.1), 5_000, RandomSeed(3), STREAM_HIDDEN_VARIABLE)
         path = tmp_path / "table.json"
         path.write_text(json.dumps(dataclasses.asdict(table), default=np.ndarray.tolist))
         back = table_from_json(path)
@@ -378,9 +381,9 @@ class TestTableValidation:
 
 class TestDetectionBridge:
     def test_table_from_click_trials(self):
-        from prefield.detection import BipartiteEnsemble, run_trials
+        from prefield.detection import POLICY_KEEP_SINGLES, BipartiteEnsemble, run_trials
         from prefield.hilbert import FieldVector
-        from prefield.random_field import BackgroundField
+        from prefield.random_field import STREAM_PAIRS, BackgroundField
 
         singlet = FieldVector(np.array([0, 1, -1, 0]) / np.sqrt(2))
         ens = BipartiteEnsemble(singlet, BackgroundField(math.sqrt(0.5) - 0.5))
@@ -389,7 +392,8 @@ class TestDetectionBridge:
         for x in range(2):
             for y in range(2):
                 batches[(x, y)] = run_trials(
-                    ens, a_settings[x], b_settings[y], 0.2, 30_000, RandomSeed(100 + 2 * x + y)
+                    ens, a_settings[x], b_settings[y], 0.2, 30_000, RandomSeed(100 + 2 * x + y),
+                    POLICY_KEEP_SINGLES, STREAM_PAIRS,
                 )
         table = CorrelationTable.from_trial_batches(a_settings, b_settings, batches)
         s, se = chsh(table)

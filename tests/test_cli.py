@@ -37,7 +37,7 @@ from prefield.experiments import (
     validate,
 )
 from prefield.observables import MCEstimate
-from prefield.random_field import CHUNK, SAMPLE_BLOCK
+from prefield.random_field import CHUNK, SAMPLE_BLOCK, RandomSeed
 
 
 EPR_SMALL = ["epr", "--trials", "4000", "--samples", "2000", "--angles", "0.3"]
@@ -429,7 +429,7 @@ class TestExitCodes:
     def test_kolmogorov_lhv_check_fails_a_singlet_table(self, tmp_path, monkeypatch):
         """The 5 se allowance for a local table does not pass a singlet table (|S| = 2.83)."""
 
-        def singlet_table(a_settings, b_settings, n_per_pair, seed):
+        def singlet_table(a_settings, b_settings, n_per_pair, seed, stream):
             exact = singlet_exact_table(a_settings, b_settings)
             counts = np.full((2, 2), n_per_pair)
             return CorrelationTable.from_frequencies(a_settings, b_settings, exact.frequencies, counts)
@@ -531,6 +531,15 @@ class TestExitCodes:
         argv = [kind, "--model", "file", "--table", str(path), "--seed", "1", "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert "correlations must equal the frequencies'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["chsh", "kolmogorov"])
+    def test_deeply_nested_table_file_is_a_configuration_error(self, kind, tmp_path, capsys):
+        """JSON nested past the decoder's recursion limit exits 2, not with a RecursionError traceback."""
+        path = tmp_path / "table.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [kind, "--model", "file", "--table", str(path), "--seed", "1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert f"configuration error: cannot read correlation table {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["chsh", "kolmogorov"])
     def test_singlet_table_file_matches_the_singlet_model(self, kind, tmp_path):
@@ -841,7 +850,39 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
 
 
+# One small run of every kind, and of every Bell model that draws from the seed.
+SEEDED_RUNS = {
+    "born": ["born", "--samples", "20000"],
+    "dynamics": ["dynamics"],
+    "hessian": ["hessian"],
+    "epr": ["epr", "--trials", "4000", "--samples", "20000", "--angles", "0,0.3927"],
+    **{f"{kind}-lhv": [kind, "--model", "lhv", "--trials", "1000"] for kind in experiments.BELL_KINDS},
+    **{f"{kind}-singlet-clicks": [kind, "--model", "singlet-clicks", "--trials", "40000"]
+       for kind in experiments.BELL_KINDS},
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", SEEDED_RUNS.values(), ids=SEEDED_RUNS.keys())
+    def test_no_block_is_drawn_twice(self, argv, tmp_path, monkeypatch):
+        """Every (master, label, block) that reaches RandomSeed.stream in one run is drawn once, at 1 and 2 workers.
+
+        Estimates meant to be independent must draw from separate labels, so a
+        triple seen twice is two estimates sharing their normals.
+        """
+        stream, drawn = RandomSeed.stream, {}
+        for workers in ("1", "2"):
+            calls = drawn[workers] = []
+
+            def recorded(seed, label, block, calls=calls):
+                calls.append((seed.master, label, block))
+                return stream(seed, label, block)
+
+            monkeypatch.setattr(RandomSeed, "stream", recorded)
+            assert main(argv + ["--seed", "3", "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+            assert calls and len(set(calls)) == len(calls), sorted(c for c in calls if calls.count(c) > 1)
+        assert set(drawn["1"]) == set(drawn["2"])
+
     def test_bit_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["born", "--seed", "42", "--samples", "20000", "--dim", "3"]

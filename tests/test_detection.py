@@ -11,6 +11,7 @@ from helpers import CHUNK_EDGES, diagonal_operator, in_two_pieces, pairs_in_two_
 from prefield import detection, experiments, observables, random_field
 from prefield.cli import main
 from prefield.detection import (
+    POLICY_KEEP_SINGLES,
     BackgroundTooSmallError,
     BipartiteEnsemble,
     ThresholdDetector,
@@ -32,6 +33,7 @@ from prefield.observables import QuadraticForm, quadratic_form_mc
 from prefield.random_field import (
     CHUNK,
     SAMPLE_BLOCK,
+    STREAM_FIELD,
     STREAM_PAIRS,
     BackgroundField,
     GaussianFieldEnsemble,
@@ -213,7 +215,7 @@ class TestQuadraticCorrelation:
     def test_renormalized_mc_matches_exact(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         sz = diagonal_operator([1.0, -1.0])
-        est = quadratic_correlation_mc(ens, sz, sz, 50_000, SEED)
+        est = quadratic_correlation_mc(ens, sz, sz, 50_000, SEED, STREAM_PAIRS)
         assert abs(est.mean - (-1.0)) <= 5.0 * est.standard_error
 
     def test_independent_fields_have_zero_covariance_term(self):
@@ -225,8 +227,12 @@ class TestQuadraticCorrelation:
         a, b = rand_hermitian(rng, 2), rand_hermitian(rng, 2)
         e1 = ensemble_from_pure_state(psi1, BackgroundField(0.1))
         e2 = ensemble_from_pure_state(psi2, BackgroundField(0.1))
-        fa = QuadraticForm(a).evaluate_batch(sample_with_factor(e1.sampler_factor, 40_000, RandomSeed(61)))
-        fb = QuadraticForm(b).evaluate_batch(sample_with_factor(e2.sampler_factor, 40_000, RandomSeed(62)))
+        fa = QuadraticForm(a).evaluate_batch(
+            sample_with_factor(e1.sampler_factor, 40_000, RandomSeed(61), 0, STREAM_FIELD)
+        )
+        fb = QuadraticForm(b).evaluate_batch(
+            sample_with_factor(e2.sampler_factor, 40_000, RandomSeed(62), 0, STREAM_FIELD)
+        )
         cov = float(np.mean(fa * fb) - fa.mean() * fb.mean())
         se = float((fa * fb).std(ddof=1) / np.sqrt(40_000))
         assert abs(cov) <= 5.0 * se
@@ -264,7 +270,7 @@ def record_forms(monkeypatch, module) -> list:
 def born_values(values, ens, form, n_samples, seed):
     """The f_A values that `quadratic_form_mc` reduces, recorded by `record_forms` on observables."""
     values.clear()
-    quadratic_form_mc(ens, form, n_samples, seed, np.array([n_samples]), 1)
+    quadratic_form_mc(ens, form, n_samples, seed, STREAM_FIELD, np.array([n_samples]), 1)
     return np.concatenate(values)
 
 
@@ -287,7 +293,7 @@ class TestPowerKernel:
         ens = BipartiteEnsemble(psi, BackgroundField(eps))
         a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
         assert np.abs(b.matrix.imag).max() > 0.1
-        est = quadratic_correlation_mc(ens, a, b, stop, SEED)
+        est = quadratic_correlation_mc(ens, a, b, stop, SEED, STREAM_PAIRS)
         mean, se = reference_correlation(ens, a, b, SEED, cut, stop)
         assert abs(est.mean - mean) <= 1e-12 * max(1.0, abs(mean))
         assert abs(est.standard_error - se) <= 1e-12 * max(1.0, se)
@@ -299,7 +305,9 @@ class TestPowerKernel:
         ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, dim))
         values = born_values(record_forms(monkeypatch, observables), ens, form, stop, SEED)
-        pieces = in_two_pieces(lambda n, lo: sample_with_factor(ens.sampler_factor, n, SEED, lo), cut, stop)
+        pieces = in_two_pieces(
+            lambda n, lo: sample_with_factor(ens.sampler_factor, n, SEED, lo, STREAM_FIELD), cut, stop
+        )
         reference = form.evaluate_batch(np.concatenate(pieces))
         assert (np.abs(values - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))).all()
 
@@ -322,7 +330,7 @@ class TestPowerKernel:
 
         def forms(ens, a, b, n_samples, seed):
             values.clear()
-            quadratic_correlation_mc(ens, a, b, n_samples, seed)
+            quadratic_correlation_mc(ens, a, b, n_samples, seed, STREAM_PAIRS)
             both = np.concatenate(values)  # one product per chunk: party 1's column, then party 2's
             return both[:, 0], both[:, 1]
 
@@ -348,7 +356,7 @@ class TestPowerKernel:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [quadratic_form_mc(single, form, n, SEED, stops, w) for w in (1, 5)]
+            runs = [quadratic_form_mc(single, form, n, SEED, STREAM_FIELD, stops, w) for w in (1, 5)]
         finally:
             sys.setswitchinterval(interval)
         assert runs[0][0] == runs[1][0]
@@ -382,10 +390,11 @@ class TestPowerKernel:
         """Memory is one chunk of four-channel samples, whatever the sample count: no array of form values."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         n = 1_000_000
-        quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), 2, SEED)  # lazy imports stay out of the peak
+        # lazy imports stay out of the peak
+        quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), 2, SEED, STREAM_PAIRS)
         tracemalloc.start()
         try:
-            est = quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), n, SEED)
+            est = quadratic_correlation_mc(ens, polarization(0.0), polarization(0.4), n, SEED, STREAM_PAIRS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -396,14 +405,14 @@ class TestPowerKernel:
 class TestTrials:
     def test_zero_threshold_everything_clicks(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
-        batch = run_trials(ens, 0.0, 0.3, 0.0, 5_000, SEED)
+        batch = run_trials(ens, 0.0, 0.3, 0.0, 5_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         stats = click_statistics(batch)
         assert stats.party_counts[0][3] >= 0.999 * 5_000
         assert stats.party_counts[1][3] >= 0.999 * 5_000
 
     def test_huge_threshold_no_clicks(self):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
-        batch = run_trials(ens, 0.0, 0.3, 1e6, 2_000, SEED)
+        batch = run_trials(ens, 0.0, 0.3, 1e6, 2_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         stats = click_statistics(batch)
         np.testing.assert_array_equal(stats.party_counts, [(2_000, 0, 0, 0), (2_000, 0, 0, 0)])
         assert int(stats.raw[stats.mask].sum()) == 0
@@ -420,7 +429,7 @@ class TestTrials:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
         for k, d in enumerate(np.geomspace(0.01, 2.0, 12)):
             d = float(d)
-            batch = run_trials(ens, 0.0, 0.3, d, n, SEED, stream=(STREAM_PAIRS, k))
+            batch = run_trials(ens, 0.0, 0.3, d, n, SEED, POLICY_KEEP_SINGLES, (STREAM_PAIRS, k))
             q = math.exp(-d / (0.5 + eps))
             for _, plus, minus, both in click_statistics(batch).party_counts:
                 pairs = [(both / n, q * q), ((plus + minus) / n, 2.0 * q * (1.0 - q))]
@@ -452,7 +461,7 @@ class TestTrials:
         # at the minimal background the paired fields are exact conjugates
         # with swapped channels, so aligned settings anti-correlate exactly
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
-        batch = run_trials(ens, 0.4, 0.4, 0.2, 20_000, SEED)
+        batch = run_trials(ens, 0.4, 0.4, 0.2, 20_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         e, _ = correlation_from_clicks(batch)
         assert e == pytest.approx(-1.0, abs=1e-12)
 
@@ -460,7 +469,7 @@ class TestTrials:
     def test_rejects_invalid_threshold(self, threshold):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.3))
         with pytest.raises(ValueError, match="threshold"):
-            run_trials(ens, 0.0, 0.3, threshold, 100, SEED)
+            run_trials(ens, 0.0, 0.3, threshold, 100, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
 
     @pytest.mark.usefixtures("split_every_chunk")
     def test_trial_partition_invariance(self):
@@ -468,10 +477,11 @@ class TestTrials:
         leaves them unchanged, and another label draws other fields."""
         ens = BipartiteEnsemble(SINGLET, BackgroundField(0.25))
         n = 2 * CHUNK + 1
-        full = run_trials(ens, 0.0, 0.5, 0.1, n, SEED)
-        split = run_trials(ens, 0.0, 0.5, 0.1, n, SEED, workers=2)
+        full = run_trials(ens, 0.0, 0.5, 0.1, n, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
+        split = run_trials(ens, 0.0, 0.5, 0.1, n, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS, workers=2)
         np.testing.assert_array_equal(full.codes, split.codes)
-        labels = [run_trials(ens, 0.0, 0.5, 0.1, n, SEED, stream=(STREAM_PAIRS, k)).codes for k in range(2)]
+        labels = [run_trials(ens, 0.0, 0.5, 0.1, n, SEED, POLICY_KEEP_SINGLES, (STREAM_PAIRS, k)).codes
+                  for k in range(2)]
         assert (labels[0] != labels[1]).mean() > 0.1
 
 
@@ -524,7 +534,7 @@ def single_party_counts(psi, eps, threshold, n, seed):
     Party 1's field then has covariance psi psi^+ + eps I, the single-party ensemble of psi.
     """
     ens = BipartiteEnsemble(kron_vector(psi, FieldVector([1.0, 0.0])), BackgroundField(eps))
-    return run_trials(ens, 0.0, 0.0, threshold, n, seed).raw.sum(axis=1)
+    return run_trials(ens, 0.0, 0.0, threshold, n, seed, POLICY_KEEP_SINGLES, STREAM_PAIRS).raw.sum(axis=1)
 
 
 class TestSingleParty:
@@ -553,7 +563,7 @@ class TestCalibration:
         # eps = 0.06 lies below the singlet's floor, so the maximally mixed
         # field is sampled directly and put behind the detector
         ens = GaussianFieldEnsemble(HermitianOperator((0.5 + eps) * np.eye(2)))
-        clicks = ThresholdDetector(d).clicks(sample_with_factor(ens.sampler_factor, n, SEED))
+        clicks = ThresholdDetector(d).clicks(sample_with_factor(ens.sampler_factor, n, SEED, 0, STREAM_FIELD))
         single = [float((clicks[:, c] & ~clicks[:, 1 - c]).mean()) for c in range(2)]
         assert abs(sum(single) - target) <= 0.01
         se = math.sqrt(q * (1.0 - q) / n)

@@ -8,7 +8,6 @@ from prefield.cli import main
 from prefield.dynamics import (
     HamiltonianSystem,
     SymplecticIntegrator,
-    _expm_antisymmetric,
     covariance_derivative,
     evolve_ensemble,
     exact_propagator,
@@ -55,7 +54,7 @@ def field(x):
 def strang_step(system, dt, q, p):
     """The five-piece step written out on q and p: rotation, kick, drift, kick, rotation."""
     r = system.r_block
-    half_j = _expm_antisymmetric(system.j_block, dt / 2.0)
+    half_j = exact_propagator(HermitianOperator(1j * system.j_block), dt / 2.0).real  # exp(dt J / 2)
     q, p = half_j @ q, half_j @ p
     p = p - (dt / 2.0) * (r @ q)
     q = q + dt * (r @ p)

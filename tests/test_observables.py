@@ -20,6 +20,7 @@ from prefield.observables import (
     renormalize,
 )
 from prefield.random_field import (
+    STREAM_FIELD,
     BackgroundField,
     GaussianFieldEnsemble,
     RandomSeed,
@@ -116,7 +117,7 @@ class TestRenormalize:
 
 def mc_average(ens, form, n):
     """Mean and standard error of f_A over the first n samples of the ensemble."""
-    est, _ = quadratic_form_mc(ens, form, n, SEED, np.array([n]), 1)
+    est, _ = quadratic_form_mc(ens, form, n, SEED, STREAM_FIELD, np.array([n]), 1)
     return est.mean, est.standard_error
 
 
@@ -137,7 +138,7 @@ class TestMCAverages:
         ens = GaussianFieldEnsemble(HermitianOperator(np.eye(2) / 2))
         form = QuadraticForm(HermitianOperator(np.diag([1.0, -0.5])))
         with pytest.raises(ValueError, match="n_samples must be >= 2"):
-            quadratic_form_mc(ens, form, 1, SEED, np.array([1]), 1)
+            quadratic_form_mc(ens, form, 1, SEED, STREAM_FIELD, np.array([1]), 1)
 
     def test_mc_matches_exact_for_quadratic(self):
         rng = np.random.default_rng(3)
@@ -163,8 +164,9 @@ class TestReductions:
         dim = 2 + seed % 2
         ens = ensemble_from_pure_state(rand_unit(rng, dim), BackgroundField(0.05))
         form = QuadraticForm(rand_hermitian(rng, dim))
-        est, running = quadratic_form_mc(ens, form, n, RandomSeed(seed), np.arange(1, n + 1), 1)
-        return est, running, form.evaluate_batch(sample_with_factor(ens.sampler_factor, n, RandomSeed(seed)))
+        est, running = quadratic_form_mc(ens, form, n, RandomSeed(seed), STREAM_FIELD, np.arange(1, n + 1), 1)
+        values = form.evaluate_batch(sample_with_factor(ens.sampler_factor, n, RandomSeed(seed), 0, STREAM_FIELD))
+        return est, running, values
 
     @staticmethod
     def assert_close(got, want):

@@ -18,12 +18,12 @@ from pathlib import Path
 import pytest
 
 from prefield.cli import build_parser, config_from_args, main
-from prefield.detection import BipartiteEnsemble, run_trials
+from prefield.detection import POLICY_KEEP_SINGLES, BipartiteEnsemble, run_trials
 from prefield.dynamics import SymplecticIntegrator
 from prefield.experiments import validate
 from prefield.hilbert import FieldVector
 from prefield.observables import QuadraticForm
-from prefield.random_field import BackgroundField, RandomSeed, sample_with_factor
+from prefield.random_field import STREAM_PAIRS, BackgroundField, RandomSeed, sample_with_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,7 +79,7 @@ def test_sample_with_factor_takes_start_index():
 def test_run_trials_result_has_counted_fields():
     singlet = FieldVector([0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0])
     ensemble = BipartiteEnsemble(singlet, BackgroundField(0.3))
-    batch = run_trials(ensemble, 0.0, 0.3, 0.2, 100, RandomSeed(5))
+    batch = run_trials(ensemble, 0.0, 0.3, 0.2, 100, RandomSeed(5), POLICY_KEEP_SINGLES, STREAM_PAIRS)
     assert batch.n_trials == 100
     assert batch.accepted.shape == (100,)
 

@@ -15,6 +15,7 @@ from prefield.random_field import (
     CHUNK,
     SAMPLE_BLOCK,
     STREAM_FIELD,
+    STREAM_HIDDEN_VARIABLE,
     STREAM_PAIRS,
     BackgroundField,
     GaussianFieldEnsemble,
@@ -188,7 +189,7 @@ class TestDeterminism:
         for seed in (SEED, *map(RandomSeed, range(1, 6))):
             normals = np.concatenate([block_normals(seed, b, factor.shape[1]) for b in range(first, last + 1)])
             expected = (normals @ real_form(factor)).view(np.complex128)[offset : offset + n]
-            np.testing.assert_array_equal(sample_with_factor(factor, n, seed, start), expected)
+            np.testing.assert_array_equal(sample_with_factor(factor, n, seed, start, STREAM_FIELD), expected)
 
     @pytest.mark.parametrize("kind", ["singlet-pair", "dim3"])
     def test_real_form_matches_the_complex_product(self, kind):
@@ -197,7 +198,7 @@ class TestDeterminism:
         for seed in (SEED, *map(RandomSeed, range(1, 6))):
             normals = np.concatenate([block_normals(seed, b, factor.shape[1]) for b in (0, 1)])
             expected = (np.sqrt(0.5) * normals).view(np.complex128) @ factor.T
-            error = np.abs(sample_with_factor(factor, 2 * SAMPLE_BLOCK, seed) - expected).max()
+            error = np.abs(sample_with_factor(factor, 2 * SAMPLE_BLOCK, seed, 0, STREAM_FIELD) - expected).max()
             assert error <= 1e-15 * np.abs(expected).max()
 
     def test_short_ranges_stay_on_the_calling_thread(self):
@@ -314,7 +315,7 @@ class TestContract:
     def test_pinned_samples(self):
         # factors with one power-of-two entry per row colour exactly, so the
         # pins hold whatever BLAS does the product
-        full = sample_with_factor(np.diag([1.0, 0.5, 2.0]), 2, SEED, 5 * SAMPLE_BLOCK + 7)
+        full = sample_with_factor(np.diag([1.0, 0.5, 2.0]), 2, SEED, 5 * SAMPLE_BLOCK + 7, STREAM_FIELD)
         assert full.view(np.float64).tolist() == [
             [-0.6834391262912873, -0.18716979569567604, 0.4158333580432938,
              -0.4088546837219304, 1.255218119823972, 0.5852473391805117],
@@ -331,7 +332,7 @@ class TestContract:
         ]
 
     def test_pinned_lhv_counts(self):
-        table = lhv_sampled_table((0.0, math.pi / 4), (math.pi / 8, -math.pi / 8), 1000, SEED)
+        table = lhv_sampled_table((0.0, math.pi / 4), (math.pi / 8, -math.pi / 8), 1000, SEED, STREAM_HIDDEN_VARIABLE)
         counts = np.rint(table.frequencies * 1000).astype(int).reshape(4, 4)
         assert counts.tolist() == [
             [356, 155, 135, 354], [354, 168, 158, 320], [360, 139, 152, 349], [167, 352, 344, 137]

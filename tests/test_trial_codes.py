@@ -16,6 +16,7 @@ import pytest
 from helpers import CHUNK_EDGES, pairs_in_two_pieces
 from prefield.analysis import CorrelationTable, NoCoincidencesError
 from prefield.detection import (
+    POLICY_KEEP_SINGLES,
     BipartiteEnsemble,
     TrialBatch,
     _pack_codes,
@@ -137,7 +138,7 @@ class TestKernel:
     )
     def test_codes_match_projector_powers(self, theta1, theta2, threshold, eps, cut, n):
         ens = BipartiteEnsemble(SINGLET, BackgroundField(eps))
-        batch = run_trials(ens, theta1, theta2, threshold, cut + n, SEED)
+        batch = run_trials(ens, theta1, theta2, threshold, cut + n, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         phi1, phi2 = pairs_in_two_pieces(ens, SEED, cut, cut + n)
         clicks1 = projector_clicks(phi1, theta1, threshold)
         clicks2 = projector_clicks(phi2, theta2, threshold)
@@ -155,7 +156,7 @@ class TestKernel:
         amplitudes = sample_with_factor(ens.sampler_factor, n, SEED, 0, STREAM_PAIRS) @ basis
         clicks = amplitudes.real**2 + amplitudes.imag**2 > threshold
         expected = np.packbits(clicks, axis=1, bitorder="little")[:, 0]
-        batch = run_trials(ens, theta1, theta2, threshold, n, SEED)
+        batch = run_trials(ens, theta1, theta2, threshold, n, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         np.testing.assert_array_equal(batch.codes, expected)
 
     @pytest.mark.parametrize("theta, threshold", [(0.0, 0.0202), (0.6, 0.3), (-1.2, 0.05)])
@@ -167,7 +168,7 @@ class TestKernel:
         """A single party is party 1 of the product state psi x e_0; its codes are the low two bits."""
         psi = FieldVector([math.cos(0.4), math.sin(0.4) * 1j])
         ens = BipartiteEnsemble(kron_vector(psi, FieldVector([1.0, 0.0])), BackgroundField(0.06))
-        batch = run_trials(ens, theta, 0.0, threshold, cut + n, SEED)
+        batch = run_trials(ens, theta, 0.0, threshold, cut + n, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         phi1, _ = pairs_in_two_pieces(ens, SEED, cut, cut + n)
         clicks = projector_clicks(phi1, theta, threshold)
         np.testing.assert_array_equal(batch.codes & 3, codes_of(clicks))
@@ -178,7 +179,7 @@ class TestKernel:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
         tracemalloc.start()
         try:
-            batch = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED)
+            batch = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -189,13 +190,15 @@ class TestKernel:
         ens = BipartiteEnsemble(SINGLET, BackgroundField(SINGLET_EPS_MIN))
         tracemalloc.start()
         try:
-            batch = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED, workers=2)
+            batch = run_trials(
+                ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS, workers=2
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert batch.n_trials == 1_000_000
         assert peak < 16 * 2**20
-        single = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED)
+        single = run_trials(ens, 0.0, math.pi / 8, 0.2, 1_000_000, SEED, POLICY_KEEP_SINGLES, STREAM_PAIRS)
         np.testing.assert_array_equal(batch.codes, single.codes)
 
 
